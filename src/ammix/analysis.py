@@ -16,7 +16,7 @@ from typing import Sequence
 from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
 from ammix.errors import InvalidParameterError, UnsupportedCurveError
 from ammix.parametrize import point_at
-from ammix.schedules import S_MAX, S_MIN, Uniform, check_convexity
+from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, check_convexity
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,6 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
     return check_convexity(params, mix.schedule).passed
 
 
-_BISECT_ITERS = 200
-_S_TOL = 1e-15
-
-
 def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> MarketState:
     """The on-curve state arbitrageurs leave behind at prices p.
 
@@ -93,15 +89,7 @@ def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> Market
         return point_at(params, mix, lo)
     if r <= r_min:
         return point_at(params, mix, hi)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) > r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _S_TOL:
-            break
-    return point_at(params, mix, 0.5 * (lo + hi))
+    return point_at(params, mix, _bisect(lambda s: rate_at(s) > r, lo, hi, atol=1e-15))
 
 
 def portfolio_value(params: CurveParams, mix: MixSpec, p: PriceVector) -> float:

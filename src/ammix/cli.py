@@ -26,6 +26,7 @@ from ammix.schedules import (
     Parabolic,
     PowerLaw,
     Uniform,
+    _bisect,
     check_convexity,
     stableswap_dynamic_residual,
 )
@@ -48,15 +49,10 @@ def _fmt(value) -> str:
 
 
 def _fmt_json(value) -> str:
-    if value is None or (isinstance(value, float) and not isfinite(value)):
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(str(value))
+    """``_fmt`` with strings quoted and missing values as null."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    return _fmt(value) or "null"
 
 
 def emit_table(rows: list[dict], format: str = "csv") -> str:
@@ -155,6 +151,8 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     params = _curve_from(ns, config)
     mix = _mix_from(ns)
     n = ns.samples
+    if n < 2:
+        raise AmmixError(f"--samples must be >= 2, got {n}")
     rows = []
     for i in range(n):
         s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
@@ -235,21 +233,15 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
 
 def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
     # residual is +inf at y -> 0 and eventually negative; bisect the sign change
-    lo = 1e-12 * scale
+    def below(y: float) -> bool:
+        return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
+
     hi = 4.0 * scale
-    while stableswap_dynamic_residual(amp, scale, MarketState(x, hi)) > 0.0:
+    while below(hi):
         hi *= 2.0
         if hi > 1e12 * scale:
             raise AmmixError(f"no curve crossing found for x={x!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if stableswap_dynamic_residual(amp, scale, MarketState(x, mid)) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
 
 
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:

@@ -25,6 +25,7 @@ from ammix import _kernels as k
 from ammix.errors import (
     DegenerateGradientError,
     InvalidParameterError,
+    NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
 from ammix.schedules import (
@@ -34,7 +35,6 @@ from ammix.schedules import (
     TSchedule,
     Uniform,
     schedule_coeffs,
-    t_first,
 )
 
 
@@ -150,6 +150,18 @@ class MixSpec:
     def is_uniform(self) -> bool:
         return isinstance(self.schedule, Uniform)
 
+    @property
+    def has_finite_intercept(self) -> bool:
+        """Whether the curve ends at finite intercepts on the axes.
+
+        Arithmetic mixings with t < 1, and every family at t = 0, do; the
+        other mixings run to infinity and only approach the axes.
+        """
+        if not isinstance(self.schedule, Uniform):
+            return False
+        t = self.schedule.t
+        return t == 0.0 or (self.family is Family.ARITHMETIC and t < 1.0)
+
 
 def kernel_codes(params: CurveParams, mix: MixSpec) -> tuple[int, int, float, float, float]:
     """(family, kind, q0, q1, q2) encoding consumed by the kernel backend."""
@@ -164,6 +176,19 @@ def eval_component(params: CurveParams, state: MarketState) -> tuple[float, floa
     return a0, a1
 
 
+def s_of_state(params: CurveParams, state: MarketState) -> float:
+    """Ray coordinate s = a*x / (a*x + b*y); always in (0, 1) for positive reserves."""
+    ax = params.a * state.x
+    return ax / (ax + params.b * state.y)
+
+
+def _schedule_at(params: CurveParams, schedule: TSchedule, state: MarketState, kernel):
+    """A schedule kernel at the state's s, with no range check: the s of a positive
+    state lies in (0, 1), where kernels are defined, even if it rounds past S_MIN/S_MAX."""
+    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
+    return kernel(kind, q0, q1, q2, s_of_state(params, state), params.s0)
+
+
 def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
     """Resolve the blend weight t at a state, for any schedule kind."""
     sched = mix.schedule
@@ -172,15 +197,7 @@ def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> floa
     if isinstance(sched, StableswapDynamic):
         d2 = sched.scale * sched.scale
         return d2 / (16.0 * sched.amplification * state.x * state.y + d2)
-    s = s_of_state_raw(params, state)
-    kind, q0, q1, q2 = schedule_coeffs(sched, params.s0)
-    return k.sched_value(kind, q0, q1, q2, s, params.s0)
-
-
-def s_of_state_raw(params: CurveParams, state: MarketState) -> float:
-    """Ray coordinate s = a*x / (a*x + b*y) of a state."""
-    ax = params.a * state.x
-    return ax / (ax + params.b * state.y)
+    return _schedule_at(params, sched, state, k.sched_value)
 
 
 def eval_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
@@ -215,8 +232,7 @@ def grad_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> tuple[f
     if isinstance(sched, Uniform):
         t, tp = sched.t, 0.0
     else:
-        s = s_of_state_raw(params, state)
-        t, tp = t_first(sched, params, s)
+        t, tp = _schedule_at(params, sched, state, k.sched_first)
     if mix.family is Family.ARITHMETIC:
         return (
             (1.0 - t) * a / c + t * a1 * alpha / x,
@@ -244,8 +260,17 @@ def grad_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> tuple[f
 
 
 def spot_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
-    """Internal exchange rate of currency 1 in units of currency 2."""
-    gx, gy = grad_mixed(params, mix, state)
+    """Internal exchange rate of currency 1 in units of currency 2.
+
+    Power-law schedules with exponent <= 1 leave the ambient invariant
+    without a gradient exactly at s0, but the curve's tangent limit there
+    is the anchor rate a/b for every schedule (shared-rate calibration),
+    so that is the rate quoted at the anchor.
+    """
+    try:
+        gx, gy = grad_mixed(params, mix, state)
+    except NonDifferentiablePointError:
+        return params.a / params.b
     if gy == 0.0:
         raise DegenerateGradientError("vanishing partial derivative in y")
     return gx / gy

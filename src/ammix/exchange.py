@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
-from ammix.core import CurveParams, Family, MarketState, MixSpec, spot_rate
+from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
 from ammix.parametrize import state_for_x, state_for_y
-from ammix.schedules import S_MAX, S_MIN, Uniform
+from ammix.schedules import S_MAX, S_MIN
 from ammix import parametrize
 
 
@@ -106,11 +106,7 @@ def max_extractable(params: CurveParams, mix: MixSpec, state: MarketState,
     intercepts, so the bound is reached at finite cost; geometric and
     homotopy mixings with t > 0 only approach the full reserve.
     """
-    finite_side = False
-    if isinstance(mix.schedule, Uniform):
-        t = mix.schedule.t
-        finite_side = t == 0.0 or (mix.family is Family.ARITHMETIC and t < 1.0)
-    if not finite_side:
+    if not mix.has_finite_intercept:
         reserve = state.y if currency is Currency.CUR2 else state.x
         return LiquidityBound(amount=reserve, attainable=False)
     if currency is Currency.CUR2:

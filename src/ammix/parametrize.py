@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.core import CurveParams, Family, MarketState, MixSpec, kernel_codes
+from ammix.core import _FAMILY_CODE, CurveParams, Family, MarketState, MixSpec, kernel_codes
+from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
 from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.schedules import (
     S_MAX,
@@ -25,12 +26,6 @@ from ammix.schedules import (
     Uniform,
     _check_s,
 )
-
-
-def s_of_state(params: CurveParams, state: MarketState) -> float:
-    """Ray coordinate of a state; always lands in (0, 1) for positive reserves."""
-    ax = params.a * state.x
-    return ax / (ax + params.b * state.y)
 
 
 def base_point(params: CurveParams, s: float) -> tuple[float, float]:
@@ -66,9 +61,8 @@ def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float
     _check_s(s)
     if not (isfinite(t) and 0.0 <= t <= 1.0):
         raise InvalidParameterError(f"blend weight must be in [0, 1], got {t!r}")
-    fam = {Family.ARITHMETIC: 0, Family.GEOMETRIC: 1, Family.HOMOTOPY: 2}[family]
-    return k.lam_uniform(fam, s, t, params.a, params.b, params.x0, params.y0,
-                         params.alpha, params.beta)
+    return k.lam_uniform(_FAMILY_CODE[family], s, t, params.a, params.b, params.x0,
+                         params.y0, params.alpha, params.beta)
 
 
 def _lam_at(params: CurveParams, mix: MixSpec, s: float) -> float:
@@ -106,10 +100,8 @@ def max_reach_x(params: CurveParams, mix: MixSpec) -> float:
     Arithmetic mixings with t < 1 (and every family at t = 0) end at
     x = C / (a*(1-t)); the other mixings run to infinity.
     """
-    if isinstance(mix.schedule, Uniform):
-        t = mix.schedule.t
-        if t == 0.0 or (mix.family is Family.ARITHMETIC and t < 1.0):
-            return params.c / (params.a * (1.0 - t))
+    if mix.has_finite_intercept:
+        return params.c / (params.a * (1.0 - mix.schedule.t))
     return inf
 
 

@@ -38,6 +38,24 @@ def _check_s(s: float) -> float:
     return s
 
 
+def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -> float:
+    """Root of a monotone 1-D problem bracketed by [lo, hi], by bisection.
+
+    ``below(x)`` is true when the root lies above x.  The bracket is halved
+    at most 200 times and stops once hi - lo <= atol + rtol*hi; the midpoint
+    of the final bracket is returned.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= atol + rtol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Constant blend weight t on the whole curve."""

@@ -21,26 +21,12 @@ from typing import Optional
 import numpy as np
 
 from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
-from ammix.errors import InvalidParameterError, NonDifferentiablePointError, OutOfRangeError
+from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.exchange import Currency
 from ammix.parametrize import point_at, state_for_x, state_for_y
 from ammix.schedules import S_MAX, S_MIN, PowerLaw
 
 STABILITY_TO_EXPONENT = 8.0
-
-
-def internal_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
-    """Spot rate, extended through the anchor for cusped schedules.
-
-    Power-law schedules with exponent <= 1 have a non-differentiable ambient
-    invariant exactly at s0, but the curve's tangent limit there is the
-    anchor rate a/b for every schedule (shared-rate calibration), so the
-    simulation quotes that.
-    """
-    try:
-        return spot_rate(params, mix, state)
-    except NonDifferentiablePointError:
-        return params.a / params.b
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,7 @@ def sim_step(state: MarketState, params: CurveParams, mix: MixSpec,
     """
     if config.max_extraction_frac <= 0.0:
         return state, _NO_TRADE
-    internal = internal_rate(params, mix, state)
+    internal = spot_rate(params, mix, state)
     if external_rate > internal:
         toward = Currency.CUR1
     elif external_rate < internal:
@@ -234,11 +220,11 @@ def _run_with(config: SimConfig, params: CurveParams, mix: MixSpec,
     slip = np.full(n, nan)
     state = config.init_state
     xs[0], ys[0] = state.x, state.y
-    internal[0] = internal_rate(params, mix, state)
+    internal[0] = spot_rate(params, mix, state)
     for i in range(1, n):
         state, rec = sim_step(state, params, mix, external[i], config, rng)
         xs[i], ys[i] = state.x, state.y
-        internal[i] = internal_rate(params, mix, state)
+        internal[i] = spot_rate(params, mix, state)
         extracted[i] = rec.extracted
         out_amt[i] = rec.output_amount
         in_amt[i] = rec.input_amount

@@ -14,6 +14,7 @@ from math import isfinite, prod
 from typing import Sequence
 
 from ammix.errors import InvalidParameterError
+from ammix.schedules import _bisect
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,4 @@ def solve_reserve(ss: StableswapParams, partial: Sequence[float]) -> float:
         raise InvalidParameterError(
             f"no on-surface completion for partial reserves {partial!r}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: f(x) < 0.0, lo, hi, rtol=1e-15)

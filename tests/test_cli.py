@@ -167,3 +167,35 @@ def test_json_format_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["output_amount"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_quote_at_cusped_anchor_uses_anchor_rate(capsys):
+    code, out, _ = run(capsys, "quote", "--mix", "hom", "--schedule", "powerlaw", "--k", "1",
+                       "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "0.01")
+    assert code == 0
+    lines = out.strip().split("\n")
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(row["spot_before"]) == 1.0
+
+
+@pytest.mark.parametrize("curve", [
+    # the s recomputed from point_at(S_MIN) rounds below S_MIN
+    ("--bias", "0.4500468369504867", "--center", "0.5614140591851392", "--a", "1.4696584954754803",
+     "--x0", "0.8551673363496469", "--y0", "0.703125693887579"),
+    # the s recomputed from point_at(S_MAX) rounds above S_MAX
+    ("--bias", "0.44458215584937183", "--center", "0.38845876978569444", "--a", "0.6333031527414891",
+     "--x0", "1.2207030873323292", "--y0", "1.977460075784775"),
+])
+def test_il_table_with_curve_end_states(capsys, curve):
+    code, out, err = run(capsys, "il-table", "--mix", "hom", "--schedule", "parabolic", *curve)
+    assert code == 0, err
+    ils = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
+    assert len(ils) == 4
+    assert all(il <= 0.0 for il in ils)
+
+
+def test_curve_sample_one_sample_exit_2(capsys):
+    code, out, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "0.5", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err

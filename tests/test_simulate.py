@@ -12,8 +12,9 @@ from ammix import (
     run_sim,
     sim_step,
 )
+from ammix.core import spot_rate as internal_rate
 from ammix.errors import InvalidParameterError
-from ammix.simulate import _external_rng, _run_rng, curve_for, internal_rate
+from ammix.simulate import _external_rng, _run_rng, curve_for
 
 
 def test_config_defaults_match_reference_setup():
