@@ -3,9 +3,13 @@
 The compiled extension is preferred when present; the pure-Python module is
 the fallback.  Set ``AMMIX_KERNELS=pure`` to force the fallback even where
 the extension is built; ``test_env_override_selects_pure`` checks this.
+``lam_chain_array``, the numpy array form of ``lam_chain``, is the same
+for both backends.
 """
 
 import os
+
+from ammix._kernels.arrays import lam_chain_array
 
 FAMILY_ARITHMETIC = 0
 FAMILY_GEOMETRIC = 1

@@ -3,7 +3,8 @@
 A trade adds the input amount to one reserve and walks the state along the
 invariant's level set; the drop in the other reserve is the output.
 Slippage compares the pre-trade spot price p1 against the realized price
-p2 = output/input: slippage = |p1 - p2| / |p1|.
+p2 = output/input: slippage = |p1 - p2| / |p1|.  A trade starts only from
+a state on the curve: |A(X) - 1| <= ON_CURVE_TOL.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
 
-from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
+from ammix.core import CurveParams, MarketState, MixSpec, eval_mixed, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
 from ammix.parametrize import state_for_x, state_for_y
 from ammix.schedules import S_MAX, S_MIN
 from ammix import parametrize
+
+ON_CURVE_TOL = 1e-9
 
 
 class Currency(Enum):
@@ -40,6 +43,11 @@ def _solve_trade(params: CurveParams, mix: MixSpec, state: MarketState,
                  input_currency: Currency, amount: float) -> tuple[MarketState, Quote]:
     if not (isfinite(amount) and amount > 0.0):
         raise InvalidParameterError(f"trade amount must be positive and finite, got {amount!r}")
+    residual = eval_mixed(params, mix, state) - 1.0
+    if not abs(residual) <= ON_CURVE_TOL:
+        raise InvalidParameterError(
+            f"state ({state.x!r}, {state.y!r}) is off the curve: A(X) - 1 = {residual!r}"
+        )
     rate = spot_rate(params, mix, state)
     if input_currency is Currency.CUR1:
         p1 = rate

@@ -60,6 +60,14 @@ def test_quote_infeasible_exit_4(capsys):
     assert "error" in err
 
 
+def test_quote_off_curve_exit_2(capsys):
+    code, out, err = run(capsys, "quote", "--mix", "cpmm", "--x", "1", "--y", "2",
+                         "--sell", "cur1", "--amount", "0.001")
+    assert code == 2
+    assert out == ""
+    assert "off the curve" in err
+
+
 def test_curve_sample_t_out_of_range_exit_2(capsys):
     code, _, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "1.5")
     assert code == 2

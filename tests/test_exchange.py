@@ -45,6 +45,16 @@ def test_quote_rejects_zero_amount(unit_params, unit_state):
         quote(unit_params, MixSpec.homotopy(0.5), unit_state, Currency.CUR1, 0.0)
 
 
+def test_trade_from_off_curve_state_rejected(unit_params):
+    # (1, 2) is not on the unit CPMM x*y = 1: no quote, no swap
+    off = MarketState(1.0, 2.0)
+    mix = MixSpec.arithmetic(1.0)
+    for trade in (quote, swap):
+        for currency in Currency:
+            with pytest.raises(InvalidParameterError, match="off the curve"):
+                trade(unit_params, mix, off, currency, 0.001)
+
+
 def test_swap_cpmm(unit_params, unit_state):
     new_state, q = swap(unit_params, MixSpec.arithmetic(1.0), unit_state, Currency.CUR1, 1.0)
     assert new_state.x == pytest.approx(2.0, rel=1e-12)

@@ -1,4 +1,5 @@
-"""Backend parity: the compiled kernels must match the pure-Python twin."""
+"""Backend parity: the compiled kernels must match the pure-Python twin, and
+the array kernel must match the scalar one."""
 
 import importlib
 import os
@@ -7,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ammix
 import ammix._kernels as selector
 from ammix._kernels import pure
+from ammix.errors import NonDifferentiablePointError
 
 fast = None
 try:
@@ -72,6 +75,37 @@ def test_sched_and_chain_agree():
         want = pure.lam_chain(kind, *q, s, *curve)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
+
+
+def test_lam_chain_array_matches_scalar_kernel():
+    # the array kernel repeats lam_chain's operations, so it differs only by
+    # numpy's rounding of exp/log/expm1/power; it marks s0 where lam_chain raises
+    rng = random.Random(404)
+    for curve in _random_curves(30, 4):
+        a, b, x0, y0, alpha, beta = curve
+        s0 = a * x0 / (a * x0 + b * y0)
+        kind = rng.choice([0, 1, 2])
+        if kind == 0:
+            q = (rng.uniform(0, 1), 0.0, 0.0)
+        elif kind == 1:
+            q = (rng.choice([rng.uniform(0.25, 8.0), 0.5, 1.0, 2.0, 3.0]), 0.0, 0.0)
+        else:
+            q = (0.3, -0.2, 0.4)
+        s = np.array([rng.uniform(0.02, 0.98) for _ in range(50)] + [s0])
+        with np.errstate(all="ignore"):
+            lam, lamp, lampp, singular = selector.lam_chain_array(kind, *q, s, *curve)
+        for i, si in enumerate(s.tolist()):
+            try:
+                want = selector.lam_chain(kind, *q, si, *curve)
+            except NonDifferentiablePointError:
+                assert singular[i], (kind, q, si)
+                continue
+            assert not singular[i]
+            got = (float(lam[i]), float(lamp[i]), float(lampp[i]))
+            if si == s0:  # P - C is exactly 0 at s0 in both
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
 @needs_fast

@@ -1,6 +1,10 @@
 import math
 import random
+import tracemalloc
+import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ammix import (
@@ -18,12 +22,14 @@ from ammix import (
     stableswap_dynamic_residual,
     t_of_s,
 )
+from ammix._kernels.arrays import lam_chain_array
+from ammix.cli import run_command
 from ammix.errors import (
     InvalidParameterError,
     NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
-from ammix.schedules import t_first
+from ammix.schedules import CONVEXITY_GRID_INSET, t_first
 from conftest import central_diff
 
 # --- schedule construction ---------------------------------------------------
@@ -287,6 +293,78 @@ def test_convexity_skips_singular_points(unit_params):
     report = check_convexity(unit_params, PowerLaw(1.0), grid_size=10_001)
     assert report.skipped >= 1
     assert report.passed
+
+
+@pytest.fixture
+def kernel_spy(monkeypatch):
+    """Records the s arrays check_convexity passes to the array kernel.
+
+    ``spy.nan_at`` (a set of s values) makes the kernel return a NaN
+    lam at those points.
+    """
+    from ammix import _kernels
+
+    spy = SimpleNamespace(grids=[], nan_at=set())
+
+    def kernel(kind, q0, q1, q2, s, *curve):
+        spy.grids.append(s.copy())
+        lam, lamp, lampp, singular = lam_chain_array(kind, q0, q1, q2, s, *curve)
+        lam[np.isin(s, list(spy.nan_at))] = math.nan
+        return lam, lamp, lampp, singular
+
+    monkeypatch.setattr(_kernels, "lam_chain_array", kernel)
+    return spy
+
+
+@pytest.mark.parametrize("grid_size", [3, 4096, 4097, 10_001])
+def test_convexity_grid_points_exact(unit_params, kernel_spy, grid_size):
+    # every block together covers lo + i*step, i = 0..grid_size-1, as floats
+    report = check_convexity(unit_params, PowerLaw(3.0), grid_size=grid_size)
+    lo = CONVEXITY_GRID_INSET
+    step = (1.0 - 2.0 * CONVEXITY_GRID_INSET) / (grid_size - 1)
+    assert np.concatenate(kernel_spy.grids).tolist() == [lo + i * step for i in range(grid_size)]
+    assert report.grid_size == grid_size
+
+
+def test_convexity_ignores_nan_margins(pool_params, kernel_spy):
+    schedule = PowerLaw(3.0)
+    clean = check_convexity(pool_params, schedule, grid_size=10_001)
+    # a NaN at the worst point drops that point only, not the rest of its block
+    kernel_spy.nan_at = {clean.worst_s}
+    kernel_spy.grids.clear()
+    report = check_convexity(pool_params, schedule, grid_size=10_001)
+    s = np.concatenate(kernel_spy.grids)
+    lam, lamp, lampp, _ = lam_chain_array(1, 3.0, 0.0, 0.0, s, pool_params.a, pool_params.b,
+                                          pool_params.x0, pool_params.y0,
+                                          pool_params.alpha, pool_params.beta)
+    margin = lam * lampp - 2.0 * lamp * lamp
+    margin[s == clean.worst_s] = math.inf
+    assert (report.min_margin, report.worst_s) == (margin.min(), s[margin.argmin()])
+    assert report.min_margin > clean.min_margin
+    assert report.skipped == 0
+
+
+def test_convexity_memory_bounded_on_large_grid(unit_params):
+    # the grid is evaluated in fixed-size blocks; one pass over a million
+    # points at once would hold over 100 MB of temporaries
+    tracemalloc.start()
+    try:
+        report = check_convexity(unit_params, PowerLaw(0.5), grid_size=1_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grid_size == 1_000_001
+    assert peak < 16 * 2**20
+
+
+def test_convexity_cli_raises_no_warning(capsys):
+    # the singular point at s0 divides by zero inside the array kernel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["convexity", "--schedule", "powerlaw", "--k", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out
+    assert captured.err == ""
 
 
 # --- stableswap_dynamic_residual ---------------------------------------------
