@@ -14,9 +14,13 @@ from math import isfinite
 from typing import Sequence
 
 from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
-from ammix.errors import InvalidParameterError, UnsupportedCurveError
+from ammix.errors import InvalidCurveError, InvalidParameterError, UnsupportedCurveError
 from ammix.parametrize import point_at
-from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, check_convexity
+from ammix.schedules import S_MAX, S_MIN, Uniform, _regula_falsi, check_convexity
+
+# cap on spot-rate evaluations per solve: a typical solve takes about 6, and
+# _regula_falsi's bracket guard ends every solve within about 70
+_MAX_RATE_EVALS = 100
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,15 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
 def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> MarketState:
     """The on-curve state arbitrageurs leave behind at prices p.
 
-    Solves spot(s) = p1/p2 by bisection (the spot rate is monotone along a
-    convex curve).  Rates beyond the curve's supported range map to the
-    clamped endpoint states, where the infimum is attained.
+    Solves spot(s) = p1/p2 on [S_MIN, S_MAX] (the spot rate falls
+    monotonically along a convex curve) by Illinois regula falsi on the log
+    of the rate against logit(s), down to a bracket 1e-15 wide in s, and
+    returns the s that bisection to that width returns; see
+    ``schedules._regula_falsi``.  Rates beyond the curve's supported range
+    map to the clamped endpoint states, where the infimum is attained.
+
+    Raises InvalidCurveError when a spot rate met on the way is not positive
+    and finite, and ConvergenceError when the solve runs out of evaluations.
     """
     if not isinstance(mix.schedule, Uniform) and not _certified_convex(params, mix):
         raise UnsupportedCurveError(
@@ -73,7 +83,10 @@ def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> Market
     r = p.rate
 
     def rate_at(s: float) -> float:
-        return spot_rate(params, mix, point_at(params, mix, s))
+        rate = spot_rate(params, mix, point_at(params, mix, s))
+        if not (isfinite(rate) and rate > 0.0):
+            raise InvalidCurveError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
+        return rate
 
     lo, hi = S_MIN, S_MAX
     r_max, r_min = rate_at(lo), rate_at(hi)
@@ -89,7 +102,8 @@ def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> Market
         return point_at(params, mix, lo)
     if r <= r_min:
         return point_at(params, mix, hi)
-    return point_at(params, mix, _bisect(lambda s: rate_at(s) > r, lo, hi, atol=1e-15))
+    s = _regula_falsi(rate_at, r, lo, hi, r_max, r_min, atol=1e-15, max_evals=_MAX_RATE_EVALS)
+    return point_at(params, mix, s)
 
 
 def portfolio_value(params: CurveParams, mix: MixSpec, p: PriceVector) -> float:

@@ -53,3 +53,7 @@ class InsufficientLiquidityError(AmmixError, ValueError):
 
 class UnsupportedCurveError(AmmixError, ValueError):
     """The operation requires a convex curve and the certificate failed."""
+
+
+class ConvergenceError(AmmixError):
+    """An iterative solver used up its iteration cap without converging."""

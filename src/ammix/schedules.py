@@ -10,13 +10,14 @@ lam*lam'' - 2*lam'^2 >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import ceil, exp, isfinite, log, log1p, log2, sqrt
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from ammix import _kernels as k
 from ammix.errors import (
+    ConvergenceError,
     InvalidCurveError,
     InvalidParameterError,
     UnsupportedScheduleError,
@@ -56,6 +57,78 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -
         if hi - lo <= atol + rtol * hi:
             break
     return 0.5 * (lo + hi)
+
+
+# evaluations _regula_falsi may spend beyond the halvings of a bisection
+_SPARE_EVALS = 20
+
+
+def _logit(s: float) -> float:
+    return log(s) - log1p(-s)
+
+
+def _regula_falsi(h, target: float, lo: float, hi: float, h_lo: float, h_hi: float,
+                  atol: float, max_evals: int) -> float:
+    """Root of h(s) = target for a decreasing, positive, finite h on 0 < lo < hi < 1.
+
+    Returns what ``_bisect(lambda s: h(s) > target, lo, hi, atol=atol)``
+    returns wherever h is monotone, in a handful of evaluations of h instead
+    of one per halving.  h_lo and h_hi are the values already known at the
+    ends, with h_lo > target >= h_hi, and atol > 0.
+
+    Illinois regula falsi on log h against logit(s) narrows the bracket,
+    keeping h(lo) > target >= h(hi); when log h equals log target at both
+    ends the step is the midpoint.  Two guards bound the interpolated
+    steps:
+
+    - each step stays at least atol/4 inside the bracket, so a step that
+      lands next to the root also closes it;
+    - after j evaluations the bracket is never wider than atol * 2**(n - j),
+      n being the halvings bisection needs plus ``_SPARE_EVALS``, so no
+      solve narrows for more than n evaluations, even where log h is flat
+      at rounding level and interpolation learns nothing.
+
+    When hi - lo <= atol the halvings of ``_bisect`` are replayed: a
+    midpoint outside the bracket takes the side the bracket implies, and
+    only one inside it is evaluated.  The midpoint of the final halving is
+    returned.  ConvergenceError is raised after ``max_evals`` calls of h
+    while narrowing.
+    """
+    log_target = log(target)
+    start = lo, hi  # the bracket the replayed bisection starts from
+    u_lo, u_hi = _logit(lo), _logit(hi)
+    f_lo, f_hi = log(h_lo) - log_target, log(h_hi) - log_target
+    kept = 0  # +1 after the low end moved, -1 after the high end moved
+    evals = 0
+    edge = 0.25 * atol  # least distance of a step from the bracket ends
+    n_max = ceil(log2((hi - lo) / atol)) + _SPARE_EVALS
+    while hi - lo > atol:
+        if evals == max_evals:
+            raise ConvergenceError(
+                f"solve for {target!r} not narrowed to {atol!r} after {max_evals} "
+                f"evaluations; last bracket [{lo!r}, {hi!r}]"
+            )
+        s = 0.5 * (lo + hi)
+        if f_lo > f_hi:
+            w = f_hi / (f_hi - f_lo)  # in [0, 1], as f_lo >= 0 >= f_hi
+            s = 1.0 / (1.0 + exp(w * (u_hi - u_lo) - u_hi))
+            allowed = atol * 2.0 ** (n_max - evals - 1)  # bracket width after this step
+            s = min(max(s, lo + edge, hi - allowed), hi - edge, lo + allowed)
+        value = h(s)
+        evals += 1
+        f = log(value) - log_target
+        if value > target:
+            lo, u_lo, f_lo = s, _logit(s), f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, u_hi, f_hi = s, _logit(s), f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    # only the replayed midpoints inside (lo, hi) need h
+    return _bisect(lambda mid: mid <= lo or (mid < hi and h(mid) > target), *start, atol=atol)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,15 @@ def test_il_table(capsys):
     assert float(row[1]) == pytest.approx(2 * 2 / 5 - 1, abs=1e-8)  # 2*sqrt(4)/(1+4) - 1
 
 
+def test_il_table_unconverged_solve_exit_2(capsys, monkeypatch):
+    from ammix import analysis
+    monkeypatch.setattr(analysis, "_MAX_RATE_EVALS", 1)
+    code, out, err = run(capsys, "il-table", "--mix", "hom", "--t", "0.5", "--ratios", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: solve for 2.0 not narrowed") and "after 1 evaluations" in err
+    assert "Traceback" not in err
+
+
 def test_pvf_table_stability_ordering(capsys):
     code, out, _ = run(capsys, "pvf-table", "--stabilities", "0,0.5,1",
                        "--r-min", "2", "--r-max", "2", "--r-points", "1")

@@ -10,9 +10,14 @@ from ammix import (
     MixSpec,
     Parabolic,
     PowerLaw,
+    PriceVector,
     Uniform,
+    arbitrage_state,
     check_convexity,
+    eval_mixed,
     point_at,
+    portfolio_value,
+    reduced_value,
     spot_rate,
 )
 from ammix import _kernels as k
@@ -37,18 +42,79 @@ mixes = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(params=curves, mix=mixes)
-def test_spot_rate_finite_and_positive_at_ends_and_anchor(params, mix):
-    """On every curve arbitrage_state accepts (scheduled ones certified convex)."""
+def _assume_accepted(params, mix):
+    """Keep only curves arbitrage_state accepts: uniform or certified convex."""
     if not mix.is_uniform:
         try:
             assume(_certified_convex(params, mix))
         except InvalidParameterError:  # a parabola leaving [0, 1]
             assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes)
+def test_spot_rate_finite_and_positive_at_ends_and_anchor(params, mix):
+    """On every curve arbitrage_state accepts (scheduled ones certified convex)."""
+    _assume_accepted(params, mix)
     for state in (point_at(params, mix, S_MIN), point_at(params, mix, S_MAX), params.initial_state):
         rate = spot_rate(params, mix, state)
         assert isfinite(rate) and rate > 0.0, (state, rate)
+
+
+# --- the portfolio value V(P) = inf { P . X : A(X) = 1 } --------------------------
+#
+# V is an infimum of linear functions of P, so it is 1-homogeneous and
+# concave, and nondecreasing as reserves are never negative (Angeris &
+# Chitra 2020, "Improved Price Oracles: Constant Function Market Makers").
+
+prices = st.floats(min_value=1e-2, max_value=1e2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, p1=prices, p2=prices, lam=st.floats(min_value=1e-3, max_value=1e3))
+def test_portfolio_value_is_homogeneous(params, mix, p1, p2, lam):
+    _assume_accepted(params, mix)
+    value = portfolio_value(params, mix, PriceVector(p1, p2))
+    scaled = portfolio_value(params, mix, PriceVector(lam * p1, lam * p2))
+    assert abs(scaled - lam * value) <= 1e-9 * lam * value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, r1=prices, r2=prices)
+def test_reduced_value_nondecreasing_and_midpoint_concave(params, mix, r1, r2):
+    _assume_accepted(params, mix)
+    lo, hi = sorted((r1, r2))
+    u_lo, u_mid, u_hi = (reduced_value(params, mix, r) for r in (lo, 0.5 * (lo + hi), hi))
+    tol = 1e-9 * u_hi
+    assert u_lo <= u_hi + tol
+    assert u_mid >= 0.5 * (u_lo + u_hi) - tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, p1=prices, p2=prices)
+def test_arbitrage_state_is_on_the_curve(params, mix, p1, p2):
+    _assume_accepted(params, mix)
+    state = arbitrage_state(params, mix, PriceVector(p1, p2))
+    assert abs(eval_mixed(params, mix, state) - 1.0) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, q=st.floats(min_value=0.0, max_value=1.0))
+def test_arbitrage_state_matches_the_rate(params, mix, q):
+    """The spot rate at the arbitrage state is r, for r inside the curve's range.
+
+    r is the spot rate at s = 1e-6 + q (1 - 2e-6).  The solve places s within
+    about 1e-15, so the rate matches within 1e-9 wherever |d log(rate)/ds|
+    stays below 1e6; next to the ends, where the rate goes like 1/s or
+    1/(1 - s), the solved rate is only as close as 1e-15/s.
+    """
+    _assume_accepted(params, mix)
+    r = spot_rate(params, mix, point_at(params, mix, 1e-6 + q * (1.0 - 2e-6)))
+    r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
+    r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
+    assume(r_min < r < r_max)
+    state = arbitrage_state(params, mix, PriceVector(r, 1.0))
+    assert abs(spot_rate(params, mix, state) - r) <= 1e-9 * r
 
 
 def _scalar_certificate(params, schedule, grid_size):
