@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 from math import isfinite
 
 from ammix import _kernels as k
@@ -26,7 +27,6 @@ from ammix.errors import (
     DegenerateGradientError,
     InvalidParameterError,
     NonDifferentiablePointError,
-    UnsupportedScheduleError,
 )
 from ammix.schedules import (
     Parabolic,
@@ -75,6 +75,11 @@ class CurveParams:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", self.a * self.x0 + self.b * self.y0)
         object.__setattr__(self, "s0", alpha)
+        # hashed once: every curve operation looks its market up by (params, mix)
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.x0, self.y0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def deg(self) -> float:
@@ -129,6 +134,11 @@ class MixSpec:
             raise InvalidParameterError(
                 f"{self.family.value} mixing requires a uniform blend weight"
             )
+        # hashed once, as CurveParams; the family code hashes alike in every process
+        object.__setattr__(self, "_hash", hash((_FAMILY_CODE[self.family], self.schedule)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def arithmetic(cls, t: float) -> "MixSpec":
@@ -163,10 +173,41 @@ class MixSpec:
         return t == 0.0 or (self.family is Family.ARITHMETIC and t < 1.0)
 
 
-def kernel_codes(params: CurveParams, mix: MixSpec) -> tuple[int, int, float, float, float]:
-    """(family, kind, q0, q1, q2) encoding consumed by the kernel backend."""
+@dataclass(frozen=True, eq=False)
+class Market:
+    """A curve resolved for the s-kernels; build it with ``market``.
+
+    ``codes`` = (family, kind, q0, q1, q2) and ``curve`` = (a, b, x0, y0,
+    alpha, beta) are in the order the kernels take them, so the scaling at
+    ray coordinate s is ``k.lam_at(*m.codes, s, *m.curve)``.
+    """
+
+    params: CurveParams
+    mix: MixSpec
+    codes: tuple[int, int, float, float, float]
+    curve: tuple[float, float, float, float, float, float]
+
+    @cached_property
+    def mirrored(self) -> "Market":
+        """The same market with x and y relabeled: s -> 1 - s, so a parabola
+        pinned at t(0) = bias starts at 1 - bias."""
+        p, sched = self.params, self.mix.schedule
+        if isinstance(sched, Parabolic):
+            sched = Parabolic(bias=1.0 - sched.bias, center=sched.center)
+        return market(CurveParams(a=p.b, b=p.a, x0=p.y0, y0=p.x0), MixSpec(self.mix.family, sched))
+
+
+@lru_cache(maxsize=256)
+def market(params: CurveParams, mix: MixSpec) -> Market:
+    """The ``Market`` of (params, mix), built once per pair.
+
+    The dynamic Stableswap blend depends on the state, not on s alone:
+    ``schedule_coeffs`` raises UnsupportedScheduleError for it here, on
+    every s-kernel path.  Only ``eval_mixed`` evaluates it.
+    """
     kind, q0, q1, q2 = schedule_coeffs(mix.schedule, params.s0)
-    return _FAMILY_CODE[mix.family], kind, q0, q1, q2
+    return Market(params, mix, (_FAMILY_CODE[mix.family], kind, q0, q1, q2),
+                  (params.a, params.b, params.x0, params.y0, params.alpha, params.beta))
 
 
 def eval_component(params: CurveParams, state: MarketState) -> tuple[float, float]:
@@ -182,13 +223,6 @@ def s_of_state(params: CurveParams, state: MarketState) -> float:
     return ax / (ax + params.b * state.y)
 
 
-def _schedule_at(params: CurveParams, schedule: TSchedule, state: MarketState, kernel):
-    """A schedule kernel at the state's s, with no range check: the s of a positive
-    state lies in (0, 1), where kernels are defined, even if it rounds past S_MIN/S_MAX."""
-    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    return kernel(kind, q0, q1, q2, s_of_state(params, state), params.s0)
-
-
 def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
     """Resolve the blend weight t at a state, for any schedule kind."""
     sched = mix.schedule
@@ -197,7 +231,10 @@ def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> floa
     if isinstance(sched, StableswapDynamic):
         d2 = sched.scale * sched.scale
         return d2 / (16.0 * sched.amplification * state.x * state.y + d2)
-    return _schedule_at(params, sched, state, k.sched_value)
+    _, kind, q0, q1, q2 = market(params, mix).codes
+    # no range check: the s of a positive state lies in (0, 1), where kernels
+    # are defined, even if it rounds past S_MIN/S_MAX
+    return k.sched_value(kind, q0, q1, q2, s_of_state(params, state), params.s0)
 
 
 def eval_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
@@ -219,20 +256,15 @@ def grad_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> tuple[f
     family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
     of the partials is the internal exchange rate for all of them.
     """
+    if isinstance(mix.schedule, Uniform):
+        t, tp = mix.schedule.t, 0.0
+    else:
+        _, kind, q0, q1, q2 = market(params, mix).codes
+        t, tp = k.sched_first(kind, q0, q1, q2, s_of_state(params, state), params.s0)
     x, y = state.x, state.y
     a, b, alpha, beta, c, deg = params.a, params.b, params.alpha, params.beta, params.c, params.deg
     a0, a1 = eval_component(params, state)
     n = a * x + b * y
-    sched = mix.schedule
-    if isinstance(sched, StableswapDynamic):
-        raise UnsupportedScheduleError(
-            "gradients of the dynamic Stableswap blend are not exposed; "
-            "use stableswap_dynamic_residual"
-        )
-    if isinstance(sched, Uniform):
-        t, tp = sched.t, 0.0
-    else:
-        t, tp = _schedule_at(params, sched, state, k.sched_first)
     if mix.family is Family.ARITHMETIC:
         return (
             (1.0 - t) * a / c + t * a1 * alpha / x,

@@ -4,7 +4,9 @@ A trade adds the input amount to one reserve and walks the state along the
 invariant's level set; the drop in the other reserve is the output.
 Slippage compares the pre-trade spot price p1 against the realized price
 p2 = output/input: slippage = |p1 - p2| / |p1|.  A trade starts only from
-a state on the curve: |A(X) - 1| <= ON_CURVE_TOL.
+a state on the curve, |A(X) - 1| <= ON_CURVE_TOL, and must pay out a
+positive, finite amount, which a trade below the solver's resolution
+does not.
 """
 
 from __future__ import annotations
@@ -49,26 +51,20 @@ def _solve_trade(params: CurveParams, mix: MixSpec, state: MarketState,
             f"state ({state.x!r}, {state.y!r}) is off the curve: A(X) - 1 = {residual!r}"
         )
     rate = spot_rate(params, mix, state)
-    if input_currency is Currency.CUR1:
-        p1 = rate
-        try:
-            new_state = state_for_x(params, mix, state.x + amount)
-        except OutOfRangeError as exc:
-            raise InsufficientLiquidityError(
-                f"trade of {amount!r} cur1 exceeds the curve's reach",
-                max_amount=exc.max_reachable - state.x,
-            ) from exc
-        output = state.y - new_state.y
-    else:
-        p1 = 1.0 / rate
-        try:
-            new_state = state_for_y(params, mix, state.y + amount)
-        except OutOfRangeError as exc:
-            raise InsufficientLiquidityError(
-                f"trade of {amount!r} cur2 exceeds the curve's reach",
-                max_amount=exc.max_reachable - state.y,
-            ) from exc
-        output = state.x - new_state.x
+    sells_x = input_currency is Currency.CUR1
+    p1 = rate if sells_x else 1.0 / rate
+    held, solve = (state.x, state_for_x) if sells_x else (state.y, state_for_y)
+    try:
+        new_state = solve(params, mix, held + amount)
+    except OutOfRangeError as exc:
+        raise InsufficientLiquidityError(
+            f"trade of {amount!r} {input_currency.value} exceeds the curve's reach",
+            max_amount=exc.max_reachable - held,
+        ) from exc
+    output = state.y - new_state.y if sells_x else state.x - new_state.x
+    if not (isfinite(output) and output > 0.0):
+        raise InvalidParameterError(f"trade of {amount!r} {input_currency.value} gives output "
+                                    f"{output!r}, which is not positive and finite")
     p2 = output / amount
     quote_ = Quote(
         input_currency=input_currency,

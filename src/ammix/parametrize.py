@@ -14,18 +14,10 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.core import _FAMILY_CODE, CurveParams, Family, MarketState, MixSpec, kernel_codes
+from ammix.core import _FAMILY_CODE, CurveParams, Family, MarketState, MixSpec, market
 from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
 from ammix.errors import InvalidParameterError, OutOfRangeError
-from ammix.schedules import (
-    S_MAX,
-    S_MIN,
-    Parabolic,
-    PowerLaw,
-    StableswapDynamic,
-    Uniform,
-    _check_s,
-)
+from ammix.schedules import S_MAX, S_MIN, _check_s
 
 
 def base_point(params: CurveParams, s: float) -> tuple[float, float]:
@@ -65,33 +57,12 @@ def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float
                          params.y0, params.alpha, params.beta)
 
 
-def _lam_at(params: CurveParams, mix: MixSpec, s: float) -> float:
-    fam, kind, q0, q1, q2 = kernel_codes(params, mix)
-    return k.lam_at(fam, kind, q0, q1, q2, s, params.a, params.b, params.x0,
-                    params.y0, params.alpha, params.beta)
-
-
 def point_at(params: CurveParams, mix: MixSpec, s: float) -> MarketState:
     """The curve point at ray coordinate s (schedule resolved through t(s))."""
     _check_s(s)
-    lam = _lam_at(params, mix, s)
+    m = market(params, mix)
+    lam = k.lam_at(*m.codes, s, *m.curve)
     return MarketState(lam * s / params.a, lam * (1.0 - s) / params.b)
-
-
-def _mirror_schedule(schedule):
-    # reflecting s -> 1-s swaps the roles of the two currencies
-    if isinstance(schedule, (Uniform, PowerLaw, StableswapDynamic)):
-        return schedule
-    if isinstance(schedule, Parabolic):
-        return Parabolic(bias=1.0 - schedule.bias, center=schedule.center)
-    raise InvalidParameterError(f"not a schedule: {schedule!r}")
-
-
-def mirror(params: CurveParams, mix: MixSpec) -> tuple[CurveParams, MixSpec]:
-    """The same market with the currencies relabeled (x <-> y)."""
-    m_params = CurveParams(a=params.b, b=params.a, x0=params.y0, y0=params.x0)
-    m_mix = MixSpec(mix.family, _mirror_schedule(mix.schedule))
-    return m_params, m_mix
 
 
 def max_reach_x(params: CurveParams, mix: MixSpec) -> float:
@@ -109,11 +80,10 @@ def state_for_x(params: CurveParams, mix: MixSpec, x_target: float) -> MarketSta
     """The on-curve state with the given x reserve, solved by bisection in s."""
     if not (isfinite(x_target) and x_target > 0.0):
         raise InvalidParameterError(f"x_target must be positive and finite, got {x_target!r}")
-    fam, kind, q0, q1, q2 = kernel_codes(params, mix)
-    a, b, x0, y0 = params.a, params.b, params.x0, params.y0
-    alpha, beta = params.alpha, params.beta
-    x_lo = S_MIN / a * k.lam_at(fam, kind, q0, q1, q2, S_MIN, a, b, x0, y0, alpha, beta)
-    x_hi = S_MAX / a * k.lam_at(fam, kind, q0, q1, q2, S_MAX, a, b, x0, y0, alpha, beta)
+    m = market(params, mix)
+    a, b = params.a, params.b
+    x_lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
+    x_hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
     if x_target > x_hi:
         reach = max_reach_x(params, mix)
         if not isfinite(reach):
@@ -127,13 +97,13 @@ def state_for_x(params: CurveParams, mix: MixSpec, x_target: float) -> MarketSta
             f"x={x_target!r} below the curve's reach (min representable x is {x_lo:.12g})",
             max_reachable=x_lo,
         )
-    s = k.solve_s_for_x(fam, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, S_MIN, S_MAX)
-    lam = k.lam_at(fam, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+    s = k.solve_s_for_x(*m.codes, x_target, *m.curve, S_MIN, S_MAX)
+    lam = k.lam_at(*m.codes, s, *m.curve)
     return MarketState(x_target, lam * (1.0 - s) / b)
 
 
 def state_for_y(params: CurveParams, mix: MixSpec, y_target: float) -> MarketState:
     """The on-curve state with the given y reserve (mirrored x-solve)."""
-    m_params, m_mix = mirror(params, mix)
-    mirrored = state_for_x(m_params, m_mix, y_target)
+    m = market(params, mix).mirrored
+    mirrored = state_for_x(m.params, m.mix, y_target)
     return MarketState(mirrored.y, y_target)

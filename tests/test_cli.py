@@ -68,6 +68,18 @@ def test_quote_off_curve_exit_2(capsys):
     assert "off the curve" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mix", "arith", "--t", "0.5", "--x0", "2", "--y0", "0.5", "--x", "4.999869298498733e-06",
+     "--y", "4.999864298629435", "--sell", "cur1", "--amount", "5e-15"],
+    ["--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1e-16"],
+])
+def test_quote_below_solver_resolution_exit_2(capsys, argv):
+    code, out, err = run(capsys, "quote", *argv)
+    assert code == 2
+    assert out == ""
+    assert "not positive and finite" in err
+
+
 def test_curve_sample_t_out_of_range_exit_2(capsys):
     code, _, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "1.5")
     assert code == 2

@@ -15,8 +15,9 @@ from ammix import (
     rebase_curve,
     spot_rate,
 )
-from ammix import Parabolic, PowerLaw, Uniform
-from ammix.errors import InvalidParameterError
+from ammix import Parabolic, PowerLaw, StableswapDynamic, Uniform, point_at, state_for_x, state_for_y
+from ammix.core import market
+from ammix.errors import InvalidParameterError, UnsupportedScheduleError
 
 ALL_FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
 T_GRID = [i / 10 for i in range(11)]
@@ -233,6 +234,43 @@ def test_spot_initial_rate_is_weight_ratio(unit_params, pool_params):
 def test_spot_cpmm_is_reserve_ratio(unit_params):
     rate = spot_rate(unit_params, MixSpec.homotopy(1.0), MarketState(0.5, 2.0))
     assert rate == pytest.approx(4.0, rel=1e-12)
+
+
+# --- market -----------------------------------------------------------------
+
+def test_market_is_resolved_once_per_curve(pool_params):
+    mix = MixSpec.scheduled(Parabolic(bias=0.2, center=0.5))
+    m = market(pool_params, mix)
+    assert market(CurveParams(1.0, 2.0, 3000.0, 1000.0), MixSpec.scheduled(Parabolic(0.2, 0.5))) is m
+    assert m.curve == (1.0, 2.0, 3000.0, 1000.0, pool_params.alpha, pool_params.beta)
+    assert m.mirrored is m.mirrored
+    assert m.mirrored.params == CurveParams(2.0, 1.0, 1000.0, 3000.0)
+    assert m.mirrored.mix == MixSpec.scheduled(Parabolic(bias=0.8, center=0.5))
+
+
+DYNAMIC_REFUSALS = {
+    "spot_rate": lambda p, mix, state: spot_rate(p, mix, state),
+    "grad_mixed": lambda p, mix, state: grad_mixed(p, mix, state),
+    "point_at": lambda p, mix, state: point_at(p, mix, 0.5),
+    "state_for_x": lambda p, mix, state: state_for_x(p, mix, state.x),
+    "state_for_y": lambda p, mix, state: state_for_y(p, mix, state.y),
+    "market": lambda p, mix, state: market(p, mix),
+}
+
+
+def test_dynamic_stableswap_blend_is_evaluated(unit_params):
+    # t = D^2 / (16 A x y + D^2) = 4 / 20 at (2, 0.5)
+    state = MarketState(2.0, 0.5)
+    mix = MixSpec.scheduled(StableswapDynamic(1.0, 2.0))
+    assert eval_mixed(unit_params, mix, state) == pytest.approx(
+        eval_mixed(unit_params, MixSpec.homotopy(0.2), state), rel=1e-15)
+
+
+@pytest.mark.parametrize("call", DYNAMIC_REFUSALS.values(), ids=DYNAMIC_REFUSALS.keys())
+def test_dynamic_stableswap_blend_refused_by_s_kernels(unit_params, unit_state, call):
+    mix = MixSpec.scheduled(StableswapDynamic(1.0, 2.0))
+    with pytest.raises(UnsupportedScheduleError, match="depends on the state"):
+        call(unit_params, mix, unit_state)
 
 
 # --- rebase_curve -----------------------------------------------------------

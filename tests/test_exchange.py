@@ -1,6 +1,7 @@
 import pytest
 
 from ammix import (
+    CurveParams,
     Currency,
     Family,
     MarketState,
@@ -53,6 +54,21 @@ def test_trade_from_off_curve_state_rejected(unit_params):
         for currency in Currency:
             with pytest.raises(InvalidParameterError, match="off the curve"):
                 trade(unit_params, mix, off, currency, 0.001)
+
+
+@pytest.mark.parametrize("params, mix, state, amount", [
+    # below the solver's resolution: output -3.8e-12 (cur1), -1.8e-13 (cur2)
+    (CurveParams(1.0, 1.0, 2.0, 0.5), MixSpec.arithmetic(0.5),
+     MarketState(4.999869298498733e-06, 4.999864298629435), 5e-15),
+    # 1 + 1e-16 rounds to 1: output 0
+    (CurveParams(1.0, 1.0, 1.0, 1.0), MixSpec.homotopy(0.5), MarketState(1.0, 1.0), 1e-16),
+])
+def test_trade_below_solver_resolution_rejected(params, mix, state, amount):
+    assert abs(eval_mixed(params, mix, state) - 1.0) <= 1e-15
+    for trade in (quote, swap):
+        for currency in Currency:
+            with pytest.raises(InvalidParameterError, match="not positive and finite"):
+                trade(params, mix, state, currency, amount)
 
 
 def test_swap_cpmm(unit_params, unit_state):

@@ -5,6 +5,7 @@ from math import exp, expm1, inf, isfinite, isnan, log, nan
 from hypothesis import assume, given, settings, strategies as st
 
 from ammix import (
+    Currency,
     CurveParams,
     Family,
     MixSpec,
@@ -18,11 +19,19 @@ from ammix import (
     point_at,
     portfolio_value,
     reduced_value,
+    s_of_state,
     spot_rate,
+    state_for_x,
+    state_for_y,
+    swap,
 )
 from ammix import _kernels as k
 from ammix.analysis import _certified_convex
-from ammix.errors import InvalidParameterError, NonDifferentiablePointError
+from ammix.errors import (
+    InsufficientLiquidityError,
+    InvalidParameterError,
+    NonDifferentiablePointError,
+)
 from ammix.schedules import (
     CONVEXITY_GRID_INSET,
     CONVEXITY_GRID_SIZE,
@@ -59,6 +68,81 @@ def test_spot_rate_finite_and_positive_at_ends_and_anchor(params, mix):
     for state in (point_at(params, mix, S_MIN), point_at(params, mix, S_MAX), params.initial_state):
         rate = spot_rate(params, mix, state)
         assert isfinite(rate) and rate > 0.0, (state, rate)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, s1=st.floats(min_value=S_MIN, max_value=S_MAX),
+       s2=st.floats(min_value=S_MIN, max_value=S_MAX))
+def test_spot_rate_does_not_increase_along_s(params, mix, s1, s2):
+    """Convexity: the rate falls along the curve, up to rounding on curves whose
+    rate is nearly constant (measured 2.8e-16 relative over 4,000 examples)."""
+    _assume_accepted(params, mix)
+    lo, hi = sorted((s1, s2))
+    r_lo = spot_rate(params, mix, point_at(params, mix, lo))
+    r_hi = spot_rate(params, mix, point_at(params, mix, hi))
+    assert r_hi <= r_lo * (1.0 + 1e-12), (r_lo, r_hi)
+
+
+# --- trades and the mirror --------------------------------------------------------
+
+inner = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
+trade_fracs = st.floats(min_value=1e-6, max_value=10.0)
+
+
+def _sell(params, mix, s, currency, frac):
+    """Sell frac of the currency's reserve from the curve point at s.
+
+    Returns (start, post-trade state, output); trades beyond the curve's
+    reach, and trades landing within 1e-6 of an end of s, are not drawn.
+    """
+    start = point_at(params, mix, s)
+    amount = frac * (start.x if currency is Currency.CUR1 else start.y)
+    try:
+        post, q = swap(params, mix, start, currency, amount)
+    except InsufficientLiquidityError:
+        assume(False)
+    assume(1e-6 <= s_of_state(params, post) <= 1.0 - 1e-6)
+    return start, post, q.output_amount
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, s=inner, currency=st.sampled_from(Currency), frac=trade_fracs)
+def test_swap_lands_on_the_curve(params, mix, s, currency, frac):
+    """A trade landing at s in [1e-6, 1 - 1e-6] stays on the curve (worst
+    measured |A - 1| over 4,000 examples: 7.3e-12)."""
+    _assume_accepted(params, mix)
+    _, post, _ = _sell(params, mix, s, currency, frac)
+    assert abs(eval_mixed(params, mix, post) - 1.0) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, s=inner, currency=st.sampled_from(Currency), frac=trade_fracs)
+def test_selling_the_output_back_restores_the_reserves(params, mix, s, currency, frac):
+    """Selling the output back returns the start (worst measured relative
+    error over 4,000 examples: 6.3e-7, where one reserve is 1e-6 of the
+    curve's scale and the solve's 1e-14 in s shows)."""
+    _assume_accepted(params, mix)
+    start, post, output = _sell(params, mix, s, currency, frac)
+    back = Currency.CUR2 if currency is Currency.CUR1 else Currency.CUR1
+    end, _ = swap(params, mix, post, back, output)
+    assert abs(end.x - start.x) <= 1e-5 * start.x
+    assert abs(end.y - start.y) <= 1e-5 * start.y
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, s=inner)
+def test_state_for_y_is_the_mirrored_x_solve(params, mix, s):
+    """Relabeling x <-> y swaps (a, x0) with (b, y0) and reflects s -> 1 - s,
+    which turns a parabola's t(0) = bias into 1 - bias."""
+    _assume_accepted(params, mix)
+    y = point_at(params, mix, s).y
+    schedule = mix.schedule
+    if isinstance(schedule, Parabolic):
+        schedule = Parabolic(1.0 - schedule.bias, schedule.center)
+    mirrored = state_for_x(CurveParams(params.b, params.a, params.y0, params.x0),
+                           MixSpec(mix.family, schedule), y)
+    got = state_for_y(params, mix, y)
+    assert (got.x, got.y) == (mirrored.y, mirrored.x)
 
 
 # --- the portfolio value V(P) = inf { P . X : A(X) = 1 } --------------------------

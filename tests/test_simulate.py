@@ -180,3 +180,29 @@ def test_trend_mse_increases_early_slippage_decreases():
     earls = [s.early_window_slippage for s in summaries]
     assert spearmanr(stabilities, mses).statistic >= 0.8
     assert spearmanr(stabilities, earls).statistic <= -0.5
+
+
+def test_run_sim_resolves_its_curve_once(monkeypatch):
+    """One Market and its mirror serve every step (before the Market record,
+    these 500 steps took 1,501 schedule encodings and 416 mirrored CurveParams)."""
+    import ammix.core as core
+
+    config = SimConfig(seed=1, stability=0.5)
+    core.market.cache_clear()
+    counts = {"schedule_coeffs": 0, "CurveParams": 0}
+    schedule_coeffs, post_init = core.schedule_coeffs, core.CurveParams.__post_init__
+
+    def counted_coeffs(*args):
+        counts["schedule_coeffs"] += 1
+        return schedule_coeffs(*args)
+
+    def counted_post_init(self):
+        counts["CurveParams"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(core, "schedule_coeffs", counted_coeffs)
+    monkeypatch.setattr(core.CurveParams, "__post_init__", counted_post_init)
+    trace = run_sim(config)
+    assert len(trace) == config.steps + 1
+    assert counts["schedule_coeffs"] <= 2
+    assert counts["CurveParams"] <= 1 + 2  # the config's own curve, then at most 2 more
