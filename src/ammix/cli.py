@@ -13,18 +13,25 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from math import isfinite, isnan
 
 import numpy as np
 
 from ammix.analysis import PriceVector, arbitrage_state, impermanent_loss, reduced_value
 from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed
-from ammix.errors import AmmixError, InsufficientLiquidityError, OutOfRangeError
-from ammix.exchange import Currency, quote
+from ammix.errors import (
+    AmmixError,
+    InsufficientLiquidityError,
+    InvalidParameterError,
+    OutOfRangeError,
+)
+from ammix.exchange import ON_CURVE_TOL, Currency, quote
 from ammix.parametrize import point_at
 from ammix.schedules import (
     Parabolic,
     PowerLaw,
+    StableswapDynamic,
     Uniform,
     _bisect,
     check_convexity,
@@ -214,6 +221,9 @@ def _cmd_il_table(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
     config = _load_config(ns.config)
     params = _curve_from(ns, config)
+    for flag, r in (("--r-min", ns.r_min), ("--r-max", ns.r_max)):
+        if not (isfinite(r) and r > 0.0):
+            raise InvalidParameterError(f"{flag} must be positive and finite, got {r!r}")
     r_grid = np.linspace(ns.r_min, ns.r_max, ns.r_points)
     rows = []
     for stability in _floats(ns.stabilities):
@@ -232,20 +242,36 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
+    """The y on the dynamic Stableswap curve at x; InvalidParameterError when
+    no representable y satisfies it, float overflow and underflow included."""
     # residual is +inf at y -> 0 and eventually negative; bisect the sign change
     def below(y: float) -> bool:
         return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
 
-    hi = 4.0 * scale
-    while below(hi):
-        hi *= 2.0
-        if hi > 1e12 * scale:
-            raise AmmixError(f"no curve crossing found for x={x!r}")
-    return _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
+    try:
+        hi = 4.0 * scale
+        while below(hi):
+            hi *= 2.0
+            if hi > 1e12 * scale:
+                raise AmmixError(f"no curve crossing found for x={x!r}")
+        y = _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
+        residual = stableswap_dynamic_residual(amp, scale, MarketState(x, y))
+    except ArithmeticError as exc:
+        raise InvalidParameterError(
+            f"the curve's terms leave the float range at x={x!r} ({type(exc).__name__})"
+        ) from exc
+    size = 16.0 * amp * x * y + scale * scale
+    if not abs(residual) <= ON_CURVE_TOL * size:
+        raise InvalidParameterError(
+            f"no y on the curve at x={x!r}: the solve ends at y={y!r} with residual "
+            f"{residual!r} against terms of size {size!r}"
+        )
+    return y
 
 
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
-    amp, scale = ns.amp, ns.scale
+    dynamic = StableswapDynamic(ns.amp, ns.scale)
+    amp, scale = dynamic.amplification, dynamic.scale
     half = scale / 2.0
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
@@ -407,11 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run_command`` uses, built on first use and kept for the
+    process: parsing leaves no state in it (each call gets a fresh
+    namespace), and building it costs more than most commands."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
     """Parse and dispatch one invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.core import _FAMILY_CODE, CurveParams, Family, MarketState, MixSpec, market
+from ammix.core import _FAMILY_CODE, CurveParams, Family, Market, MarketState, MixSpec, market
 from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
 from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.schedules import S_MAX, S_MIN, _check_s
@@ -76,34 +76,37 @@ def max_reach_x(params: CurveParams, mix: MixSpec) -> float:
     return inf
 
 
-def state_for_x(params: CurveParams, mix: MixSpec, x_target: float) -> MarketState:
-    """The on-curve state with the given x reserve, solved by bisection in s."""
-    if not (isfinite(x_target) and x_target > 0.0):
-        raise InvalidParameterError(f"x_target must be positive and finite, got {x_target!r}")
-    m = market(params, mix)
-    a, b = params.a, params.b
-    x_lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
-    x_hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
-    if x_target > x_hi:
-        reach = max_reach_x(params, mix)
+def _solve_first_reserve(m: Market, target: float, name: str) -> float:
+    """The other reserve of the state on ``m`` whose first reserve (x on ``m``,
+    called ``name`` in messages) is ``target``, solved by bisection in s."""
+    if not (isfinite(target) and target > 0.0):
+        raise InvalidParameterError(f"{name}_target must be positive and finite, got {target!r}")
+    a, b = m.params.a, m.params.b
+    lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
+    hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
+    if target > hi:
+        reach = max_reach_x(m.params, m.mix)
         if not isfinite(reach):
-            reach = x_hi
+            reach = hi
         raise OutOfRangeError(
-            f"x={x_target!r} beyond the curve's reach (max reachable x is {reach:.12g})",
+            f"{name}={target!r} beyond the curve's reach (max reachable {name} is {reach:.12g})",
             max_reachable=reach,
         )
-    if x_target < x_lo:
+    if target < lo:
         raise OutOfRangeError(
-            f"x={x_target!r} below the curve's reach (min representable x is {x_lo:.12g})",
-            max_reachable=x_lo,
+            f"{name}={target!r} below the curve's reach (min representable {name} is {lo:.12g})",
+            max_reachable=lo,
         )
-    s = k.solve_s_for_x(*m.codes, x_target, *m.curve, S_MIN, S_MAX)
+    s = k.solve_s_for_x(*m.codes, target, *m.curve, S_MIN, S_MAX)
     lam = k.lam_at(*m.codes, s, *m.curve)
-    return MarketState(x_target, lam * (1.0 - s) / b)
+    return lam * (1.0 - s) / b
+
+
+def state_for_x(params: CurveParams, mix: MixSpec, x_target: float) -> MarketState:
+    """The on-curve state with the given x reserve, solved by bisection in s."""
+    return MarketState(x_target, _solve_first_reserve(market(params, mix), x_target, "x"))
 
 
 def state_for_y(params: CurveParams, mix: MixSpec, y_target: float) -> MarketState:
-    """The on-curve state with the given y reserve (mirrored x-solve)."""
-    m = market(params, mix).mirrored
-    mirrored = state_for_x(m.params, m.mix, y_target)
-    return MarketState(mirrored.y, y_target)
+    """The on-curve state with the given y reserve (x-solve on the mirrored market)."""
+    return MarketState(_solve_first_reserve(market(params, mix).mirrored, y_target, "y"), y_target)

@@ -228,3 +228,92 @@ def test_curve_sample_one_sample_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+# --- typed refusals of stableswap-compare and pvf-table -------------------------
+
+@pytest.mark.parametrize("amp", ["nan", "inf"])
+def test_stableswap_compare_non_finite_amp_exit_2(capsys, amp):
+    code, out, err = run(capsys, "stableswap-compare", "--amp", amp, "--scale", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: amplification must be > 0, got {amp}\n"
+
+
+def test_stableswap_compare_off_curve_row_exit_2(capsys):
+    # the curve is all but constant-sum: its y at x = 1.25 > D lies below the
+    # solver's floor, which used to be printed with residual 223606
+    code, out, err = run(capsys, "stableswap-compare", "--amp", "1e300", "--scale", "1",
+                         "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no y on the curve at x=1.25:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale, exc", [("1e200", "OverflowError"), ("1e-300", "ZeroDivisionError")])
+def test_stableswap_compare_float_range_exit_2(capsys, scale, exc):
+    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale,
+                         "--samples", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the curve's terms leave the float range")
+    assert err.endswith(f"({exc})\n")
+
+
+def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command(["pvf-table", "--r-max", "inf"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --r-max must be positive and finite, got inf\n"
+
+
+# --- one parser per process -------------------------------------------------------
+
+def test_run_command_builds_the_parser_once(capsys, monkeypatch):
+    from ammix import cli
+    build, built = cli.build_parser, []
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "il-table", "--mix", "cpmm", "--ratios", "4")[0] == 0
+        assert run(capsys, "no-such-command")[0] == 2
+    assert len(built) == 1
+    assert build() is not build()
+
+
+# every kind of ending: csv and json tables, a usage error, the typed exits 2,
+# 3 and 4, and top-level and subcommand help
+_INTERLEAVED = [
+    ("quote", "--mix", "cpmm", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1"),
+    ("--format", "json", "pvf-table", "--stabilities", "0.25,1", "--r-points", "3"),
+    ("il-table", "--mix", "geo", "--t", "0.6", "--ratios", "0.5,2"),
+    ("quote", "--mix", "hom", "--t", "0.5", "--x", "1"),
+    ("convexity", "--schedule", "parabolic", "--bias", "0.05", "--center", "0.15"),
+    ("stableswap-compare", "--amp", "nan", "--scale", "1"),
+    ("quote", "--mix", "csmm", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "5"),
+    ("--help",),
+    ("curve-sample", "--mix", "arith", "--t", "0.3", "--samples", "4", "--format", "json"),
+    ("--format", "json", "curve-sample", "--mix", "arith", "--t", "0.3", "--samples", "4"),
+    ("pvf-table", "--help"),
+    ("sim-run", "--seed", "3", "--steps", "5"),
+    ("convexity", "--schedule", "powerlaw", "--k", "2", "--grid", "101"),
+]
+
+
+def test_cached_parser_prints_what_a_fresh_one_prints(capsys):
+    from ammix import cli
+    fresh = []
+    for argv in _INTERLEAVED:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 3, 2, 4, 0, 2, 0, 0, 0, 0]
+    cli._parser.cache_clear()
+    order = list(range(len(_INTERLEAVED)))
+    for i in order + order[::-1]:
+        assert run(capsys, *_INTERLEAVED[i]) == fresh[i], _INTERLEAVED[i]
+    assert cli._parser.cache_info().misses == 1

@@ -246,3 +246,19 @@ def test_state_for_y_matches_x_solve(unit_params):
     state = state_for_y(unit_params, mix, 1.6160254037844386)
     assert state.x == pytest.approx(0.5386751345948129, rel=1e-10)
     assert abs(eval_mixed(unit_params, mix, state) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("y", [-1.0, 0.0, float("nan"), float("inf")])
+def test_state_for_y_reports_a_bad_target_as_y(unit_params, y):
+    with pytest.raises(InvalidParameterError, match=r"^y_target must be positive and finite"):
+        state_for_y(unit_params, MixSpec.arithmetic(0.5), y)
+
+
+def test_state_for_y_reports_reach_in_y(unit_params):
+    with pytest.raises(OutOfRangeError) as err:
+        state_for_y(unit_params, MixSpec.arithmetic(0.5), 1e9)
+    assert str(err.value) == "y=1000000000.0 beyond the curve's reach (max reachable y is 4)"
+    assert err.value.max_reachable == 4.0
+    with pytest.raises(OutOfRangeError) as err:
+        state_for_y(unit_params, MixSpec.arithmetic(0.5), 1e-300)
+    assert str(err.value).startswith("y=1e-300 below the curve's reach (min representable y is ")

@@ -287,3 +287,83 @@ def test_array_certificate_matches_scalar_loop(params, schedule, grid_size):
     at_worst, size_at_worst = _margin_and_scale(params, schedule, report.worst_s)
     assert abs(report.min_margin - min_margin) <= 1e-9 * max(size, size_at_worst)
     assert min_margin <= at_worst <= min_margin + 1e-9 * (size + size_at_worst)
+
+
+# --- an oracle for V(P) that does not share the solver ----------------------------
+#
+# Closed forms where the curve is a line or a calibrated constant product, and
+# the envelope identities everywhere: U(r) = V(r, 1) is concave with
+# U'(r) = x*(r) and U(r) - r U'(r) = y*(r) at the arbitrage state X*(r)
+# (Angeris, Evans & Chitra 2021, "Replicating Market Makers").  The rate is
+# drawn as a multiple of the anchor rate a/b.
+
+rate_ratios = st.floats(min_value=1e-2, max_value=1e2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, family=st.sampled_from(Family), ratio=rate_ratios, p2=prices)
+def test_constant_sum_value_closed_form(params, family, ratio, p2):
+    """At t = 0 every family is the line a x + b y = C: V = C min(p1/a, p2/b).
+
+    Away from the anchor rate the infimum sits at an intercept, and the
+    solve returns the end state S_MIN inside it in s, which is worth
+    C S_MIN |p1/a - p2/b| more (1e-10 relative at most over 1,500
+    random examples).
+    """
+    a, b, c = params.a, params.b, params.c
+    p1 = ratio * a / b * p2
+    value = portfolio_value(params, MixSpec(family, Uniform(0.0)), PriceVector(p1, p2))
+    exact = c * min(p1 / a, p2 / b)
+    excess = c * S_MIN * abs(p1 / a - p2 / b)
+    assert -1e-15 * exact <= value - exact <= excess + 1e-15 * exact, (value, exact, excess)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, family=st.sampled_from(Family), ratio=rate_ratios, p2=prices)
+def test_constant_product_value_closed_form(params, family, ratio, p2):
+    """At t = 1 every family is x^alpha y^beta = x0^alpha y0^beta with
+    alpha + beta = 1: V = x0^alpha y0^beta (p1/alpha)^alpha (p2/beta)^beta
+    (2.4e-15 relative at most over 1,500 random examples)."""
+    alpha, beta = params.alpha, params.beta
+    p1 = ratio * params.a / params.b * p2
+    value = portfolio_value(params, MixSpec(family, Uniform(1.0)), PriceVector(p1, p2))
+    exact = (params.x0 ** alpha * params.y0 ** beta
+             * (p1 / alpha) ** alpha * (p2 / beta) ** beta)
+    assert abs(value - exact) <= 1e-12 * exact, (value, exact)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(params=curves, mix=mixes, ratio=rate_ratios)
+def test_reduced_value_envelope_identities(params, mix, ratio):
+    """U'(r) = x*(r) and U(r) - r U'(r) = y*(r), with U' from the difference
+    quotients of U at r +- h, h = 1e-5 r.
+
+    Errors are normalized by U(r)/r = x* + y*/r: where the solve clamps to an
+    end, x* is about 5e-11 of the value, and an error relative to it says
+    nothing.  U carries relative noise up to about 1e-12 on arithmetic
+    blends (point_at there is that far off the curve), and the quotients
+    divide it by 1e-5.
+
+    U is concave, so x* lies between the forward and the backward quotient
+    everywhere, kinks included.  The central quotient is checked only where
+    it estimates U' to second order: not where the two quotients differ by
+    more than 1e-3 of the value, as the step then does not resolve U's
+    curvature (near-constant-sum stretches), and not on power laws with
+    exponent below 2, whose t'' is unbounded at s0, so that U is not smooth
+    at r = a/b (a central error of 1e-4 at r = (1 - 1e-5) a/b, measured).
+    Over 6,000 random examples the worst errors were 1.3e-7 for the central
+    quotient and 9.5e-8 outside the bracket.
+    """
+    _assume_accepted(params, mix)
+    r = ratio * params.a / params.b
+    h = 1e-5 * r
+    u, u_up, u_down = (reduced_value(params, mix, q) for q in (r, r + h, r - h))
+    star = arbitrage_state(params, mix, PriceVector(r, 1.0))
+    size = star.x + star.y / r
+    forward, backward = (u_up - u) / h, (u - u_down) / h
+    assert forward - 1e-6 * size <= star.x <= backward + 1e-6 * size, (forward, star.x, backward)
+    smooth_at_anchor = not (isinstance(mix.schedule, PowerLaw) and mix.schedule.exponent < 2.0)
+    if smooth_at_anchor and backward - forward <= 1e-3 * size:
+        slope = (u_up - u_down) / (2.0 * h)
+        assert abs(slope - star.x) <= 1e-6 * size, (slope, star.x)
+        assert abs(u - r * slope - star.y) <= 1e-6 * r * size, (u - r * slope, star.y)
