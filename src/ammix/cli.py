@@ -270,8 +270,8 @@ def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
 
 
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
-    dynamic = StableswapDynamic(ns.amp, ns.scale)
-    amp, scale = dynamic.amplification, dynamic.scale
+    amp, scale = ns.amp, ns.scale
+    StableswapDynamic(amp, scale)  # refuses an amp or scale that is not positive and finite
     half = scale / 2.0
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
