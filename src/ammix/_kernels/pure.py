@@ -1,8 +1,12 @@
 """Pure-Python scalar kernels for curve evaluation and root solving.
 
 This module is the fallback backend; ``ammix._kernels._fast`` is the
-compiled twin with identical semantics.  Every function here operates on
-flat floats so both backends stay line-for-line comparable.
+compiled twin with the same semantics.  Every function here operates on
+flat floats.  The hot path is fused: ``lam_at`` computes c, s0, deg, the
+blend weight and g(s) in one frame, repeating the float operations of
+``sched_value`` and ``ray_log_ratio`` in their order, and ``lam_arith``
+inlines its log ratio, so the two modules are no longer line-for-line
+comparable there.  ``_fast.pyx`` is unchanged and still composes the helpers.
 
 Conventions shared by both backends:
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from math import copysign, exp, expm1, log
 
-from ammix.errors import NonDifferentiablePointError, ScheduleRangeError
+from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
 
 BACKEND_NAME = "pure"
 
@@ -43,14 +47,15 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
 
     Solves lam*(1-t)/C + t*(lam/P)**deg = 1; the left side is strictly
     increasing in lam, so the root is unique and bracketed by
-    (0, C/(1-t)] for t < 1.
+    (0, C/(1-t)] for t < 1.  P = C*exp(g) with g as in ``ray_log_ratio``.
+    Raises ConvergenceError when ``_MAX_ITER`` steps do not converge.
     """
     deg = alpha + beta
     c = a * x0 + b * y0
     if t <= 0.0:
         return c
-    g, _ = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
-    p = c * exp(g)
+    s0 = a * x0 / c
+    p = c * exp((alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg)
     if t >= 1.0:
         return p
     lo = 0.0
@@ -58,34 +63,27 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
     # deg == 1 closed form; exact for calibrated weights, a good seed otherwise
     lam = c * p / ((1.0 - t) * p + t * c)
     for _ in range(_MAX_ITER):
-        r = lam / p
-        f = lam * (1.0 - t) / c + t * r**deg - 1.0
+        rd = (lam / p) ** deg
+        f = lam * (1.0 - t) / c + t * rd - 1.0
         if f > 0.0:
             hi = lam
         else:
             lo = lam
-        fp = (1.0 - t) / c + t * deg * r**deg / lam
+        fp = (1.0 - t) / c + t * deg * rd / lam
         nxt = lam - f / fp
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - lam) <= _REL_TOL * nxt:
             return nxt
         lam = nxt
-    return lam
+    raise ConvergenceError(
+        f"arithmetic scaling did not converge in {_MAX_ITER} steps at s={s!r}, t={t!r}"
+    )
 
 
 def lam_uniform(family, s, t, a, b, x0, y0, alpha, beta):
     """Scaling lam(s, t) for a uniform blend weight, any family."""
-    deg = alpha + beta
-    c = a * x0 + b * y0
-    if family == 0:
-        return lam_arith(s, t, a, b, x0, y0, alpha, beta)
-    g, _ = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
-    if family == 1:
-        d = (1.0 - t) + deg * t
-        return c * exp(g * deg * t / d)
-    # homotopy: lam = C*(1-t) + P*t
-    return c + c * expm1(g) * t
+    return lam_at(family, 0, t, 0.0, 0.0, s, a, b, x0, y0, alpha, beta)
 
 
 def lam_uniform_with_prime(family, s, t, a, b, x0, y0, alpha, beta):
@@ -193,12 +191,37 @@ def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
 
 
 def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
-    """Scaling lam(s) for any (family, schedule) pair."""
-    if kind == 0:
-        return lam_uniform(family, s, q0, a, b, x0, y0, alpha, beta)
+    """Scaling lam(s) for any (family, schedule) pair.
+
+    Uniform weights (kind 0) take t = q0 for any family; a schedule takes
+    t(s) from ``sched_value`` and the homotopy formula C + C*expm1(g)*t.
+    Both helpers are inlined here, operation for operation.
+    """
+    if kind == 0 and family == 0:
+        return lam_arith(s, q0, a, b, x0, y0, alpha, beta)
     c = a * x0 + b * y0
-    t = sched_value(kind, q0, q1, q2, s, a * x0 / c)
-    g, _ = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    s0 = a * x0 / c
+    if kind == 0:
+        t = q0
+    else:
+        if kind == 1:
+            m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
+            d = s - s0
+            t = 0.0 if d == 0.0 else (abs(d) / m) ** q0
+        else:
+            t = (q0 * s + q1) * s + q2
+        if t < -1e-12 or t > 1.0 + 1e-12:
+            raise ScheduleRangeError(f"schedule value t={t!r} outside [0, 1] at s={s!r}")
+        # min(1.0, max(0.0, t)), -0.0 and NaN included
+        if not t > 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+    deg = alpha + beta
+    g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
+    if kind == 0 and family == 1:
+        return c * exp(g * deg * t / ((1.0 - t) + deg * t))
+    # homotopy: lam = C*(1-t) + P*t
     return c + c * expm1(g) * t
 
 

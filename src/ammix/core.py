@@ -48,6 +48,10 @@ def calibrate_weights(a: float, b: float, x0: float, y0: float) -> tuple[float, 
         if not (isfinite(v) and v > 0.0):
             raise InvalidParameterError(f"{name} must be positive and finite, got {v!r}")
     c = a * x0 + b * y0
+    if c == 0.0:
+        raise InvalidParameterError(
+            f"a*x0 + b*y0 underflows to 0 for a={a!r}, b={b!r}, x0={x0!r}, y0={y0!r}"
+        )
     return a * x0 / c, b * y0 / c
 
 
@@ -71,6 +75,12 @@ class CurveParams:
 
     def __post_init__(self) -> None:
         alpha, beta = calibrate_weights(self.a, self.b, self.x0, self.y0)
+        # every s-kernel takes log(s0) and log(1 - s0)
+        if not 0.0 < alpha < 1.0:
+            raise InvalidParameterError(
+                f"anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = {alpha!r} is not strictly "
+                f"inside (0, 1) for a={self.a!r}, b={self.b!r}, x0={self.x0!r}, y0={self.y0!r}"
+            )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", self.a * self.x0 + self.b * self.y0)

@@ -80,6 +80,15 @@ def test_quote_below_solver_resolution_exit_2(capsys, argv):
     assert "not positive and finite" in err
 
 
+def test_degenerate_anchor_exit_2(capsys):
+    code, out, err = run(capsys, "il-table", "--mix", "hom", "--t", "0.5", "--ratios", "0.5",
+                         "--a", "1e300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = 1.0 "
+                          "is not strictly inside (0, 1) for a=1e+300")
+    assert "math domain error" not in err
+
+
 def test_curve_sample_t_out_of_range_exit_2(capsys):
     code, _, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "1.5")
     assert code == 2

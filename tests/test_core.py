@@ -56,6 +56,21 @@ def test_params_cached_constants(pool_params):
     assert pool_params.alpha + pool_params.beta == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("args, s0", [((1e300, 1, 1, 1), "1.0"), ((1e-200, 1, 1e-200, 1), "0.0")])
+def test_params_reject_anchor_at_ray_end(args, s0):
+    # s0 rounds to an end of (0, 1), where the s-kernels' log(s0) or log(1 - s0) is undefined
+    with pytest.raises(InvalidParameterError) as info:
+        CurveParams(*args)
+    message = str(info.value)
+    assert f"s0 = a*x0/(a*x0 + b*y0) = {s0} is not strictly inside (0, 1)" in message
+    assert f"a={args[0]!r}, b={args[1]!r}, x0={args[2]!r}, y0={args[3]!r}" in message
+
+
+def test_params_reject_weighted_total_underflow():
+    with pytest.raises(InvalidParameterError, match="underflows to 0"):
+        CurveParams(1e-200, 1e-200, 1e-200, 1e-200)
+
+
 def test_state_requires_positive():
     with pytest.raises(InvalidParameterError):
         MarketState(0.0, 1.0)

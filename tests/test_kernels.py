@@ -1,11 +1,13 @@
 """Backend parity: the compiled kernels must match the pure-Python twin, and
-the array kernel must match the scalar one."""
+the array kernel must match the scalar one.  The fused pure kernels must
+match the composition of their helpers bit for bit."""
 
 import importlib
 import os
 import random
 import subprocess
 import sys
+from math import exp, expm1
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ import pytest
 import ammix
 import ammix._kernels as selector
 from ammix._kernels import pure
-from ammix.errors import NonDifferentiablePointError
+from ammix.core import CurveParams
+from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
+from ammix.schedules import S_MAX, S_MIN
 
 fast = None
 try:
@@ -75,6 +79,145 @@ def test_sched_and_chain_agree():
         want = pure.lam_chain(kind, *q, s, *curve)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
+
+
+def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
+    # lam_arith as the composition of ray_log_ratio and the Newton loop, r**deg taken twice
+    deg = alpha + beta
+    c = a * x0 + b * y0
+    if t <= 0.0:
+        return c
+    g, _ = pure.ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    p = c * exp(g)
+    if t >= 1.0:
+        return p
+    lo = 0.0
+    hi = c / (1.0 - t)
+    lam = c * p / ((1.0 - t) * p + t * c)
+    for _ in range(pure._MAX_ITER):
+        r = lam / p
+        f = lam * (1.0 - t) / c + t * r**deg - 1.0
+        if f > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        fp = (1.0 - t) / c + t * deg * r**deg / lam
+        nxt = lam - f / fp
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - lam) <= pure._REL_TOL * nxt:
+            return nxt
+        lam = nxt
+    raise AssertionError("reference did not converge")
+
+
+def _reference_lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    # lam_at as the composition of sched_value, ray_log_ratio and the uniform closed forms
+    curve = (a, b, x0, y0, alpha, beta)
+    c = a * x0 + b * y0
+    if kind != 0:
+        t = pure.sched_value(kind, q0, q1, q2, s, a * x0 / c)
+        return c + c * expm1(pure.ray_log_ratio(s, *curve)[0]) * t
+    if family == 0:
+        return _reference_lam_arith(s, q0, *curve)
+    g, _ = pure.ray_log_ratio(s, *curve)
+    if family == 1:
+        deg = alpha + beta
+        d = (1.0 - q0) + deg * q0
+        return c * exp(g * deg * q0 / d)
+    return c + c * expm1(g) * q0
+
+
+def _fusion_cases(n, seed):
+    """(family, kind, q0, q1, q2, s, curve) draws over every family and schedule kind."""
+    rng = random.Random(seed)
+    for curve in _random_curves(n, seed):
+        a, b, x0, y0, alpha, beta = curve
+        s0 = a * x0 / (a * x0 + b * y0)
+        if rng.random() < 0.25:  # uncalibrated weights: deg != 1
+            curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), beta * rng.uniform(0.5, 2.0))
+        schedules = [
+            (0, rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]), 0.0, 0.0),
+            (1, rng.choice([0.5, 1.0, 2.0, rng.uniform(0.25, 8.0)]), 0.0, 0.0),
+            (2, 0.3, -0.2, 0.4),
+            (2, -1.0, 1.0, rng.uniform(0.0, 0.75)),  # t in [0, 1]
+            (2, 0.0, 0.0, 1.0 + 5e-13),  # clamped down to 1
+            (2, 0.0, 0.0, -5e-13),  # clamped up to 0
+            (2, -0.0, -0.0, -0.0),  # t == -0.0
+            (2, 0.0, 0.0, rng.choice([1.5, -0.5, 1.0 + 1.5e-12, -1.5e-12])),  # ScheduleRangeError
+        ]
+        for kind, q0, q1, q2 in schedules:
+            for s in (rng.uniform(S_MIN, S_MAX), rng.uniform(0.001, 0.999), s0, S_MIN, S_MAX):
+                for family in range(3):
+                    yield family, kind, q0, q1, q2, s, curve
+
+
+def test_lam_at_matches_helper_composition_bit_for_bit():
+    # lam_at inlines sched_value and ray_log_ratio; the same float operations in
+    # the same order give the same bits, and the schedule check raises the same way
+    raised = 0
+    for family, kind, q0, q1, q2, s, curve in _fusion_cases(40, 505):
+        try:
+            want = _reference_lam_at(family, kind, q0, q1, q2, s, *curve)
+        except ScheduleRangeError:
+            with pytest.raises(ScheduleRangeError):
+                pure.lam_at(family, kind, q0, q1, q2, s, *curve)
+            raised += 1
+            continue
+        got = pure.lam_at(family, kind, q0, q1, q2, s, *curve)
+        assert got == want, (family, kind, q0, q1, q2, s, curve)
+        if kind == 0 and family == 0:
+            assert pure.lam_arith(s, q0, *curve) == want
+    assert raised > 0
+
+
+def test_lam_arith_matches_reference_loop_bit_for_bit():
+    # the reuse of (lam/p)**deg moves a last bit only on rare uncalibrated curves
+    # (deg != 1, where the closed-form seed is not exact), so this draws many
+    rng = random.Random(808)
+    for _ in range(30_000):
+        a, b = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        x0, y0 = rng.uniform(0.5, 4000.0), rng.uniform(0.5, 4000.0)
+        alpha = a * x0 / (a * x0 + b * y0)
+        curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), (1.0 - alpha) * rng.uniform(0.5, 2.0))
+        s, t = rng.uniform(0.001, 0.999), rng.uniform(0.0, 1.0)
+        assert pure.lam_arith(s, t, *curve) == _reference_lam_arith(s, t, *curve), (s, t, curve)
+
+
+def test_lam_uniform_is_lam_at_with_uniform_kind():
+    for family, kind, q0, _, _, s, curve in _fusion_cases(20, 606):
+        if kind == 0:
+            assert pure.lam_uniform(family, s, q0, *curve) == pure.lam_at(family, 0, q0, 0.0, 0.0, s, *curve)
+
+
+def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
+    # the deg == 1 seed is exact here, so the loop bisects for about 41 steps
+    p = CurveParams(0.5, 1, 3000, 1000)
+    curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+    lam = pure.lam_arith(0.37, 0.6, *curve)
+    monkeypatch.setattr(pure, "_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        pure.lam_arith(0.37, 0.6, *curve)
+    with pytest.raises(ConvergenceError):
+        pure.lam_at(0, 0, 0.6, 0.0, 0.0, 0.37, *curve)
+    monkeypatch.undo()
+    assert pure.lam_arith(0.37, 0.6, *curve) == lam
+
+
+def test_lam_arith_converges_within_cap_on_grid():
+    # no blend weight in [0.01, 0.99] and no s in [S_MIN, S_MAX] reaches _MAX_ITER
+    rng = random.Random(707)
+    for _ in range(12):
+        p = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                        10 ** rng.uniform(-2, 4), 10 ** rng.uniform(-2, 4))
+        curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        s_grid = [S_MIN, S_MAX, p.s0] + [S_MIN + (S_MAX - S_MIN) * j / 40 for j in range(1, 40)]
+        s_grid += [10.0 ** -e for e in range(2, 12)] + [1.0 - 10.0 ** -e for e in range(2, 12)]
+        for i in range(25):
+            t = 0.01 + 0.98 * i / 24
+            for s in s_grid:
+                lam = pure.lam_arith(s, t, *curve)
+                assert 0.0 < lam <= p.c / (1.0 - t)
 
 
 def test_lam_chain_array_matches_scalar_kernel():
