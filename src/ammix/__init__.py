@@ -4,8 +4,8 @@ Three ways of blending a CSMM with a CPMM (arithmetic, geometric, and the
 segment-exact homotopy), non-uniform blend schedules with convexity
 certification, swap mechanics with slippage accounting, impermanent-loss
 and portfolio-value analysis, the Stableswap reparametrization, and a
-seeded arbitrage simulation.  Hot scalar kernels run from a compiled
-extension when available (see ``ammix.KERNEL_BACKEND``).
+seeded arbitrage simulation.  The hot scalar kernels are pure Python
+(``ammix.KERNEL_BACKEND`` names them for benchmark records).
 """
 
 from ammix._kernels import BACKEND as KERNEL_BACKEND

@@ -3,8 +3,8 @@
 ``lam_chain_array`` evaluates ``pure.lam_chain`` (and the ``sched_eval``
 inside it) over an array of s, operation for operation in the same order,
 so each element differs from the scalar kernel only in the last bits that
-numpy's exp/log/expm1/power give against libm's.  It is bound for every
-backend: grid workloads call it instead of looping over the scalar kernel.
+numpy's exp/log/expm1/power give against libm's.  Grid workloads call it
+instead of looping over the scalar kernel.
 
 Where ``sched_eval`` raises (s == s0 on power laws with exponent < 2) the
 element is marked in the returned mask instead, and its values are

@@ -1,14 +1,13 @@
-"""Pure-Python scalar kernels for curve evaluation and root solving.
+"""Scalar kernels for curve evaluation and root solving.
 
-This module is the fallback backend; ``ammix._kernels._fast`` is the
-compiled twin with the same semantics.  Every function here operates on
-flat floats.  The hot path is fused: ``lam_at`` computes c, s0, deg, the
-blend weight and g(s) in one frame, repeating the float operations of
-``sched_value`` and ``ray_log_ratio`` in their order, and ``lam_arith``
-inlines its log ratio, so the two modules are no longer line-for-line
-comparable there.  ``_fast.pyx`` is unchanged and still composes the helpers.
+These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
+function here operates on flat floats.  The hot path is fused: ``lam_at``
+computes c, s0, deg, the blend weight and g(s) in one frame, repeating the
+float operations of ``sched_value`` and ``ray_log_ratio`` in their order,
+and ``lam_arith`` inlines its log ratio.  The helpers stay for the
+derivative kernels and as the reference the fused ones are tested against.
 
-Conventions shared by both backends:
+Conventions:
 
 * family codes: 0 = arithmetic, 1 = geometric, 2 = homotopy
 * schedule kinds: 0 = uniform (q0 = t), 1 = power law (q0 = exponent),
@@ -25,8 +24,6 @@ from __future__ import annotations
 from math import copysign, exp, expm1, log
 
 from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
-
-BACKEND_NAME = "pure"
 
 _REL_TOL = 1e-12
 _MAX_ITER = 200
@@ -79,31 +76,6 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
     raise ConvergenceError(
         f"arithmetic scaling did not converge in {_MAX_ITER} steps at s={s!r}, t={t!r}"
     )
-
-
-def lam_uniform(family, s, t, a, b, x0, y0, alpha, beta):
-    """Scaling lam(s, t) for a uniform blend weight, any family."""
-    return lam_at(family, 0, t, 0.0, 0.0, s, a, b, x0, y0, alpha, beta)
-
-
-def lam_uniform_with_prime(family, s, t, a, b, x0, y0, alpha, beta):
-    """(lam, dlam/ds) for a uniform blend weight."""
-    deg = alpha + beta
-    c = a * x0 + b * y0
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
-    p = c * exp(g)
-    if family == 0:
-        lam = lam_arith(s, t, a, b, x0, y0, alpha, beta)
-        if t <= 0.0:
-            return lam, 0.0
-        rd = t * deg * (lam / p) ** deg
-        return lam, rd * gp / ((1.0 - t) / c + rd / lam)
-    if family == 1:
-        d = (1.0 - t) + deg * t
-        lam = c * exp(g * deg * t / d)
-        return lam, lam * deg * t * gp / d
-    lam = c + c * expm1(g) * t
-    return lam, p * gp * t
 
 
 def sched_value(kind, q0, q1, q2, s, s0):
@@ -226,14 +198,30 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
 
 
 def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
-    """(lam, dlam/ds) for any (family, schedule) pair."""
-    if kind == 0:
-        return lam_uniform_with_prime(family, s, q0, a, b, x0, y0, alpha, beta)
+    """(lam, dlam/ds) for any (family, schedule) pair.
+
+    Uniform weights (kind 0) take t = q0 and the family's closed form; a
+    schedule takes (t, t') from ``sched_first`` and the homotopy formula.
+    """
     c = a * x0 + b * y0
-    t, tp = sched_first(kind, q0, q1, q2, s, a * x0 / c)
     g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
     p = c * exp(g)
-    return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
+    if kind != 0:
+        t, tp = sched_first(kind, q0, q1, q2, s, a * x0 / c)
+        return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
+    t = q0
+    deg = alpha + beta
+    if family == 0:
+        lam = lam_arith(s, t, a, b, x0, y0, alpha, beta)
+        if t <= 0.0:
+            return lam, 0.0
+        rd = t * deg * (lam / p) ** deg
+        return lam, rd * gp / ((1.0 - t) / c + rd / lam)
+    if family == 1:
+        d = (1.0 - t) + deg * t
+        lam = c * exp(g * deg * t / d)
+        return lam, lam * deg * t * gp / d
+    return c + c * expm1(g) * t, p * gp * t
 
 
 def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, s_lo, s_hi):

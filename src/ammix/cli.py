@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache
-from math import isfinite, isnan
+from math import isfinite
 
 import numpy as np
 
@@ -271,7 +271,7 @@ def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
 
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     amp, scale = ns.amp, ns.scale
-    StableswapDynamic(amp, scale)  # refuses an amp or scale that is not positive and finite
+    dynamic = StableswapDynamic(amp, scale)  # refuses an amp or scale that is not positive and finite
     half = scale / 2.0
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
@@ -280,12 +280,11 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     for x in xs:
         x = float(x)
         y = _solve_dynamic_y(amp, scale, x)
-        t_dyn = scale * scale / (16.0 * amp * x * y + scale * scale)
         state = MarketState(x, y)
         rows.append({
             "x": x,
             "y": y,
-            "t_dynamic": t_dyn,
+            "t_dynamic": dynamic.weight(state),
             "uniform_residual": eval_mixed(params, uniform, state) - 1.0,
         })
     return emit_table(rows, ns.format), 0
@@ -311,7 +310,6 @@ def _cmd_sim_run(ns: argparse.Namespace) -> tuple[str, int]:
     rows = []
     for i in range(len(trace)):
         cur = trace.extracted[i]
-        slip = trace.slippage[i]
         rows.append({
             "step": i,
             "x": float(trace.x[i]),
@@ -319,9 +317,9 @@ def _cmd_sim_run(ns: argparse.Namespace) -> tuple[str, int]:
             "internal_rate": float(trace.internal_rate[i]),
             "external_rate": float(trace.external_rate[i]),
             "extracted": cur.value if cur is not None else None,
-            "trade_output": None if isnan(trace.trade_output[i]) else float(trace.trade_output[i]),
-            "trade_input": None if isnan(trace.trade_input[i]) else float(trace.trade_input[i]),
-            "slippage": None if isnan(slip) else float(slip),
+            "trade_output": float(trace.trade_output[i]),
+            "trade_input": float(trace.trade_input[i]),
+            "slippage": float(trace.slippage[i]),
         })
     return emit_table(rows, ns.format), 0
 

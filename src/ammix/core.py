@@ -239,8 +239,7 @@ def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> floa
     if isinstance(sched, Uniform):
         return sched.t
     if isinstance(sched, StableswapDynamic):
-        d2 = sched.scale * sched.scale
-        return d2 / (16.0 * sched.amplification * state.x * state.y + d2)
+        return sched.weight(state)
     _, kind, q0, q1, q2 = market(params, mix).codes
     # no range check: the s of a positive state lies in (0, 1), where kernels
     # are defined, even if it rounds past S_MIN/S_MAX

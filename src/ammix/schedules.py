@@ -185,6 +185,11 @@ class StableswapDynamic:
         if not (isfinite(self.scale) and self.scale > 0.0):
             raise InvalidParameterError(f"scale must be > 0, got {self.scale!r}")
 
+    def weight(self, state: "MarketState") -> float:
+        """The blend weight t at a state."""
+        d2 = self.scale * self.scale
+        return d2 / (16.0 * self.amplification * state.x * state.y + d2)
+
 
 TSchedule = Union[Uniform, PowerLaw, Parabolic, StableswapDynamic]
 
@@ -323,8 +328,10 @@ def stableswap_dynamic_residual(amplification: float, scale: float, state: "Mark
     Zero iff the state satisfies
     16*A*D*x*y/(x + y) + D^3/(2*sqrt(x*y)) = 16*A*x*y + D^2.
     """
-    if amplification <= 0.0 or scale <= 0.0:
-        raise InvalidParameterError("amplification and scale must be > 0")
+    if not (isfinite(amplification) and amplification > 0.0 and isfinite(scale) and scale > 0.0):
+        raise InvalidParameterError(
+            f"amplification and scale must be positive and finite, got {amplification!r} and {scale!r}"
+        )
     x, y = state.x, state.y
     lhs = 16.0 * amplification * scale * x * y / (x + y) + scale**3 / (2.0 * sqrt(x * y))
     rhs = 16.0 * amplification * x * y + scale * scale

@@ -1,14 +1,9 @@
-"""Backend parity: the compiled kernels must match the pure-Python twin, and
-the array kernel must match the scalar one.  The fused pure kernels must
-match the composition of their helpers bit for bit."""
+"""The kernels ``ammix._kernels`` binds, and their references: the fused
+pure kernels must match the composition of their helpers bit for bit, and
+the array kernel must match the scalar one."""
 
-import importlib
-import os
 import random
-import subprocess
-import sys
 from math import exp, expm1
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +14,6 @@ from ammix._kernels import pure
 from ammix.core import CurveParams
 from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
 from ammix.schedules import S_MAX, S_MIN
-
-fast = None
-try:
-    fast = importlib.import_module("ammix._kernels._fast")
-except ImportError:
-    pass
-
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels not built")
 
 
 def _random_curves(n, seed):
@@ -44,41 +31,12 @@ def _random_curves(n, seed):
 
 
 def test_selected_backend_reported():
-    assert selector.BACKEND in ("pure", "compiled")
-    assert selector.lam_uniform is not None
-
-
-@needs_fast
-def test_lam_uniform_agrees():
-    rng = random.Random(101)
-    for curve in _random_curves(30, 1):
-        family = rng.randrange(3)
-        s = rng.uniform(0.01, 0.99)
-        t = rng.uniform(0.0, 1.0)
-        got = fast.lam_uniform(family, s, t, *curve)
-        want = pure.lam_uniform(family, s, t, *curve)
-        assert got == pytest.approx(want, rel=1e-14)
-
-
-@needs_fast
-def test_sched_and_chain_agree():
-    rng = random.Random(202)
-    for curve in _random_curves(30, 2):
-        a, b, x0, y0, alpha, beta = curve
-        s0 = a * x0 / (a * x0 + b * y0)
-        kind = rng.choice([0, 1, 2])
-        if kind == 0:
-            q = (rng.uniform(0, 1), 0.0, 0.0)
-        elif kind == 1:
-            q = (rng.uniform(1.0, 8.0), 0.0, 0.0)
-        else:
-            q = (0.3, -0.2, 0.4)
-        s = rng.uniform(0.02, 0.98)
-        assert fast.sched_eval(kind, *q, s, s0) == pure.sched_eval(kind, *q, s, s0)
-        got = fast.lam_chain(kind, *q, s, *curve)
-        want = pure.lam_chain(kind, *q, s, *curve)
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, rel=1e-13, abs=1e-13)
+    assert ammix.KERNEL_BACKEND == "pure"
+    exported = {name: value for name, value in vars(selector).items()
+                if not name.startswith("_") and callable(value)}
+    assert "lam_at" in exported
+    for name, value in exported.items():
+        assert value is getattr(pure, name, None) or value is selector.lam_chain_array, name
 
 
 def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
@@ -184,12 +142,6 @@ def test_lam_arith_matches_reference_loop_bit_for_bit():
         assert pure.lam_arith(s, t, *curve) == _reference_lam_arith(s, t, *curve), (s, t, curve)
 
 
-def test_lam_uniform_is_lam_at_with_uniform_kind():
-    for family, kind, q0, _, _, s, curve in _fusion_cases(20, 606):
-        if kind == 0:
-            assert pure.lam_uniform(family, s, q0, *curve) == pure.lam_at(family, 0, q0, 0.0, 0.0, s, *curve)
-
-
 def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
     # the deg == 1 seed is exact here, so the loop bisects for about 41 steps
     p = CurveParams(0.5, 1, 3000, 1000)
@@ -218,6 +170,26 @@ def test_lam_arith_converges_within_cap_on_grid():
             for s in s_grid:
                 lam = pure.lam_arith(s, t, *curve)
                 assert 0.0 < lam <= p.c / (1.0 - t)
+
+
+def test_lam_prime_at_matches_central_difference_of_lam_at():
+    # the uniform closed forms and the scheduled homotopy form both give lam_at's slope
+    rng = random.Random(909)
+    for i, curve in enumerate(_random_curves(20, 9)):
+        a, b, x0, y0, alpha, beta = curve
+        s0 = a * x0 / (a * x0 + b * y0)
+        if i % 2:  # uncalibrated weights: deg != 1
+            curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), beta * rng.uniform(0.5, 2.0))
+        for kind, q0, q1, q2 in ((0, rng.uniform(0.05, 0.95), 0.0, 0.0),
+                                 (1, rng.uniform(0.5, 4.0), 0.0, 0.0), (2, 0.3, -0.2, 0.4)):
+            s = rng.choice([rng.uniform(0.05, 0.95), 0.5 * s0, 0.5 * (1.0 + s0)])
+            h = 1e-4 * min(s, 1.0 - s)  # lam_arith converges to relative 1e-12 only
+            for family in (range(3) if kind == 0 else (2,)):  # schedules blend homotopically
+                code = (family, kind, q0, q1, q2)
+                lam, lamp = pure.lam_prime_at(*code, s, *curve)
+                assert lam == pure.lam_at(*code, s, *curve)
+                slope = (pure.lam_at(*code, s + h, *curve) - pure.lam_at(*code, s - h, *curve)) / (2.0 * h)
+                assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
 
 
 def test_lam_chain_array_matches_scalar_kernel():
@@ -249,43 +221,3 @@ def test_lam_chain_array_matches_scalar_kernel():
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
-
-
-@needs_fast
-def test_solver_agrees():
-    rng = random.Random(303)
-    for curve in _random_curves(20, 3):
-        a = curve[0]
-        family = rng.randrange(3)
-        t = rng.uniform(0.1, 1.0)
-        s_target = rng.uniform(0.15, 0.85)
-        x_target = s_target / a * pure.lam_uniform(family, s_target, t, *curve)
-        got = fast.solve_s_for_x(family, 0, t, 0.0, 0.0, x_target, *curve, 1e-12, 1 - 1e-12)
-        want = pure.solve_s_for_x(family, 0, t, 0.0, 0.0, x_target, *curve, 1e-12, 1 - 1e-12)
-        assert got == pytest.approx(want, abs=1e-13)
-        assert got == pytest.approx(s_target, abs=1e-10)
-
-
-@needs_fast
-def test_singularities_agree():
-    for k in (0.5, 1.0, 1.5):
-        with pytest.raises(Exception):
-            fast.sched_eval(1, k, 0.0, 0.0, 0.5, 0.5)
-        with pytest.raises(Exception):
-            pure.sched_eval(1, k, 0.0, 0.0, 0.5, 0.5)
-
-
-def test_env_override_selects_pure():
-    # The child must import the same ammix as this process, whether it is
-    # installed or found through PYTHONPATH from a source tree.
-    pkg_root = str(Path(ammix.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
-    )
-    env = {**os.environ, "AMMIX_KERNELS": "pure", "PYTHONPATH": pythonpath}
-    code = "import ammix._kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"

@@ -377,6 +377,16 @@ def test_dynamic_residual_off_curve():
     assert abs(stableswap_dynamic_residual(1.0, 2.0, MarketState(2.0, 2.0))) > 1e-3
 
 
+@pytest.mark.parametrize("amp, scale", [
+    (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+])
+def test_dynamic_residual_refuses_non_finite_parameters(amp, scale):
+    # the same values StableswapDynamic refuses; unchecked they give a NaN residual
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        stableswap_dynamic_residual(amp, scale, MarketState(1.0, 1.0))
+
+
 def test_dynamic_residual_root_solved():
     # bisection in y at fixed x = 1.5; the residual itself is the oracle
     amp, scale, x = 1.0, 2.0, 1.5
