@@ -45,7 +45,9 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
     Solves lam*(1-t)/C + t*(lam/P)**deg = 1; the left side is strictly
     increasing in lam, so the root is unique and bracketed by
     (0, C/(1-t)] for t < 1.  P = C*exp(g) with g as in ``ray_log_ratio``.
-    Raises ConvergenceError when ``_MAX_ITER`` steps do not converge.
+    An iterate with a zero residual is the root and is returned as it is;
+    for calibrated weights (deg == 1) that is usually the seed.  Raises
+    ConvergenceError when ``_MAX_ITER`` steps do not converge.
     """
     deg = alpha + beta
     c = a * x0 + b * y0
@@ -62,6 +64,8 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
     for _ in range(_MAX_ITER):
         rd = (lam / p) ** deg
         f = lam * (1.0 - t) / c + t * rd - 1.0
+        if f == 0.0:
+            return lam
         if f > 0.0:
             hi = lam
         else:
@@ -228,7 +232,8 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
     """Invert x(s) = (s/a) lam(s) by bisection, then one Newton polish.
 
     The bracket [s_lo, s_hi] must already contain the solution; x(s) is
-    increasing on valid curves.
+    increasing on valid curves.  Raises ConvergenceError when ``_MAX_ITER``
+    halvings leave the bracket wider than 1e-14.
     """
     lo = s_lo
     hi = s_hi
@@ -241,6 +246,11 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
             hi = mid
         if hi - lo <= 1e-14:
             break
+    else:
+        raise ConvergenceError(
+            f"solve for x={x_target!r} not narrowed to 1e-14 in {_MAX_ITER} halvings; "
+            f"last bracket [{lo!r}, {hi!r}]"
+        )
     s = 0.5 * (lo + hi)
     try:
         lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)

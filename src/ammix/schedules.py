@@ -41,14 +41,19 @@ def _check_s(s: float) -> float:
     return s
 
 
+# halvings _bisect may take before it raises ConvergenceError
+_BISECT_HALVINGS = 200
+
+
 def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -> float:
     """Root of a monotone 1-D problem bracketed by [lo, hi], by bisection.
 
     ``below(x)`` is true when the root lies above x.  The bracket is halved
-    at most 200 times and stops once hi - lo <= atol + rtol*hi; the midpoint
-    of the final bracket is returned.
+    at most ``_BISECT_HALVINGS`` times and stops once hi - lo <= atol +
+    rtol*hi; the midpoint of the final bracket is returned.  Raises
+    ConvergenceError when the halvings run out first.
     """
-    for _ in range(200):
+    for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
@@ -56,6 +61,11 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -
             hi = mid
         if hi - lo <= atol + rtol * hi:
             break
+    else:
+        raise ConvergenceError(
+            f"bisection not narrowed to atol={atol!r}, rtol={rtol!r} in {_BISECT_HALVINGS} "
+            f"halvings; last bracket [{lo!r}, {hi!r}]"
+        )
     return 0.5 * (lo + hi)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ammix import CurveParams, MarketState, MixSpec, eval_mixed
+from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
 from ammix.errors import AmmixError
 
@@ -69,8 +70,8 @@ def test_quote_off_curve_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--mix", "arith", "--t", "0.5", "--x0", "2", "--y0", "0.5", "--x", "4.999869298498733e-06",
-     "--y", "4.999864298629435", "--sell", "cur1", "--amount", "5e-15"],
+    ["--mix", "arith", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1e-16"],
+    ["--mix", "arith", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur2", "--amount", "1e-16"],
     ["--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1e-16"],
 ])
 def test_quote_below_solver_resolution_exit_2(capsys, argv):
@@ -78,6 +79,25 @@ def test_quote_below_solver_resolution_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "not positive and finite" in err
+
+
+@pytest.mark.parametrize("sell", ["cur1", "cur2"])
+def test_quote_tiny_arithmetic_trade_exit_0(capsys, sell):
+    code, out, err = run(capsys, "--format", "json", "quote", "--mix", "arith", "--t", "0.5",
+                         "--x0", "2", "--y0", "0.5", "--x", "4.999869298498733e-06",
+                         "--y", "4.999864298629435", "--sell", sell, "--amount", "5e-15")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["output_amount"] > 0.0
+
+
+def test_quote_solver_out_of_halvings_exit_2(capsys, monkeypatch):
+    # from [S_MIN, S_MAX] the solve needs 47 halvings to reach its 1e-14 bracket
+    monkeypatch.setattr(pure, "_MAX_ITER", 20)
+    code, out, err = run(capsys, "quote", "--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1",
+                         "--sell", "cur1", "--amount", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: solve for x=1.3 not narrowed to 1e-14 in 20 halvings")
+    assert "Traceback" not in err
 
 
 def test_degenerate_anchor_exit_2(capsys):

@@ -57,10 +57,8 @@ def test_trade_from_off_curve_state_rejected(unit_params):
 
 
 @pytest.mark.parametrize("params, mix, state, amount", [
-    # below the solver's resolution: output -3.8e-12 (cur1), -1.8e-13 (cur2)
-    (CurveParams(1.0, 1.0, 2.0, 0.5), MixSpec.arithmetic(0.5),
-     MarketState(4.999869298498733e-06, 4.999864298629435), 5e-15),
     # 1 + 1e-16 rounds to 1: output 0
+    (CurveParams(1.0, 1.0, 1.0, 1.0), MixSpec.arithmetic(0.5), MarketState(1.0, 1.0), 1e-16),
     (CurveParams(1.0, 1.0, 1.0, 1.0), MixSpec.homotopy(0.5), MarketState(1.0, 1.0), 1e-16),
 ])
 def test_trade_below_solver_resolution_rejected(params, mix, state, amount):
@@ -69,6 +67,18 @@ def test_trade_below_solver_resolution_rejected(params, mix, state, amount):
         for currency in Currency:
             with pytest.raises(InvalidParameterError, match="not positive and finite"):
                 trade(params, mix, state, currency, amount)
+
+
+def test_tiny_arithmetic_trade_resolved():
+    # 5e-15 next to the x end: the arithmetic scaling is exact to rounding, so
+    # the solve resolves it (output 1.1e-13 for cur1, 4.1e-16 for cur2)
+    params, mix = CurveParams(1.0, 1.0, 2.0, 0.5), MixSpec.arithmetic(0.5)
+    state = MarketState(4.999869298498733e-06, 4.999864298629435)
+    for currency in Currency:
+        new_state, q = swap(params, mix, state, currency, 5e-15)
+        assert 0.0 < q.output_amount < float("inf")
+        assert quote(params, mix, state, currency, 5e-15) == q
+        assert abs(eval_mixed(params, mix, new_state) - 1.0) <= 1e-15
 
 
 def test_swap_cpmm(unit_params, unit_state):

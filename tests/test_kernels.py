@@ -55,6 +55,8 @@ def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
     for _ in range(pure._MAX_ITER):
         r = lam / p
         f = lam * (1.0 - t) / c + t * r**deg - 1.0
+        if f == 0.0:
+            return lam
         if f > 0.0:
             hi = lam
         else:
@@ -143,9 +145,10 @@ def test_lam_arith_matches_reference_loop_bit_for_bit():
 
 
 def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
-    # the deg == 1 seed is exact here, so the loop bisects for about 41 steps
+    # uncalibrated weights (deg == 2): the deg == 1 seed is not the root, and
+    # Newton takes 4 steps from it
     p = CurveParams(0.5, 1, 3000, 1000)
-    curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+    curve = (p.a, p.b, p.x0, p.y0, 0.6, 1.4)
     lam = pure.lam_arith(0.37, 0.6, *curve)
     monkeypatch.setattr(pure, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
@@ -156,20 +159,47 @@ def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
     assert pure.lam_arith(0.37, 0.6, *curve) == lam
 
 
-def test_lam_arith_converges_within_cap_on_grid():
-    # no blend weight in [0.01, 0.99] and no s in [S_MIN, S_MAX] reaches _MAX_ITER
+def _calibrated_arith_grid():
+    """(p, s, t) over 12 seeded calibrated curves, t in [0.01, 0.99], s from S_MIN to S_MAX."""
     rng = random.Random(707)
     for _ in range(12):
         p = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
                         10 ** rng.uniform(-2, 4), 10 ** rng.uniform(-2, 4))
-        curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
         s_grid = [S_MIN, S_MAX, p.s0] + [S_MIN + (S_MAX - S_MIN) * j / 40 for j in range(1, 40)]
         s_grid += [10.0 ** -e for e in range(2, 12)] + [1.0 - 10.0 ** -e for e in range(2, 12)]
         for i in range(25):
             t = 0.01 + 0.98 * i / 24
             for s in s_grid:
-                lam = pure.lam_arith(s, t, *curve)
-                assert 0.0 < lam <= p.c / (1.0 - t)
+                yield p, s, t
+
+
+def test_lam_arith_converges_within_cap_on_grid():
+    # no blend weight in [0.01, 0.99] and no s in [S_MIN, S_MAX] reaches _MAX_ITER
+    for p, s, t in _calibrated_arith_grid():
+        lam = pure.lam_arith(s, t, p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        assert 0.0 < lam <= p.c / (1.0 - t)
+
+
+def test_lam_arith_takes_one_step_on_calibrated_grid(monkeypatch):
+    # with deg == 1 the closed-form seed is the root up to rounding: either its
+    # residual is exactly 0 or one Newton step closes the relative 1e-12 gap
+    monkeypatch.setattr(pure, "_MAX_ITER", 1)
+    for p, s, t in _calibrated_arith_grid():
+        lam = pure.lam_arith(s, t, p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        assert 0.0 < lam <= p.c / (1.0 - t)
+
+
+def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):
+    # a homotopy blend, whose lam_at does not iterate: from [S_MIN, S_MAX] the
+    # bracket reaches 1e-14 after 47 halvings
+    p = CurveParams(0.5, 1, 3000, 1000)
+    curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+    s = pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX)
+    monkeypatch.setattr(pure, "_MAX_ITER", 47)
+    assert pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX) == s
+    monkeypatch.setattr(pure, "_MAX_ITER", 46)
+    with pytest.raises(ConvergenceError, match="not narrowed to 1e-14 in 46 halvings"):
+        pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX)
 
 
 def test_lam_prime_at_matches_central_difference_of_lam_at():

@@ -24,7 +24,9 @@ from ammix import (
 )
 from ammix._kernels.arrays import lam_chain_array
 from ammix.cli import run_command
+from ammix import schedules
 from ammix.errors import (
+    ConvergenceError,
     InvalidParameterError,
     NonDifferentiablePointError,
     UnsupportedScheduleError,
@@ -422,3 +424,12 @@ def test_dynamic_curve_not_any_uniform_homotopy():
         mix = MixSpec.homotopy(t)
         worst = max(abs(eval_mixed(params, mix, st) - 1.0) for st in states)
         assert worst > 1e-3, t
+
+
+def test_bisect_raises_when_halvings_run_out(monkeypatch):
+    # [0, 1] narrows to 1e-12 after 40 halvings
+    root = schedules._bisect(lambda x: x < 0.3, 0.0, 1.0, atol=1e-12)
+    assert abs(root - 0.3) <= 1e-12
+    monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 39)
+    with pytest.raises(ConvergenceError, match="in 39 halvings"):
+        schedules._bisect(lambda x: x < 0.3, 0.0, 1.0, atol=1e-12)

@@ -16,7 +16,8 @@ from ammix import (
     stableswap_dynamic_residual,
     t_from_chi,
 )
-from ammix.errors import InvalidParameterError
+from ammix import schedules
+from ammix.errors import ConvergenceError, InvalidParameterError
 from ammix.stableswap import normalized_components, solve_reserve
 
 
@@ -157,3 +158,10 @@ def test_normalized_components_balanced():
     assert (a0, a1) == (1.0, 1.0)
     a0, a1 = normalized_components(3.0, [1.0, 1.0, 1.0])
     assert (a0, a1) == (1.0, 1.0)
+
+
+def test_solve_reserve_raises_when_bisection_runs_out(monkeypatch):
+    ss = StableswapParams(n=2, scale=2.0, chi=0.7)
+    monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 20)
+    with pytest.raises(ConvergenceError, match="in 20 halvings"):
+        solve_reserve(ss, [1.5])
