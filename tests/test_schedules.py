@@ -22,9 +22,9 @@ from ammix import (
     stableswap_dynamic_residual,
     t_of_s,
 )
+from ammix import schedules
 from ammix._kernels.arrays import lam_chain_array
 from ammix.cli import run_command
-from ammix import schedules
 from ammix.errors import (
     ConvergenceError,
     InvalidParameterError,
