@@ -13,6 +13,7 @@ from ammix.analysis import (
     ILReport,
     PriceVector,
     arbitrage_state,
+    arbitrage_states,
     erli_discrepancy,
     impermanent_loss,
     portfolio_value,
@@ -90,8 +91,8 @@ __all__ = [
     # exchange
     "Currency", "LiquidityBound", "Quote", "max_extractable", "quote", "swap",
     # analysis
-    "ILReport", "PriceVector", "arbitrage_state", "erli_discrepancy",
-    "impermanent_loss", "portfolio_value", "reduced_value",
+    "ILReport", "PriceVector", "arbitrage_state", "arbitrage_states",
+    "erli_discrepancy", "impermanent_loss", "portfolio_value", "reduced_value",
     # stableswap
     "StableswapParams", "chi_from_t", "dynamic_chi", "equivalence_check",
     "invariant_residual", "t_from_chi",

@@ -8,18 +8,21 @@ compares that post-arbitrage pool value with simply holding the deposit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
 from typing import Sequence
 
-from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
+from ammix import _kernels as k
+from ammix.core import CurveParams, MarketState, MixSpec, market, spot_rate
 from ammix.errors import InvalidCurveError, InvalidParameterError, UnsupportedCurveError
 from ammix.parametrize import point_at
 from ammix.schedules import S_MAX, S_MIN, Uniform, _regula_falsi, check_convexity
 
-# cap on spot-rate evaluations per solve: a typical solve takes about 6, and
-# _regula_falsi's bracket guard ends every solve within about 70
+# cap on spot-rate evaluations per solve: one from [S_MIN, S_MAX] takes about
+# 7, a row of a rate grid about 6, and _regula_falsi's bracket guard ends
+# every solve within about 70
 _MAX_RATE_EVALS = 100
 
 
@@ -63,47 +66,89 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
     return check_convexity(params, mix.schedule).passed
 
 
-def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> MarketState:
-    """The on-curve state arbitrageurs leave behind at prices p.
+def arbitrage_states(params: CurveParams, mix: MixSpec,
+                     prices: Sequence[PriceVector]) -> list[MarketState]:
+    """The on-curve states arbitrageurs leave behind at each of the prices.
 
     Solves spot(s) = p1/p2 on [S_MIN, S_MAX] (the spot rate falls
     monotonically along a convex curve) by Illinois regula falsi on the log
     of the rate against logit(s), down to a bracket 1e-15 wide in s, and
-    returns the s that bisection to that width returns; see
-    ``schedules._regula_falsi``.  Rates beyond the curve's supported range
-    map to the clamped endpoint states, where the infimum is attained.
+    returns the s that bisection of [S_MIN, S_MAX] to that width returns
+    wherever the rate is monotone; see ``schedules._regula_falsi``.  Rates
+    beyond the curve's supported range map to the clamped endpoint states,
+    where the infimum is attained.
+
+    The certificate, the ``Market`` and the two end rates are resolved once
+    for all the prices.  Every spot rate evaluated is kept, and each price
+    narrows from the two kept points next to each other in s whose rates
+    straddle it, so the prices of a grid warm each other in any order.
+    Where the computed rate is not monotone (at rounding level, next to a
+    root) the bracket can change the answer by a final bisection width or
+    two, 8.9e-16 each.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
-    and finite, and ConvergenceError when the solve runs out of evaluations.
+    and finite, and ConvergenceError when a solve runs out of evaluations.
     """
     if not isinstance(mix.schedule, Uniform) and not _certified_convex(params, mix):
         raise UnsupportedCurveError(
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
-    r = p.rate
+    m = market(params, mix)
+    a, b = params.a, params.b
+    known_s: list[float] = []  # every s evaluated, ascending
+    known_neg: list[float] = []  # minus the rate at each, ascending where the rate falls
 
-    def rate_at(s: float) -> float:
-        rate = spot_rate(params, mix, point_at(params, mix, s))
+    def rate_of(s: float, state: MarketState) -> float:
+        rate = spot_rate(params, mix, state)
         if not (isfinite(rate) and rate > 0.0):
             raise InvalidCurveError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
+        i = bisect_left(known_s, s)
+        if i == len(known_s) or known_s[i] != s:
+            known_s.insert(i, s)
+            known_neg.insert(i, -rate)
         return rate
 
-    lo, hi = S_MIN, S_MAX
-    r_max, r_min = rate_at(lo), rate_at(hi)
-    if r_max == r_min:
-        # constant-rate curve: at the matching price ratio every point
-        # attains the infimum; report the anchor state
-        if r > r_max:
-            return point_at(params, mix, lo)
-        if r < r_min:
-            return point_at(params, mix, hi)
-        return MarketState(params.x0, params.y0)
-    if r >= r_max:
-        return point_at(params, mix, lo)
-    if r <= r_min:
-        return point_at(params, mix, hi)
-    s = _regula_falsi(rate_at, r, lo, hi, r_max, r_min, atol=1e-15, max_evals=_MAX_RATE_EVALS)
-    return point_at(params, mix, s)
+    def rate_at(s: float) -> float:
+        # point_at's float operations on the Market resolved above; the
+        # bracket keeps s inside [S_MIN, S_MAX]
+        lam = k.lam_at(*m.codes, s, *m.curve)
+        return rate_of(s, MarketState(lam * s / a, lam * (1.0 - s) / b))
+
+    # the end states come from point_at, like every state returned below
+    r_max = rate_of(S_MIN, point_at(params, mix, S_MIN))
+    r_min = rate_of(S_MAX, point_at(params, mix, S_MAX))
+    states = []
+    for p in prices:
+        r = p.rate
+        if r_max == r_min:
+            # constant-rate curve: at the matching price ratio every point
+            # attains the infimum; report the anchor state
+            if r > r_max:
+                state = point_at(params, mix, S_MIN)
+            elif r < r_min:
+                state = point_at(params, mix, S_MAX)
+            else:
+                state = MarketState(params.x0, params.y0)
+        elif r >= r_max:
+            state = point_at(params, mix, S_MIN)
+        elif r <= r_min:
+            state = point_at(params, mix, S_MAX)
+        else:
+            # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
+            # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
+            i = bisect_left(known_neg, -r)
+            s = _regula_falsi(rate_at, r, (S_MIN, S_MAX), known_s[i - 1], known_s[i],
+                              -known_neg[i - 1], -known_neg[i],
+                              atol=1e-15, max_evals=_MAX_RATE_EVALS)
+            state = point_at(params, mix, s)
+        states.append(state)
+    return states
+
+
+def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> MarketState:
+    """The on-curve state arbitrageurs leave behind at prices p; see
+    ``arbitrage_states``."""
+    return arbitrage_states(params, mix, [p])[0]
 
 
 def portfolio_value(params: CurveParams, mix: MixSpec, p: PriceVector) -> float:

@@ -18,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from ammix.analysis import PriceVector, arbitrage_state, impermanent_loss, reduced_value
+from ammix.analysis import PriceVector, arbitrage_state, arbitrage_states, impermanent_loss
 from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed
 from ammix.errors import (
     AmmixError,
@@ -224,20 +224,23 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
     for flag, r in (("--r-min", ns.r_min), ("--r-max", ns.r_max)):
         if not (isfinite(r) and r > 0.0):
             raise InvalidParameterError(f"{flag} must be positive and finite, got {r!r}")
-    r_grid = np.linspace(ns.r_min, ns.r_max, ns.r_points)
+    if ns.r_points < 1:
+        raise InvalidParameterError(f"--r-points must be >= 1, got {ns.r_points}")
+    stabilities = _floats(ns.stabilities)
+    for stability in stabilities:
+        if not 0.0 <= stability <= 1.0:
+            raise InvalidParameterError(f"--stabilities values must be in [0, 1], got {stability!r}")
+    prices = [PriceVector(float(r), 1.0) for r in np.linspace(ns.r_min, ns.r_max, ns.r_points)]
     rows = []
-    for stability in _floats(ns.stabilities):
+    for stability in stabilities:
         if ns.bias is None:
             mix = MixSpec.homotopy(1.0 - stability)
         else:
             center = 0.9 * (1.0 - stability) + 0.1 * stability
             mix = MixSpec.scheduled(Parabolic(bias=ns.bias, center=center))
-        for r in r_grid:
-            rows.append({
-                "stability": stability,
-                "r": float(r),
-                "value": reduced_value(params, mix, float(r)),
-            })
+        # U(r) = V(r, 1), as reduced_value computes it
+        for p, state in zip(prices, arbitrage_states(params, mix, prices)):
+            rows.append({"stability": stability, "r": p.p1, "value": p.value_of(state)})
     return emit_table(rows, ns.format), 0
 
 

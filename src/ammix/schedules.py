@@ -77,14 +77,15 @@ def _logit(s: float) -> float:
     return log(s) - log1p(-s)
 
 
-def _regula_falsi(h, target: float, lo: float, hi: float, h_lo: float, h_hi: float,
-                  atol: float, max_evals: int) -> float:
+def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: float,
+                  h_lo: float, h_hi: float, atol: float, max_evals: int) -> float:
     """Root of h(s) = target for a decreasing, positive, finite h on 0 < lo < hi < 1.
 
-    Returns what ``_bisect(lambda s: h(s) > target, lo, hi, atol=atol)``
+    Returns what ``_bisect(lambda s: h(s) > target, *start, atol=atol)``
     returns wherever h is monotone, in a handful of evaluations of h instead
-    of one per halving.  h_lo and h_hi are the values already known at the
-    ends, with h_lo > target >= h_hi, and atol > 0.
+    of one per halving.  Narrowing starts from [lo, hi], a bracket inside
+    ``start`` whose values h_lo and h_hi are already known, with
+    h_lo > target >= h_hi; atol > 0.
 
     Illinois regula falsi on log h against logit(s) narrows the bracket,
     keeping h(lo) > target >= h(hi); when log h equals log target at both
@@ -105,7 +106,6 @@ def _regula_falsi(h, target: float, lo: float, hi: float, h_lo: float, h_hi: flo
     while narrowing.
     """
     log_target = log(target)
-    start = lo, hi  # the bracket the replayed bisection starts from
     u_lo, u_hi = _logit(lo), _logit(hi)
     f_lo, f_hi = log(h_lo) - log_target, log(h_hi) - log_target
     kept = 0  # +1 after the low end moved, -1 after the high end moved

@@ -178,6 +178,23 @@ def test_pvf_table_stability_ordering(capsys):
     assert values[0] >= values[1] >= values[2]
 
 
+@pytest.mark.parametrize("extra", [(), ("--bias", "0.5")])
+def test_pvf_table_descending_grid_is_the_ascending_one_reversed(capsys, extra):
+    """Each stability's rows, solved from high rates to low, are the rows
+    solved from low to high in reverse.  0.25 to 12.75 in 51 points is
+    exact in binary either way, so both grids hold the same rates."""
+    blocks = []
+    for r_min, r_max in (("0.25", "12.75"), ("12.75", "0.25")):
+        code, out, _ = run(capsys, "pvf-table", "--r-min", r_min, "--r-max", r_max,
+                           "--r-points", "51", "--a", "1.3", "--x0", "0.7", "--y0", "1.6", *extra)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        blocks.append([rows[i:i + 51] for i in range(0, len(rows), 51)])
+    ascending, descending = blocks
+    assert len(ascending) == 5
+    assert [block[::-1] for block in descending] == ascending
+
+
 def test_sim_run_requires_seed(capsys):
     code, _, _ = run(capsys, "sim-run", "--steps", "5")
     assert code == 2
@@ -294,6 +311,25 @@ def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
     assert err == "error: --r-max must be positive and finite, got inf\n"
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_pvf_table_r_points_below_one_exit_2(capsys, points):
+    code, out, err = run(capsys, "pvf-table", "--r-points", points)
+    assert (code, out) == (2, "")
+    assert err == f"error: --r-points must be >= 1, got {points}\n"
+
+
+@pytest.mark.parametrize("stabilities, bad", [
+    ("1.5", "1.5"),
+    ("0.5,-0.25", "-0.25"),
+    ("nan", "nan"),
+])
+@pytest.mark.parametrize("extra", [(), ("--bias", "0.5")])
+def test_pvf_table_stability_outside_unit_interval_exit_2(capsys, stabilities, bad, extra):
+    code, out, err = run(capsys, "pvf-table", "--stabilities", stabilities, *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: --stabilities values must be in [0, 1], got {bad}\n"
 
 
 # --- one parser per process -------------------------------------------------------
