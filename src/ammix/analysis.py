@@ -83,8 +83,8 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     narrows from the two kept points next to each other in s whose rates
     straddle it, so the prices of a grid warm each other in any order.
     Where the computed rate is not monotone (at rounding level, next to a
-    root) the bracket can change the answer by a final bisection width or
-    two, 8.9e-16 each.
+    root) the bracket can move the answer by a few final bisection widths,
+    8.9e-16 each.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
     and finite, and ConvergenceError when a solve runs out of evaluations.
