@@ -6,15 +6,19 @@ workloads call it instead of looping over the scalar kernel.
 
 from ammix._kernels.arrays import lam_chain_array
 from ammix._kernels.pure import (
+    components_xy,
+    grad_xy,
     lam_arith,
     lam_at,
     lam_chain,
     lam_prime_at,
+    rate_xy,
     ray_log_ratio,
     sched_eval,
     sched_first,
     sched_value,
     solve_s_for_x,
+    value_xy,
 )
 
 BACKEND = "pure"

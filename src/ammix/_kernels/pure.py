@@ -2,10 +2,16 @@
 
 These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
 function here operates on flat floats.  The hot path is fused: ``lam_at``
-computes c, s0, deg, the blend weight and g(s) in one frame, repeating the
-float operations of ``sched_value`` and ``ray_log_ratio`` in their order,
-and ``lam_arith`` inlines its log ratio.  The helpers stay for the
-derivative kernels and as the reference the fused ones are tested against.
+and ``lam_prime_at`` compute c, s0, deg, the blend weight and g(s) in one
+frame, repeating the float operations of ``sched_value``,
+``sched_first`` and ``ray_log_ratio`` in their order, ``lam_arith``
+inlines its log ratio, and ``value_xy`` and ``grad_xy`` repeat
+``components_xy``.  The helpers stay for the other kernels and as the
+reference the fused ones are tested against.
+
+The kernels at a state (x, y) — ``components_xy``, ``value_xy``,
+``grad_xy`` and ``rate_xy`` — hold the mixed invariant, its gradient and
+the spot rate; ``ammix.core`` wraps them for ``MarketState`` arguments.
 
 Conventions:
 
@@ -23,7 +29,12 @@ from __future__ import annotations
 
 from math import copysign, exp, expm1, log
 
-from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
+from ammix.errors import (
+    ConvergenceError,
+    DegenerateGradientError,
+    NonDifferentiablePointError,
+    ScheduleRangeError,
+)
 
 _REL_TOL = 1e-12
 _MAX_ITER = 200
@@ -205,16 +216,35 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     """(lam, dlam/ds) for any (family, schedule) pair.
 
     Uniform weights (kind 0) take t = q0 and the family's closed form; a
-    schedule takes (t, t') from ``sched_first`` and the homotopy formula.
+    schedule takes (t, t') as ``sched_first`` does and the homotopy
+    formula.  ``ray_log_ratio`` and ``sched_first`` are inlined here,
+    operation for operation.
     """
+    deg = alpha + beta
     c = a * x0 + b * y0
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    s0 = a * x0 / c
+    g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
+    gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
     p = c * exp(g)
     if kind != 0:
-        t, tp = sched_first(kind, q0, q1, q2, s, a * x0 / c)
+        if kind == 1:
+            m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
+            d = s - s0
+            if d == 0.0:
+                if q0 <= 1.0:
+                    raise NonDifferentiablePointError(
+                        f"power-law schedule with exponent {q0!r} has no derivative at s0"
+                    )
+                t = tp = 0.0
+            else:
+                u = abs(d) / m
+                t = u**q0
+                tp = copysign(q0 / m * u ** (q0 - 1.0), d)
+        else:
+            t = (q0 * s + q1) * s + q2
+            tp = 2.0 * q0 * s + q1
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
-    deg = alpha + beta
     if family == 0:
         lam = lam_arith(s, t, a, b, x0, y0, alpha, beta)
         if t <= 0.0:
@@ -226,6 +256,92 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
         lam = c * exp(g * deg * t / d)
         return lam, lam * deg * t * gp / d
     return c + c * expm1(g) * t, p * gp * t
+
+
+def components_xy(x, y, a, b, x0, y0, alpha, beta):
+    """Normalized component values (A0, A1) at (x, y); both 1 at (x0, y0)."""
+    a0 = (a * x + b * y) / (a * x0 + b * y0)
+    a1 = (x / x0) ** alpha * (y / y0) ** beta
+    return a0, a1
+
+
+def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta):
+    """Value of the mixed invariant at (x, y) for blend weight t; 1 on the curve.
+
+    t is passed resolved, since the dynamic Stableswap blend depends on
+    the state and has no schedule code.  A0 and A1 are
+    ``components_xy``'s, operation for operation.
+    """
+    a0 = (a * x + b * y) / (a * x0 + b * y0)
+    a1 = (x / x0) ** alpha * (y / y0) ** beta
+    if family == 0:
+        return a0 * (1.0 - t) + a1 * t
+    if family == 1:
+        return a0 ** (1.0 - t) * a1**t
+    return (1.0 - t) / a0 + a1 ** (-1.0 / (alpha + beta)) * t
+
+
+def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+    """Outward-oriented gradient (gx, gy) of the mixed invariant at (x, y).
+
+    The homotopy invariant as tabulated decreases as reserves grow, so its
+    gradient is taken on the reciprocal form; with that orientation every
+    family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
+    of the partials is the internal exchange rate for all of them.  A
+    schedule takes (t, t') from ``sched_first`` at s = a*x/(a*x + b*y),
+    which raises NonDifferentiablePointError where t' does not exist.
+    A0 and A1 are ``components_xy``'s, operation for operation.
+    """
+    c = a * x0 + b * y0
+    n = a * x + b * y
+    if kind == 0:
+        t, tp = q0, 0.0
+    else:
+        t, tp = sched_first(kind, q0, q1, q2, a * x / n, a * x0 / c)
+    a1 = (x / x0) ** alpha * (y / y0) ** beta
+    if family == 0:
+        return (
+            (1.0 - t) * a / c + t * a1 * alpha / x,
+            (1.0 - t) * b / c + t * a1 * beta / y,
+        )
+    if family == 1:
+        g = (n / c) ** (1.0 - t) * a1**t
+        return (
+            g * ((1.0 - t) * a / n + t * alpha / x),
+            g * ((1.0 - t) * b / n + t * beta / y),
+        )
+    # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
+    deg = alpha + beta
+    w = a1 ** (-1.0 / deg)
+    raw = (1.0 - t) * c / n + t * w
+    raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
+    raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
+    if tp != 0.0:
+        s_x = a * b * y / (n * n)
+        s_y = -a * b * x / (n * n)
+        dt_term = w - c / n
+        raw_x += tp * s_x * dt_term
+        raw_y += tp * s_y * dt_term
+    inv2 = 1.0 / (raw * raw)
+    return -raw_x * inv2, -raw_y * inv2
+
+
+def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+    """Internal exchange rate gx/gy of currency 1 in units of currency 2 at (x, y).
+
+    Power-law schedules with exponent <= 1 leave the ambient invariant
+    without a gradient exactly at s0, but the curve's tangent limit there
+    is the anchor rate a/b for every schedule (shared-rate calibration),
+    so that is the rate returned there.  Raises DegenerateGradientError
+    when gy == 0.
+    """
+    try:
+        gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+    except NonDifferentiablePointError:
+        return a / b
+    if gy == 0.0:
+        raise DegenerateGradientError("vanishing partial derivative in y")
+    return gx / gy
 
 
 def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, s_lo, s_hi):

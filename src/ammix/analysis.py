@@ -11,17 +11,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import exp, isfinite, log, nan
 from typing import Sequence
 
 from ammix import _kernels as k
-from ammix.core import CurveParams, MarketState, MixSpec, market, spot_rate
+from ammix.core import CurveParams, Market, MarketState, MixSpec, _check_reserves, market
 from ammix.errors import InvalidCurveError, InvalidParameterError, UnsupportedCurveError
 from ammix.parametrize import point_at
-from ammix.schedules import S_MAX, S_MIN, Uniform, _regula_falsi, check_convexity
+from ammix.schedules import S_MAX, S_MIN, Uniform, _logit, _regula_falsi, check_convexity
 
 # cap on spot-rate evaluations per solve: one from [S_MIN, S_MAX] takes about
-# 7, a row of a rate grid about 6, and _regula_falsi's bracket guard ends
+# 7, a row of a rate grid about 4, and _regula_falsi's bracket guard ends
 # every solve within about 70
 _MAX_RATE_EVALS = 100
 
@@ -66,6 +66,32 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
     return check_convexity(params, mix.schedule).passed
 
 
+def ray_spot_rate(m: Market, s: float) -> float:
+    """The spot rate at the point of ``m``'s curve with ray coordinate s.
+
+    ``point_at``'s float operations give the reserves, which are checked
+    as ``MarketState`` checks them, and ``rate_xy`` the rate, as
+    ``spot_rate`` at that state; no state is built.
+    """
+    lam = k.lam_at(*m.codes, s, *m.curve)
+    x = lam * s / m.curve[0]
+    y = lam * (1.0 - s) / m.curve[1]
+    _check_reserves(x, y)
+    return k.rate_xy(*m.codes, x, y, *m.curve)
+
+
+def _extrapolated_s(solved: list[tuple[float, float]], log_r: float) -> float:
+    """The s at log rate log_r on the line through the last two (log rate,
+    logit s) points solved, or NaN when there are not two distinct ones."""
+    if len(solved) < 2:
+        return nan
+    (v0, u0), (v1, u1) = solved[-2:]
+    if v1 == v0:
+        return nan
+    u = u1 + (u1 - u0) * (log_r - v1) / (v1 - v0)
+    return 1.0 / (1.0 + exp(-u)) if -700.0 < u < 700.0 else nan  # exp overflows past 709
+
+
 def arbitrage_states(params: CurveParams, mix: MixSpec,
                      prices: Sequence[PriceVector]) -> list[MarketState]:
     """The on-curve states arbitrageurs leave behind at each of the prices.
@@ -82,9 +108,11 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     for all the prices.  Every spot rate evaluated is kept, and each price
     narrows from the two kept points next to each other in s whose rates
     straddle it, so the prices of a grid warm each other in any order.
-    Where the computed rate is not monotone (at rounding level, next to a
-    root) the bracket can move the answer by a few final bisection widths,
-    8.9e-16 each.
+    Before narrowing, a price probes the s extrapolated in (log rate,
+    logit s) from the two prices solved before it, when that s falls
+    strictly inside its bracket.  Where the computed rate is not monotone
+    (at rounding level, next to a root) the bracket can move the answer by
+    a few final bisection widths, 8.9e-16 each.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
     and finite, and ConvergenceError when a solve runs out of evaluations.
@@ -94,12 +122,11 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
     m = market(params, mix)
-    a, b = params.a, params.b
     known_s: list[float] = []  # every s evaluated, ascending
     known_neg: list[float] = []  # minus the rate at each, ascending where the rate falls
 
-    def rate_of(s: float, state: MarketState) -> float:
-        rate = spot_rate(params, mix, state)
+    def rate_at(s: float) -> float:
+        rate = ray_spot_rate(m, s)
         if not (isfinite(rate) and rate > 0.0):
             raise InvalidCurveError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
         i = bisect_left(known_s, s)
@@ -108,15 +135,9 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             known_neg.insert(i, -rate)
         return rate
 
-    def rate_at(s: float) -> float:
-        # point_at's float operations on the Market resolved above; the
-        # bracket keeps s inside [S_MIN, S_MAX]
-        lam = k.lam_at(*m.codes, s, *m.curve)
-        return rate_of(s, MarketState(lam * s / a, lam * (1.0 - s) / b))
-
-    # the end states come from point_at, like every state returned below
-    r_max = rate_of(S_MIN, point_at(params, mix, S_MIN))
-    r_min = rate_of(S_MAX, point_at(params, mix, S_MAX))
+    r_max = rate_at(S_MIN)
+    r_min = rate_at(S_MAX)
+    solved: list[tuple[float, float]] = []  # (log rate, logit s) of the prices narrowed
     states = []
     for p in prices:
         r = p.rate
@@ -137,9 +158,18 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
             # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
             i = bisect_left(known_neg, -r)
-            s = _regula_falsi(rate_at, r, (S_MIN, S_MAX), known_s[i - 1], known_s[i],
-                              -known_neg[i - 1], -known_neg[i],
+            lo, hi, r_lo, r_hi = known_s[i - 1], known_s[i], -known_neg[i - 1], -known_neg[i]
+            log_r = log(r)
+            s = _extrapolated_s(solved, log_r)
+            if lo < s < hi:  # False for NaN
+                rate = rate_at(s)
+                if rate > r:
+                    lo, r_lo = s, rate
+                else:
+                    hi, r_hi = s, rate
+            s = _regula_falsi(rate_at, r, (S_MIN, S_MAX), lo, hi, r_lo, r_hi,
                               atol=1e-15, max_evals=_MAX_RATE_EVALS)
+            solved.append((log_r, _logit(s)))
             state = point_at(params, mix, s)
         states.append(state)
     return states
@@ -186,18 +216,25 @@ def erli_discrepancy(params: CurveParams, mix: MixSpec,
         price_level_scales = DEFAULT_PRICE_SCALES
     if not rate_scenarios or not price_level_scales:
         raise InvalidParameterError("rate_scenarios and price_level_scales must be non-empty")
-    worst = 0.0
+    scenarios = []  # the (initial, final) price pairs of each rate scenario
     for p_init, ratio in rate_scenarios:
         if not (isfinite(ratio) and ratio > 0.0):
             raise InvalidParameterError(f"rate ratio must be positive, got {ratio!r}")
-        ils = []
+        pairs = []
         for scale in price_level_scales:
             if not (isfinite(scale) and scale > 0.0):
                 raise InvalidParameterError(f"price scale must be positive, got {scale!r}")
             p_i = PriceVector(p_init.p1 * scale, p_init.p2)
-            p_f = PriceVector(p_i.p1 * ratio, p_i.p2)
-            x_i = arbitrage_state(params, mix, p_i)
-            x_f = arbitrage_state(params, mix, p_f)
+            pairs.append((p_i, PriceVector(p_i.p1 * ratio, p_i.p2)))
+        scenarios.append(pairs)
+    # one batch for every price of every scenario
+    states = iter(arbitrage_states(params, mix, [p for pairs in scenarios for pair in pairs
+                                                 for p in pair]))
+    worst = 0.0
+    for pairs in scenarios:
+        ils = []
+        for _, p_f in pairs:
+            x_i, x_f = next(states), next(states)
             ils.append(impermanent_loss(p_f, x_i, x_f).il)
         worst = max(worst, max(ils) - min(ils))
     return worst

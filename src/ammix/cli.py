@@ -18,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from ammix.analysis import PriceVector, arbitrage_state, arbitrage_states, impermanent_loss
+from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss
 from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed
 from ammix.errors import (
     AmmixError,
@@ -35,6 +35,7 @@ from ammix.schedules import (
     Uniform,
     _bisect,
     check_convexity,
+    dynamic_residual_xy,
     stableswap_dynamic_residual,
 )
 from ammix.simulate import SimConfig, batch_summary, run_sim
@@ -209,12 +210,11 @@ def _cmd_il_table(ns: argparse.Namespace) -> tuple[str, int]:
     mix = _mix_from(ns)
     init = params.initial_state
     r0 = params.a / params.b
+    ratios = _floats(ns.ratios)
+    prices = [PriceVector(ratio * r0, 1.0) for ratio in ratios]
     rows = []
-    for ratio in _floats(ns.ratios):
-        p_f = PriceVector(ratio * r0, 1.0)
-        x_f = arbitrage_state(params, mix, p_f)
-        report = impermanent_loss(p_f, init, x_f)
-        rows.append({"ratio": ratio, "il": report.il})
+    for ratio, p_f, x_f in zip(ratios, prices, arbitrage_states(params, mix, prices)):
+        rows.append({"ratio": ratio, "il": impermanent_loss(p_f, init, x_f).il})
     return emit_table(rows, ns.format), 0
 
 
@@ -249,11 +249,13 @@ def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
     no representable y satisfies it, float overflow and underflow included."""
     # residual is +inf at y -> 0 and eventually negative; bisect the sign change
     def below(y: float) -> bool:
-        return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
+        return dynamic_residual_xy(amp, scale, x, y) > 0.0
 
     try:
+        # x and the top of the bracket are checked here, once; the
+        # midpoints below it are positive and finite
         hi = 4.0 * scale
-        while below(hi):
+        while stableswap_dynamic_residual(amp, scale, MarketState(x, hi)) > 0.0:
             hi *= 2.0
             if hi > 1e12 * scale:
                 raise AmmixError(f"no curve crossing found for x={x!r}")

@@ -23,11 +23,7 @@ from functools import cached_property, lru_cache
 from math import isfinite
 
 from ammix import _kernels as k
-from ammix.errors import (
-    DegenerateGradientError,
-    InvalidParameterError,
-    NonDifferentiablePointError,
-)
+from ammix.errors import InvalidParameterError
 from ammix.schedules import (
     Parabolic,
     PowerLaw,
@@ -87,6 +83,8 @@ class CurveParams:
         object.__setattr__(self, "s0", alpha)
         # hashed once: every curve operation looks its market up by (params, mix)
         object.__setattr__(self, "_hash", hash((self.a, self.b, self.x0, self.y0)))
+        # the constants in the order the kernels take them
+        object.__setattr__(self, "_curve", (self.a, self.b, self.x0, self.y0, alpha, beta))
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,8 +107,13 @@ class MarketState:
     y: float
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.x) and self.x > 0.0 and isfinite(self.y) and self.y > 0.0):
-            raise InvalidParameterError(f"reserves must be positive and finite, got ({self.x!r}, {self.y!r})")
+        _check_reserves(self.x, self.y)
+
+
+def _check_reserves(x: float, y: float) -> None:
+    """Raise InvalidParameterError unless both reserves are positive and finite."""
+    if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
+        raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
 
 
 class Family(Enum):
@@ -144,8 +147,10 @@ class MixSpec:
             raise InvalidParameterError(
                 f"{self.family.value} mixing requires a uniform blend weight"
             )
-        # hashed once, as CurveParams; the family code hashes alike in every process
-        object.__setattr__(self, "_hash", hash((_FAMILY_CODE[self.family], self.schedule)))
+        # the kernels' family code, looked up once; it hashes alike in every
+        # process, and the spec is hashed once, as CurveParams
+        object.__setattr__(self, "_family_code", _FAMILY_CODE[self.family])
+        object.__setattr__(self, "_hash", hash((self._family_code, self.schedule)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -216,15 +221,12 @@ def market(params: CurveParams, mix: MixSpec) -> Market:
     every s-kernel path.  Only ``eval_mixed`` evaluates it.
     """
     kind, q0, q1, q2 = schedule_coeffs(mix.schedule, params.s0)
-    return Market(params, mix, (_FAMILY_CODE[mix.family], kind, q0, q1, q2),
-                  (params.a, params.b, params.x0, params.y0, params.alpha, params.beta))
+    return Market(params, mix, (mix._family_code, kind, q0, q1, q2), params._curve)
 
 
 def eval_component(params: CurveParams, state: MarketState) -> tuple[float, float]:
     """Normalized component values (A0, A1) at the state; both 1 at (x0, y0)."""
-    a0 = (params.a * state.x + params.b * state.y) / params.c
-    a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
-    return a0, a1
+    return k.components_xy(state.x, state.y, *params._curve)
 
 
 def s_of_state(params: CurveParams, state: MarketState) -> float:
@@ -248,73 +250,26 @@ def _blend_weight(params: CurveParams, mix: MixSpec, state: MarketState) -> floa
 
 def eval_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
     """Value of the mixed invariant at the state; the state is on the AMM iff 1."""
-    a0, a1 = eval_component(params, state)
-    t = _blend_weight(params, mix, state)
-    if mix.family is Family.ARITHMETIC:
-        return a0 * (1.0 - t) + a1 * t
-    if mix.family is Family.GEOMETRIC:
-        return a0 ** (1.0 - t) * a1**t
-    return (1.0 - t) / a0 + a1 ** (-1.0 / params.deg) * t
+    return k.value_xy(mix._family_code, _blend_weight(params, mix, state),
+                      state.x, state.y, *params._curve)
 
 
 def grad_mixed(params: CurveParams, mix: MixSpec, state: MarketState) -> tuple[float, float]:
-    """Outward-oriented gradient of the mixed invariant at the state.
-
-    The homotopy invariant as tabulated decreases as reserves grow, so its
-    gradient is taken on the reciprocal form; with that orientation every
-    family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
-    of the partials is the internal exchange rate for all of them.
-    """
-    if isinstance(mix.schedule, Uniform):
-        t, tp = mix.schedule.t, 0.0
-    else:
-        _, kind, q0, q1, q2 = market(params, mix).codes
-        t, tp = k.sched_first(kind, q0, q1, q2, s_of_state(params, state), params.s0)
-    x, y = state.x, state.y
-    a, b, alpha, beta, c, deg = params.a, params.b, params.alpha, params.beta, params.c, params.deg
-    a0, a1 = eval_component(params, state)
-    n = a * x + b * y
-    if mix.family is Family.ARITHMETIC:
-        return (
-            (1.0 - t) * a / c + t * a1 * alpha / x,
-            (1.0 - t) * b / c + t * a1 * beta / y,
-        )
-    if mix.family is Family.GEOMETRIC:
-        g = a0 ** (1.0 - t) * a1**t
-        return (
-            g * ((1.0 - t) * a / n + t * alpha / x),
-            g * ((1.0 - t) * b / n + t * beta / y),
-        )
-    # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
-    w = a1 ** (-1.0 / deg)
-    raw = (1.0 - t) * c / n + t * w
-    raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
-    raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
-    if tp != 0.0:
-        s_x = a * b * y / (n * n)
-        s_y = -a * b * x / (n * n)
-        dt_term = w - c / n
-        raw_x += tp * s_x * dt_term
-        raw_y += tp * s_y * dt_term
-    inv2 = 1.0 / (raw * raw)
-    return -raw_x * inv2, -raw_y * inv2
+    """Outward-oriented gradient of the mixed invariant at the state; see
+    ``_kernels.pure.grad_xy``."""
+    m = market(params, mix)
+    return k.grad_xy(*m.codes, state.x, state.y, *m.curve)
 
 
 def spot_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
     """Internal exchange rate of currency 1 in units of currency 2.
 
-    Power-law schedules with exponent <= 1 leave the ambient invariant
-    without a gradient exactly at s0, but the curve's tangent limit there
-    is the anchor rate a/b for every schedule (shared-rate calibration),
-    so that is the rate quoted at the anchor.
+    The anchor rate a/b where a power-law schedule leaves the invariant
+    without a gradient, DegenerateGradientError where gy == 0; see
+    ``_kernels.pure.rate_xy``.
     """
-    try:
-        gx, gy = grad_mixed(params, mix, state)
-    except NonDifferentiablePointError:
-        return params.a / params.b
-    if gy == 0.0:
-        raise DegenerateGradientError("vanishing partial derivative in y")
-    return gx / gy
+    m = market(params, mix)
+    return k.rate_xy(*m.codes, state.x, state.y, *m.curve)
 
 
 def rebase_curve(params: CurveParams, state: MarketState, new_rate: float) -> CurveParams:

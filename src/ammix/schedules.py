@@ -10,7 +10,7 @@ lam*lam'' - 2*lam'^2 >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, isfinite, log, log1p, log2, sqrt
+from math import ceil, exp, inf, isfinite, log, log1p, log2, sqrt
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -45,17 +45,22 @@ def _check_s(s: float) -> float:
 _BISECT_HALVINGS = 200
 
 
-def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0) -> float:
+def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
+            known: tuple[float, float] = (-inf, inf)) -> float:
     """Root of a monotone 1-D problem bracketed by [lo, hi], by bisection.
 
     ``below(x)`` is true when the root lies above x.  The bracket is halved
     at most ``_BISECT_HALVINGS`` times and stops once hi - lo <= atol +
-    rtol*hi; the midpoint of the final bracket is returned.  Raises
-    ConvergenceError when the halvings run out first.
+    rtol*hi; the midpoint of the final bracket is returned.  ``known`` is a
+    bracket (k_lo, k_hi) already known to hold the root: a midpoint at or
+    below k_lo keeps the upper half and one at or above k_hi the lower half
+    without a call, so only midpoints strictly inside it call ``below``.
+    Raises ConvergenceError when the halvings run out first.
     """
+    k_lo, k_hi = known
     for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        if mid <= k_lo or (mid < k_hi and below(mid)):
             lo = mid
         else:
             hi = mid
@@ -99,11 +104,12 @@ def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: f
       solve narrows for more than n evaluations, even where log h is flat
       at rounding level and interpolation learns nothing.
 
-    When hi - lo <= atol the halvings of ``_bisect`` are replayed: a
-    midpoint outside the bracket takes the side the bracket implies, and
-    only one inside it is evaluated.  The midpoint of the final halving is
-    returned.  ConvergenceError is raised after ``max_evals`` calls of h
-    while narrowing.
+    When hi - lo <= atol the halvings of ``_bisect`` from ``start`` are
+    replayed with [lo, hi] as its known bracket: a midpoint outside the
+    bracket takes the side the bracket implies, and only one inside it is
+    evaluated.  The midpoint of the final halving is returned.
+    ConvergenceError is raised after ``max_evals`` calls of h while
+    narrowing.
     """
     log_target = log(target)
     u_lo, u_hi = _logit(lo), _logit(hi)
@@ -137,8 +143,7 @@ def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: f
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
-    # only the replayed midpoints inside (lo, hi) need h
-    return _bisect(lambda mid: mid <= lo or (mid < hi and h(mid) > target), *start, atol=atol)
+    return _bisect(lambda mid: h(mid) > target, *start, atol=atol, known=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,12 @@ def stableswap_dynamic_residual(amplification: float, scale: float, state: "Mark
         raise InvalidParameterError(
             f"amplification and scale must be positive and finite, got {amplification!r} and {scale!r}"
         )
-    x, y = state.x, state.y
+    return dynamic_residual_xy(amplification, scale, state.x, state.y)
+
+
+def dynamic_residual_xy(amplification: float, scale: float, x: float, y: float) -> float:
+    """``stableswap_dynamic_residual`` at reserves (x, y), unchecked: for a
+    solver that checked A, D and its bracket once."""
     lhs = 16.0 * amplification * scale * x * y / (x + y) + scale**3 / (2.0 * sqrt(x * y))
     rhs = 16.0 * amplification * x * y + scale * scale
     return lhs - rhs

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
-from ammix import CurveParams, MarketState, MixSpec, eval_mixed
+from ammix import CurveParams, MarketState, MixSpec, cli, eval_mixed, schedules
 from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
+from ammix.schedules import stableswap_dynamic_residual
 from ammix.errors import AmmixError
 
 
@@ -301,6 +303,26 @@ def test_stableswap_compare_float_range_exit_2(capsys, scale, exc):
     assert (code, out) == (2, "")
     assert err.startswith("error: the curve's terms leave the float range")
     assert err.endswith(f"({exc})\n")
+
+
+def _reference_dynamic_y(amp, scale, x):
+    # cli._solve_dynamic_y's bisection before it ran on the unchecked residual:
+    # a MarketState and the constant checks at every halving
+    def below(y):
+        return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
+
+    hi = 4.0 * scale
+    while below(hi):
+        hi *= 2.0
+    return schedules._bisect(below, 1e-12 * scale, hi, rtol=1e-15)
+
+
+def test_dynamic_y_solve_matches_the_checked_bisection():
+    rng = random.Random(41)
+    for _ in range(60):
+        amp, scale = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 6)
+        x = 0.5 * scale * rng.uniform(0.2, 2.5)
+        assert cli._solve_dynamic_y(amp, scale, x) == _reference_dynamic_y(amp, scale, x)
 
 
 def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):

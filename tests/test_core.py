@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -16,8 +17,15 @@ from ammix import (
     spot_rate,
 )
 from ammix import Parabolic, PowerLaw, StableswapDynamic, Uniform, point_at, state_for_x, state_for_y
+from ammix import _kernels as k
 from ammix.core import market
-from ammix.errors import InvalidParameterError, UnsupportedScheduleError
+from ammix.errors import (
+    AmmixError,
+    DegenerateGradientError,
+    InvalidParameterError,
+    NonDifferentiablePointError,
+    UnsupportedScheduleError,
+)
 
 ALL_FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
 T_GRID = [i / 10 for i in range(11)]
@@ -249,6 +257,138 @@ def test_spot_initial_rate_is_weight_ratio(unit_params, pool_params):
 def test_spot_cpmm_is_reserve_ratio(unit_params):
     rate = spot_rate(unit_params, MixSpec.homotopy(1.0), MarketState(0.5, 2.0))
     assert rate == pytest.approx(4.0, rel=1e-12)
+
+
+# --- the (x, y) kernels against the formulas they replaced --------------------
+
+def _reference_grad_mixed(params, mix, state):
+    # grad_mixed as it was before its arithmetic moved to _kernels.pure.grad_xy
+    if isinstance(mix.schedule, Uniform):
+        t, tp = mix.schedule.t, 0.0
+    else:
+        _, kind, q0, q1, q2 = market(params, mix).codes
+        ax = params.a * state.x
+        t, tp = k.sched_first(kind, q0, q1, q2, ax / (ax + params.b * state.y), params.s0)
+    x, y = state.x, state.y
+    a, b, alpha, beta, c, deg = params.a, params.b, params.alpha, params.beta, params.c, params.deg
+    a0 = (params.a * state.x + params.b * state.y) / params.c
+    a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
+    n = a * x + b * y
+    if mix.family is Family.ARITHMETIC:
+        return (
+            (1.0 - t) * a / c + t * a1 * alpha / x,
+            (1.0 - t) * b / c + t * a1 * beta / y,
+        )
+    if mix.family is Family.GEOMETRIC:
+        g = a0 ** (1.0 - t) * a1**t
+        return (
+            g * ((1.0 - t) * a / n + t * alpha / x),
+            g * ((1.0 - t) * b / n + t * beta / y),
+        )
+    w = a1 ** (-1.0 / deg)
+    raw = (1.0 - t) * c / n + t * w
+    raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
+    raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
+    if tp != 0.0:
+        s_x = a * b * y / (n * n)
+        s_y = -a * b * x / (n * n)
+        dt_term = w - c / n
+        raw_x += tp * s_x * dt_term
+        raw_y += tp * s_y * dt_term
+    inv2 = 1.0 / (raw * raw)
+    return -raw_x * inv2, -raw_y * inv2
+
+
+def _reference_spot_rate(params, mix, state):
+    try:
+        gx, gy = _reference_grad_mixed(params, mix, state)
+    except NonDifferentiablePointError:
+        return params.a / params.b
+    if gy == 0.0:
+        raise DegenerateGradientError("vanishing partial derivative in y")
+    return gx / gy
+
+
+def _reference_eval_mixed(params, mix, state):
+    a0 = (params.a * state.x + params.b * state.y) / params.c
+    a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
+    if isinstance(mix.schedule, Uniform):
+        t = mix.schedule.t
+    else:
+        _, kind, q0, q1, q2 = market(params, mix).codes
+        ax = params.a * state.x
+        t = k.sched_value(kind, q0, q1, q2, ax / (ax + params.b * state.y), params.s0)
+    if mix.family is Family.ARITHMETIC:
+        return a0 * (1.0 - t) + a1 * t
+    if mix.family is Family.GEOMETRIC:
+        return a0 ** (1.0 - t) * a1**t
+    return (1.0 - t) / a0 + a1 ** (-1.0 / params.deg) * t
+
+
+def _kernel_cases(n, seed):
+    """(params, mix, state) draws over all 3 families and the uniform,
+    power-law and parabolic schedules, the anchor state and underflowing
+    reserves included."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        params = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                             10 ** rng.uniform(-2, 4), 10 ** rng.uniform(-2, 4))
+        mixes = [MixSpec(family, Uniform(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])))
+                 for family in ALL_FAMILIES]
+        mixes += [MixSpec.scheduled(PowerLaw(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.25, 8.0)]))),
+                  MixSpec.scheduled(Parabolic(bias=0.5, center=rng.uniform(0.3, 0.7)))]
+        states = [params.initial_state,  # s == s0 exactly: no t' for a power law with k <= 1
+                  MarketState(params.x0 * 10 ** rng.uniform(-3, 3), params.y0 * 10 ** rng.uniform(-3, 3)),
+                  point_at(params, MixSpec.homotopy(0.5), rng.uniform(0.001, 0.999)),
+                  MarketState(1e-320, params.y0)]  # x/x0 underflows: A1 == 0
+        for mix in mixes:
+            try:
+                market(params, mix)
+            except InvalidParameterError:  # a parabola leaving [0, 1] at this s0
+                continue
+            for state in states:
+                yield params, mix, state
+
+
+def _same_outcome(reference, kernel, *args):
+    """kernel(*args) returns what reference(*args) returns, bit for bit (NaN
+    and the sign of zero included: repr round-trips a float), or raises
+    what it raises; returns the type raised, or None."""
+    try:
+        want = reference(*args)
+    except (AmmixError, ArithmeticError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            kernel(*args)
+        return type(exc)
+    assert repr(kernel(*args)) == repr(want), args
+    return None
+
+
+def test_xy_kernels_match_the_formulas_they_replaced_bit_for_bit():
+    raised = set()
+    for params, mix, state in _kernel_cases(60, 1212):
+        m = market(params, mix)
+        grad = lambda p, mx, st: k.grad_xy(*m.codes, st.x, st.y, *m.curve)
+        raised.add(_same_outcome(_reference_grad_mixed, grad, params, mix, state))
+        raised.add(_same_outcome(_reference_grad_mixed, grad_mixed, params, mix, state))
+        raised.add(_same_outcome(_reference_spot_rate, spot_rate, params, mix, state))
+        raised.add(_same_outcome(_reference_eval_mixed, eval_mixed, params, mix, state))
+    # the k <= 1 anchor, A1 == 0 with gy == 0, and A1 == 0 under a negative power
+    assert {NonDifferentiablePointError, DegenerateGradientError, ZeroDivisionError} <= raised
+
+
+def test_spot_rate_at_power_law_anchor_is_weight_ratio(pool_params):
+    for exponent in (0.5, 1.0):
+        mix = MixSpec.scheduled(PowerLaw(exponent))
+        with pytest.raises(NonDifferentiablePointError):
+            grad_mixed(pool_params, mix, pool_params.initial_state)
+        assert spot_rate(pool_params, mix, pool_params.initial_state) == pool_params.a / pool_params.b
+
+
+def test_spot_rate_refuses_vanishing_gy():
+    params = CurveParams(1.0, 1.0, 1e10, 1.0)
+    with pytest.raises(DegenerateGradientError, match="vanishing partial derivative in y"):
+        spot_rate(params, MixSpec.arithmetic(1.0), MarketState(1e-320, 1.0))
 
 
 # --- market -----------------------------------------------------------------

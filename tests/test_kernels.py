@@ -3,6 +3,7 @@ pure kernels must match the composition of their helpers bit for bit, and
 the array kernel must match the scalar one."""
 
 import random
+import re
 from math import exp, expm1
 
 import numpy as np
@@ -220,6 +221,46 @@ def test_lam_prime_at_matches_central_difference_of_lam_at():
                 assert lam == pure.lam_at(*code, s, *curve)
                 slope = (pure.lam_at(*code, s + h, *curve) - pure.lam_at(*code, s - h, *curve)) / (2.0 * h)
                 assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
+
+
+def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    # lam_prime_at as the composition of ray_log_ratio, sched_first and the closed forms
+    c = a * x0 + b * y0
+    g, gp = pure.ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    p = c * exp(g)
+    if kind != 0:
+        t, tp = pure.sched_first(kind, q0, q1, q2, s, a * x0 / c)
+        return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
+    t = q0
+    deg = alpha + beta
+    if family == 0:
+        lam = pure.lam_arith(s, t, a, b, x0, y0, alpha, beta)
+        if t <= 0.0:
+            return lam, 0.0
+        rd = t * deg * (lam / p) ** deg
+        return lam, rd * gp / ((1.0 - t) / c + rd / lam)
+    if family == 1:
+        d = (1.0 - t) + deg * t
+        lam = c * exp(g * deg * t / d)
+        return lam, lam * deg * t * gp / d
+    return c + c * expm1(g) * t, p * gp * t
+
+
+def test_lam_prime_at_matches_helper_composition_bit_for_bit():
+    # lam_prime_at inlines ray_log_ratio and sched_first; it raises where
+    # sched_first does, at s0 under a power law with exponent <= 1
+    raised = 0
+    for family, kind, q0, q1, q2, s, curve in _fusion_cases(40, 606):
+        try:
+            want = _reference_lam_prime_at(family, kind, q0, q1, q2, s, *curve)
+        except NonDifferentiablePointError as exc:
+            with pytest.raises(NonDifferentiablePointError, match=re.escape(str(exc))):
+                pure.lam_prime_at(family, kind, q0, q1, q2, s, *curve)
+            raised += 1
+            continue
+        got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *curve)
+        assert got == want, (family, kind, q0, q1, q2, s, curve)
+    assert raised > 0
 
 
 def test_lam_chain_array_matches_scalar_kernel():

@@ -433,3 +433,40 @@ def test_bisect_raises_when_halvings_run_out(monkeypatch):
     monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 39)
     with pytest.raises(ConvergenceError, match="in 39 halvings"):
         schedules._bisect(lambda x: x < 0.3, 0.0, 1.0, atol=1e-12)
+
+
+def _lambda_replay(h, target, start, lo, hi, atol):
+    # _regula_falsi's replay before _bisect took a known bracket: one
+    # predicate call per halving, h only inside (lo, hi)
+    return schedules._bisect(lambda mid: mid <= lo or (mid < hi and h(mid) > target),
+                             *start, atol=atol)
+
+
+def test_bisect_known_bracket_matches_lambda_replay():
+    """The same s and the same h calls as the predicate it replaced, for
+    brackets from 1e-16 wide to the whole start range, a rate with noise at
+    rounding level (not monotone) included."""
+    rng = random.Random(2024)
+    start = (schedules.S_MIN, schedules.S_MAX)
+    evaluated = 0
+    for i in range(400):
+        root = 10 ** rng.uniform(-11, 0) if i % 2 else 1.0 - 10 ** rng.uniform(-11, -0.3)
+        width = 10 ** rng.uniform(-16, 0)
+        lo = max(start[0], root - width * rng.random())
+        hi = min(start[1], lo + width)
+        noise = 1e-15 * (i % 3)
+
+        def h(s, calls):
+            calls.append(s)
+            return (1.0 - s) / s * (1.0 + noise * math.sin(1e15 * s))
+
+        target = (1.0 - root) / root
+        old_calls, new_calls = [], []
+        want = _lambda_replay(lambda s: h(s, old_calls), target, start, lo, hi, 1e-15)
+        got = schedules._bisect(lambda s: h(s, new_calls) > target, *start, atol=1e-15,
+                                known=(lo, hi))
+        assert got == want, (root, lo, hi)
+        assert new_calls == old_calls
+        assert all(lo < s < hi for s in new_calls)
+        evaluated += len(new_calls)
+    assert evaluated > 400
