@@ -1,17 +1,26 @@
 """Scalar kernels for curve evaluation and root solving.
 
 These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
-function here operates on flat floats.  The hot path is fused: ``lam_at``
-and ``lam_prime_at`` compute c, s0, deg, the blend weight and g(s) in one
-frame, repeating the float operations of ``sched_value``,
-``sched_first`` and ``ray_log_ratio`` in their order, ``lam_arith``
-inlines its log ratio, and ``value_xy`` and ``grad_xy`` repeat
-``components_xy``.  The helpers stay for the other kernels and as the
-reference the fused ones are tested against.
+function here operates on flat floats.  The hot path is fused, each kernel
+repeating the float operations of the helpers it inlines in their order:
+
+* ``lam_at`` and ``lam_prime_at`` compute c, s0, deg, the blend weight
+  and g(s) in one frame (``sched_value``, ``sched_first`` and
+  ``ray_log_ratio``);
+* ``lam_arith`` inlines its log ratio;
+* ``value_xy`` and ``grad_xy`` repeat ``components_xy``;
+* ``ray_rate``, the spot rate at ray coordinate s, is ``lam_at``, the
+  reserves and their check, ``grad_xy`` and ``rate_xy`` in one frame.
+
+The helpers stay for the other kernels and as the reference the fused
+ones are tested against.
 
 The kernels at a state (x, y) — ``components_xy``, ``value_xy``,
 ``grad_xy`` and ``rate_xy`` — hold the mixed invariant, its gradient and
 the spot rate; ``ammix.core`` wraps them for ``MarketState`` arguments.
+Reserves whose terms leave the float range (A1 underflowing to 0 under
+a negative power, say) raise InvalidParameterError, not a bare
+ArithmeticError.
 
 Conventions:
 
@@ -27,11 +36,12 @@ Conventions:
 
 from __future__ import annotations
 
-from math import copysign, exp, expm1, log
+from math import copysign, exp, expm1, isfinite, log
 
 from ammix.errors import (
     ConvergenceError,
     DegenerateGradientError,
+    InvalidParameterError,
     NonDifferentiablePointError,
     ScheduleRangeError,
 )
@@ -258,6 +268,15 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     return c + c * expm1(g) * t, p * gp * t
 
 
+def _float_range_error(x, y, exc):
+    """The typed error for reserves whose terms leave the float range: A1
+    underflowing to 0 under a negative power, or a square of a*x + b*y."""
+    return InvalidParameterError(
+        f"the invariant is not representable at reserves ({x!r}, {y!r}): "
+        f"{type(exc).__name__}: {exc}"
+    )
+
+
 def components_xy(x, y, a, b, x0, y0, alpha, beta):
     """Normalized component values (A0, A1) at (x, y); both 1 at (x0, y0)."""
     a0 = (a * x + b * y) / (a * x0 + b * y0)
@@ -272,13 +291,16 @@ def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta):
     the state and has no schedule code.  A0 and A1 are
     ``components_xy``'s, operation for operation.
     """
-    a0 = (a * x + b * y) / (a * x0 + b * y0)
-    a1 = (x / x0) ** alpha * (y / y0) ** beta
-    if family == 0:
-        return a0 * (1.0 - t) + a1 * t
-    if family == 1:
-        return a0 ** (1.0 - t) * a1**t
-    return (1.0 - t) / a0 + a1 ** (-1.0 / (alpha + beta)) * t
+    try:
+        a0 = (a * x + b * y) / (a * x0 + b * y0)
+        a1 = (x / x0) ** alpha * (y / y0) ** beta
+        if family == 0:
+            return a0 * (1.0 - t) + a1 * t
+        if family == 1:
+            return a0 ** (1.0 - t) * a1**t
+        return (1.0 - t) / a0 + a1 ** (-1.0 / (alpha + beta)) * t
+    except ArithmeticError as exc:
+        raise _float_range_error(x, y, exc) from exc
 
 
 def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
@@ -292,38 +314,41 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     which raises NonDifferentiablePointError where t' does not exist.
     A0 and A1 are ``components_xy``'s, operation for operation.
     """
-    c = a * x0 + b * y0
-    n = a * x + b * y
-    if kind == 0:
-        t, tp = q0, 0.0
-    else:
-        t, tp = sched_first(kind, q0, q1, q2, a * x / n, a * x0 / c)
-    a1 = (x / x0) ** alpha * (y / y0) ** beta
-    if family == 0:
-        return (
-            (1.0 - t) * a / c + t * a1 * alpha / x,
-            (1.0 - t) * b / c + t * a1 * beta / y,
-        )
-    if family == 1:
-        g = (n / c) ** (1.0 - t) * a1**t
-        return (
-            g * ((1.0 - t) * a / n + t * alpha / x),
-            g * ((1.0 - t) * b / n + t * beta / y),
-        )
-    # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
-    deg = alpha + beta
-    w = a1 ** (-1.0 / deg)
-    raw = (1.0 - t) * c / n + t * w
-    raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
-    raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
-    if tp != 0.0:
-        s_x = a * b * y / (n * n)
-        s_y = -a * b * x / (n * n)
-        dt_term = w - c / n
-        raw_x += tp * s_x * dt_term
-        raw_y += tp * s_y * dt_term
-    inv2 = 1.0 / (raw * raw)
-    return -raw_x * inv2, -raw_y * inv2
+    try:
+        c = a * x0 + b * y0
+        n = a * x + b * y
+        if kind == 0:
+            t, tp = q0, 0.0
+        else:
+            t, tp = sched_first(kind, q0, q1, q2, a * x / n, a * x0 / c)
+        a1 = (x / x0) ** alpha * (y / y0) ** beta
+        if family == 0:
+            return (
+                (1.0 - t) * a / c + t * a1 * alpha / x,
+                (1.0 - t) * b / c + t * a1 * beta / y,
+            )
+        if family == 1:
+            g = (n / c) ** (1.0 - t) * a1**t
+            return (
+                g * ((1.0 - t) * a / n + t * alpha / x),
+                g * ((1.0 - t) * b / n + t * beta / y),
+            )
+        # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
+        deg = alpha + beta
+        w = a1 ** (-1.0 / deg)
+        raw = (1.0 - t) * c / n + t * w
+        raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
+        raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
+        if tp != 0.0:
+            s_x = a * b * y / (n * n)
+            s_y = -a * b * x / (n * n)
+            dt_term = w - c / n
+            raw_x += tp * s_x * dt_term
+            raw_y += tp * s_y * dt_term
+        inv2 = 1.0 / (raw * raw)
+        return -raw_x * inv2, -raw_y * inv2
+    except ArithmeticError as exc:
+        raise _float_range_error(x, y, exc) from exc
 
 
 def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
@@ -339,6 +364,97 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
         gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
     except NonDifferentiablePointError:
         return a / b
+    if gy == 0.0:
+        raise DegenerateGradientError("vanishing partial derivative in y")
+    return gx / gy
+
+
+def ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    """Spot rate at the curve point with ray coordinate s.
+
+    ``lam_at``, the reserves x = lam*s/a and y = lam*(1-s)/b, the reserve
+    check of ``MarketState`` and ``rate_xy`` (with ``grad_xy`` and
+    ``sched_first``) in one frame, operation for operation and with the
+    same errors: InvalidParameterError for reserves that are not positive
+    and finite or whose terms leave the float range, a/b where the
+    schedule has no derivative, DegenerateGradientError when gy == 0.
+    """
+    # lam_at
+    if kind == 0 and family == 0:
+        lam = lam_arith(s, q0, a, b, x0, y0, alpha, beta)
+        c = a * x0 + b * y0
+    else:
+        c = a * x0 + b * y0
+        s0 = a * x0 / c
+        if kind == 0:
+            t = q0
+        else:
+            if kind == 1:
+                m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
+                d = s - s0
+                t = 0.0 if d == 0.0 else (abs(d) / m) ** q0
+            else:
+                t = (q0 * s + q1) * s + q2
+            if t < -1e-12 or t > 1.0 + 1e-12:
+                raise ScheduleRangeError(f"schedule value t={t!r} outside [0, 1] at s={s!r}")
+            if not t > 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+        deg = alpha + beta
+        g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
+        if kind == 0 and family == 1:
+            lam = c * exp(g * deg * t / ((1.0 - t) + deg * t))
+        else:
+            lam = c + c * expm1(g) * t
+    # the reserves, checked as MarketState checks them
+    x = lam * s / a
+    y = lam * (1.0 - s) / b
+    if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
+        raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
+    # grad_xy at (x, y), then rate_xy
+    try:
+        n = a * x + b * y
+        if kind == 0:
+            t, tp = q0, 0.0
+        else:
+            sx = a * x / n
+            if kind == 1:
+                d = sx - s0
+                if d == 0.0:
+                    if q0 <= 1.0:
+                        return a / b
+                    t = tp = 0.0
+                else:
+                    u = abs(d) / m
+                    t = u**q0
+                    tp = copysign(q0 / m * u ** (q0 - 1.0), d)
+            else:
+                t = (q0 * sx + q1) * sx + q2
+                tp = 2.0 * q0 * sx + q1
+        a1 = (x / x0) ** alpha * (y / y0) ** beta
+        if family == 0:
+            gx = (1.0 - t) * a / c + t * a1 * alpha / x
+            gy = (1.0 - t) * b / c + t * a1 * beta / y
+        elif family == 1:
+            ga = (n / c) ** (1.0 - t) * a1**t
+            gx = ga * ((1.0 - t) * a / n + t * alpha / x)
+            gy = ga * ((1.0 - t) * b / n + t * beta / y)
+        else:
+            w = a1 ** (-1.0 / deg)
+            nn = n * n
+            raw = (1.0 - t) * c / n + t * w
+            raw_x = -(1.0 - t) * c * a / nn - t * w * alpha / (deg * x)
+            raw_y = -(1.0 - t) * c * b / nn - t * w * beta / (deg * y)
+            if tp != 0.0:
+                dt_term = w - c / n
+                raw_x += tp * (a * b * y / nn) * dt_term
+                raw_y += tp * (-a * b * x / nn) * dt_term
+            inv2 = 1.0 / (raw * raw)
+            gx = -raw_x * inv2
+            gy = -raw_y * inv2
+    except ArithmeticError as exc:
+        raise _float_range_error(x, y, exc) from exc
     if gy == 0.0:
         raise DegenerateGradientError("vanishing partial derivative in y")
     return gx / gy

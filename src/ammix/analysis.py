@@ -11,19 +11,31 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, isfinite, log, nan
+from math import exp, inf, isfinite, log, nan
 from typing import Sequence
 
 from ammix import _kernels as k
-from ammix.core import CurveParams, Market, MarketState, MixSpec, _check_reserves, market
+from ammix.core import CurveParams, MarketState, MixSpec, market
 from ammix.errors import InvalidCurveError, InvalidParameterError, UnsupportedCurveError
-from ammix.parametrize import point_at
-from ammix.schedules import S_MAX, S_MIN, Uniform, _logit, _regula_falsi, check_convexity
+from ammix.parametrize import _point_on
+from ammix.schedules import (
+    S_MAX,
+    S_MIN,
+    Uniform,
+    _bisect,
+    _logit,
+    _regula_falsi,
+    check_convexity,
+)
 
 # cap on spot-rate evaluations per solve: one from [S_MIN, S_MAX] takes about
 # 7, a row of a rate grid about 4, and _regula_falsi's bracket guard ends
 # every solve within about 70
 _MAX_RATE_EVALS = 100
+
+# a price within this relative distance of an end rate is solved by the
+# bisection itself; see arbitrage_states
+_NEAR_END = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,20 +78,6 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
     return check_convexity(params, mix.schedule).passed
 
 
-def ray_spot_rate(m: Market, s: float) -> float:
-    """The spot rate at the point of ``m``'s curve with ray coordinate s.
-
-    ``point_at``'s float operations give the reserves, which are checked
-    as ``MarketState`` checks them, and ``rate_xy`` the rate, as
-    ``spot_rate`` at that state; no state is built.
-    """
-    lam = k.lam_at(*m.codes, s, *m.curve)
-    x = lam * s / m.curve[0]
-    y = lam * (1.0 - s) / m.curve[1]
-    _check_reserves(x, y)
-    return k.rate_xy(*m.codes, x, y, *m.curve)
-
-
 def _extrapolated_s(solved: list[tuple[float, float]], log_r: float) -> float:
     """The s at log rate log_r on the line through the last two (log rate,
     logit s) points solved, or NaN when there are not two distinct ones."""
@@ -104,15 +102,22 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     beyond the curve's supported range map to the clamped endpoint states,
     where the infimum is attained.
 
-    The certificate, the ``Market`` and the two end rates are resolved once
-    for all the prices.  Every spot rate evaluated is kept, and each price
-    narrows from the two kept points next to each other in s whose rates
-    straddle it, so the prices of a grid warm each other in any order.
+    The certificate, the ``Market``, the two end rates and the two end
+    states are resolved once for all the prices, and every spot rate is
+    ``_kernels.ray_rate`` on the market's unpacked codes and constants.
+    Every spot rate evaluated is kept, and each price narrows from the two
+    kept points next to each other in s whose rates straddle it, so the
+    prices of a grid warm each other in any order.
     Before narrowing, a price probes the s extrapolated in (log rate,
     logit s) from the two prices solved before it, when that s falls
     strictly inside its bracket.  Where the computed rate is not monotone
     (at rounding level, next to a root) the bracket can move the answer by
-    a few final bisection widths, 8.9e-16 each.
+    a few final bisection widths, 8.9e-16 each.  A price within a relative
+    1e-10 (``_NEAR_END``) of an end rate crosses where the rate has all but
+    stopped changing, such as on a curve whose rate is constant to a few
+    ULPs end to end; there the computed rate steps back and forth between
+    neighbouring floats over long stretches, so such a price is solved by
+    the bisection itself, which returns the same s in a batch and alone.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
     and finite, and ConvergenceError when a solve runs out of evaluations.
@@ -122,12 +127,15 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
     m = market(params, mix)
+    family, kind, q0, q1, q2 = m.codes
+    a, b, x0, y0, alpha, beta = m.curve
+    ray_rate = k.ray_rate
     known_s: list[float] = []  # every s evaluated, ascending
     known_neg: list[float] = []  # minus the rate at each, ascending where the rate falls
 
     def rate_at(s: float) -> float:
-        rate = ray_spot_rate(m, s)
-        if not (isfinite(rate) and rate > 0.0):
+        rate = ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        if not 0.0 < rate < inf:  # False for NaN
             raise InvalidCurveError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
         i = bisect_left(known_s, s)
         if i == len(known_s) or known_s[i] != s:
@@ -137,6 +145,8 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
 
     r_max = rate_at(S_MIN)
     r_min = rate_at(S_MAX)
+    # ray_rate has checked the reserves these states hold
+    first, last = _point_on(m, S_MIN), _point_on(m, S_MAX)
     solved: list[tuple[float, float]] = []  # (log rate, logit s) of the prices narrowed
     states = []
     for p in prices:
@@ -145,15 +155,18 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             # constant-rate curve: at the matching price ratio every point
             # attains the infimum; report the anchor state
             if r > r_max:
-                state = point_at(params, mix, S_MIN)
+                state = first
             elif r < r_min:
-                state = point_at(params, mix, S_MAX)
+                state = last
             else:
                 state = MarketState(params.x0, params.y0)
         elif r >= r_max:
-            state = point_at(params, mix, S_MIN)
+            state = first
         elif r <= r_min:
-            state = point_at(params, mix, S_MAX)
+            state = last
+        elif r_max - r <= _NEAR_END * r_max or r - r_min <= _NEAR_END * r_min:
+            s = _bisect(lambda s: rate_at(s) > r, S_MIN, S_MAX, atol=1e-15)
+            state = _point_on(m, s)
         else:
             # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
             # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
@@ -170,7 +183,7 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             s = _regula_falsi(rate_at, r, (S_MIN, S_MAX), lo, hi, r_lo, r_hi,
                               atol=1e-15, max_evals=_MAX_RATE_EVALS)
             solved.append((log_r, _logit(s)))
-            state = point_at(params, mix, s)
+            state = _point_on(m, s)
         states.append(state)
     return states
 

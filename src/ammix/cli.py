@@ -16,10 +16,8 @@ from dataclasses import replace
 from functools import cache
 from math import isfinite
 
-import numpy as np
-
 from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss
-from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed
+from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed, market
 from ammix.errors import (
     AmmixError,
     InsufficientLiquidityError,
@@ -27,13 +25,14 @@ from ammix.errors import (
     OutOfRangeError,
 )
 from ammix.exchange import ON_CURVE_TOL, Currency, quote
-from ammix.parametrize import point_at
+from ammix.parametrize import _point_on
 from ammix.schedules import (
     Parabolic,
     PowerLaw,
     StableswapDynamic,
     Uniform,
     _bisect,
+    _check_s,
     check_convexity,
     dynamic_residual_xy,
     stableswap_dynamic_residual,
@@ -63,6 +62,22 @@ def _fmt_json(value) -> str:
     return _fmt(value) or "null"
 
 
+def _lines(rows: list[dict], template: str, by_field) -> list[str]:
+    """Each row rendered as ``template % values`` when every value is a
+    finite float, which ``_fmt`` renders as "%.12g", else as ``by_field(row)``."""
+    floats = (float,) * len(rows[0])
+    lines = []
+    for row in rows:
+        values = tuple(row.values())
+        # the sum is not finite when a value is not; finite values whose
+        # sum overflows only take the by_field path, which renders them alike
+        if tuple(map(type, values)) == floats and isfinite(sum(values)):
+            lines.append(template % values)
+        else:
+            lines.append(by_field(row))
+    return lines
+
+
 def emit_table(rows: list[dict], format: str = "csv") -> str:
     """Serialize uniform-schema rows; byte-stable for identical inputs."""
     if not rows:
@@ -72,14 +87,17 @@ def emit_table(rows: list[dict], format: str = "csv") -> str:
         if list(row.keys()) != keys:
             raise AmmixError(f"row schema mismatch: {list(row.keys())!r} != {keys!r}")
     if format == "csv":
+        template = ",".join(["%.12g"] * len(keys))
         lines = [",".join(keys)]
-        lines.extend(",".join(_fmt(row[k]) for k in keys) for row in rows)
+        lines.extend(_lines(rows, template, lambda row: ",".join(_fmt(row[k]) for k in keys)))
         return "\n".join(lines) + "\n"
     if format == "json":
-        body = ",\n".join(
-            "{" + ",".join(f"{json.dumps(k)}:{_fmt_json(row[k])}" for k in keys) + "}"
-            for row in rows
-        )
+        names = [json.dumps(k) for k in keys]
+        template = "{" + ",".join(f"{name.replace('%', '%%')}:%.12g" for name in names) + "}"
+        body = ",\n".join(_lines(
+            rows, template,
+            lambda row: "{" + ",".join(f"{name}:{_fmt_json(row[k])}"
+                                       for name, k in zip(names, keys)) + "}"))
         return "[\n" + body + "\n]\n"
     raise AmmixError(f"unknown format {format!r}")
 
@@ -147,6 +165,23 @@ def _mix_from(ns: argparse.Namespace) -> MixSpec:
     return MixSpec(family, Uniform(ns.t))
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """The n >= 1 floats ``np.linspace(start, stop, n)`` returns: i*step +
+    start with step = (stop - start)/(n - 1), and stop itself last.  As in
+    numpy, a step that underflows to 0 is taken as (i/(n - 1))*(stop - start)."""
+    if n == 1:
+        return [start]
+    delta = stop - start
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(n)]
+    else:
+        points = [i * step + start for i in range(n)]
+    points[-1] = stop
+    return points
+
+
 def _floats(text: str) -> list[float]:
     out = [float(part) for part in text.split(",") if part.strip()]
     if not out:
@@ -161,10 +196,11 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.samples
     if n < 2:
         raise AmmixError(f"--samples must be >= 2, got {n}")
+    m = market(params, mix)
     rows = []
     for i in range(n):
         s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
-        state = point_at(params, mix, s)
+        state = _point_on(m, _check_s(s))
         rows.append({"s": s, "x": state.x, "y": state.y})
     return emit_table(rows, ns.format), 0
 
@@ -230,7 +266,7 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
     for stability in stabilities:
         if not 0.0 <= stability <= 1.0:
             raise InvalidParameterError(f"--stabilities values must be in [0, 1], got {stability!r}")
-    prices = [PriceVector(float(r), 1.0) for r in np.linspace(ns.r_min, ns.r_max, ns.r_points)]
+    prices = [PriceVector(r, 1.0) for r in _linspace(ns.r_min, ns.r_max, ns.r_points)]
     rows = []
     for stability in stabilities:
         if ns.bias is None:
@@ -277,13 +313,13 @@ def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     amp, scale = ns.amp, ns.scale
     dynamic = StableswapDynamic(amp, scale)  # refuses an amp or scale that is not positive and finite
+    if ns.samples < 1:
+        raise InvalidParameterError(f"--samples must be >= 1, got {ns.samples}")
     half = scale / 2.0
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
-    xs = np.linspace(0.2 * half, 2.5 * half, ns.samples)
     rows = []
-    for x in xs:
-        x = float(x)
+    for x in _linspace(0.2 * half, 2.5 * half, ns.samples):
         y = _solve_dynamic_y(amp, scale, x)
         state = MarketState(x, y)
         rows.append({

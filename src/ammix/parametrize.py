@@ -60,9 +60,14 @@ def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float
 def point_at(params: CurveParams, mix: MixSpec, s: float) -> MarketState:
     """The curve point at ray coordinate s (schedule resolved through t(s))."""
     _check_s(s)
-    m = market(params, mix)
+    return _point_on(market(params, mix), s)
+
+
+def _point_on(m: Market, s: float) -> MarketState:
+    """``point_at`` on a resolved market, for an s already checked against
+    [S_MIN, S_MAX]."""
     lam = k.lam_at(*m.codes, s, *m.curve)
-    return MarketState(lam * s / params.a, lam * (1.0 - s) / params.b)
+    return MarketState(lam * s / m.curve[0], lam * (1.0 - s) / m.curve[1])
 
 
 def max_reach_x(params: CurveParams, mix: MixSpec) -> float:

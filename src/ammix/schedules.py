@@ -60,12 +60,15 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
     k_lo, k_hi = known
     for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (lo + hi)
+        # each branch tests the stop rule on the bracket it leaves
         if mid <= k_lo or (mid < k_hi and below(mid)):
             lo = mid
+            if hi - mid <= atol + rtol * hi:
+                break
         else:
             hi = mid
-        if hi - lo <= atol + rtol * hi:
-            break
+            if mid - lo <= atol + rtol * mid:
+                break
     else:
         raise ConvergenceError(
             f"bisection not narrowed to atol={atol!r}, rtol={rtol!r} in {_BISECT_HALVINGS} "
@@ -118,6 +121,7 @@ def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: f
     evals = 0
     edge = 0.25 * atol  # least distance of a step from the bracket ends
     n_max = ceil(log2((hi - lo) / atol)) + _SPARE_EVALS
+    allowed = atol * 2.0 ** (n_max - 1)  # bracket width after the next step, halved per step
     while hi - lo > atol:
         if evals == max_evals:
             raise ConvergenceError(
@@ -128,18 +132,27 @@ def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: f
         if f_lo > f_hi:
             w = f_hi / (f_hi - f_lo)  # in [0, 1], as f_lo >= 0 >= f_hi
             s = 1.0 / (1.0 + exp(w * (u_hi - u_lo) - u_hi))
-            allowed = atol * 2.0 ** (n_max - evals - 1)  # bracket width after this step
-            s = min(max(s, lo + edge, hi - allowed), hi - edge, lo + allowed)
+            # min(max(s, lo + edge, hi - allowed), hi - edge, lo + allowed),
+            # comparison for comparison
+            if s < lo + edge:
+                s = lo + edge
+            if s < hi - allowed:
+                s = hi - allowed
+            if hi - edge < s:
+                s = hi - edge
+            if lo + allowed < s:
+                s = lo + allowed
         value = h(s)
         evals += 1
+        allowed *= 0.5
         f = log(value) - log_target
         if value > target:
-            lo, u_lo, f_lo = s, _logit(s), f
+            lo, u_lo, f_lo = s, log(s) - log1p(-s), f  # _logit(s)
             if kept == 1:
                 f_hi *= 0.5
             kept = 1
         else:
-            hi, u_hi, f_hi = s, _logit(s), f
+            hi, u_hi, f_hi = s, log(s) - log1p(-s), f
             if kept == -1:
                 f_lo *= 0.5
             kept = -1

@@ -25,8 +25,12 @@ from ammix import (
     point_at,
     spot_rate,
 )
+from ammix import _kernels as k
 from ammix import analysis
-from ammix.analysis import _certified_convex, ray_spot_rate
+from ammix._kernels import ray_rate
+from ammix.analysis import _certified_convex
+from ammix.core import market
+from ammix.parametrize import _point_on
 from ammix.cli import run_command
 from ammix.errors import (
     AmmixError,
@@ -177,28 +181,30 @@ def _reference_arbitrage_state(params, mix, p, point_at=point_at):
 
 
 class _SOf:
-    """A point_at that remembers the s of each state it returned."""
+    """A curve-point function (``point_at`` or ``_point_on``, whose last
+    argument is s) that remembers the s of each state it returned."""
 
-    def __init__(self):
+    def __init__(self, point):
+        self.point = point
         self.s = {}
 
-    def __call__(self, params, mix, s):
-        state = point_at(params, mix, s)
-        self.s[id(state)] = s, state  # the state is kept, so its id is not reused
+    def __call__(self, *args):
+        state = self.point(*args)
+        self.s[id(state)] = args[-1], state  # the state is kept, so its id is not reused
         return state
 
     def __getitem__(self, state):
-        """The s state was returned for, or None when point_at did not make it."""
+        """The s state was returned for, or None when the function did not make it."""
         return self.s.get(id(state), (None,))[0]
 
 
 def _solved_s(params, mix, p):
     """(s of arbitrage_state, s of the reference) where each evaluated its
     answer; both None for the anchor state of a constant-rate curve, which
-    neither makes with point_at."""
-    new, ref = _SOf(), _SOf()
+    neither makes from an s."""
+    new, ref = _SOf(_point_on), _SOf(point_at)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "point_at", new)
+        mp.setattr(analysis, "_point_on", new)
         s_new = new[arbitrage_state(params, mix, p)]
     return s_new, ref[_reference_arbitrage_state(params, mix, p, point_at=ref)]
 
@@ -272,11 +278,11 @@ def test_arbitrage_states_match_one_price_at_a_time(params, mix, data):
         qs = sorted(qs, reverse=order == "descending")
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
               for q in qs]
-    batch, single = _SOf(), _SOf()
+    batch, single = _SOf(_point_on), _SOf(_point_on)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "point_at", batch)
+        mp.setattr(analysis, "_point_on", batch)
         states = arbitrage_states(params, mix, prices)
-        mp.setattr(analysis, "point_at", single)
+        mp.setattr(analysis, "_point_on", single)
         one_by_one = [arbitrage_state(params, mix, p) for p in prices]
     assert len(states) == len(prices)
     for state, alone in zip(states, one_by_one):
@@ -308,6 +314,30 @@ def test_arbitrage_states_on_a_grid_are_the_single_solves(mix, order):
     assert arbitrage_states(params, mix, prices) == [arbitrage_state(params, mix, p) for p in prices]
 
 
+@pytest.mark.parametrize("params, t, qs", [
+    (CurveParams(9.0, 0.25, 1.0, 1.5), 1.175494351e-38, [0.0, 0.5]),
+    (CurveParams(10.0, 53.31390075048979, 46.546875, 1.0), 1.1754943508222875e-38, [1.0, 0.5]),
+])
+def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
+    """Rates within 1e-10 of an end rate, here on curves whose rate is
+    constant to 17 ULPs end to end.
+
+    The computed rate steps between neighbouring floats and back over
+    stretches of 1e-13 in s, so narrowing from different brackets used to
+    land on different crossings: the second row of each batch was 3.6e-14
+    and 3.6e-13 away from the same price solved alone.  Such prices are
+    solved by the bisection itself, in a batch and alone alike."""
+    mix = MixSpec.homotopy(t)
+    r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
+    r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
+    assert r_min < r_max <= r_min * (1.0 + 1e-14)
+    prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
+              for q in qs]
+    batch = arbitrage_states(params, mix, prices)
+    assert batch == [arbitrage_state(params, mix, p) for p in prices]
+    assert batch == [_reference_arbitrage_state(params, mix, p) for p in prices]
+
+
 def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     """A rate flat to 1e-14 across the middle, steep at the ends.
 
@@ -319,7 +349,7 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     params, mix = CurveParams(1.0, 1.0, 1.0, 0.5), MixSpec.homotopy(1e-14)
     p = PriceVector(1.000000000000007, 1.0)
     calls = []
-    monkeypatch.setattr(analysis, "ray_spot_rate", lambda *args: calls.append(args) or ray_spot_rate(*args))
+    monkeypatch.setattr(k, "ray_rate", lambda *args: calls.append(args) or ray_rate(*args))
     s_new, s_ref = _solved_s(params, mix, p)
     assert abs(s_new - s_ref) <= 2e-15
     assert len(calls) <= 2 + 70 + 2  # ends, narrowing, replayed halvings
@@ -351,13 +381,13 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
     solve evaluates more than 20 rates, and a rate beyond the curve's range
     takes none beyond the ends.
     """
-    rated = []  # (mix, s) of every spot rate
+    rated = []  # (codes, s) of every spot rate
     per_solve = []
     regula_falsi = analysis._regula_falsi
 
-    def counting_rate(m, s):
-        rated.append((m.mix, s))
-        return ray_spot_rate(m, s)
+    def counting_rate(*args):
+        rated.append((args[:5], args[5]))
+        return ray_rate(*args)
 
     def counting_solve(h, *args, **kwargs):
         per_solve.append(0)
@@ -368,13 +398,15 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
 
         return regula_falsi(counting_h, *args, **kwargs)
 
-    monkeypatch.setattr(analysis, "ray_spot_rate", counting_rate)
+    monkeypatch.setattr(k, "ray_rate", counting_rate)
     monkeypatch.setattr(analysis, "_regula_falsi", counting_solve)
     with redirect_stdout(io.StringIO()):
         assert run_command(["pvf-table", "--r-points", "101"]) == 0
     assert len(rated) / 505 <= 4.5
     assert per_solve and max(per_solve) <= 20
-    mixes = [MixSpec.homotopy(1.0 - stability) for stability in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    params = CurveParams(1.0, 1.0, 1.0, 1.0)
+    mixes = [market(params, MixSpec.homotopy(1.0 - stability)).codes
+             for stability in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert {mix for mix, _ in rated} == set(mixes)
     for mix in mixes:
         for end in (S_MIN, S_MAX):
@@ -382,15 +414,18 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
 
 
 def _patched_rate(monkeypatch, inner_rate):
-    """ray_spot_rate for the two end rates of one solve, inner_rate(state)
-    at the curve point after them."""
+    """The kernel ray_rate for the two end rates of one solve,
+    inner_rate(state) at the curve point after them."""
     calls = []
 
-    def rate(m, s):
+    def rate(family, kind, q0, q1, q2, s, a, b, *rest):
         calls.append(s)
-        return ray_spot_rate(m, s) if len(calls) <= 2 else inner_rate(point_at(m.params, m.mix, s))
+        if len(calls) <= 2:
+            return ray_rate(family, kind, q0, q1, q2, s, a, b, *rest)
+        lam = k.lam_at(family, kind, q0, q1, q2, s, a, b, *rest)
+        return inner_rate(MarketState(lam * s / a, lam * (1.0 - s) / b))  # point_at's state
 
-    monkeypatch.setattr(analysis, "ray_spot_rate", rate)
+    monkeypatch.setattr(k, "ray_rate", rate)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

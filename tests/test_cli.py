@@ -1,7 +1,10 @@
 import json
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ammix import CurveParams, MarketState, MixSpec, cli, eval_mixed, schedules
 from ammix._kernels import pure
@@ -42,6 +45,56 @@ def test_emit_json_two_rows():
 def test_emit_twelve_significant_digits():
     text = emit_table([{"v": 1.0 / 3.0}], "csv")
     assert text == "v\n0.333333333333\n"
+
+
+def _emit_by_field(rows, format):
+    """emit_table as it was before its one-pass rendering: every field
+    through ``_fmt`` (csv) or ``_fmt_json`` (json)."""
+    keys = list(rows[0].keys())
+    if format == "csv":
+        lines = [",".join(keys)]
+        lines.extend(",".join(cli._fmt(row[k]) for k in keys) for row in rows)
+        return "\n".join(lines) + "\n"
+    body = ",\n".join(
+        "{" + ",".join(f"{json.dumps(k)}:{cli._fmt_json(row[k])}" for k in keys) + "}"
+        for row in rows
+    )
+    return "[\n" + body + "\n]\n"
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1.7976931348623157e308, 1e16, math.nan, math.inf, -math.inf]
+_any_value = st.one_of(
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.builds(np.float64, st.floats()),
+    st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+)
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS[:9]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(keys=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
+       format=st.sampled_from(["csv", "json"]), data=st.data())
+def test_emit_table_renders_every_field_as_fmt_does(keys, format, data):
+    """Rows of finite floats take one "%.12g" template; any other row
+    (NaN, infinities, ints, bools, None, strings, float subclasses) is
+    rendered field by field.  Both give what ``_fmt`` gives."""
+    rows = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        values = data.draw(st.sampled_from([_finite, _any_value]))
+        rows.append({k: data.draw(values) for k in keys})
+    assert emit_table(rows, format) == _emit_by_field(rows, format)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(start=st.floats(allow_nan=False, allow_infinity=False),
+       stop=st.floats(allow_nan=False, allow_infinity=False),
+       n=st.integers(min_value=1, max_value=300))
+def test_linspace_is_numpys(start, stop, n):
+    assume(math.isfinite(stop - start))
+    with np.errstate(over="ignore"):  # i*step may round past the largest float, as in Python
+        want = np.linspace(start, stop, n).tolist()
+    assert cli._linspace(start, stop, n) == want
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -100,6 +153,16 @@ def test_quote_solver_out_of_halvings_exit_2(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: solve for x=1.3 not narrowed to 1e-14 in 20 halvings")
     assert "Traceback" not in err
+
+
+def test_quote_underflowing_reserve_exit_2(capsys):
+    # x/x0 underflows to 0, so A1 == 0 under the homotopy's negative power
+    code, out, err = run(capsys, "quote", "--mix", "hom", "--t", "0.5", "--x0", "1e10",
+                         "--x", "1e-320", "--y", "1", "--sell", "cur1", "--amount", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the invariant is not representable at reserves (1e-320, 1.0): "
+                          "ZeroDivisionError")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_degenerate_anchor_exit_2(capsys):
@@ -340,6 +403,14 @@ def test_pvf_table_r_points_below_one_exit_2(capsys, points):
     code, out, err = run(capsys, "pvf-table", "--r-points", points)
     assert (code, out) == (2, "")
     assert err == f"error: --r-points must be >= 1, got {points}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_stableswap_compare_samples_below_one_exit_2(capsys, samples):
+    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", "1",
+                         "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err == f"error: --samples must be >= 1, got {samples}\n"
 
 
 @pytest.mark.parametrize("stabilities, bad", [

@@ -8,12 +8,20 @@ from math import exp, expm1
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ammix
 import ammix._kernels as selector
 from ammix._kernels import pure
-from ammix.core import CurveParams
-from ammix.errors import ConvergenceError, NonDifferentiablePointError, ScheduleRangeError
+from ammix.core import CurveParams, _check_reserves
+from ammix.errors import (
+    AmmixError,
+    ConvergenceError,
+    DegenerateGradientError,
+    InvalidParameterError,
+    NonDifferentiablePointError,
+    ScheduleRangeError,
+)
 from ammix.schedules import S_MAX, S_MIN
 
 
@@ -261,6 +269,87 @@ def test_lam_prime_at_matches_helper_composition_bit_for_bit():
         got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *curve)
         assert got == want, (family, kind, q0, q1, q2, s, curve)
     assert raised > 0
+
+
+def _composed_ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    # ray_rate as the composition it fuses: lam_at, the reserves, the
+    # MarketState check and rate_xy
+    lam = pure.lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+    x = lam * s / a
+    y = lam * (1.0 - s) / b
+    _check_reserves(x, y)
+    return pure.rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+
+
+def _outcome(f, args):
+    """repr of f(*args), which round-trips a float (NaN and the sign of zero
+    included), or the type and message of what it raises."""
+    try:
+        return repr(f(*args))
+    except (AmmixError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# (arguments, outcome): each error the composition raises, and the anchor rate
+_RAY_RATE_EDGES = [
+    # a parabola at t = 1.5
+    ((2, 2, 0.0, 0.0, 1.5, 0.3, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5), ScheduleRangeError),
+    # x = lam*s/a underflows to 0: the reserve check
+    ((2, 0, 0.0, 0.0, 0.0, 1e-300, 1e30, 1.0, 1e-30, 1.0, 0.5, 0.5), InvalidParameterError),
+    # c = a*x0 + b*y0 underflows to 0, and so does the arithmetic lam at t = 0
+    ((0, 0, 0.0, 0.0, 0.0, 0.5, 1e-200, 1e-200, 1e-200, 1e-200, 0.5, 0.5), InvalidParameterError),
+    # beta*A1/y underflows to 0 on the constant-product curve: gy == 0
+    ((0, 0, 1.0, 0.0, 0.0, S_MIN, 1.0, 1.0, 1.0, 1.0, 0.5, 1e-320), DegenerateGradientError),
+    # A1 is subnormal under the homotopy's negative power: the float range
+    ((2, 0, 0.5, 0.0, 0.0, S_MAX, 1.0, 1.0, 1.0, 1.0, 2000.0, 0.03), InvalidParameterError),
+    # power laws with exponent <= 1 have no t' at s0: the anchor rate a/b
+    ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
+    ((2, 1, 1.0, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
+]
+
+
+@pytest.mark.parametrize("args, want", _RAY_RATE_EDGES)
+def test_ray_rate_edges_match_the_composition(args, want):
+    got = _outcome(pure.ray_rate, args)
+    assert got == _outcome(_composed_ray_rate, args)
+    assert got[0] is want if isinstance(want, type) else got == repr(want)
+
+
+_constant = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                      st.floats(min_value=1e-300, max_value=1e300))
+_exponent = st.floats(min_value=0.01, max_value=3000.0)
+
+
+@st.composite
+def _ray_cases(draw):
+    """Kernel arguments over every family and schedule kind, calibrated and
+    uncalibrated weights, s at the ends, at s0 and anywhere in (0, 1)."""
+    a, b, x0, y0 = (draw(_constant) for _ in range(4))
+    c = a * x0 + b * y0
+    s0 = a * x0 / c if c > 0.0 else 0.5  # the kernels raise where c underflows
+    if draw(st.booleans()) and c > 0.0:
+        alpha, beta = s0, b * y0 / c
+    else:
+        alpha, beta = draw(_exponent), draw(_exponent)
+    kind = draw(st.integers(min_value=0, max_value=2))
+    if kind == 0:
+        q = (draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)), 0.0, 0.0)
+    elif kind == 1:
+        q = (draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.1, max_value=8.0)),
+             0.0, 0.0)
+    else:
+        q = tuple(draw(st.floats(min_value=-3.0, max_value=3.0)) for _ in range(3))
+    s = draw(st.sampled_from([S_MIN, S_MAX, s0])
+             | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    return (draw(st.integers(min_value=0, max_value=2)), kind, *q, s, a, b, x0, y0, alpha, beta)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(args=_ray_cases())
+@example(args=_RAY_RATE_EDGES[0][0])
+def test_ray_rate_matches_the_composition_bit_for_bit(args):
+    """ray_rate returns the composition's bits or raises its error and message."""
+    assert _outcome(pure.ray_rate, args) == _outcome(_composed_ray_rate, args)
 
 
 def test_lam_chain_array_matches_scalar_kernel():
