@@ -29,9 +29,8 @@ from ammix import _kernels as k
 from ammix import analysis
 from ammix._kernels import ray_rate
 from ammix.analysis import _certified_convex
-from ammix.core import market
-from ammix.parametrize import _point_on
 from ammix.cli import run_command
+from ammix.core import market
 from ammix.errors import (
     AmmixError,
     ConvergenceError,
@@ -39,6 +38,7 @@ from ammix.errors import (
     InvalidParameterError,
     UnsupportedCurveError,
 )
+from ammix.parametrize import _point_on
 from ammix.schedules import S_MAX, S_MIN, StableswapDynamic
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
@@ -319,8 +319,8 @@ def test_arbitrage_states_on_a_grid_are_the_single_solves(mix, order):
     (CurveParams(10.0, 53.31390075048979, 46.546875, 1.0), 1.1754943508222875e-38, [1.0, 0.5]),
 ])
 def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
-    """Rates within 1e-10 of an end rate, here on curves whose rate is
-    constant to 17 ULPs end to end.
+    """Rates within 1e-10 of an end rate, here on curves whose end rates
+    are 16 and 3 ULPs apart.
 
     The computed rate steps between neighbouring floats and back over
     stretches of 1e-13 in s, so narrowing from different brackets used to
