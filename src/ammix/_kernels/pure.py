@@ -36,7 +36,7 @@ Conventions:
 
 from __future__ import annotations
 
-from math import copysign, exp, expm1, isfinite, log
+from math import copysign, exp, expm1, inf, isfinite, log
 
 from ammix.errors import (
     ConvergenceError,
@@ -80,8 +80,14 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
         return p
     lo = 0.0
     hi = c / (1.0 - t)
-    # deg == 1 closed form; exact for calibrated weights, a good seed otherwise
-    lam = c * p / ((1.0 - t) * p + t * c)
+    # deg == 1 closed form; exact for calibrated weights, a good seed otherwise.
+    # Where C*P overflows (past 1.8e308) or underflows to 0, the same form is
+    # taken with C/P instead
+    cp = c * p
+    if 0.0 < cp < inf:
+        lam = cp / ((1.0 - t) * p + t * c)
+    else:
+        lam = c / ((1.0 - t) + t * (c / p))
     for _ in range(_MAX_ITER):
         rd = (lam / p) ** deg
         f = lam * (1.0 - t) / c + t * rd - 1.0

@@ -11,27 +11,32 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, inf, isfinite, log, nan
+from math import ceil, exp, inf, isfinite, log, log1p, log2, nan
 from typing import Sequence
 
 from ammix import _kernels as k
 from ammix.core import CurveParams, MarketState, MixSpec, market
-from ammix.errors import InvalidCurveError, InvalidParameterError, UnsupportedCurveError
-from ammix.parametrize import _point_on
-from ammix.schedules import (
-    S_MAX,
-    S_MIN,
-    Uniform,
-    _bisect,
-    _logit,
-    _regula_falsi,
-    check_convexity,
+from ammix.errors import (
+    ConvergenceError,
+    InvalidCurveError,
+    InvalidParameterError,
+    UnsupportedCurveError,
 )
+from ammix.parametrize import _point_on
+from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, check_convexity
 
-# cap on spot-rate evaluations per solve: one from [S_MIN, S_MAX] takes about
-# 7, a row of a rate grid about 4, and _regula_falsi's bracket guard ends
-# every solve within about 70
+# the width in s every arbitrage state is bisected to, and the least
+# distance of a narrowing step from its bracket's ends
+_S_TOL = 1e-15
+_EDGE = 0.25 * _S_TOL
+
+# cap on spot-rate evaluations per narrowing: one from [S_MIN, S_MAX] takes
+# about 7, a row of a rate grid about 4, and the bracket guard ends every
+# narrowing within about 70
 _MAX_RATE_EVALS = 100
+
+# evaluations a narrowing may spend beyond the halvings of a bisection
+_SPARE_EVALS = 20
 
 # a price within this relative distance of an end rate is solved by the
 # bisection itself; see arbitrage_states
@@ -78,16 +83,8 @@ def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
     return check_convexity(params, mix.schedule).passed
 
 
-def _extrapolated_s(solved: list[tuple[float, float]], log_r: float) -> float:
-    """The s at log rate log_r on the line through the last two (log rate,
-    logit s) points solved, or NaN when there are not two distinct ones."""
-    if len(solved) < 2:
-        return nan
-    (v0, u0), (v1, u1) = solved[-2:]
-    if v1 == v0:
-        return nan
-    u = u1 + (u1 - u0) * (log_r - v1) / (v1 - v0)
-    return 1.0 / (1.0 + exp(-u)) if -700.0 < u < 700.0 else nan  # exp overflows past 709
+def _logit(s: float) -> float:
+    return log(s) - log1p(-s)
 
 
 def arbitrage_states(params: CurveParams, mix: MixSpec,
@@ -95,32 +92,49 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     """The on-curve states arbitrageurs leave behind at each of the prices.
 
     Solves spot(s) = p1/p2 on [S_MIN, S_MAX] (the spot rate falls
-    monotonically along a convex curve) by Illinois regula falsi on the log
-    of the rate against logit(s), down to a bracket 1e-15 wide in s, and
-    returns the s that bisection of [S_MIN, S_MAX] to that width returns
-    wherever the rate is monotone; see ``schedules._regula_falsi``.  Rates
-    beyond the curve's supported range map to the clamped endpoint states,
-    where the infimum is attained.
+    monotonically along a convex curve) and returns the s that bisection of
+    [S_MIN, S_MAX] to a width of 1e-15 returns wherever the rate is
+    monotone, in a handful of rate evaluations instead of one per halving.
+    Rates beyond the curve's supported range map to the clamped endpoint
+    states, where the infimum is attained.
 
     The certificate, the ``Market``, the two end rates and the two end
     states are resolved once for all the prices, and every spot rate is
     ``_kernels.ray_rate`` on the market's unpacked codes and constants.
-    Every spot rate evaluated is kept, and each price narrows from the two
-    kept points next to each other in s whose rates straddle it, so the
-    prices of a grid warm each other in any order.
-    Before narrowing, a price probes the s extrapolated in (log rate,
-    logit s) from the two prices solved before it, when that s falls
-    strictly inside its bracket.  Where the computed rate is not monotone
-    (at rounding level, next to a root) the bracket can move the answer by
-    a few final bisection widths, 8.9e-16 each.  A price within a relative
-    1e-10 (``_NEAR_END``) of an end rate crosses where the rate has all but
+    Each price is solved in three steps, all in this function's frame:
+
+    - **Warm start.**  The two end rates and the final bracket ends of
+      every price narrowed before are kept, sorted in s, and a price
+      starts from the two kept points next to each other in s whose rates
+      straddle it, so the prices of a grid warm each other in any order.
+      It then probes the s extrapolated in (log rate, logit s) from the
+      two prices narrowed before it, when that s falls strictly inside
+      its bracket.
+    - **Narrowing.**  Illinois regula falsi on log rate against logit(s)
+      keeps rate(lo) > r >= rate(hi); when the log rate equals log r at
+      both ends the step is the midpoint.  Each step stays at least a
+      quarter of 1e-15 inside the bracket, so a step that lands next to
+      the root also closes it, and after j evaluations the bracket is
+      never wider than 1e-15 * 2**(n - j), n being the halvings bisection
+      needs plus ``_SPARE_EVALS``, so no solve narrows for more than n
+      evaluations, even where the log rate is flat at rounding level.
+    - **Replay.**  Once the bracket is at most 1e-15 wide, ``_bisect``
+      halves [S_MIN, S_MAX] with it as its known bracket: a midpoint
+      outside it takes the side it implies, and only one inside it is
+      evaluated.
+
+    Where the computed rate is not monotone (at rounding level, next to a
+    root) the bracket can move the answer by a few final bisection
+    widths, 8.9e-16 each.  A price within a relative 1e-10
+    (``_NEAR_END``) of an end rate crosses where the rate has all but
     stopped changing, such as on a curve whose rate is constant to a few
     ULPs end to end; there the computed rate steps back and forth between
     neighbouring floats over long stretches, so such a price is solved by
     the bisection itself, which returns the same s in a batch and alone.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
-    and finite, and ConvergenceError when a solve runs out of evaluations.
+    and finite, and ConvergenceError when a price's narrowing runs out of
+    its ``_MAX_RATE_EVALS`` evaluations.
     """
     if not isinstance(mix.schedule, Uniform) and not _certified_convex(params, mix):
         raise UnsupportedCurveError(
@@ -130,24 +144,22 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta = m.curve
     ray_rate = k.ray_rate
-    known_s: list[float] = []  # every s evaluated, ascending
-    known_neg: list[float] = []  # minus the rate at each, ascending where the rate falls
+    max_evals = _MAX_RATE_EVALS
 
-    def rate_at(s: float) -> float:
-        rate = ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
-        if not 0.0 < rate < inf:  # False for NaN
-            raise InvalidCurveError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
-        i = bisect_left(known_s, s)
-        if i == len(known_s) or known_s[i] != s:
-            known_s.insert(i, s)
-            known_neg.insert(i, -rate)
-        return rate
+    def rate(s: float) -> float:
+        value = ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        if not 0.0 < value < inf:  # False for NaN
+            raise InvalidCurveError(f"spot rate {value!r} at s={s!r} is not positive and finite")
+        return value
 
-    r_max = rate_at(S_MIN)
-    r_min = rate_at(S_MAX)
+    r_max = rate(S_MIN)
+    r_min = rate(S_MAX)
+    known_s = [S_MIN, S_MAX]  # the kept points, ascending
+    known_neg = [-r_max, -r_min]  # minus the rate at each, ascending where the rate falls
     # ray_rate has checked the reserves these states hold
     first, last = _point_on(m, S_MIN), _point_on(m, S_MAX)
-    solved: list[tuple[float, float]] = []  # (log rate, logit s) of the prices narrowed
+    # (log rate, logit s) of the two prices narrowed last, older first
+    v0 = u0 = v1 = u1 = nan
     states = []
     for p in prices:
         r = p.rate
@@ -160,31 +172,84 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
                 state = last
             else:
                 state = MarketState(params.x0, params.y0)
-        elif r >= r_max:
-            state = first
-        elif r <= r_min:
-            state = last
-        elif r_max - r <= _NEAR_END * r_max or r - r_min <= _NEAR_END * r_min:
-            s = _bisect(lambda s: rate_at(s) > r, S_MIN, S_MAX, atol=1e-15)
-            state = _point_on(m, s)
-        else:
-            # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
-            # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
-            i = bisect_left(known_neg, -r)
-            lo, hi, r_lo, r_hi = known_s[i - 1], known_s[i], -known_neg[i - 1], -known_neg[i]
-            log_r = log(r)
-            s = _extrapolated_s(solved, log_r)
-            if lo < s < hi:  # False for NaN
-                rate = rate_at(s)
-                if rate > r:
-                    lo, r_lo = s, rate
+            states.append(state)
+            continue
+        if r >= r_max:
+            states.append(first)
+            continue
+        if r <= r_min:
+            states.append(last)
+            continue
+        if r_max - r <= _NEAR_END * r_max or r - r_min <= _NEAR_END * r_min:
+            s = _bisect(lambda mid: rate(mid) > r, S_MIN, S_MAX, atol=_S_TOL)
+            states.append(_point_on(m, s))
+            continue
+        # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
+        # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
+        i = bisect_left(known_neg, -r)
+        lo, hi, r_lo, r_hi = known_s[i - 1], known_s[i], -known_neg[i - 1], -known_neg[i]
+        log_r = log(r)
+        # NaN until two prices are narrowed, and for a repeated log rate
+        u = u1 + (u1 - u0) * (log_r - v1) / (v1 - v0) if v1 != v0 else nan
+        if -700.0 < u < 700.0:  # exp overflows past 709
+            s = 1.0 / (1.0 + exp(-u))
+            if lo < s < hi:
+                value = rate(s)
+                if value > r:
+                    lo, r_lo = s, value
                 else:
-                    hi, r_hi = s, rate
-            s = _regula_falsi(rate_at, r, (S_MIN, S_MAX), lo, hi, r_lo, r_hi,
-                              atol=1e-15, max_evals=_MAX_RATE_EVALS)
-            solved.append((log_r, _logit(s)))
-            state = _point_on(m, s)
-        states.append(state)
+                    hi, r_hi = s, value
+        u_lo, u_hi = _logit(lo), _logit(hi)
+        f_lo, f_hi = log(r_lo) - log_r, log(r_hi) - log_r
+        kept = 0  # +1 after the low end moved, -1 after the high end moved
+        evals = 0
+        n_max = ceil(log2((hi - lo) / _S_TOL)) + _SPARE_EVALS
+        allowed = _S_TOL * 2.0 ** (n_max - 1)  # bracket width after the next step, halved per step
+        while hi - lo > _S_TOL:
+            if evals == max_evals:
+                raise ConvergenceError(
+                    f"solve for {r!r} not narrowed to {_S_TOL!r} after {max_evals} "
+                    f"evaluations; last bracket [{lo!r}, {hi!r}]"
+                )
+            s = 0.5 * (lo + hi)
+            if f_lo > f_hi:
+                w = f_hi / (f_hi - f_lo)  # in [0, 1], as f_lo >= 0 >= f_hi
+                s = 1.0 / (1.0 + exp(w * (u_hi - u_lo) - u_hi))
+                # min(max(s, lo + _EDGE, hi - allowed), hi - _EDGE, lo + allowed),
+                # comparison for comparison
+                if s < lo + _EDGE:
+                    s = lo + _EDGE
+                if s < hi - allowed:
+                    s = hi - allowed
+                if hi - _EDGE < s:
+                    s = hi - _EDGE
+                if lo + allowed < s:
+                    s = lo + allowed
+            value = rate(s)
+            evals += 1
+            allowed *= 0.5
+            f = log(value) - log_r
+            if value > r:
+                lo, r_lo, u_lo, f_lo = s, value, log(s) - log1p(-s), f  # _logit(s)
+                if kept == 1:
+                    f_hi *= 0.5
+                kept = 1
+            else:
+                hi, r_hi, u_hi, f_hi = s, value, log(s) - log1p(-s), f
+                if kept == -1:
+                    f_lo *= 0.5
+                kept = -1
+        # keep the final bracket ends, which lie between the two points
+        # the price started from
+        if hi != known_s[i]:
+            known_s.insert(i, hi)
+            known_neg.insert(i, -r_hi)
+        if lo != known_s[i - 1]:
+            known_s.insert(i, lo)
+            known_neg.insert(i, -r_lo)
+        s = _bisect(lambda mid: rate(mid) > r, S_MIN, S_MAX, atol=_S_TOL, known=(lo, hi))
+        v0, u0, v1, u1 = v1, u1, log_r, _logit(s)
+        states.append(_point_on(m, s))
     return states
 
 

@@ -16,8 +16,17 @@ from dataclasses import replace
 from functools import cache
 from math import isfinite
 
+from ammix import _kernels as k
 from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss
-from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed, market
+from ammix.core import (
+    CurveParams,
+    Family,
+    MarketState,
+    MixSpec,
+    _check_reserves,
+    eval_mixed,
+    market,
+)
 from ammix.errors import (
     AmmixError,
     InsufficientLiquidityError,
@@ -25,7 +34,6 @@ from ammix.errors import (
     OutOfRangeError,
 )
 from ammix.exchange import ON_CURVE_TOL, Currency, quote
-from ammix.parametrize import _point_on
 from ammix.schedules import (
     Parabolic,
     PowerLaw,
@@ -196,12 +204,18 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.samples
     if n < 2:
         raise AmmixError(f"--samples must be >= 2, got {n}")
+    # point_at's reserves and their check, on the market's unpacked codes
     m = market(params, mix)
+    family, kind, q0, q1, q2 = m.codes
+    a, b, x0, y0, alpha, beta = m.curve
+    lam_at = k.lam_at
     rows = []
     for i in range(n):
-        s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
-        state = _point_on(m, _check_s(s))
-        rows.append({"s": s, "x": state.x, "y": state.y})
+        s = _check_s(SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1))
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        x, y = lam * s / a, lam * (1.0 - s) / b
+        _check_reserves(x, y)
+        rows.append({"s": s, "x": x, "y": y})
     return emit_table(rows, ns.format), 0
 
 

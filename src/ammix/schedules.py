@@ -10,7 +10,7 @@ lam*lam'' - 2*lam'^2 >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, inf, isfinite, log, log1p, log2, sqrt
+from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -58,16 +58,19 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
     Raises ConvergenceError when the halvings run out first.
     """
     k_lo, k_hi = known
+    tol = atol + rtol * hi  # the stop width at the current hi; atol when rtol is 0
     for _ in range(_BISECT_HALVINGS):
         mid = 0.5 * (lo + hi)
         # each branch tests the stop rule on the bracket it leaves
         if mid <= k_lo or (mid < k_hi and below(mid)):
             lo = mid
-            if hi - mid <= atol + rtol * hi:
+            if hi - mid <= tol:
                 break
         else:
             hi = mid
-            if mid - lo <= atol + rtol * mid:
+            if rtol:
+                tol = atol + rtol * mid
+            if mid - lo <= tol:
                 break
     else:
         raise ConvergenceError(
@@ -75,88 +78,6 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
             f"halvings; last bracket [{lo!r}, {hi!r}]"
         )
     return 0.5 * (lo + hi)
-
-
-# evaluations _regula_falsi may spend beyond the halvings of a bisection
-_SPARE_EVALS = 20
-
-
-def _logit(s: float) -> float:
-    return log(s) - log1p(-s)
-
-
-def _regula_falsi(h, target: float, start: tuple[float, float], lo: float, hi: float,
-                  h_lo: float, h_hi: float, atol: float, max_evals: int) -> float:
-    """Root of h(s) = target for a decreasing, positive, finite h on 0 < lo < hi < 1.
-
-    Returns what ``_bisect(lambda s: h(s) > target, *start, atol=atol)``
-    returns wherever h is monotone, in a handful of evaluations of h instead
-    of one per halving.  Narrowing starts from [lo, hi], a bracket inside
-    ``start`` whose values h_lo and h_hi are already known, with
-    h_lo > target >= h_hi; atol > 0.
-
-    Illinois regula falsi on log h against logit(s) narrows the bracket,
-    keeping h(lo) > target >= h(hi); when log h equals log target at both
-    ends the step is the midpoint.  Two guards bound the interpolated
-    steps:
-
-    - each step stays at least atol/4 inside the bracket, so a step that
-      lands next to the root also closes it;
-    - after j evaluations the bracket is never wider than atol * 2**(n - j),
-      n being the halvings bisection needs plus ``_SPARE_EVALS``, so no
-      solve narrows for more than n evaluations, even where log h is flat
-      at rounding level and interpolation learns nothing.
-
-    When hi - lo <= atol the halvings of ``_bisect`` from ``start`` are
-    replayed with [lo, hi] as its known bracket: a midpoint outside the
-    bracket takes the side the bracket implies, and only one inside it is
-    evaluated.  The midpoint of the final halving is returned.
-    ConvergenceError is raised after ``max_evals`` calls of h while
-    narrowing.
-    """
-    log_target = log(target)
-    u_lo, u_hi = _logit(lo), _logit(hi)
-    f_lo, f_hi = log(h_lo) - log_target, log(h_hi) - log_target
-    kept = 0  # +1 after the low end moved, -1 after the high end moved
-    evals = 0
-    edge = 0.25 * atol  # least distance of a step from the bracket ends
-    n_max = ceil(log2((hi - lo) / atol)) + _SPARE_EVALS
-    allowed = atol * 2.0 ** (n_max - 1)  # bracket width after the next step, halved per step
-    while hi - lo > atol:
-        if evals == max_evals:
-            raise ConvergenceError(
-                f"solve for {target!r} not narrowed to {atol!r} after {max_evals} "
-                f"evaluations; last bracket [{lo!r}, {hi!r}]"
-            )
-        s = 0.5 * (lo + hi)
-        if f_lo > f_hi:
-            w = f_hi / (f_hi - f_lo)  # in [0, 1], as f_lo >= 0 >= f_hi
-            s = 1.0 / (1.0 + exp(w * (u_hi - u_lo) - u_hi))
-            # min(max(s, lo + edge, hi - allowed), hi - edge, lo + allowed),
-            # comparison for comparison
-            if s < lo + edge:
-                s = lo + edge
-            if s < hi - allowed:
-                s = hi - allowed
-            if hi - edge < s:
-                s = hi - edge
-            if lo + allowed < s:
-                s = lo + allowed
-        value = h(s)
-        evals += 1
-        allowed *= 0.5
-        f = log(value) - log_target
-        if value > target:
-            lo, u_lo, f_lo = s, log(s) - log1p(-s), f  # _logit(s)
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, u_hi, f_hi = s, log(s) - log1p(-s), f
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-    return _bisect(lambda mid: h(mid) > target, *start, atol=atol, known=(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -375,31 +375,34 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
 
     The bisection took about 42 per row, solving each row alone about 7.9,
     and each row from [S_MIN, S_MAX] with the end rates shared about 5.9;
-    narrowing from the neighbours' brackets took 4.7, and a first probe
-    extrapolated from the two rows solved before takes 4.3.  Each
+    narrowing from the neighbours' brackets took 4.7, a first probe
+    extrapolated from the two rows solved before 4.26, and keeping only
+    each solve's final bracket ends as warm points takes 4.27.  Each
     stability's curve evaluates its two end rates once for all 101 rows, no
     solve evaluates more than 20 rates, and a rate beyond the curve's range
     takes none beyond the ends.
+
+    A row's rates are those evaluated after the state before it was built:
+    each solve ends by building its row state, and the end states are
+    built right after the end rates.
     """
     rated = []  # (codes, s) of every spot rate
-    per_solve = []
-    regula_falsi = analysis._regula_falsi
+    per_solve = []  # rates of each solved row, its probe included
+    since = [0]  # len(rated) when the last state was built
+    point_on = analysis._point_on
 
     def counting_rate(*args):
         rated.append((args[:5], args[5]))
         return ray_rate(*args)
 
-    def counting_solve(h, *args, **kwargs):
-        per_solve.append(0)
-
-        def counting_h(s):
-            per_solve[-1] += 1
-            return h(s)
-
-        return regula_falsi(counting_h, *args, **kwargs)
+    def counting_point(m, s):
+        if S_MIN < s < S_MAX:
+            per_solve.append(len(rated) - since[0])
+        since[0] = len(rated)
+        return point_on(m, s)
 
     monkeypatch.setattr(k, "ray_rate", counting_rate)
-    monkeypatch.setattr(analysis, "_regula_falsi", counting_solve)
+    monkeypatch.setattr(analysis, "_point_on", counting_point)
     with redirect_stdout(io.StringIO()):
         assert run_command(["pvf-table", "--r-points", "101"]) == 0
     assert len(rated) / 505 <= 4.5

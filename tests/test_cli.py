@@ -1,12 +1,14 @@
+import io
 import json
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ammix import CurveParams, MarketState, MixSpec, cli, eval_mixed, schedules
+from ammix import CurveParams, MarketState, MixSpec, cli, eval_mixed, point_at, schedules
 from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
 from ammix.schedules import stableswap_dynamic_residual
@@ -339,6 +341,87 @@ def test_curve_sample_one_sample_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+
+
+# --- curve-sample rows against point_at -----------------------------------------
+
+_unit_floats = st.floats(min_value=0.0, max_value=1.0)
+_sample_mixes = st.one_of(
+    st.tuples(st.sampled_from(["arith", "geo", "hom"]), _unit_floats.map(lambda t: ["--t", repr(t)])),
+    st.tuples(st.just("hom"), st.floats(min_value=0.1, max_value=8.0).map(
+        lambda k: ["--schedule", "powerlaw", "--k", repr(k)])),
+    st.tuples(st.just("hom"), st.tuples(_unit_floats, _unit_floats).map(
+        lambda bc: ["--schedule", "parabolic", "--bias", repr(bc[0]), "--center", repr(bc[1])])),
+)
+# the float range's edges included, where the reserves or the anchor stop being representable
+_curve_constants = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
+                             st.sampled_from([1e-306, 1e-200, 1e200, 1e300]))
+
+
+def _sample_outcome(argv):
+    """(exit code, the rows curve-sample passed to emit_table, stderr)."""
+    rows = []
+    real = cli.emit_table
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "emit_table", lambda r, format="csv": rows.append(r) or real(r, format))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_command(argv)
+    return code, rows[0] if rows else None, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mix=_sample_mixes, a=_curve_constants, b=_curve_constants, x0=_curve_constants,
+       y0=_curve_constants, n=st.integers(min_value=2, max_value=40))
+def test_curve_sample_rows_are_point_at_bit_for_bit(mix, a, b, x0, y0, n):
+    """Every row is point_at's state at the row's s, bit for bit, for every
+    family and schedule kind; where point_at refuses an s (reserves that
+    are not positive and finite, a parabola leaving [0, 1]) the command
+    exits 2 with point_at's message for the first such s."""
+    name, flags = mix
+    argv = ["curve-sample", "--mix", name, *flags, "--a", repr(a), "--b", repr(b),
+            "--x0", repr(x0), "--y0", repr(y0), "--samples", str(n)]
+    try:
+        params = CurveParams(a, b, x0, y0)
+    except AmmixError:
+        assume(False)
+    cli_mix = cli._mix_from(cli._parser().parse_args(argv))
+    code, rows, err = _sample_outcome(argv)
+    want = []
+    try:
+        for i in range(n):
+            s = cli.SAMPLE_INSET + (1.0 - 2.0 * cli.SAMPLE_INSET) * i / (n - 1)
+            state = point_at(params, cli_mix, s)
+            want.append({"s": s, "x": state.x, "y": state.y})
+    except AmmixError as exc:
+        assert (code, rows, err) == (2, None, f"error: {exc}\n")
+    else:
+        assert (code, rows) == (0, want), err
+
+
+def test_curve_sample_unrepresentable_reserve_exit_2(capsys):
+    # x = lam*s/a overflows at a = 1e-306
+    code, out, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "0.5", "--a", "1e-306")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: reserves must be positive and finite, got (inf, ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve-sample", "--mix", "arith", "--t", "0.5", "--x0", "1e154", "--y0", "1e154"],
+    ["il-table", "--mix", "arith", "--t", "0.5", "--x0", "1e200", "--y0", "1e200"],
+    ["quote", "--mix", "arith", "--t", "0.5", "--x0", "1e200", "--y0", "1e200", "--x", "1e200",
+     "--y", "1e200", "--sell", "cur1", "--amount", "1e199"],
+    ["curve-sample", "--mix", "arith", "--t", "0.5", "--x0", "1e-306", "--y0", "1e-306"],
+], ids=["curve-sample", "il-table", "quote", "curve-sample-underflow"])
+def test_arithmetic_curve_past_c_times_p_range_exit_0(capsys, argv):
+    """C*P overflows on the first three curves and underflows to 0 on the
+    last; lam_arith used to run into NaN and exit 2 with "did not
+    converge", or raise ZeroDivisionError with a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    values = [float(v) for line in out.strip().split("\n")[1:]
+              for v in line.split(",") if v not in ("cur1", "cur2")]
+    assert values and all(math.isfinite(v) for v in values)
 
 
 # --- typed refusals of stableswap-compare and pvf-table -------------------------

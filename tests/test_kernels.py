@@ -198,6 +198,39 @@ def test_lam_arith_takes_one_step_on_calibrated_grid(monkeypatch):
         assert 0.0 < lam <= p.c / (1.0 - t)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e250, 1e300, 1e-170, 1e-250, 1e-300])
+def test_lam_arith_solves_where_c_times_p_leaves_the_float_range(scale):
+    """C*P passes 1.8e308 on curves this large, and underflows to 0 on
+    curves this small; the seed is taken as C/((1 - t) + t*C/P) there, and
+    Newton lands on the curve as on a unit curve, instead of running into
+    NaN and ConvergenceError (overflow) or ZeroDivisionError (underflow)."""
+    rng = random.Random(1543)
+    for _ in range(200):
+        a, b = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+        p = CurveParams(a, b, scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
+        curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(1e-9, 1.0 - 1e-9)
+        lam = pure.lam_arith(s, t, *curve)
+        x, y = lam * s / p.a, lam * (1.0 - s) / p.b
+        assert abs(pure.value_xy(0, t, x, y, *curve) - 1.0) <= 1e-15, (s, t, curve)
+        # the same curve at unit scale, scaled back up
+        unit = (p.a, p.b, p.x0 / scale, p.y0 / scale, p.alpha, p.beta)
+        assert lam == pytest.approx(scale * pure.lam_arith(s, t, *unit), rel=1e-14)
+
+
+def test_lam_arith_seed_unchanged_where_c_times_p_is_a_positive_float():
+    """The other seed is taken only where C*P is inf or 0: elsewhere the
+    result is the reference loop's, bit for bit, up to C*P near both ends."""
+    rng = random.Random(1544)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-160, 153)
+        p = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                        scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
+        curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0)
+        assert pure.lam_arith(s, t, *curve) == _reference_lam_arith(s, t, *curve), (s, t, curve)
+
+
 def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):
     # a homotopy blend, whose lam_at does not iterate: from [S_MIN, S_MAX] the
     # bracket reaches 1e-14 after 47 halvings
