@@ -14,7 +14,6 @@ from ammix._kernels.pure import (
     lam_prime_at,
     rate_xy,
     ray_log_ratio,
-    ray_rate,
     sched_eval,
     sched_first,
     sched_value,

@@ -9,8 +9,8 @@ repeating the float operations of the helpers it inlines in their order:
   ``ray_log_ratio``);
 * ``lam_arith`` inlines its log ratio;
 * ``value_xy`` and ``grad_xy`` repeat ``components_xy``;
-* ``ray_rate``, the spot rate at ray coordinate s, is ``lam_at``, the
-  reserves and their check, ``grad_xy`` and ``rate_xy`` in one frame.
+* ``rate_xy``, the one spot-rate kernel, is ``grad_xy`` (with
+  ``sched_first``) and the ratio of its partials in one frame.
 
 The helpers stay for the other kernels and as the reference the fused
 ones are tested against.
@@ -36,7 +36,7 @@ Conventions:
 
 from __future__ import annotations
 
-from math import copysign, exp, expm1, inf, isfinite, log
+from math import copysign, exp, expm1, inf, log
 
 from ammix.errors import (
     ConvergenceError,
@@ -360,6 +360,8 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
 def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     """Internal exchange rate gx/gy of currency 1 in units of currency 2 at (x, y).
 
+    ``grad_xy``'s gradient, with ``sched_first``'s (t, t') inline, and its
+    ratio in one frame, operation for operation and with the same errors.
     Power-law schedules with exponent <= 1 leave the ambient invariant
     without a gradient exactly at s0, but the curve's tangent limit there
     is the anchor rate a/b for every schedule (shared-rate calibration),
@@ -367,66 +369,16 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     when gy == 0.
     """
     try:
-        gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
-    except NonDifferentiablePointError:
-        return a / b
-    if gy == 0.0:
-        raise DegenerateGradientError("vanishing partial derivative in y")
-    return gx / gy
-
-
-def ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
-    """Spot rate at the curve point with ray coordinate s.
-
-    ``lam_at``, the reserves x = lam*s/a and y = lam*(1-s)/b, the reserve
-    check of ``MarketState`` and ``rate_xy`` (with ``grad_xy`` and
-    ``sched_first``) in one frame, operation for operation and with the
-    same errors: InvalidParameterError for reserves that are not positive
-    and finite or whose terms leave the float range, a/b where the
-    schedule has no derivative, DegenerateGradientError when gy == 0.
-    """
-    # lam_at
-    if kind == 0 and family == 0:
-        lam = lam_arith(s, q0, a, b, x0, y0, alpha, beta)
         c = a * x0 + b * y0
-    else:
-        c = a * x0 + b * y0
-        s0 = a * x0 / c
-        if kind == 0:
-            t = q0
-        else:
-            if kind == 1:
-                m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
-                d = s - s0
-                t = 0.0 if d == 0.0 else (abs(d) / m) ** q0
-            else:
-                t = (q0 * s + q1) * s + q2
-            if t < -1e-12 or t > 1.0 + 1e-12:
-                raise ScheduleRangeError(f"schedule value t={t!r} outside [0, 1] at s={s!r}")
-            if not t > 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-        deg = alpha + beta
-        g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
-        if kind == 0 and family == 1:
-            lam = c * exp(g * deg * t / ((1.0 - t) + deg * t))
-        else:
-            lam = c + c * expm1(g) * t
-    # the reserves, checked as MarketState checks them
-    x = lam * s / a
-    y = lam * (1.0 - s) / b
-    if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
-        raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
-    # grad_xy at (x, y), then rate_xy
-    try:
         n = a * x + b * y
         if kind == 0:
             t, tp = q0, 0.0
         else:
-            sx = a * x / n
+            s = a * x / n
+            s0 = a * x0 / c
             if kind == 1:
-                d = sx - s0
+                m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
+                d = s - s0
                 if d == 0.0:
                     if q0 <= 1.0:
                         return a / b
@@ -436,8 +388,8 @@ def ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
                     t = u**q0
                     tp = copysign(q0 / m * u ** (q0 - 1.0), d)
             else:
-                t = (q0 * sx + q1) * sx + q2
-                tp = 2.0 * q0 * sx + q1
+                t = (q0 * s + q1) * s + q2
+                tp = 2.0 * q0 * s + q1
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             gx = (1.0 - t) * a / c + t * a1 * alpha / x
@@ -447,6 +399,7 @@ def ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
             gx = ga * ((1.0 - t) * a / n + t * alpha / x)
             gy = ga * ((1.0 - t) * b / n + t * beta / y)
         else:
+            deg = alpha + beta
             w = a1 ** (-1.0 / deg)
             nn = n * n
             raw = (1.0 - t) * c / n + t * w

@@ -15,7 +15,7 @@ from math import ceil, exp, inf, isfinite, log, log1p, log2, nan
 from typing import Sequence
 
 from ammix import _kernels as k
-from ammix.core import CurveParams, MarketState, MixSpec, market
+from ammix.core import CurveParams, MarketState, MixSpec, _check_reserves, market
 from ammix.errors import (
     ConvergenceError,
     InvalidCurveError,
@@ -31,8 +31,9 @@ _S_TOL = 1e-15
 _EDGE = 0.25 * _S_TOL
 
 # cap on spot-rate evaluations per narrowing: one from [S_MIN, S_MAX] takes
-# about 7, a row of a rate grid about 4, and the bracket guard ends every
-# narrowing within about 70
+# about 10.4 (12.6 with the 2 end rates and the replay, for prices within a
+# factor of 10 of a/b on random uniform curves), a row of a rate grid about
+# 4, and the bracket guard ends every narrowing within about 70
 _MAX_RATE_EVALS = 100
 
 # evaluations a narrowing may spend beyond the halvings of a bisection
@@ -100,7 +101,8 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
 
     The certificate, the ``Market``, the two end rates and the two end
     states are resolved once for all the prices, and every spot rate is
-    ``_kernels.ray_rate`` on the market's unpacked codes and constants.
+    ``_kernels.rate_xy`` at the reserves ``_kernels.lam_at`` gives, on the
+    market's unpacked codes and constants.
     Each price is solved in three steps, all in this function's frame:
 
     - **Warm start.**  The two end rates and the final bracket ends of
@@ -143,11 +145,16 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta = m.curve
-    ray_rate = k.ray_rate
+    lam_at, rate_xy = k.lam_at, k.rate_xy
     max_evals = _MAX_RATE_EVALS
 
     def rate(s: float) -> float:
-        value = ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        x = lam * s / a
+        y = lam * (1.0 - s) / b
+        if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
+            _check_reserves(x, y)  # raises MarketState's error
+        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
         if not 0.0 < value < inf:  # False for NaN
             raise InvalidCurveError(f"spot rate {value!r} at s={s!r} is not positive and finite")
         return value
@@ -156,7 +163,7 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     r_min = rate(S_MAX)
     known_s = [S_MIN, S_MAX]  # the kept points, ascending
     known_neg = [-r_max, -r_min]  # minus the rate at each, ascending where the rate falls
-    # ray_rate has checked the reserves these states hold
+    # rate has checked the reserves these states hold
     first, last = _point_on(m, S_MIN), _point_on(m, S_MAX)
     # (log rate, logit s) of the two prices narrowed last, older first
     v0 = u0 = v1 = u1 = nan

@@ -120,8 +120,15 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _config_section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise AmmixError(f"config section {name!r} must hold a JSON object")
+    return section
+
+
 def _curve_from(ns: argparse.Namespace, config: dict) -> CurveParams:
-    curve_cfg = config.get("curve", {})
+    curve_cfg = _config_section(config, "curve")
     def pick(flag, key, default):
         v = getattr(ns, flag)
         if v is not None:
@@ -346,7 +353,7 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _sim_config_from(ns: argparse.Namespace, config: dict) -> SimConfig:
-    sim_cfg = dict(config.get("sim", {}))
+    sim_cfg = dict(_config_section(config, "sim"))
     init_x = sim_cfg.pop("init_x", 3000.0)
     init_y = sim_cfg.pop("init_y", 1000.0)
     base = SimConfig(init_state=MarketState(init_x, init_y), **sim_cfg)

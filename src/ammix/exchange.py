@@ -17,9 +17,8 @@ from math import isfinite
 
 from ammix.core import CurveParams, MarketState, MixSpec, eval_mixed, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
-from ammix.parametrize import state_for_x, state_for_y
+from ammix.parametrize import point_at, state_for_x, state_for_y
 from ammix.schedules import S_MAX, S_MIN
-from ammix import parametrize
 
 ON_CURVE_TOL = 1e-9
 
@@ -114,7 +113,7 @@ def max_extractable(params: CurveParams, mix: MixSpec, state: MarketState,
         reserve = state.y if currency is Currency.CUR2 else state.x
         return LiquidityBound(amount=reserve, attainable=False)
     if currency is Currency.CUR2:
-        end = parametrize.point_at(params, mix, S_MAX)
+        end = point_at(params, mix, S_MAX)
         return LiquidityBound(amount=state.y - end.y, attainable=True)
-    end = parametrize.point_at(params, mix, S_MIN)
+    end = point_at(params, mix, S_MIN)
     return LiquidityBound(amount=state.x - end.x, attainable=True)

@@ -20,12 +20,6 @@ from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.schedules import S_MAX, S_MIN, _check_s
 
 
-def base_point(params: CurveParams, s: float) -> tuple[float, float]:
-    """Unscaled ray point (s/a, (1-s)/b)."""
-    _check_s(s)
-    return s / params.a, (1.0 - s) / params.b
-
-
 @dataclass(frozen=True)
 class ScalingPair:
     """Scalings moving one direction onto the CSMM and CPMM surfaces."""

@@ -27,7 +27,7 @@ from ammix import (
 )
 from ammix import _kernels as k
 from ammix import analysis
-from ammix._kernels import ray_rate
+from ammix._kernels import rate_xy
 from ammix.analysis import _certified_convex
 from ammix.cli import run_command
 from ammix.core import market
@@ -348,8 +348,10 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     """
     params, mix = CurveParams(1.0, 1.0, 1.0, 0.5), MixSpec.homotopy(1e-14)
     p = PriceVector(1.000000000000007, 1.0)
-    calls = []
-    monkeypatch.setattr(k, "ray_rate", lambda *args: calls.append(args) or ray_rate(*args))
+    calls = []  # one per rate evaluation of arbitrage_state alone, not the reference's
+    with monkeypatch.context() as mp:
+        mp.setattr(k, "rate_xy", lambda *args: calls.append(args) or rate_xy(*args))
+        arbitrage_state(params, mix, p)
     s_new, s_ref = _solved_s(params, mix, p)
     assert abs(s_new - s_ref) <= 2e-15
     assert len(calls) <= 2 + 70 + 2  # ends, narrowing, replayed halvings
@@ -360,6 +362,8 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     (CurveParams(1.0, 1.0, 1.0, 1.0), Parabolic(bias=1.0, center=0.0)),
     (CurveParams(1.0, 1.0, 1.0, 1.0), StableswapDynamic(10.0, 2.0)),
     (CurveParams(1.35, 1.0, 1545.0, 665.0), PowerLaw(3.495)),
+    # the reserves at S_MIN overflow: the reserve check's error
+    (CurveParams(3.0, 1.0, 1e300, 1e300), Uniform(1.0)),
 ])
 def test_arbitrage_errors_match_bisection(params, schedule):
     mix = MixSpec.scheduled(schedule)
@@ -386,14 +390,14 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
     each solve ends by building its row state, and the end states are
     built right after the end rates.
     """
-    rated = []  # (codes, s) of every spot rate
+    rated = []  # (codes, (x, y)) of every spot rate
     per_solve = []  # rates of each solved row, its probe included
     since = [0]  # len(rated) when the last state was built
     point_on = analysis._point_on
 
     def counting_rate(*args):
-        rated.append((args[:5], args[5]))
-        return ray_rate(*args)
+        rated.append((args[:5], args[5:7]))
+        return rate_xy(*args)
 
     def counting_point(m, s):
         if S_MIN < s < S_MAX:
@@ -401,34 +405,35 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
         since[0] = len(rated)
         return point_on(m, s)
 
-    monkeypatch.setattr(k, "ray_rate", counting_rate)
+    monkeypatch.setattr(k, "rate_xy", counting_rate)
     monkeypatch.setattr(analysis, "_point_on", counting_point)
     with redirect_stdout(io.StringIO()):
         assert run_command(["pvf-table", "--r-points", "101"]) == 0
     assert len(rated) / 505 <= 4.5
     assert per_solve and max(per_solve) <= 20
     params = CurveParams(1.0, 1.0, 1.0, 1.0)
-    mixes = [market(params, MixSpec.homotopy(1.0 - stability)).codes
-             for stability in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    assert {mix for mix, _ in rated} == set(mixes)
-    for mix in mixes:
+    markets = [market(params, MixSpec.homotopy(1.0 - stability))
+               for stability in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    assert {mix for mix, _ in rated} == {m.codes for m in markets}
+    for m in markets:
         for end in (S_MIN, S_MAX):
-            assert sum(1 for m, s in rated if m == mix and s == end) == 1
+            state = point_on(m, end)  # the reserves of the end rate
+            assert sum(1 for codes, xy in rated
+                       if codes == m.codes and xy == (state.x, state.y)) == 1
 
 
 def _patched_rate(monkeypatch, inner_rate):
-    """The kernel ray_rate for the two end rates of one solve,
+    """The kernel rate_xy for the two end rates of one solve,
     inner_rate(state) at the curve point after them."""
     calls = []
 
-    def rate(family, kind, q0, q1, q2, s, a, b, *rest):
-        calls.append(s)
+    def rate(family, kind, q0, q1, q2, x, y, *rest):
+        calls.append((x, y))
         if len(calls) <= 2:
-            return ray_rate(family, kind, q0, q1, q2, s, a, b, *rest)
-        lam = k.lam_at(family, kind, q0, q1, q2, s, a, b, *rest)
-        return inner_rate(MarketState(lam * s / a, lam * (1.0 - s) / b))  # point_at's state
+            return rate_xy(family, kind, q0, q1, q2, x, y, *rest)
+        return inner_rate(MarketState(x, y))  # point_at's state
 
-    monkeypatch.setattr(k, "ray_rate", rate)
+    monkeypatch.setattr(k, "rate_xy", rate)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

@@ -303,6 +303,20 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert float(row[3]) == pytest.approx(0.5, rel=1e-9)  # spot_before = a/b
 
 
+@pytest.mark.parametrize("section, argv", [
+    ("curve", ("curve-sample", "--mix", "hom", "--t", "0.5")),
+    ("sim", ("sim-run", "--seed", "1", "--steps", "3")),
+])
+@pytest.mark.parametrize("value", [[], ["steps"], "steps", 3, 0.5])
+def test_config_section_must_be_an_object(tmp_path, capsys, section, argv, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: value}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: config section {section!r} must hold a JSON object\n"
+
+
 def test_json_format_flag(capsys):
     code, out, _ = run(capsys, "--format", "json", "quote", "--mix", "cpmm",
                        "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1")

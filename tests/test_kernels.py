@@ -304,17 +304,29 @@ def test_lam_prime_at_matches_helper_composition_bit_for_bit():
     assert raised > 0
 
 
-def _composed_ray_rate(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
-    # ray_rate as the composition it fuses: lam_at, the reserves, the
-    # MarketState check and rate_xy
+def _reference_rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+    # rate_xy as the composition it fuses: grad_xy, the anchor rate where
+    # sched_first has no t', and the gy check
+    try:
+        gx, gy = pure.grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+    except NonDifferentiablePointError:
+        return a / b
+    if gy == 0.0:
+        raise DegenerateGradientError("vanishing partial derivative in y")
+    return gx / gy
+
+
+def _ray_rate(rate, family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    """The spot rate at ray coordinate s as arbitrage_states takes it:
+    lam_at, the reserves and the MarketState check, then ``rate`` there."""
     lam = pure.lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
     x = lam * s / a
     y = lam * (1.0 - s) / b
     _check_reserves(x, y)
-    return pure.rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+    return rate(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
 
 
-def _outcome(f, args):
+def _outcome(f, *args):
     """repr of f(*args), which round-trips a float (NaN and the sign of zero
     included), or the type and message of what it raises."""
     try:
@@ -323,7 +335,8 @@ def _outcome(f, args):
         return type(exc), str(exc)
 
 
-# (arguments, outcome): each error the composition raises, and the anchor rate
+# (arguments at ray coordinate s, outcome): the first three raise in lam_at
+# or the reserve check, before any rate is taken; the rest reach rate_xy
 _RAY_RATE_EDGES = [
     # a parabola at t = 1.5
     ((2, 2, 0.0, 0.0, 1.5, 0.3, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5), ScheduleRangeError),
@@ -343,9 +356,11 @@ _RAY_RATE_EDGES = [
 
 @pytest.mark.parametrize("args, want", _RAY_RATE_EDGES)
 def test_ray_rate_edges_match_the_composition(args, want):
-    got = _outcome(pure.ray_rate, args)
-    assert got == _outcome(_composed_ray_rate, args)
+    got = _outcome(_ray_rate, pure.rate_xy, *args)
+    assert got == _outcome(_ray_rate, _reference_rate_xy, *args)
     assert got[0] is want if isinstance(want, type) else got == repr(want)
+    reached = _outcome(_ray_rate, lambda *xy_args: "rate", *args) == repr("rate")
+    assert reached == (_RAY_RATE_EDGES.index((args, want)) >= 3)
 
 
 _constant = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
@@ -381,8 +396,11 @@ def _ray_cases(draw):
 @given(args=_ray_cases())
 @example(args=_RAY_RATE_EDGES[0][0])
 def test_ray_rate_matches_the_composition_bit_for_bit(args):
-    """ray_rate returns the composition's bits or raises its error and message."""
-    assert _outcome(pure.ray_rate, args) == _outcome(_composed_ray_rate, args)
+    """At the reserves lam_at gives, rate_xy returns the composition's bits
+    (grad_xy, the anchor rate and the gy check) or raises its error and
+    message."""
+    assert (_outcome(_ray_rate, pure.rate_xy, *args)
+            == _outcome(_ray_rate, _reference_rate_xy, *args))
 
 
 def test_lam_chain_array_matches_scalar_kernel():
