@@ -7,6 +7,7 @@ workloads call it instead of looping over the scalar kernel.
 from ammix._kernels.arrays import lam_chain_array
 from ammix._kernels.pure import (
     components_xy,
+    curve_constants,
     grad_xy,
     lam_arith,
     lam_at,

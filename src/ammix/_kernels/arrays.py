@@ -17,26 +17,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+def lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """(lam, lam', lam'', singular) for the homotopy family over an array s."""
-    deg = alpha + beta
-    c = a * x0 + b * y0
-    s0 = a * x0 / c
     singular = np.zeros(s.shape, dtype=bool)
     # sched_eval
     if kind == 0:
         t, tp, tpp = q0, 0.0, 0.0
     elif kind == 1:
-        m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
         d = s - s0
         if q0 < 2.0:
             singular = d == 0.0
         # at d == 0 with exponent >= 2 these are sched_eval's values there:
-        # t = t' = 0, and t'' = 2/m**2 at exponent 2 (0**0 == 1), else 0
-        u = np.abs(d) / m
+        # t = t' = 0, and t'' = 2/M**2 at exponent 2 (0**0 == 1), else 0
+        u = np.abs(d) / q1
         t = u**q0
-        tp = np.copysign(q0 / m * u ** (q0 - 1.0), d)
-        tpp = q0 * (q0 - 1.0) / (m * m) * u ** (q0 - 2.0)
+        tp = np.copysign(q0 / q1 * u ** (q0 - 1.0), d)
+        tpp = q0 * (q0 - 1.0) / (q1 * q1) * u ** (q0 - 2.0)
     else:
         t = (q0 * s + q1) * s + q2
         tp = 2.0 * q0 * s + q1

@@ -4,9 +4,8 @@ These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
 function here operates on flat floats.  The hot path is fused, each kernel
 repeating the float operations of the helpers it inlines in their order:
 
-* ``lam_at`` and ``lam_prime_at`` compute c, s0, deg, the blend weight
-  and g(s) in one frame (``sched_value``, ``sched_first`` and
-  ``ray_log_ratio``);
+* ``lam_at`` and ``lam_prime_at`` compute the blend weight and g(s) in
+  one frame (``sched_value``, ``sched_first`` and ``ray_log_ratio``);
 * ``lam_arith`` inlines its log ratio;
 * ``value_xy`` and ``grad_xy`` repeat ``components_xy``;
 * ``rate_xy``, the one spot-rate kernel, is ``grad_xy`` (with
@@ -25,10 +24,13 @@ ArithmeticError.
 Conventions:
 
 * family codes: 0 = arithmetic, 1 = geometric, 2 = homotopy
-* schedule kinds: 0 = uniform (q0 = t), 1 = power law (q0 = exponent),
-  2 = parabolic (q0, q1, q2 = quadratic coefficients, highest first)
-* curve constants are passed as (a, b, x0, y0, alpha, beta); the sum
-  C = a*x0 + b*y0, deg = alpha + beta, and s0 = a*x0/C are derived inside.
+* schedule kinds: 0 = uniform (q0 = t), 1 = power law (q0 = exponent,
+  q1 = M = max(s0, 1 - s0)), 2 = parabolic (q0, q1, q2 = quadratic
+  coefficients, highest first)
+* curve constants are passed as (a, b, x0, y0, alpha, beta, c, s0, deg),
+  as ``curve_constants`` builds them once per curve: the sum
+  C = a*x0 + b*y0, s0 = a*x0/C and deg = alpha + beta.  No kernel derives
+  them again.
 * the CPMM ray scaling is computed as P(s) = C * exp(g(s)) with
   g(s) = [alpha*log(s0/s) + beta*log((1-s0)/(1-s))] / deg, which makes
   P(s0) == C exact and keeps P - C = C*expm1(g) accurate near s0.
@@ -50,17 +52,21 @@ _REL_TOL = 1e-12
 _MAX_ITER = 200
 
 
-def ray_log_ratio(s, a, b, x0, y0, alpha, beta):
-    """g(s) and g'(s) for the CPMM scaling along the ray at parameter s."""
-    deg = alpha + beta
+def curve_constants(a, b, x0, y0, alpha, beta):
+    """The nine constants every kernel takes: (a, b, x0, y0, alpha, beta)
+    followed by C = a*x0 + b*y0, s0 = a*x0/C and deg = alpha + beta."""
     c = a * x0 + b * y0
-    s0 = a * x0 / c
+    return a, b, x0, y0, alpha, beta, c, a * x0 / c, alpha + beta
+
+
+def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg):
+    """g(s) and g'(s) for the CPMM scaling along the ray at parameter s."""
     g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
     gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
     return g, gp
 
 
-def lam_arith(s, t, a, b, x0, y0, alpha, beta):
+def lam_arith(s, t, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Scaling putting the ray point on the arithmetic mix, by bracketed Newton.
 
     Solves lam*(1-t)/C + t*(lam/P)**deg = 1; the left side is strictly
@@ -70,11 +76,8 @@ def lam_arith(s, t, a, b, x0, y0, alpha, beta):
     for calibrated weights (deg == 1) that is usually the seed.  Raises
     ConvergenceError when ``_MAX_ITER`` steps do not converge.
     """
-    deg = alpha + beta
-    c = a * x0 + b * y0
     if t <= 0.0:
         return c
-    s0 = a * x0 / c
     p = c * exp((alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg)
     if t >= 1.0:
         return p
@@ -114,9 +117,8 @@ def sched_value(kind, q0, q1, q2, s, s0):
     if kind == 0:
         t = q0
     elif kind == 1:
-        m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
         d = s - s0
-        t = 0.0 if d == 0.0 else (abs(d) / m) ** q0
+        t = 0.0 if d == 0.0 else (abs(d) / q1) ** q0
     else:
         t = (q0 * s + q1) * s + q2
     if t < -1e-12 or t > 1.0 + 1e-12:
@@ -129,7 +131,6 @@ def sched_first(kind, q0, q1, q2, s, s0):
     if kind == 0:
         return q0, 0.0
     if kind == 1:
-        m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
         d = s - s0
         if d == 0.0:
             if q0 <= 1.0:
@@ -137,8 +138,8 @@ def sched_first(kind, q0, q1, q2, s, s0):
                     f"power-law schedule with exponent {q0!r} has no derivative at s0"
                 )
             return 0.0, 0.0
-        u = abs(d) / m
-        return u**q0, copysign(q0 / m * u ** (q0 - 1.0), d)
+        u = abs(d) / q1
+        return u**q0, copysign(q0 / q1 * u ** (q0 - 1.0), d)
     t = (q0 * s + q1) * s + q2
     return t, 2.0 * q0 * s + q1
 
@@ -148,25 +149,24 @@ def sched_eval(kind, q0, q1, q2, s, s0):
     if kind == 0:
         return q0, 0.0, 0.0
     if kind == 1:
-        m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
         d = s - s0
         if d == 0.0:
             if q0 < 2.0:
                 raise NonDifferentiablePointError(
                     f"power-law schedule with exponent {q0!r} is singular at s0"
                 )
-            tpp = 2.0 / (m * m) if q0 == 2.0 else 0.0
+            tpp = 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
             return 0.0, 0.0, tpp
-        u = abs(d) / m
+        u = abs(d) / q1
         t = u**q0
-        tp = copysign(q0 / m * u ** (q0 - 1.0), d)
-        tpp = q0 * (q0 - 1.0) / (m * m) * u ** (q0 - 2.0)
+        tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
+        tpp = q0 * (q0 - 1.0) / (q1 * q1) * u ** (q0 - 2.0)
         return t, tp, tpp
     t = (q0 * s + q1) * s + q2
     return t, 2.0 * q0 * s + q1, 2.0 * q0
 
 
-def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """(lam, lam', lam'') for the homotopy family under a schedule t(s).
 
     lam   = (P - C) t + C
@@ -176,11 +176,8 @@ def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     P'' = [2 alpha^2 (1-s)^2 + alpha beta (1-2s)^2 + 2 beta^2 s^2]
           / [s^2 (1-s)^2 (alpha+beta)^2] * P.
     """
-    deg = alpha + beta
-    c = a * x0 + b * y0
-    s0 = a * x0 / c
     t, tp, tpp = sched_eval(kind, q0, q1, q2, s, s0)
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg)
     p = c * exp(g)
     pmc = c * expm1(g)
     pp = p * gp
@@ -193,7 +190,7 @@ def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     return lam, lamp, lampp
 
 
-def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Scaling lam(s) for any (family, schedule) pair.
 
     Uniform weights (kind 0) take t = q0 for any family; a schedule takes
@@ -201,16 +198,13 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     Both helpers are inlined here, operation for operation.
     """
     if kind == 0 and family == 0:
-        return lam_arith(s, q0, a, b, x0, y0, alpha, beta)
-    c = a * x0 + b * y0
-    s0 = a * x0 / c
+        return lam_arith(s, q0, a, b, x0, y0, alpha, beta, c, s0, deg)
     if kind == 0:
         t = q0
     else:
         if kind == 1:
-            m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
             d = s - s0
-            t = 0.0 if d == 0.0 else (abs(d) / m) ** q0
+            t = 0.0 if d == 0.0 else (abs(d) / q1) ** q0
         else:
             t = (q0 * s + q1) * s + q2
         if t < -1e-12 or t > 1.0 + 1e-12:
@@ -220,7 +214,6 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
             t = 0.0
         elif t > 1.0:
             t = 1.0
-    deg = alpha + beta
     g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
     if kind == 0 and family == 1:
         return c * exp(g * deg * t / ((1.0 - t) + deg * t))
@@ -228,7 +221,7 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     return c + c * expm1(g) * t
 
 
-def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """(lam, dlam/ds) for any (family, schedule) pair.
 
     Uniform weights (kind 0) take t = q0 and the family's closed form; a
@@ -236,15 +229,11 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     formula.  ``ray_log_ratio`` and ``sched_first`` are inlined here,
     operation for operation.
     """
-    deg = alpha + beta
-    c = a * x0 + b * y0
-    s0 = a * x0 / c
     g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
     gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
     p = c * exp(g)
     if kind != 0:
         if kind == 1:
-            m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
             d = s - s0
             if d == 0.0:
                 if q0 <= 1.0:
@@ -253,16 +242,16 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
                     )
                 t = tp = 0.0
             else:
-                u = abs(d) / m
+                u = abs(d) / q1
                 t = u**q0
-                tp = copysign(q0 / m * u ** (q0 - 1.0), d)
+                tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
         else:
             t = (q0 * s + q1) * s + q2
             tp = 2.0 * q0 * s + q1
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
     if family == 0:
-        lam = lam_arith(s, t, a, b, x0, y0, alpha, beta)
+        lam = lam_arith(s, t, a, b, x0, y0, alpha, beta, c, s0, deg)
         if t <= 0.0:
             return lam, 0.0
         rd = t * deg * (lam / p) ** deg
@@ -283,14 +272,14 @@ def _float_range_error(x, y, exc):
     )
 
 
-def components_xy(x, y, a, b, x0, y0, alpha, beta):
+def components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Normalized component values (A0, A1) at (x, y); both 1 at (x0, y0)."""
-    a0 = (a * x + b * y) / (a * x0 + b * y0)
+    a0 = (a * x + b * y) / c
     a1 = (x / x0) ** alpha * (y / y0) ** beta
     return a0, a1
 
 
-def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta):
+def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Value of the mixed invariant at (x, y) for blend weight t; 1 on the curve.
 
     t is passed resolved, since the dynamic Stableswap blend depends on
@@ -298,18 +287,18 @@ def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta):
     ``components_xy``'s, operation for operation.
     """
     try:
-        a0 = (a * x + b * y) / (a * x0 + b * y0)
+        a0 = (a * x + b * y) / c
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             return a0 * (1.0 - t) + a1 * t
         if family == 1:
             return a0 ** (1.0 - t) * a1**t
-        return (1.0 - t) / a0 + a1 ** (-1.0 / (alpha + beta)) * t
+        return (1.0 - t) / a0 + a1 ** (-1.0 / deg) * t
     except ArithmeticError as exc:
         raise _float_range_error(x, y, exc) from exc
 
 
-def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Outward-oriented gradient (gx, gy) of the mixed invariant at (x, y).
 
     The homotopy invariant as tabulated decreases as reserves grow, so its
@@ -321,12 +310,11 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     A0 and A1 are ``components_xy``'s, operation for operation.
     """
     try:
-        c = a * x0 + b * y0
         n = a * x + b * y
         if kind == 0:
             t, tp = q0, 0.0
         else:
-            t, tp = sched_first(kind, q0, q1, q2, a * x / n, a * x0 / c)
+            t, tp = sched_first(kind, q0, q1, q2, a * x / n, s0)
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             return (
@@ -340,7 +328,6 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
                 g * ((1.0 - t) * b / n + t * beta / y),
             )
         # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
-        deg = alpha + beta
         w = a1 ** (-1.0 / deg)
         raw = (1.0 - t) * c / n + t * w
         raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
@@ -357,7 +344,7 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
         raise _float_range_error(x, y, exc) from exc
 
 
-def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Internal exchange rate gx/gy of currency 1 in units of currency 2 at (x, y).
 
     ``grad_xy``'s gradient, with ``sched_first``'s (t, t') inline, and its
@@ -369,24 +356,21 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     when gy == 0.
     """
     try:
-        c = a * x0 + b * y0
         n = a * x + b * y
         if kind == 0:
             t, tp = q0, 0.0
         else:
             s = a * x / n
-            s0 = a * x0 / c
             if kind == 1:
-                m = s0 if s0 >= 1.0 - s0 else 1.0 - s0
                 d = s - s0
                 if d == 0.0:
                     if q0 <= 1.0:
                         return a / b
                     t = tp = 0.0
                 else:
-                    u = abs(d) / m
+                    u = abs(d) / q1
                     t = u**q0
-                    tp = copysign(q0 / m * u ** (q0 - 1.0), d)
+                    tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
             else:
                 t = (q0 * s + q1) * s + q2
                 tp = 2.0 * q0 * s + q1
@@ -399,7 +383,6 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
             gx = ga * ((1.0 - t) * a / n + t * alpha / x)
             gy = ga * ((1.0 - t) * b / n + t * beta / y)
         else:
-            deg = alpha + beta
             w = a1 ** (-1.0 / deg)
             nn = n * n
             raw = (1.0 - t) * c / n + t * w
@@ -419,7 +402,8 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
     return gx / gy
 
 
-def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, s_lo, s_hi):
+def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, c, s0, deg,
+                  s_lo, s_hi):
     """Invert x(s) = (s/a) lam(s) by bisection, then one Newton polish.
 
     The bracket [s_lo, s_hi] must already contain the solution; x(s) is
@@ -430,7 +414,8 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
     hi = s_hi
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        xm = mid / a * lam_at(family, kind, q0, q1, q2, mid, a, b, x0, y0, alpha, beta)
+        xm = mid / a * lam_at(family, kind, q0, q1, q2, mid, a, b, x0, y0, alpha, beta, c, s0,
+                              deg)
         if xm < x_target:
             lo = mid
         else:
@@ -444,7 +429,8 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
         )
     s = 0.5 * (lo + hi)
     try:
-        lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0,
+                                 deg)
     except NonDifferentiablePointError:
         return s
     xp = (lam + s * lamp) / a

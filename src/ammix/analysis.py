@@ -144,17 +144,17 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
         )
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
-    a, b, x0, y0, alpha, beta = m.curve
+    a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
     lam_at, rate_xy = k.lam_at, k.rate_xy
     max_evals = _MAX_RATE_EVALS
 
     def rate(s: float) -> float:
-        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
         x = lam * s / a
         y = lam * (1.0 - s) / b
         if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
             _check_reserves(x, y)  # raises MarketState's error
-        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
         if not 0.0 < value < inf:  # False for NaN
             raise InvalidCurveError(f"spot rate {value!r} at s={s!r} is not positive and finite")
         return value

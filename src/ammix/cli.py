@@ -127,19 +127,23 @@ def _config_section(config: dict, name: str) -> dict:
     return section
 
 
+def _config_number(section: str, key: str, value, integer: bool = False):
+    """``value`` of the config key ``section.key``, refused unless it is a
+    number (an integer if ``integer``); JSON true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise InvalidParameterError(f"config key {section}.{key} must be "
+                                    f"{'an integer' if integer else 'a number'}, "
+                                    f"got {json.dumps(value)}")
+    return value
+
+
 def _curve_from(ns: argparse.Namespace, config: dict) -> CurveParams:
     curve_cfg = _config_section(config, "curve")
-    def pick(flag, key, default):
-        v = getattr(ns, flag)
-        if v is not None:
-            return v
-        return curve_cfg.get(key, default)
-    return CurveParams(
-        a=pick("a", "a", 1.0),
-        b=pick("b", "b", 1.0),
-        x0=pick("x0", "x0", 1.0),
-        y0=pick("y0", "y0", 1.0),
-    )
+    values = {}
+    for key in ("a", "b", "x0", "y0"):
+        v = getattr(ns, key)  # a flag overrides the config
+        values[key] = _config_number("curve", key, curve_cfg.get(key, 1.0)) if v is None else v
+    return CurveParams(**values)
 
 
 _MIX_ALIASES = {"csmm": 0.0, "cpmm": 1.0}
@@ -214,12 +218,12 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     # point_at's reserves and their check, on the market's unpacked codes
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
-    a, b, x0, y0, alpha, beta = m.curve
+    a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
     lam_at = k.lam_at
     rows = []
     for i in range(n):
         s = _check_s(SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1))
-        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
         x, y = lam * s / a, lam * (1.0 - s) / b
         _check_reserves(x, y)
         rows.append({"s": s, "x": x, "y": y})
@@ -352,8 +356,13 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     return emit_table(rows, ns.format), 0
 
 
+# the keys of a config's "sim" section that take integers; the others take numbers
+_SIM_INTEGERS = ("steps", "rate_interval", "seed", "runs")
+
+
 def _sim_config_from(ns: argparse.Namespace, config: dict) -> SimConfig:
-    sim_cfg = dict(_config_section(config, "sim"))
+    sim_cfg = {key: _config_number("sim", key, v, key in _SIM_INTEGERS)
+               for key, v in _config_section(config, "sim").items()}
     init_x = sim_cfg.pop("init_x", 3000.0)
     init_y = sim_cfg.pop("init_y", 1000.0)
     base = SimConfig(init_state=MarketState(init_x, init_y), **sim_cfg)

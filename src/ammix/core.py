@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from math import isfinite
+from math import inf, isfinite
 
 from ammix import _kernels as k
 from ammix.errors import InvalidParameterError
@@ -57,7 +57,8 @@ class CurveParams:
 
     The derived fields are cached at construction: calibrated exponents
     (alpha, beta), the weighted total c = a*x0 + b*y0, and the initial ray
-    coordinate s0 = a*x0/c.
+    coordinate s0 = a*x0/c.  ``_curve`` holds the nine constants the
+    kernels take, from ``_kernels.curve_constants``.
     """
 
     a: float
@@ -77,14 +78,15 @@ class CurveParams:
                 f"anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = {alpha!r} is not strictly "
                 f"inside (0, 1) for a={self.a!r}, b={self.b!r}, x0={self.x0!r}, y0={self.y0!r}"
             )
+        # the constants in the order the kernels take them
+        curve = k.curve_constants(self.a, self.b, self.x0, self.y0, alpha, beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "c", self.a * self.x0 + self.b * self.y0)
+        object.__setattr__(self, "c", curve[6])
         object.__setattr__(self, "s0", alpha)
         # hashed once: every curve operation looks its market up by (params, mix)
         object.__setattr__(self, "_hash", hash((self.a, self.b, self.x0, self.y0)))
-        # the constants in the order the kernels take them
-        object.__setattr__(self, "_curve", (self.a, self.b, self.x0, self.y0, alpha, beta))
+        object.__setattr__(self, "_curve", curve)
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,7 +94,7 @@ class CurveParams:
     @property
     def deg(self) -> float:
         """Degree of the CPMM component, alpha + beta (1 when calibrated)."""
-        return self.alpha + self.beta
+        return self._curve[8]
 
     @property
     def initial_state(self) -> "MarketState":
@@ -193,14 +195,15 @@ class Market:
     """A curve resolved for the s-kernels; build it with ``market``.
 
     ``codes`` = (family, kind, q0, q1, q2) and ``curve`` = (a, b, x0, y0,
-    alpha, beta) are in the order the kernels take them, so the scaling at
-    ray coordinate s is ``k.lam_at(*m.codes, s, *m.curve)``.
+    alpha, beta, C, s0, deg) are in the order the kernels take them, so the
+    scaling at ray coordinate s is ``k.lam_at(*m.codes, s, *m.curve)``; a
+    power law's q1 is its scale M = max(s0, 1 - s0).
     """
 
     params: CurveParams
     mix: MixSpec
     codes: tuple[int, int, float, float, float]
-    curve: tuple[float, float, float, float, float, float]
+    curve: tuple[float, float, float, float, float, float, float, float, float]
 
     @cached_property
     def mirrored(self) -> "Market":
@@ -216,7 +219,8 @@ class Market:
 def market(params: CurveParams, mix: MixSpec) -> Market:
     """The ``Market`` of (params, mix), built once per pair.
 
-    The dynamic Stableswap blend depends on the state, not on s alone:
+    Its ``curve`` is the nine constants of ``params._curve``.  The dynamic
+    Stableswap blend depends on the state, not on s alone:
     ``schedule_coeffs`` raises UnsupportedScheduleError for it here, on
     every s-kernel path.  Only ``eval_mixed`` evaluates it.
     """
@@ -266,10 +270,15 @@ def spot_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
 
     The anchor rate a/b where a power-law schedule leaves the invariant
     without a gradient, DegenerateGradientError where gy == 0; see
-    ``_kernels.pure.rate_xy``.
+    ``_kernels.pure.rate_xy``.  Raises InvalidParameterError where the
+    rate is not positive and finite (its partials underflow or overflow).
     """
     m = market(params, mix)
-    return k.rate_xy(*m.codes, state.x, state.y, *m.curve)
+    rate = k.rate_xy(*m.codes, state.x, state.y, *m.curve)
+    if not 0.0 < rate < inf:  # False for NaN
+        raise InvalidParameterError(f"spot rate {rate!r} at reserves ({state.x!r}, {state.y!r}) "
+                                    "is not positive and finite")
+    return rate
 
 
 def rebase_curve(params: CurveParams, state: MarketState, new_rate: float) -> CurveParams:

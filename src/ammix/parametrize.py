@@ -47,8 +47,7 @@ def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float
     _check_s(s)
     if not (isfinite(t) and 0.0 <= t <= 1.0):
         raise InvalidParameterError(f"blend weight must be in [0, 1], got {t!r}")
-    return k.lam_at(_FAMILY_CODE[family], 0, t, 0.0, 0.0, s, params.a, params.b, params.x0,
-                    params.y0, params.alpha, params.beta)
+    return k.lam_at(_FAMILY_CODE[family], 0, t, 0.0, 0.0, s, *params._curve)
 
 
 def point_at(params: CurveParams, mix: MixSpec, s: float) -> MarketState:

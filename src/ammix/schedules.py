@@ -95,9 +95,11 @@ class Uniform:
 class PowerLaw:
     """t(s) = |(s - s0)/M|**exponent with M = max(s0, 1 - s0).
 
-    Larger exponents hold the curve near its constant-sum behaviour around
-    the initial point, i.e. act as a stability dial.  exponent = 0 would
-    make t discontinuous at s0 and is rejected.
+    M depends on the curve, not on the schedule: ``schedule_coeffs`` takes
+    it from s0 once per curve and the kernels read it as q1.  Larger
+    exponents hold the curve near its constant-sum behaviour around the
+    initial point, i.e. act as a stability dial.  exponent = 0 would make
+    t discontinuous at s0 and is rejected.
     """
 
     exponent: float
@@ -166,11 +168,15 @@ def parabolic_coefficients(schedule: Parabolic, s0: float) -> tuple[float, float
 
 
 def schedule_coeffs(schedule: TSchedule, s0: float) -> tuple[int, float, float, float]:
-    """Kernel-level (kind, q0, q1, q2) encoding of a schedule."""
+    """Kernel-level (kind, q0, q1, q2) encoding of a schedule at pivot s0.
+
+    A power law is (1, exponent, M, 0) with M = max(s0, 1 - s0), derived
+    here once per curve, as a parabola's coefficients are, not by the kernels.
+    """
     if isinstance(schedule, Uniform):
         return k.SCHED_UNIFORM, schedule.t, 0.0, 0.0
     if isinstance(schedule, PowerLaw):
-        return k.SCHED_POWERLAW, schedule.exponent, 0.0, 0.0
+        return k.SCHED_POWERLAW, schedule.exponent, s0 if s0 >= 1.0 - s0 else 1.0 - s0, 0.0
     if isinstance(schedule, Parabolic):
         c2, c1, c0 = parabolic_coefficients(schedule, s0)
         return k.SCHED_PARABOLIC, c2, c1, c0
@@ -202,8 +208,7 @@ def lambda_derivs(params: "CurveParams", schedule: TSchedule, s: float) -> tuple
     """(lam, lam', lam'') of the scheduled homotopy scaling at s."""
     _check_s(s)
     kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    return k.lam_chain(kind, q0, q1, q2, s, params.a, params.b, params.x0,
-                       params.y0, params.alpha, params.beta)
+    return k.lam_chain(kind, q0, q1, q2, s, *params._curve)
 
 
 def curve_derivatives(params: "CurveParams", schedule: TSchedule, s: float) -> tuple[float, float]:
@@ -243,8 +248,7 @@ def check_convexity(params: "CurveParams", schedule: TSchedule,
     if grid_size < 3:
         raise InvalidParameterError(f"grid_size must be >= 3, got {grid_size!r}")
     kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    a, b, x0, y0 = params.a, params.b, params.x0, params.y0
-    alpha, beta = params.alpha, params.beta
+    curve = params._curve
     lo = CONVEXITY_GRID_INSET
     step = (1.0 - 2.0 * CONVEXITY_GRID_INSET) / (grid_size - 1)
     min_margin = float("inf")
@@ -253,8 +257,7 @@ def check_convexity(params: "CurveParams", schedule: TSchedule,
     with np.errstate(all="ignore"):
         for start in range(0, grid_size, _CONVEXITY_BLOCK):
             s = lo + np.arange(start, min(start + _CONVEXITY_BLOCK, grid_size)) * step
-            lam, lamp, lampp, singular = k.lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0,
-                                                           alpha, beta)
+            lam, lamp, lampp, singular = k.lam_chain_array(kind, q0, q1, q2, s, *curve)
             margin = lam * lampp - 2.0 * lamp * lamp
             skipped += int(np.count_nonzero(singular))
             margin[singular | np.isnan(margin)] = np.inf

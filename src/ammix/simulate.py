@@ -210,29 +210,24 @@ class SimTrace:
 
 def _run_with(config: SimConfig, params: CurveParams, mix: MixSpec,
               external: np.ndarray, rng: np.random.Generator) -> SimTrace:
-    n = config.steps + 1
-    xs = np.empty(n)
-    ys = np.empty(n)
-    internal = np.empty(n)
-    extracted: list = [None] * n
-    out_amt = np.full(n, nan)
-    in_amt = np.full(n, nan)
-    slip = np.full(n, nan)
+    rates = external.tolist()
     state = config.init_state
-    xs[0], ys[0] = state.x, state.y
-    internal[0] = spot_rate(params, mix, state)
-    for i in range(1, n):
-        state, rec = sim_step(state, params, mix, external[i], config, rng)
-        xs[i], ys[i] = state.x, state.y
-        internal[i] = spot_rate(params, mix, state)
-        extracted[i] = rec.extracted
-        out_amt[i] = rec.output_amount
-        in_amt[i] = rec.input_amount
-        slip[i] = rec.slippage
+    states, recs = [state], [TradeRecord(None, nan, nan, nan)]
+    internal = [spot_rate(params, mix, state)]
+    for i in range(1, config.steps + 1):
+        state, rec = sim_step(state, params, mix, rates[i], config, rng)
+        states.append(state)
+        recs.append(rec)
+        internal.append(spot_rate(params, mix, state))
+    f64 = np.float64
     return SimTrace(
         config=config, params=params, mix=mix,
-        x=xs, y=ys, internal_rate=internal, external_rate=np.array(external),
-        extracted=extracted, trade_output=out_amt, trade_input=in_amt, slippage=slip,
+        x=np.array([st.x for st in states], f64), y=np.array([st.y for st in states], f64),
+        internal_rate=np.array(internal, f64), external_rate=np.array(external),
+        extracted=[rec.extracted for rec in recs],
+        trade_output=np.array([rec.output_amount for rec in recs], f64),
+        trade_input=np.array([rec.input_amount for rec in recs], f64),
+        slippage=np.array([rec.slippage for rec in recs], f64),
     )
 
 

@@ -317,6 +317,51 @@ def test_config_section_must_be_an_object(tmp_path, capsys, section, argv, value
     assert err == f"error: config section {section!r} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize("section, key, argv", [
+    ("sim", "steps", ("sim-run", "--seed", "1")),
+    ("sim", "stability", ("sim-sweep", "--seed", "1", "--stabilities", "0.5", "--runs", "1")),
+    ("sim", "init_x", ("sim-run", "--seed", "1", "--steps", "3")),
+    ("curve", "a", ("quote", "--mix", "cpmm", "--x", "1", "--y", "1", "--sell", "cur1",
+                    "--amount", "0.1")),
+    ("curve", "y0", ("curve-sample", "--mix", "hom", "--t", "0.5")),
+])
+@pytest.mark.parametrize("value", [True, False, "3", None, [3]])
+def test_config_numbers_refuse_non_numbers(tmp_path, capsys, section, key, argv, value):
+    """JSON true is not 1: a boolean or any other non-number under a numeric
+    config key exits 2 with a typed error, not a run on a = 1 or 1 step."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    kind = "an integer" if key == "steps" else "a number"
+    assert err == f"error: config key {section}.{key} must be {kind}, got {json.dumps(value)}\n"
+
+
+def test_config_integer_key_refuses_a_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"runs": 2.0}}))
+    code, out, err = run(capsys, "sim-sweep", "--seed", "1", "--stabilities", "0.5",
+                         "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: config key sim.runs must be an integer, got 2.0\n"
+
+
+@pytest.mark.parametrize("argv, rate", [
+    # the partials' ratio underflows to 0: 1/rate used to raise ZeroDivisionError
+    (("--mix", "cpmm", "--y0", "1e300", "--x", "9.999e+303", "--y", "1e+300", "--sell", "cur2",
+      "--amount", "6.150305336174553e+303"), "0.0"),
+    # both partials overflow: the rate used to print as an empty spot_before and slippage
+    (("--mix", "hom", "--t", "0.19171569487091622", "--a", "0.00013738015707961775",
+      "--b", "1e160", "--y0", "290.9866163112117", "--x", "3.66707704473e+165",
+      "--y", "251.770950489", "--sell", "cur1", "--amount", "1.5887714586464152e+161"), "nan"),
+])
+def test_quote_refuses_a_spot_rate_that_is_not_positive_and_finite(capsys, argv, rate):
+    code, out, err = run(capsys, "quote", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: spot rate {rate} at reserves (")
+    assert err.endswith(") is not positive and finite\n") and err.count("\n") == 1
+
+
 def test_json_format_flag(capsys):
     code, out, _ = run(capsys, "--format", "json", "quote", "--mix", "cpmm",
                        "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1")

@@ -309,6 +309,15 @@ def _reference_spot_rate(params, mix, state):
     return gx / gy
 
 
+def _reference_checked_spot_rate(params, mix, state):
+    # spot_rate refuses a rate that is not positive and finite
+    rate = _reference_spot_rate(params, mix, state)
+    if not 0.0 < rate < math.inf:
+        raise InvalidParameterError(f"spot rate {rate!r} at reserves ({state.x!r}, {state.y!r}) "
+                                    "is not positive and finite")
+    return rate
+
+
 def _reference_eval_mixed(params, mix, state):
     a0 = (params.a * state.x + params.b * state.y) / params.c
     a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
@@ -378,7 +387,9 @@ def test_xy_kernels_match_the_formulas_they_replaced_bit_for_bit():
         grad = lambda p, mx, st: k.grad_xy(*m.codes, st.x, st.y, *m.curve)
         raised.add(_same_outcome(_reference_grad_mixed, grad, params, mix, state))
         raised.add(_same_outcome(_reference_grad_mixed, grad_mixed, params, mix, state))
-        raised.add(_same_outcome(_reference_spot_rate, spot_rate, params, mix, state))
+        rate = lambda p, mx, st: k.rate_xy(*m.codes, st.x, st.y, *m.curve)
+        raised.add(_same_outcome(_reference_spot_rate, rate, params, mix, state))
+        raised.add(_same_outcome(_reference_checked_spot_rate, spot_rate, params, mix, state))
         raised.add(_same_outcome(_reference_eval_mixed, eval_mixed, params, mix, state))
     # the k <= 1 anchor, A1 == 0 with gy == 0, and A1 == 0 under a negative power
     assert {NonDifferentiablePointError, DegenerateGradientError, InvalidParameterError} <= raised
@@ -404,10 +415,26 @@ def test_market_is_resolved_once_per_curve(pool_params):
     mix = MixSpec.scheduled(Parabolic(bias=0.2, center=0.5))
     m = market(pool_params, mix)
     assert market(CurveParams(1.0, 2.0, 3000.0, 1000.0), MixSpec.scheduled(Parabolic(0.2, 0.5))) is m
-    assert m.curve == (1.0, 2.0, 3000.0, 1000.0, pool_params.alpha, pool_params.beta)
+    alpha, beta = pool_params.alpha, pool_params.beta
+    assert m.curve == (1.0, 2.0, 3000.0, 1000.0, alpha, beta, 5000.0, alpha, alpha + beta)
     assert m.mirrored is m.mirrored
     assert m.mirrored.params == CurveParams(2.0, 1.0, 1000.0, 3000.0)
     assert m.mirrored.mix == MixSpec.scheduled(Parabolic(bias=0.8, center=0.5))
+
+
+def test_curve_constants_are_the_kernels_derivation():
+    """CurveParams derives its nine kernel constants with curve_constants,
+    and its c and s0 are the same floats: on random curves and on the
+    mirrored market of each."""
+    rng = random.Random(1616)
+    for _ in range(500):
+        params = CurveParams(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3),
+                             10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-4, 4))
+        mix = MixSpec.scheduled(PowerLaw(rng.uniform(0.5, 8.0)))
+        for p in (params, market(params, mix).mirrored.params):
+            want = k.curve_constants(p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+            assert p._curve == want, p
+            assert (p.c, p.s0, p.deg) == want[6:], p
 
 
 DYNAMIC_REFUSALS = {

@@ -2,9 +2,11 @@
 pure kernels must match the composition of their helpers bit for bit, and
 the array kernel must match the scalar one."""
 
+import ast
 import random
 import re
 from math import exp, expm1
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ def _random_curves(n, seed):
     return curves
 
 
+def _constants(a, b, x0, y0, alpha, beta):
+    """The nine constants the kernels take, derived here rather than by
+    ``pure.curve_constants``, so the bit-for-bit checks do not rest on it:
+    C = a*x0 + b*y0, s0 = a*x0/C (0.5 where C underflows to 0, which
+    CurveParams refuses) and deg = alpha + beta."""
+    c = a * x0 + b * y0
+    return a, b, x0, y0, alpha, beta, c, a * x0 / c if c > 0.0 else 0.5, alpha + beta
+
+
+def _powerlaw_scale(s0):
+    """A power law's q1, M = max(s0, 1 - s0), derived here."""
+    return s0 if s0 >= 1.0 - s0 else 1.0 - s0
+
+
 def test_selected_backend_reported():
     assert ammix.KERNEL_BACKEND == "pure"
     exported = {name: value for name, value in vars(selector).items()
@@ -48,13 +64,33 @@ def test_selected_backend_reported():
         assert value is getattr(pure, name, None) or value is selector.lam_chain_array, name
 
 
+# the derivations of C, s0, deg and a power law's M from a curve's constants
+_DERIVATIONS = {"a * x0 + b * y0", "a * x0 / c", "alpha + beta", "s0 >= 1.0 - s0"}
+
+
+def test_curve_constants_are_derived_in_one_place():
+    """Each curve's C, s0 and deg come from ``curve_constants`` (and M from
+    ``schedules.schedule_coeffs``): no other code under ``_kernels`` derives
+    them."""
+    found = []
+    for path in sorted(Path(pure.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.BinOp, ast.Compare)) and ast.unparse(node) in _DERIVATIONS:
+                    found.append((path.name, where, ast.unparse(node)))
+    assert sorted(found) == [("pure.py", "curve_constants", "a * x0 + b * y0"),
+                             ("pure.py", "curve_constants", "a * x0 / c"),
+                             ("pure.py", "curve_constants", "alpha + beta")]
+
+
 def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
     # lam_arith as the composition of ray_log_ratio and the Newton loop, r**deg taken twice
     deg = alpha + beta
     c = a * x0 + b * y0
     if t <= 0.0:
         return c
-    g, _ = pure.ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    g, _ = pure.ray_log_ratio(s, *_constants(a, b, x0, y0, alpha, beta))
     p = c * exp(g)
     if t >= 1.0:
         return p
@@ -84,12 +120,13 @@ def _reference_lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     # lam_at as the composition of sched_value, ray_log_ratio and the uniform closed forms
     curve = (a, b, x0, y0, alpha, beta)
     c = a * x0 + b * y0
+    nine = _constants(*curve)
     if kind != 0:
         t = pure.sched_value(kind, q0, q1, q2, s, a * x0 / c)
-        return c + c * expm1(pure.ray_log_ratio(s, *curve)[0]) * t
+        return c + c * expm1(pure.ray_log_ratio(s, *nine)[0]) * t
     if family == 0:
         return _reference_lam_arith(s, q0, *curve)
-    g, _ = pure.ray_log_ratio(s, *curve)
+    g, _ = pure.ray_log_ratio(s, *nine)
     if family == 1:
         deg = alpha + beta
         d = (1.0 - q0) + deg * q0
@@ -107,7 +144,7 @@ def _fusion_cases(n, seed):
             curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), beta * rng.uniform(0.5, 2.0))
         schedules = [
             (0, rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]), 0.0, 0.0),
-            (1, rng.choice([0.5, 1.0, 2.0, rng.uniform(0.25, 8.0)]), 0.0, 0.0),
+            (1, rng.choice([0.5, 1.0, 2.0, rng.uniform(0.25, 8.0)]), _powerlaw_scale(s0), 0.0),
             (2, 0.3, -0.2, 0.4),
             (2, -1.0, 1.0, rng.uniform(0.0, 0.75)),  # t in [0, 1]
             (2, 0.0, 0.0, 1.0 + 5e-13),  # clamped down to 1
@@ -130,13 +167,13 @@ def test_lam_at_matches_helper_composition_bit_for_bit():
             want = _reference_lam_at(family, kind, q0, q1, q2, s, *curve)
         except ScheduleRangeError:
             with pytest.raises(ScheduleRangeError):
-                pure.lam_at(family, kind, q0, q1, q2, s, *curve)
+                pure.lam_at(family, kind, q0, q1, q2, s, *_constants(*curve))
             raised += 1
             continue
-        got = pure.lam_at(family, kind, q0, q1, q2, s, *curve)
+        got = pure.lam_at(family, kind, q0, q1, q2, s, *_constants(*curve))
         assert got == want, (family, kind, q0, q1, q2, s, curve)
         if kind == 0 and family == 0:
-            assert pure.lam_arith(s, q0, *curve) == want
+            assert pure.lam_arith(s, q0, *_constants(*curve)) == want
     assert raised > 0
 
 
@@ -150,14 +187,15 @@ def test_lam_arith_matches_reference_loop_bit_for_bit():
         alpha = a * x0 / (a * x0 + b * y0)
         curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), (1.0 - alpha) * rng.uniform(0.5, 2.0))
         s, t = rng.uniform(0.001, 0.999), rng.uniform(0.0, 1.0)
-        assert pure.lam_arith(s, t, *curve) == _reference_lam_arith(s, t, *curve), (s, t, curve)
+        assert pure.lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
+            (s, t, curve)
 
 
 def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
     # uncalibrated weights (deg == 2): the deg == 1 seed is not the root, and
     # Newton takes 4 steps from it
     p = CurveParams(0.5, 1, 3000, 1000)
-    curve = (p.a, p.b, p.x0, p.y0, 0.6, 1.4)
+    curve = _constants(p.a, p.b, p.x0, p.y0, 0.6, 1.4)
     lam = pure.lam_arith(0.37, 0.6, *curve)
     monkeypatch.setattr(pure, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
@@ -185,7 +223,7 @@ def _calibrated_arith_grid():
 def test_lam_arith_converges_within_cap_on_grid():
     # no blend weight in [0.01, 0.99] and no s in [S_MIN, S_MAX] reaches _MAX_ITER
     for p, s, t in _calibrated_arith_grid():
-        lam = pure.lam_arith(s, t, p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        lam = pure.lam_arith(s, t, *p._curve)
         assert 0.0 < lam <= p.c / (1.0 - t)
 
 
@@ -194,7 +232,7 @@ def test_lam_arith_takes_one_step_on_calibrated_grid(monkeypatch):
     # residual is exactly 0 or one Newton step closes the relative 1e-12 gap
     monkeypatch.setattr(pure, "_MAX_ITER", 1)
     for p, s, t in _calibrated_arith_grid():
-        lam = pure.lam_arith(s, t, p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        lam = pure.lam_arith(s, t, *p._curve)
         assert 0.0 < lam <= p.c / (1.0 - t)
 
 
@@ -208,13 +246,13 @@ def test_lam_arith_solves_where_c_times_p_leaves_the_float_range(scale):
     for _ in range(200):
         a, b = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
         p = CurveParams(a, b, scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
-        curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+        curve = p._curve
         s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(1e-9, 1.0 - 1e-9)
         lam = pure.lam_arith(s, t, *curve)
         x, y = lam * s / p.a, lam * (1.0 - s) / p.b
         assert abs(pure.value_xy(0, t, x, y, *curve) - 1.0) <= 1e-15, (s, t, curve)
         # the same curve at unit scale, scaled back up
-        unit = (p.a, p.b, p.x0 / scale, p.y0 / scale, p.alpha, p.beta)
+        unit = _constants(p.a, p.b, p.x0 / scale, p.y0 / scale, p.alpha, p.beta)
         assert lam == pytest.approx(scale * pure.lam_arith(s, t, *unit), rel=1e-14)
 
 
@@ -228,14 +266,15 @@ def test_lam_arith_seed_unchanged_where_c_times_p_is_a_positive_float():
                         scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
         curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
         s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0)
-        assert pure.lam_arith(s, t, *curve) == _reference_lam_arith(s, t, *curve), (s, t, curve)
+        assert pure.lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
+            (s, t, curve)
 
 
 def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):
     # a homotopy blend, whose lam_at does not iterate: from [S_MIN, S_MAX] the
     # bracket reaches 1e-14 after 47 halvings
     p = CurveParams(0.5, 1, 3000, 1000)
-    curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+    curve = p._curve
     s = pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX)
     monkeypatch.setattr(pure, "_MAX_ITER", 47)
     assert pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX) == s
@@ -252,8 +291,10 @@ def test_lam_prime_at_matches_central_difference_of_lam_at():
         s0 = a * x0 / (a * x0 + b * y0)
         if i % 2:  # uncalibrated weights: deg != 1
             curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), beta * rng.uniform(0.5, 2.0))
+        curve = _constants(*curve)
         for kind, q0, q1, q2 in ((0, rng.uniform(0.05, 0.95), 0.0, 0.0),
-                                 (1, rng.uniform(0.5, 4.0), 0.0, 0.0), (2, 0.3, -0.2, 0.4)):
+                                 (1, rng.uniform(0.5, 4.0), _powerlaw_scale(s0), 0.0),
+                                 (2, 0.3, -0.2, 0.4)):
             s = rng.choice([rng.uniform(0.05, 0.95), 0.5 * s0, 0.5 * (1.0 + s0)])
             h = 1e-4 * min(s, 1.0 - s)  # lam_arith converges to relative 1e-12 only
             for family in (range(3) if kind == 0 else (2,)):  # schedules blend homotopically
@@ -267,7 +308,8 @@ def test_lam_prime_at_matches_central_difference_of_lam_at():
 def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     # lam_prime_at as the composition of ray_log_ratio, sched_first and the closed forms
     c = a * x0 + b * y0
-    g, gp = pure.ray_log_ratio(s, a, b, x0, y0, alpha, beta)
+    nine = _constants(a, b, x0, y0, alpha, beta)
+    g, gp = pure.ray_log_ratio(s, *nine)
     p = c * exp(g)
     if kind != 0:
         t, tp = pure.sched_first(kind, q0, q1, q2, s, a * x0 / c)
@@ -275,7 +317,7 @@ def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, be
     t = q0
     deg = alpha + beta
     if family == 0:
-        lam = pure.lam_arith(s, t, a, b, x0, y0, alpha, beta)
+        lam = pure.lam_arith(s, t, *nine)
         if t <= 0.0:
             return lam, 0.0
         rd = t * deg * (lam / p) ** deg
@@ -296,34 +338,34 @@ def test_lam_prime_at_matches_helper_composition_bit_for_bit():
             want = _reference_lam_prime_at(family, kind, q0, q1, q2, s, *curve)
         except NonDifferentiablePointError as exc:
             with pytest.raises(NonDifferentiablePointError, match=re.escape(str(exc))):
-                pure.lam_prime_at(family, kind, q0, q1, q2, s, *curve)
+                pure.lam_prime_at(family, kind, q0, q1, q2, s, *_constants(*curve))
             raised += 1
             continue
-        got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *curve)
+        got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *_constants(*curve))
         assert got == want, (family, kind, q0, q1, q2, s, curve)
     assert raised > 0
 
 
-def _reference_rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta):
+def _reference_rate_xy(family, kind, q0, q1, q2, x, y, *curve):
     # rate_xy as the composition it fuses: grad_xy, the anchor rate where
     # sched_first has no t', and the gy check
     try:
-        gx, gy = pure.grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+        gx, gy = pure.grad_xy(family, kind, q0, q1, q2, x, y, *curve)
     except NonDifferentiablePointError:
-        return a / b
+        return curve[0] / curve[1]
     if gy == 0.0:
         raise DegenerateGradientError("vanishing partial derivative in y")
     return gx / gy
 
 
-def _ray_rate(rate, family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+def _ray_rate(rate, family, kind, q0, q1, q2, s, *curve):
     """The spot rate at ray coordinate s as arbitrage_states takes it:
     lam_at, the reserves and the MarketState check, then ``rate`` there."""
-    lam = pure.lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
-    x = lam * s / a
-    y = lam * (1.0 - s) / b
+    lam = pure.lam_at(family, kind, q0, q1, q2, s, *curve)
+    x = lam * s / curve[0]
+    y = lam * (1.0 - s) / curve[1]
     _check_reserves(x, y)
-    return rate(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta)
+    return rate(family, kind, q0, q1, q2, x, y, *curve)
 
 
 def _outcome(f, *args):
@@ -335,9 +377,18 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _ray_args(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
+    """The kernel arguments at ray coordinate s on six curve constants:
+    the nine constants, and M = max(s0, 1 - s0) as a power law's q1."""
+    curve = _constants(a, b, x0, y0, alpha, beta)
+    if kind == 1:
+        q1 = _powerlaw_scale(curve[7])
+    return (family, kind, q0, q1, q2, s, *curve)
+
+
 # (arguments at ray coordinate s, outcome): the first three raise in lam_at
 # or the reserve check, before any rate is taken; the rest reach rate_xy
-_RAY_RATE_EDGES = [
+_RAY_RATE_EDGES = [(_ray_args(*args), want) for args, want in [
     # a parabola at t = 1.5
     ((2, 2, 0.0, 0.0, 1.5, 0.3, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5), ScheduleRangeError),
     # x = lam*s/a underflows to 0: the reserve check
@@ -351,7 +402,7 @@ _RAY_RATE_EDGES = [
     # power laws with exponent <= 1 have no t' at s0: the anchor rate a/b
     ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
     ((2, 1, 1.0, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
-]
+]]
 
 
 @pytest.mark.parametrize("args, want", _RAY_RATE_EDGES)
@@ -389,7 +440,8 @@ def _ray_cases(draw):
         q = tuple(draw(st.floats(min_value=-3.0, max_value=3.0)) for _ in range(3))
     s = draw(st.sampled_from([S_MIN, S_MAX, s0])
              | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
-    return (draw(st.integers(min_value=0, max_value=2)), kind, *q, s, a, b, x0, y0, alpha, beta)
+    return _ray_args(draw(st.integers(min_value=0, max_value=2)), kind, *q, s,
+                     a, b, x0, y0, alpha, beta)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
@@ -414,9 +466,10 @@ def test_lam_chain_array_matches_scalar_kernel():
         if kind == 0:
             q = (rng.uniform(0, 1), 0.0, 0.0)
         elif kind == 1:
-            q = (rng.choice([rng.uniform(0.25, 8.0), 0.5, 1.0, 2.0, 3.0]), 0.0, 0.0)
+            q = (rng.choice([rng.uniform(0.25, 8.0), 0.5, 1.0, 2.0, 3.0]), _powerlaw_scale(s0), 0.0)
         else:
             q = (0.3, -0.2, 0.4)
+        curve = _constants(*curve)
         s = np.array([rng.uniform(0.02, 0.98) for _ in range(50)] + [s0])
         with np.errstate(all="ignore"):
             lam, lamp, lampp, singular = selector.lam_chain_array(kind, *q, s, *curve)

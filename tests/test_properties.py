@@ -219,8 +219,7 @@ def _scalar_certificate(params, schedule, grid_size):
     for i in range(grid_size):
         s = CONVEXITY_GRID_INSET + i * step
         try:
-            lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, params.a, params.b, params.x0,
-                                           params.y0, params.alpha, params.beta)
+            lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, *params._curve)
         except NonDifferentiablePointError:
             skipped += 1
             continue
@@ -241,12 +240,11 @@ def _margin_and_scale(params, schedule, s):
     power law with exponent below 2 is rounding noise in any evaluation.
     """
     kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    a, b, x0, y0, alpha, beta = (params.a, params.b, params.x0, params.y0,
-                                 params.alpha, params.beta)
-    lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta)
+    alpha, beta = params.alpha, params.beta
+    lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, *params._curve)
     t, tp, tpp = k.sched_eval(kind, q0, q1, q2, s, params.s0)
     c, s0, deg, u = params.c, params.s0, params.deg, 1.0 - s
-    p = c * exp(k.ray_log_ratio(s, a, b, x0, y0, alpha, beta)[0])
+    p = c * exp(k.ray_log_ratio(s, *params._curve)[0])
     pmc = c * expm1((abs(alpha * log(s0 / s)) + abs(beta * log((1.0 - s0) / u))) / deg)
     pp = p * (beta * s + alpha * u) / (deg * s * u)
     ppp = (2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2

@@ -31,7 +31,7 @@ from ammix.errors import (
     NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
-from ammix.schedules import CONVEXITY_GRID_INSET, t_first
+from ammix.schedules import CONVEXITY_GRID_INSET, schedule_coeffs, t_first
 from conftest import central_diff
 
 # --- schedule construction ---------------------------------------------------
@@ -62,6 +62,14 @@ def test_parabolic_range_vetted_against_curve(unit_params):
 def test_uniform_t_of_s(unit_params):
     for s in (0.1, 0.5, 0.9):
         assert t_of_s(Uniform(0.3), unit_params, s) == (0.3, 0.0, 0.0)
+
+
+def test_powerlaw_encodes_its_scale_as_q1():
+    # the kernels read M = max(s0, 1 - s0) from q1 instead of deriving it
+    rng = random.Random(1617)
+    for s0 in [0.5, 0.25, 0.75, 1e-12, 1.0 - 1e-12] + [rng.random() for _ in range(200)]:
+        k = rng.uniform(0.1, 8.0)
+        assert schedule_coeffs(PowerLaw(k), s0) == (1, k, max(s0, 1.0 - s0), 0.0), s0
 
 
 def test_powerlaw_k2_values(unit_params):
@@ -336,9 +344,8 @@ def test_convexity_ignores_nan_margins(pool_params, kernel_spy):
     kernel_spy.grids.clear()
     report = check_convexity(pool_params, schedule, grid_size=10_001)
     s = np.concatenate(kernel_spy.grids)
-    lam, lamp, lampp, _ = lam_chain_array(1, 3.0, 0.0, 0.0, s, pool_params.a, pool_params.b,
-                                          pool_params.x0, pool_params.y0,
-                                          pool_params.alpha, pool_params.beta)
+    lam, lamp, lampp, _ = lam_chain_array(*schedule_coeffs(schedule, pool_params.s0), s,
+                                          *pool_params._curve)
     margin = lam * lampp - 2.0 * lamp * lamp
     margin[s == clean.worst_s] = math.inf
     assert (report.min_margin, report.worst_s) == (margin.min(), s[margin.argmin()])

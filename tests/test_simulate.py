@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from ammix import (
 )
 from ammix.core import spot_rate as internal_rate
 from ammix.errors import InvalidParameterError
-from ammix.simulate import _external_rng, _run_rng, curve_for
+from ammix.simulate import SimTrace, _external_rng, _run_rng, _run_with, curve_for
 
 
 def test_config_defaults_match_reference_setup():
@@ -206,3 +208,54 @@ def test_run_sim_resolves_its_curve_once(monkeypatch):
     assert len(trace) == config.steps + 1
     assert counts["schedule_coeffs"] <= 2
     assert counts["CurveParams"] <= 1 + 2  # the config's own curve, then at most 2 more
+
+
+def _reference_run_with(config, params, mix, external, rng):
+    """The simulation loop writing each step into preallocated arrays."""
+    n = config.steps + 1
+    xs, ys, internal = np.empty(n), np.empty(n), np.empty(n)
+    extracted = [None] * n
+    out_amt, in_amt, slip = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    state = config.init_state
+    xs[0], ys[0] = state.x, state.y
+    internal[0] = internal_rate(params, mix, state)
+    for i in range(1, n):
+        state, rec = sim_step(state, params, mix, external[i], config, rng)
+        xs[i], ys[i] = state.x, state.y
+        internal[i] = internal_rate(params, mix, state)
+        extracted[i] = rec.extracted
+        out_amt[i] = rec.output_amount
+        in_amt[i] = rec.input_amount
+        slip[i] = rec.slippage
+    return SimTrace(
+        config=config, params=params, mix=mix,
+        x=xs, y=ys, internal_rate=internal, external_rate=np.array(external),
+        extracted=extracted, trade_output=out_amt, trade_input=in_amt, slippage=slip,
+    )
+
+
+def test_run_loop_matches_the_array_loop():
+    """The trace built from per-step lists equals the one written element by
+    element into arrays, value for value and as float64."""
+    rng = random.Random(1618)
+    for i in range(20):
+        config = SimConfig(
+            steps=rng.choice([0, 1, rng.randint(2, 60)]),
+            init_state=rng.choice([MarketState(3000.0, 1000.0), MarketState(3, 1),
+                                   MarketState(rng.uniform(1, 100), rng.uniform(1, 100))]),
+            rate_interval=rng.randint(1, 20),
+            stability=[0.0, 1.0][i] if i < 2 else rng.random(),
+            max_extraction_frac=rng.choice([0.0, rng.uniform(0.0, 0.1)]),
+            toward_prob=rng.random(),
+            seed=rng.randint(0, 2**32),
+        )
+        params, mix = curve_for(config)
+        external = gen_external_rates(config, _external_rng(config.seed))
+        got = _run_with(config, params, mix, external, _run_rng(config.seed, 0))
+        want = _reference_run_with(config, params, mix, external, _run_rng(config.seed, 0))
+        assert got.extracted == want.extracted, config
+        for name in ("x", "y", "internal_rate", "external_rate", "trade_output", "trade_input",
+                     "slippage"):
+            value = getattr(got, name)
+            assert value.dtype == np.float64, (name, config)
+            assert np.array_equal(value, getattr(want, name), equal_nan=True), (name, config)
