@@ -22,7 +22,7 @@ from ammix.errors import (
     InvalidParameterError,
     UnsupportedCurveError,
 )
-from ammix.parametrize import _point_on
+from ammix.parametrize import _reserves_on
 from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, check_convexity
 
 # the width in s every arbitrage state is bisected to, and the least
@@ -40,7 +40,7 @@ _MAX_RATE_EVALS = 100
 _SPARE_EVALS = 20
 
 # a price within this relative distance of an end rate is solved by the
-# bisection itself; see arbitrage_states
+# bisection itself; see _arbitrage_reserves
 _NEAR_END = 1e-10
 
 
@@ -90,19 +90,31 @@ def _logit(s: float) -> float:
 
 def arbitrage_states(params: CurveParams, mix: MixSpec,
                      prices: Sequence[PriceVector]) -> list[MarketState]:
-    """The on-curve states arbitrageurs leave behind at each of the prices.
+    """The on-curve states arbitrageurs leave behind at each of the prices;
+    the reserves ``_arbitrage_reserves`` solves at each rate p1/p2, as
+    ``MarketState``s."""
+    rates = [p.rate for p in prices]
+    return [MarketState(x, y) for x, y in _arbitrage_reserves(params, mix, rates)]
 
-    Solves spot(s) = p1/p2 on [S_MIN, S_MAX] (the spot rate falls
+
+def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
+                        rates: Sequence[float]) -> list[tuple[float, float]]:
+    """The reserves (x, y) of the on-curve state arbitrageurs leave behind at
+    each of the rates p1/p2.
+
+    Solves spot(s) = r on [S_MIN, S_MAX] (the spot rate falls
     monotonically along a convex curve) and returns the s that bisection of
     [S_MIN, S_MAX] to a width of 1e-15 returns wherever the rate is
     monotone, in a handful of rate evaluations instead of one per halving.
     Rates beyond the curve's supported range map to the clamped endpoint
     states, where the infimum is attained.
 
-    The certificate, the ``Market``, the two end rates and the two end
-    states are resolved once for all the prices, and every spot rate is
-    ``_kernels.rate_xy`` at the reserves ``_kernels.lam_at`` gives, on the
-    market's unpacked codes and constants.
+    The certificate, the ``Market``, the two end rates and the reserves at
+    the two ends are resolved once for all the rates, and every spot rate
+    is ``_kernels.rate_xy`` at the reserves ``_kernels.lam_at`` gives, on
+    the market's unpacked codes and constants.  Each solved s becomes its
+    reserves through ``parametrize._reserves_on``; no ``MarketState`` is
+    built here.
     Each price is solved in three steps, all in this function's frame:
 
     - **Warm start.**  The two end rates and the final bracket ends of
@@ -163,33 +175,31 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
     r_min = rate(S_MAX)
     known_s = [S_MIN, S_MAX]  # the kept points, ascending
     known_neg = [-r_max, -r_min]  # minus the rate at each, ascending where the rate falls
-    # rate has checked the reserves these states hold
-    first, last = _point_on(m, S_MIN), _point_on(m, S_MAX)
+    first, last = _reserves_on(m, S_MIN), _reserves_on(m, S_MAX)
     # (log rate, logit s) of the two prices narrowed last, older first
     v0 = u0 = v1 = u1 = nan
-    states = []
-    for p in prices:
-        r = p.rate
+    reserves = []
+    for r in rates:
         if r_max == r_min:
             # constant-rate curve: at the matching price ratio every point
             # attains the infimum; report the anchor state
             if r > r_max:
-                state = first
+                xy = first
             elif r < r_min:
-                state = last
+                xy = last
             else:
-                state = MarketState(params.x0, params.y0)
-            states.append(state)
+                xy = (params.x0, params.y0)
+            reserves.append(xy)
             continue
         if r >= r_max:
-            states.append(first)
+            reserves.append(first)
             continue
         if r <= r_min:
-            states.append(last)
+            reserves.append(last)
             continue
         if r_max - r <= _NEAR_END * r_max or r - r_min <= _NEAR_END * r_min:
             s = _bisect(lambda mid: rate(mid) > r, S_MIN, S_MAX, atol=_S_TOL)
-            states.append(_point_on(m, s))
+            reserves.append(_reserves_on(m, s))
             continue
         # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
         # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r
@@ -256,8 +266,8 @@ def arbitrage_states(params: CurveParams, mix: MixSpec,
             known_neg.insert(i, -r_lo)
         s = _bisect(lambda mid: rate(mid) > r, S_MIN, S_MAX, atol=_S_TOL, known=(lo, hi))
         v0, u0, v1, u1 = v1, u1, log_r, _logit(s)
-        states.append(_point_on(m, s))
-    return states
+        reserves.append(_reserves_on(m, s))
+    return reserves
 
 
 def arbitrage_state(params: CurveParams, mix: MixSpec, p: PriceVector) -> MarketState:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
-from math import isfinite
+from itertools import chain
+from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss
+from ammix.analysis import PriceVector, _arbitrage_reserves, arbitrage_states, impermanent_loss
 from ammix.core import (
     CurveParams,
     Family,
@@ -35,6 +36,8 @@ from ammix.errors import (
 )
 from ammix.exchange import ON_CURVE_TOL, Currency, quote
 from ammix.schedules import (
+    S_MAX,
+    S_MIN,
     Parabolic,
     PowerLaw,
     StableswapDynamic,
@@ -70,44 +73,49 @@ def _fmt_json(value) -> str:
     return _fmt(value) or "null"
 
 
-def _lines(rows: list[dict], template: str, by_field) -> list[str]:
-    """Each row rendered as ``template % values`` when every value is a
-    finite float, which ``_fmt`` renders as "%.12g", else as ``by_field(row)``."""
-    floats = (float,) * len(rows[0])
-    lines = []
-    for row in rows:
-        values = tuple(row.values())
-        # the sum is not finite when a value is not; finite values whose
-        # sum overflows only take the by_field path, which renders them alike
-        if tuple(map(type, values)) == floats and isfinite(sum(values)):
-            lines.append(template % values)
-        else:
-            lines.append(by_field(row))
-    return lines
-
-
 def emit_table(rows: list[dict], format: str = "csv") -> str:
-    """Serialize uniform-schema rows; byte-stable for identical inputs."""
+    """Serialize uniform-schema rows; byte-stable for identical inputs.
+
+    One rule per table: when every value is exactly a ``float`` and their
+    sum is finite (so every value is), the whole table is one "%.12g"
+    template, which renders a finite float as ``_fmt`` does; otherwise
+    every field goes through ``_fmt`` (csv) or ``_fmt_json`` (json).  Finite
+    values whose sum overflows take the field-by-field path, which renders
+    them alike.
+    """
     if not rows:
         raise AmmixError("no rows to emit")
-    keys = list(rows[0].keys())
-    for row in rows:
-        if list(row.keys()) != keys:
-            raise AmmixError(f"row schema mismatch: {list(row.keys())!r} != {keys!r}")
+    keys = list(rows[0])
+    if not all(map(keys.__eq__, map(list, rows))):
+        bad = next(list(row) for row in rows if list(row) != keys)
+        raise AmmixError(f"row schema mismatch: {bad!r} != {keys!r}")
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    bulk = set(map(type, values)) <= {float} and isfinite(sum(values))
     if format == "csv":
-        template = ",".join(["%.12g"] * len(keys))
-        lines = [",".join(keys)]
-        lines.extend(_lines(rows, template, lambda row: ",".join(_fmt(row[k]) for k in keys)))
-        return "\n".join(lines) + "\n"
+        head = ",".join(keys) + "\n"
+        if bulk:
+            template = ",".join(["%.12g"] * len(keys)) + "\n"
+            return head + (template * len(rows)) % tuple(values)
+        return head + "".join(",".join([_fmt(row[k]) for k in keys]) + "\n" for row in rows)
     if format == "json":
         names = [json.dumps(k) for k in keys]
-        template = "{" + ",".join(f"{name.replace('%', '%%')}:%.12g" for name in names) + "}"
-        body = ",\n".join(_lines(
-            rows, template,
-            lambda row: "{" + ",".join(f"{name}:{_fmt_json(row[k])}"
-                                       for name, k in zip(names, keys)) + "}"))
+        if bulk:
+            template = "{" + ",".join([f"{name.replace('%', '%%')}:%.12g" for name in names]) + "}"
+            body = ",\n".join([template] * len(rows)) % tuple(values)
+        else:
+            body = ",\n".join("{" + ",".join([f"{name}:{_fmt_json(row[k])}"
+                                                for name, k in zip(names, keys)]) + "}"
+                               for row in rows)
         return "[\n" + body + "\n]\n"
     raise AmmixError(f"unknown format {format!r}")
+
+
+# the keys a --config file may hold, by section
+_CONFIG_KEYS = {
+    "curve": ("a", "b", "x0", "y0"),
+    "sim": tuple(f.name for f in fields(SimConfig) if f.name != "init_state")
+    + ("init_x", "init_y"),
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -117,14 +125,16 @@ def _load_config(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise AmmixError("config file must hold a JSON object")
+    # the keys are checked here, before the commands read any value
+    for name, section in data.items():
+        if name not in _CONFIG_KEYS:
+            raise InvalidParameterError(f"unknown config key {name}")
+        if not isinstance(section, dict):
+            raise AmmixError(f"config section {name!r} must hold a JSON object")
+        for key in section:
+            if key not in _CONFIG_KEYS[name]:
+                raise InvalidParameterError(f"unknown config key {name}.{key}")
     return data
-
-
-def _config_section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise AmmixError(f"config section {name!r} must hold a JSON object")
-    return section
 
 
 def _config_number(section: str, key: str, value, integer: bool = False):
@@ -138,9 +148,9 @@ def _config_number(section: str, key: str, value, integer: bool = False):
 
 
 def _curve_from(ns: argparse.Namespace, config: dict) -> CurveParams:
-    curve_cfg = _config_section(config, "curve")
+    curve_cfg = config.get("curve", {})
     values = {}
-    for key in ("a", "b", "x0", "y0"):
+    for key in _CONFIG_KEYS["curve"]:
         v = getattr(ns, key)  # a flag overrides the config
         values[key] = _config_number("curve", key, curve_cfg.get(key, 1.0)) if v is None else v
     return CurveParams(**values)
@@ -215,17 +225,21 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.samples
     if n < 2:
         raise AmmixError(f"--samples must be >= 2, got {n}")
-    # point_at's reserves and their check, on the market's unpacked codes
+    # point_at's range check, reserves and their check, on the market's
+    # unpacked codes; the checks raise through _check_s and _check_reserves
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
     lam_at = k.lam_at
     rows = []
     for i in range(n):
-        s = _check_s(SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1))
+        s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
+        if not S_MIN <= s <= S_MAX:
+            _check_s(s)
         lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
         x, y = lam * s / a, lam * (1.0 - s) / b
-        _check_reserves(x, y)
+        if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
+            _check_reserves(x, y)
         rows.append({"s": s, "x": x, "y": y})
     return emit_table(rows, ns.format), 0
 
@@ -291,7 +305,7 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
     for stability in stabilities:
         if not 0.0 <= stability <= 1.0:
             raise InvalidParameterError(f"--stabilities values must be in [0, 1], got {stability!r}")
-    prices = [PriceVector(r, 1.0) for r in _linspace(ns.r_min, ns.r_max, ns.r_points)]
+    rates = _linspace(ns.r_min, ns.r_max, ns.r_points)
     rows = []
     for stability in stabilities:
         if ns.bias is None:
@@ -299,9 +313,9 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
         else:
             center = 0.9 * (1.0 - stability) + 0.1 * stability
             mix = MixSpec.scheduled(Parabolic(bias=ns.bias, center=center))
-        # U(r) = V(r, 1), as reduced_value computes it
-        for p, state in zip(prices, arbitrage_states(params, mix, prices)):
-            rows.append({"stability": stability, "r": p.p1, "value": p.value_of(state)})
+        # U(r) = V(r, 1) = r*x + 1.0*y, as reduced_value computes it
+        for r, (x, y) in zip(rates, _arbitrage_reserves(params, mix, rates)):
+            rows.append({"stability": stability, "r": r, "value": r * x + y})
     return emit_table(rows, ns.format), 0
 
 
@@ -362,7 +376,7 @@ _SIM_INTEGERS = ("steps", "rate_interval", "seed", "runs")
 
 def _sim_config_from(ns: argparse.Namespace, config: dict) -> SimConfig:
     sim_cfg = {key: _config_number("sim", key, v, key in _SIM_INTEGERS)
-               for key, v in _config_section(config, "sim").items()}
+               for key, v in config.get("sim", {}).items()}
     init_x = sim_cfg.pop("init_x", 3000.0)
     init_y = sim_cfg.pop("init_y", 1000.0)
     base = SimConfig(init_state=MarketState(init_x, init_y), **sim_cfg)

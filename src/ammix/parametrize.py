@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.core import _FAMILY_CODE, CurveParams, Family, Market, MarketState, MixSpec, market
+from ammix.core import (
+    _FAMILY_CODE,
+    CurveParams,
+    Family,
+    Market,
+    MarketState,
+    MixSpec,
+    _check_reserves,
+    market,
+)
 from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
 from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.schedules import S_MAX, S_MIN, _check_s
@@ -53,14 +62,19 @@ def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float
 def point_at(params: CurveParams, mix: MixSpec, s: float) -> MarketState:
     """The curve point at ray coordinate s (schedule resolved through t(s))."""
     _check_s(s)
-    return _point_on(market(params, mix), s)
+    return MarketState(*_reserves_on(market(params, mix), s))
 
 
-def _point_on(m: Market, s: float) -> MarketState:
-    """``point_at`` on a resolved market, for an s already checked against
-    [S_MIN, S_MAX]."""
+def _reserves_on(m: Market, s: float) -> tuple[float, float]:
+    """The reserves (x, y) of ``point_at``'s state on a resolved market, for
+    an s already checked against [S_MIN, S_MAX]; raises ``MarketState``'s
+    error where they are not positive and finite."""
+    a, b = m.curve[0], m.curve[1]
     lam = k.lam_at(*m.codes, s, *m.curve)
-    return MarketState(lam * s / m.curve[0], lam * (1.0 - s) / m.curve[1])
+    x, y = lam * s / a, lam * (1.0 - s) / b
+    if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
+        _check_reserves(x, y)
+    return x, y
 
 
 def max_reach_x(params: CurveParams, mix: MixSpec) -> float:

@@ -38,7 +38,7 @@ from ammix.errors import (
     InvalidParameterError,
     UnsupportedCurveError,
 )
-from ammix.parametrize import _point_on
+from ammix.parametrize import _reserves_on
 from ammix.schedules import S_MAX, S_MIN, StableswapDynamic
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
@@ -181,30 +181,33 @@ def _reference_arbitrage_state(params, mix, p, point_at=point_at):
 
 
 class _SOf:
-    """A curve-point function (``point_at`` or ``_point_on``, whose last
-    argument is s) that remembers the s of each state it returned."""
+    """A curve-point function (``point_at``, or ``_reserves_on``, which
+    returns the reserves as a tuple; the last argument of each is s) that
+    remembers the s of each point it returned, by the point's reserves."""
 
     def __init__(self, point):
         self.point = point
         self.s = {}
 
     def __call__(self, *args):
-        state = self.point(*args)
-        self.s[id(state)] = args[-1], state  # the state is kept, so its id is not reused
-        return state
+        point = self.point(*args)
+        xy = point if isinstance(point, tuple) else (point.x, point.y)
+        self.s[xy] = args[-1]
+        return point
 
     def __getitem__(self, state):
-        """The s state was returned for, or None when the function did not make it."""
-        return self.s.get(id(state), (None,))[0]
+        """The s of the point with state's reserves, or None when the
+        function made no such point."""
+        return self.s.get((state.x, state.y))
 
 
 def _solved_s(params, mix, p):
     """(s of arbitrage_state, s of the reference) where each evaluated its
     answer; both None for the anchor state of a constant-rate curve, which
     neither makes from an s."""
-    new, ref = _SOf(_point_on), _SOf(point_at)
+    new, ref = _SOf(_reserves_on), _SOf(point_at)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_point_on", new)
+        mp.setattr(analysis, "_reserves_on", new)
         s_new = new[arbitrage_state(params, mix, p)]
     return s_new, ref[_reference_arbitrage_state(params, mix, p, point_at=ref)]
 
@@ -278,11 +281,11 @@ def test_arbitrage_states_match_one_price_at_a_time(params, mix, data):
         qs = sorted(qs, reverse=order == "descending")
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
               for q in qs]
-    batch, single = _SOf(_point_on), _SOf(_point_on)
+    batch, single = _SOf(_reserves_on), _SOf(_reserves_on)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_point_on", batch)
+        mp.setattr(analysis, "_reserves_on", batch)
         states = arbitrage_states(params, mix, prices)
-        mp.setattr(analysis, "_point_on", single)
+        mp.setattr(analysis, "_reserves_on", single)
         one_by_one = [arbitrage_state(params, mix, p) for p in prices]
     assert len(states) == len(prices)
     for state, alone in zip(states, one_by_one):
@@ -386,27 +389,27 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
     solve evaluates more than 20 rates, and a rate beyond the curve's range
     takes none beyond the ends.
 
-    A row's rates are those evaluated after the state before it was built:
-    each solve ends by building its row state, and the end states are
-    built right after the end rates.
+    A row's rates are those evaluated after the reserves before it were
+    resolved: each solve ends by resolving its row's reserves, and the end
+    reserves are resolved right after the end rates.
     """
     rated = []  # (codes, (x, y)) of every spot rate
     per_solve = []  # rates of each solved row, its probe included
-    since = [0]  # len(rated) when the last state was built
-    point_on = analysis._point_on
+    since = [0]  # len(rated) when the last reserves were resolved
+    reserves_on = analysis._reserves_on
 
     def counting_rate(*args):
         rated.append((args[:5], args[5:7]))
         return rate_xy(*args)
 
-    def counting_point(m, s):
+    def counting_reserves(m, s):
         if S_MIN < s < S_MAX:
             per_solve.append(len(rated) - since[0])
         since[0] = len(rated)
-        return point_on(m, s)
+        return reserves_on(m, s)
 
     monkeypatch.setattr(k, "rate_xy", counting_rate)
-    monkeypatch.setattr(analysis, "_point_on", counting_point)
+    monkeypatch.setattr(analysis, "_reserves_on", counting_reserves)
     with redirect_stdout(io.StringIO()):
         assert run_command(["pvf-table", "--r-points", "101"]) == 0
     assert len(rated) / 505 <= 4.5
@@ -417,9 +420,8 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
     assert {mix for mix, _ in rated} == {m.codes for m in markets}
     for m in markets:
         for end in (S_MIN, S_MAX):
-            state = point_on(m, end)  # the reserves of the end rate
-            assert sum(1 for codes, xy in rated
-                       if codes == m.codes and xy == (state.x, state.y)) == 1
+            end_xy = reserves_on(m, end)  # the reserves of the end rate
+            assert sum(1 for codes, xy in rated if codes == m.codes and xy == end_xy) == 1
 
 
 def _patched_rate(monkeypatch, inner_rate):

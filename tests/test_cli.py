@@ -6,9 +6,20 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from ammix import CurveParams, MarketState, MixSpec, cli, eval_mixed, point_at, schedules
+from ammix import (
+    CurveParams,
+    MarketState,
+    MixSpec,
+    Parabolic,
+    PriceVector,
+    arbitrage_states,
+    cli,
+    eval_mixed,
+    point_at,
+    schedules,
+)
 from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
 from ammix.schedules import stableswap_dynamic_residual
@@ -74,18 +85,35 @@ _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(_EDGE_FLOATS[:9]))
 
 
+@st.composite
+def _tables(draw):
+    """1-60 rows over 1-4 keys: all finite floats, any values, or finite
+    floats with one row of any values."""
+    keys = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_value=1, max_value=60))
+    kind = draw(st.sampled_from(["finite", "any", "one odd row"]))
+    values = _any_value if kind == "any" else _finite
+    rows = [{k: draw(values) for k in keys} for _ in range(n)]
+    if kind == "one odd row":
+        rows[draw(st.integers(min_value=0, max_value=n - 1))] = {k: draw(_any_value) for k in keys}
+    return rows
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(keys=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
-       format=st.sampled_from(["csv", "json"]), data=st.data())
-def test_emit_table_renders_every_field_as_fmt_does(keys, format, data):
-    """Rows of finite floats take one "%.12g" template; any other row
-    (NaN, infinities, ints, bools, None, strings, float subclasses) is
-    rendered field by field.  Both give what ``_fmt`` gives."""
-    rows = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-        values = data.draw(st.sampled_from([_finite, _any_value]))
-        rows.append({k: data.draw(values) for k in keys})
-    assert emit_table(rows, format) == _emit_by_field(rows, format)
+@given(rows=_tables())
+# finite floats whose sum overflows
+@example(rows=[{"v": 1.7976931348623157e308}, {"v": 1.7976931348623157e308}])
+# one NaN row among finite rows
+@example(rows=[{"a": 1.0, "b": 2.5}, {"a": math.nan, "b": 0.5}, {"a": 3.0, "b": 1e-300}])
+# float subclasses
+@example(rows=[{"x": np.float64(0.1), "y": 2.0}, {"x": np.float64(1e300), "y": -0.0}])
+def test_emit_table_renders_every_field_as_fmt_does(rows):
+    """A table whose values are all finite floats is one "%.12g" template;
+    any other table (NaN, infinities, a sum that overflows, ints, bools,
+    None, strings, float subclasses) is rendered field by field.  Both give
+    what ``_fmt`` gives, in csv and in json."""
+    for format in ("csv", "json"):
+        assert emit_table(rows, format) == _emit_by_field(rows, format)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -262,6 +290,51 @@ def test_pvf_table_descending_grid_is_the_ascending_one_reversed(capsys, extra):
     assert [block[::-1] for block in descending] == ascending
 
 
+def test_pvf_table_values_are_the_public_apis(capsys):
+    """Every pvf-table value is ``PriceVector(r, 1.0).value_of`` the state
+    ``arbitrage_states`` returns at r for the row's stability, bit for bit,
+    on 30 seeded curves with uniform blends and --bias parabolic schedules,
+    on ascending and descending grids."""
+    rng = random.Random(17)
+    real = cli.emit_table
+    for case in range(30):
+        bias = rng.uniform(0.4, 0.6) if case % 2 else None
+        # parabolas stay in [0, 1] and convex where s0 is not far from 1/2
+        width = 1.5 if bias is None else 0.35
+        a, b, x0, y0 = (math.exp(rng.uniform(-width, width)) for _ in range(4))
+        r_min = a / b * math.exp(rng.uniform(-4.0, -0.5))
+        r_max = a / b * math.exp(rng.uniform(0.5, 4.0))
+        if case % 3 == 2:
+            r_min, r_max = r_max, r_min
+        points = rng.randint(2, 40)
+        stabilities = [0.25, 0.75] if bias is not None else [0.0, rng.uniform(0.0, 1.0), 1.0]
+        argv = ["pvf-table", "--a", repr(a), "--b", repr(b), "--x0", repr(x0), "--y0", repr(y0),
+                "--r-min", repr(r_min), "--r-max", repr(r_max), "--r-points", str(points),
+                "--stabilities", ",".join(map(repr, stabilities))]
+        if bias is not None:
+            argv += ["--bias", repr(bias)]
+        tables = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "emit_table",
+                       lambda r, format="csv": tables.append(r) or real(r, format))
+            code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        rows = iter(tables[0])
+        params = CurveParams(a, b, x0, y0)
+        rates = cli._linspace(r_min, r_max, points)
+        for stability in stabilities:
+            if bias is None:
+                mix = MixSpec.homotopy(1.0 - stability)
+            else:
+                mix = MixSpec.scheduled(Parabolic(bias=bias, center=0.9 * (1.0 - stability)
+                                                  + 0.1 * stability))
+            prices = [PriceVector(r, 1.0) for r in rates]
+            for p, state in zip(prices, arbitrage_states(params, mix, prices)):
+                row = next(rows)
+                assert row == {"stability": stability, "r": p.p1, "value": p.value_of(state)}, argv
+        assert next(rows, None) is None
+
+
 def test_sim_run_requires_seed(capsys):
     code, _, _ = run(capsys, "sim-run", "--steps", "5")
     assert code == 2
@@ -335,6 +408,30 @@ def test_config_numbers_refuse_non_numbers(tmp_path, capsys, section, key, argv,
     assert (code, out) == (2, "")
     kind = "an integer" if key == "steps" else "a number"
     assert err == f"error: config key {section}.{key} must be {kind}, got {json.dumps(value)}\n"
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"curve": {"X0": 5}}, "curve.X0"),
+    ({"curve": {"a": 2, "bogus": True}}, "curve.bogus"),
+    ({"bogus": {}}, "bogus"),
+    ({"sim": {"bogus": 1}}, "sim.bogus"),
+    ({"sim": {"init_state": [1, 1]}}, "sim.init_state"),
+    # keys are checked before values
+    ({"curve": {"a": True, "X0": 5}}, "curve.X0"),
+    ({"sim": {"steps": "3"}, "bogus": 1}, "bogus"),
+])
+@pytest.mark.parametrize("argv", [
+    ("curve-sample", "--mix", "hom", "--t", "0.5", "--samples", "2"),
+    ("sim-run", "--seed", "1", "--steps", "3"),
+])
+def test_config_refuses_unknown_keys(tmp_path, capsys, config, key, argv):
+    """A misspelt section or key exits 2 with one typed error line, whichever
+    command reads the file, instead of running on the default."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config key {key}\n"
 
 
 def test_config_integer_key_refuses_a_float(tmp_path, capsys):
