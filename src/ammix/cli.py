@@ -86,7 +86,9 @@ def emit_table(rows: list[dict], format: str = "csv") -> str:
     if not rows:
         raise AmmixError("no rows to emit")
     keys = list(rows[0])
-    if not all(map(keys.__eq__, map(list, rows))):
+    # a row's keys are unique, so the flat keys repeat ``keys`` only when
+    # every row holds them in that order
+    if list(chain.from_iterable(rows)) != keys * len(rows):
         bad = next(list(row) for row in rows if list(row) != keys)
         raise AmmixError(f"row schema mismatch: {bad!r} != {keys!r}")
     values = list(chain.from_iterable(map(dict.values, rows)))

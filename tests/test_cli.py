@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -46,6 +47,20 @@ def test_emit_rejects_empty():
 def test_emit_rejects_schema_mismatch():
     with pytest.raises(AmmixError):
         emit_table([{"a": 1}, {"b": 2}], "csv")
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}], ["b", "a"]),
+    ([{"a": 1.0, "b": 2.0}, {"a": 1.0}, {"a": 1.0, "b": 2.0, "c": 3.0}], ["a"]),
+    ([{"a": 1.0, "b": 2.0}, {"a": 1.0, "b": 2.0, "c": 3.0}, {"a": 1.0}], ["a", "b", "c"]),
+    ([{}, {"a": 1.0}], ["a"]),
+])
+def test_emit_rejects_reordered_or_uneven_rows(rows, bad):
+    """Keys in another order, or rows whose key counts even out over the
+    table, are refused, naming the first row that differs."""
+    for format in ("csv", "json"):
+        with pytest.raises(AmmixError, match=re.escape(f"{bad!r} != {list(rows[0])!r}")):
+            emit_table(rows, format)
 
 
 def test_emit_json_two_rows():
