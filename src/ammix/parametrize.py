@@ -69,11 +69,9 @@ def _reserves_on(m: Market, s: float) -> tuple[float, float]:
     """The reserves (x, y) of ``point_at``'s state on a resolved market, for
     an s already checked against [S_MIN, S_MAX]; raises ``MarketState``'s
     error where they are not positive and finite."""
-    a, b = m.curve[0], m.curve[1]
     lam = k.lam_at(*m.codes, s, *m.curve)
-    x, y = lam * s / a, lam * (1.0 - s) / b
-    if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
-        _check_reserves(x, y)
+    x, y = lam * s / m.curve[0], lam * (1.0 - s) / m.curve[1]
+    _check_reserves(x, y)
     return x, y
 
 
