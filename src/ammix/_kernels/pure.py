@@ -1,22 +1,22 @@
 """Scalar kernels for curve evaluation and root solving.
 
 These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
-function here operates on flat floats.  The hot path is fused, each kernel
-repeating the float operations of the helpers it inlines in their order:
+function here operates on flat floats.  The curve solves are fused, each
+kernel repeating the float operations of the helpers it inlines in their
+order:
 
 * ``lam_at`` and ``lam_prime_at`` compute the blend weight and g(s) in
   one frame (``sched_value``, ``sched_first`` and ``ray_log_ratio``);
-* ``lam_arith`` inlines its log ratio;
-* ``value_xy`` and ``grad_xy`` repeat ``components_xy``;
-* ``rate_xy``, the one spot-rate kernel, is ``grad_xy`` (with
-  ``sched_first``) and the ratio of its partials in one frame.
+* ``lam_arith`` inlines its log ratio.
 
 The helpers stay for the other kernels and as the reference the fused
 ones are tested against.
 
-The kernels at a state (x, y) — ``components_xy``, ``value_xy``,
-``grad_xy`` and ``rate_xy`` — hold the mixed invariant, its gradient and
-the spot rate; ``ammix.core`` wraps them for ``MarketState`` arguments.
+The kernels at a state (x, y) hold the mixed invariant, its gradient and
+the spot rate, each formula in one body: ``components_xy`` gives
+(A0, A1), which ``value_xy`` blends; ``grad_xy`` gives the gradient, and
+``rate_xy``, the one spot-rate kernel, is the ratio of its partials.
+``ammix.core`` wraps them for ``MarketState`` arguments.
 Reserves whose terms leave the float range (A1 underflowing to 0 under
 a negative power, say) raise InvalidParameterError, not a bare
 ArithmeticError.
@@ -283,12 +283,10 @@ def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Value of the mixed invariant at (x, y) for blend weight t; 1 on the curve.
 
     t is passed resolved, since the dynamic Stableswap blend depends on
-    the state and has no schedule code.  A0 and A1 are
-    ``components_xy``'s, operation for operation.
+    the state and has no schedule code.
     """
     try:
-        a0 = (a * x + b * y) / c
-        a1 = (x / x0) ** alpha * (y / y0) ** beta
+        a0, a1 = components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
         if family == 0:
             return a0 * (1.0 - t) + a1 * t
         if family == 1:
@@ -307,7 +305,7 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
     of the partials is the internal exchange rate for all of them.  A
     schedule takes (t, t') from ``sched_first`` at s = a*x/(a*x + b*y),
     which raises NonDifferentiablePointError where t' does not exist.
-    A0 and A1 are ``components_xy``'s, operation for operation.
+    A1 is ``components_xy``'s, operation for operation.
     """
     try:
         n = a * x + b * y
@@ -347,56 +345,17 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
 def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Internal exchange rate gx/gy of currency 1 in units of currency 2 at (x, y).
 
-    ``grad_xy``'s gradient, with ``sched_first``'s (t, t') inline, and its
-    ratio in one frame, operation for operation and with the same errors.
-    Power-law schedules with exponent <= 1 leave the ambient invariant
-    without a gradient exactly at s0, but the curve's tangent limit there
-    is the anchor rate a/b for every schedule (shared-rate calibration),
-    so that is the rate returned there.  Raises DegenerateGradientError
-    when gy == 0.
+    The ratio of ``grad_xy``'s partials, with its errors.  Power-law
+    schedules with exponent <= 1 leave the ambient invariant without a
+    gradient exactly at s0, but the curve's tangent limit there is the
+    anchor rate a/b for every schedule (shared-rate calibration), so that
+    is the rate returned there.  Raises DegenerateGradientError when
+    gy == 0.
     """
     try:
-        n = a * x + b * y
-        if kind == 0:
-            t, tp = q0, 0.0
-        else:
-            s = a * x / n
-            if kind == 1:
-                d = s - s0
-                if d == 0.0:
-                    if q0 <= 1.0:
-                        return a / b
-                    t = tp = 0.0
-                else:
-                    u = abs(d) / q1
-                    t = u**q0
-                    tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
-            else:
-                t = (q0 * s + q1) * s + q2
-                tp = 2.0 * q0 * s + q1
-        a1 = (x / x0) ** alpha * (y / y0) ** beta
-        if family == 0:
-            gx = (1.0 - t) * a / c + t * a1 * alpha / x
-            gy = (1.0 - t) * b / c + t * a1 * beta / y
-        elif family == 1:
-            ga = (n / c) ** (1.0 - t) * a1**t
-            gx = ga * ((1.0 - t) * a / n + t * alpha / x)
-            gy = ga * ((1.0 - t) * b / n + t * beta / y)
-        else:
-            w = a1 ** (-1.0 / deg)
-            nn = n * n
-            raw = (1.0 - t) * c / n + t * w
-            raw_x = -(1.0 - t) * c * a / nn - t * w * alpha / (deg * x)
-            raw_y = -(1.0 - t) * c * b / nn - t * w * beta / (deg * y)
-            if tp != 0.0:
-                dt_term = w - c / n
-                raw_x += tp * (a * b * y / nn) * dt_term
-                raw_y += tp * (-a * b * x / nn) * dt_term
-            inv2 = 1.0 / (raw * raw)
-            gx = -raw_x * inv2
-            gy = -raw_y * inv2
-    except ArithmeticError as exc:
-        raise _float_range_error(x, y, exc) from exc
+        gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
+    except NonDifferentiablePointError:
+        return a / b
     if gy == 0.0:
         raise DegenerateGradientError("vanishing partial derivative in y")
     return gx / gy

@@ -36,14 +36,11 @@ from ammix.errors import (
 )
 from ammix.exchange import ON_CURVE_TOL, Currency, quote
 from ammix.schedules import (
-    S_MAX,
-    S_MIN,
     Parabolic,
     PowerLaw,
     StableswapDynamic,
     Uniform,
     _bisect,
-    _check_s,
     check_convexity,
     dynamic_residual_xy,
     stableswap_dynamic_residual,
@@ -174,20 +171,17 @@ def _schedule_from(ns: argparse.Namespace):
         if ns.k is None:
             raise AmmixError("--schedule powerlaw requires --k")
         return PowerLaw(ns.k)
-    if name == "parabolic":
-        if ns.bias is None or ns.center is None:
-            raise AmmixError("--schedule parabolic requires --bias and --center")
-        return Parabolic(bias=ns.bias, center=ns.center)
-    raise AmmixError(f"unknown schedule {name!r}")
+    # parabolic: argparse's choices refuse any other name
+    if ns.bias is None or ns.center is None:
+        raise AmmixError("--schedule parabolic requires --bias and --center")
+    return Parabolic(bias=ns.bias, center=ns.center)
 
 
 def _mix_from(ns: argparse.Namespace) -> MixSpec:
     alias = ns.mix
     if alias in _MIX_ALIASES:
         return MixSpec.arithmetic(_MIX_ALIASES[alias])
-    family = _FAMILY_BY_NAME.get(alias)
-    if family is None:
-        raise AmmixError(f"unknown mix {alias!r}")
+    family = _FAMILY_BY_NAME[alias]
     schedule = _schedule_from(ns)
     if schedule is not None:
         return MixSpec(family, schedule)
@@ -227,8 +221,8 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.samples
     if n < 2:
         raise AmmixError(f"--samples must be >= 2, got {n}")
-    # point_at's range check, reserves and their check, on the market's
-    # unpacked codes; the checks raise through _check_s and _check_reserves
+    # point_at's reserves and their check, on the market's unpacked codes;
+    # every s lies in [SAMPLE_INSET, 1 - SAMPLE_INSET], inside [S_MIN, S_MAX]
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
@@ -236,8 +230,6 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     rows = []
     for i in range(n):
         s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
-        if not S_MIN <= s <= S_MAX:
-            _check_s(s)
         lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
         x, y = lam * s / a, lam * (1.0 - s) / b
         if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN

@@ -32,7 +32,9 @@ class DegenerateGradientError(AmmixError, ZeroDivisionError):
 class OutOfRangeError(AmmixError, ValueError):
     """A target coordinate lies beyond the curve's reachable range.
 
-    ``max_reachable`` carries the largest attainable value of the coordinate.
+    ``max_reachable`` carries the end of the range the target passed: the
+    largest value of the coordinate that the solver reaches, or the
+    smallest for a target below the range.
     """
 
     def __init__(self, message: str, max_reachable: float):
@@ -43,7 +45,9 @@ class OutOfRangeError(AmmixError, ValueError):
 class InsufficientLiquidityError(AmmixError, ValueError):
     """A trade would push past the curve's finite intercept.
 
-    ``max_amount`` carries the largest tradable input amount.
+    ``max_amount`` carries the largest tradable input amount: the held
+    reserve plus ``max_amount`` does not pass the curve's reach, so a
+    trade of exactly ``max_amount`` is not refused for it.
     """
 
     def __init__(self, message: str, max_amount: float):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite, nextafter
 
 from ammix.core import CurveParams, MarketState, MixSpec, eval_mixed, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
@@ -56,9 +56,14 @@ def _solve_trade(params: CurveParams, mix: MixSpec, state: MarketState,
     try:
         new_state = solve(params, mix, held + amount)
     except OutOfRangeError as exc:
+        # the largest amount whose sum with held does not round past the reach
+        reach = exc.max_reachable
+        max_amount = reach - held
+        while held + max_amount > reach:
+            max_amount = nextafter(max_amount, -inf)
         raise InsufficientLiquidityError(
             f"trade of {amount!r} {input_currency.value} exceeds the curve's reach",
-            max_amount=exc.max_reachable - held,
+            max_amount=max_amount,
         ) from exc
     output = state.y - new_state.y if sells_x else state.x - new_state.x
     if not (isfinite(output) and output > 0.0):

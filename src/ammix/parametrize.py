@@ -11,7 +11,7 @@ how trades are solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import isfinite
 
 from ammix import _kernels as k
 from ammix.core import (
@@ -75,17 +75,6 @@ def _reserves_on(m: Market, s: float) -> tuple[float, float]:
     return x, y
 
 
-def max_reach_x(params: CurveParams, mix: MixSpec) -> float:
-    """Supremum of x along the curve; finite only when the x-intercept is.
-
-    Arithmetic mixings with t < 1 (and every family at t = 0) end at
-    x = C / (a*(1-t)); the other mixings run to infinity.
-    """
-    if mix.has_finite_intercept:
-        return params.c / (params.a * (1.0 - mix.schedule.t))
-    return inf
-
-
 def _solve_first_reserve(m: Market, target: float, name: str) -> float:
     """The other reserve of the state on ``m`` whose first reserve (x on ``m``,
     called ``name`` in messages) is ``target``, solved by bisection in s."""
@@ -95,12 +84,9 @@ def _solve_first_reserve(m: Market, target: float, name: str) -> float:
     lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
     hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
     if target > hi:
-        reach = max_reach_x(m.params, m.mix)
-        if not isfinite(reach):
-            reach = hi
         raise OutOfRangeError(
-            f"{name}={target!r} beyond the curve's reach (max reachable {name} is {reach:.12g})",
-            max_reachable=reach,
+            f"{name}={target!r} beyond the curve's reach (max reachable {name} is {hi:.12g})",
+            max_reachable=hi,
         )
     if target < lo:
         raise OutOfRangeError(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ammix import (
@@ -10,6 +12,7 @@ from ammix import (
     Uniform,
     eval_mixed,
     max_extractable,
+    point_at,
     quote,
     swap,
 )
@@ -148,6 +151,24 @@ def test_insufficient_liquidity_carries_max(unit_params, unit_state):
     # the reported maximum is itself tradable
     q = quote(unit_params, mix, unit_state, Currency.CUR1, err.value.max_amount * (1 - 1e-9))
     assert q.output_amount <= 1.0
+
+
+def test_reported_max_amount_is_tradable():
+    # the reported maximum is the solver's own reach, so quoting exactly
+    # max_amount is solved on every finite-intercept curve, in either direction
+    rng = random.Random(18)
+    for _ in range(1000):
+        params = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                             rng.uniform(0.5, 4000.0), rng.uniform(0.5, 4000.0))
+        family = rng.choice(FAMILIES)
+        t = rng.uniform(0.0, 0.999) if family is Family.ARITHMETIC else 0.0
+        mix = MixSpec(family, Uniform(t))
+        state = point_at(params, mix, rng.uniform(0.01, 0.99))
+        sell = rng.choice([Currency.CUR1, Currency.CUR2])
+        with pytest.raises(InsufficientLiquidityError) as err:
+            quote(params, mix, state, sell, 1e12)
+        q = quote(params, mix, state, sell, err.value.max_amount)
+        assert q.input_amount == err.value.max_amount > 0.0
 
 
 def test_max_extractable_csmm(unit_params, unit_state):

@@ -84,6 +84,37 @@ def test_curve_constants_are_derived_in_one_place():
                              ("pure.py", "curve_constants", "alpha + beta")]
 
 
+# terms of the invariant's components and of the homotopy's raw gradient
+_XY_TERMS = {"(a * x + b * y) / c", "(x / x0) ** alpha * (y / y0) ** beta",
+             "(1.0 - t) * c / n + t * w", "t * w * alpha / (deg * x)",
+             "t * w * beta / (deg * y)", "w - c / n", "1.0 / (raw * raw)"}
+
+
+def test_xy_formulas_have_one_body():
+    """(A0, A1) are written only in ``components_xy`` (and A1 again in
+    ``grad_xy``), the gradient only in ``grad_xy``: ``value_xy`` and
+    ``rate_xy`` call them instead of repeating their terms."""
+    found, calls = [], set()
+    for path in sorted(Path(pure.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.BinOp) and ast.unparse(node) in _XY_TERMS:
+                    found.append((where, ast.unparse(node)))
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    calls.add((where, node.func.id))
+    assert sorted(found) == [("components_xy", "(a * x + b * y) / c"),
+                             ("components_xy", "(x / x0) ** alpha * (y / y0) ** beta"),
+                             ("grad_xy", "(1.0 - t) * c / n + t * w"),
+                             ("grad_xy", "(x / x0) ** alpha * (y / y0) ** beta"),
+                             ("grad_xy", "1.0 / (raw * raw)"),
+                             ("grad_xy", "t * w * alpha / (deg * x)"),
+                             ("grad_xy", "t * w * beta / (deg * y)"),
+                             ("grad_xy", "w - c / n")]
+    assert ("rate_xy", "grad_xy") in calls
+    assert ("value_xy", "components_xy") in calls
+
+
 def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
     # lam_arith as the composition of ray_log_ratio and the Newton loop, r**deg taken twice
     deg = alpha + beta

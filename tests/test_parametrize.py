@@ -257,8 +257,13 @@ def test_state_for_y_reports_a_bad_target_as_y(unit_params, y):
 def test_state_for_y_reports_reach_in_y(unit_params):
     with pytest.raises(OutOfRangeError) as err:
         state_for_y(unit_params, MixSpec.arithmetic(0.5), 1e9)
-    assert str(err.value) == "y=1000000000.0 beyond the curve's reach (max reachable y is 4)"
-    assert err.value.max_reachable == 4.0
+    # the reach is the y the solver reaches, at the curve's end s = S_MIN, not
+    # the intercept y = 4 it never reaches
+    assert str(err.value) == (
+        "y=1000000000.0 beyond the curve's reach (max reachable y is 3.9999920001)")
+    assert err.value.max_reachable == 3.999992000100487
+    assert state_for_y(unit_params, MixSpec.arithmetic(0.5), err.value.max_reachable).y \
+        == err.value.max_reachable
     with pytest.raises(OutOfRangeError) as err:
         state_for_y(unit_params, MixSpec.arithmetic(0.5), 1e-300)
     assert str(err.value).startswith("y=1e-300 below the curve's reach (min representable y is ")
