@@ -56,7 +56,12 @@ class PriceVector:
             raise InvalidParameterError(f"prices must be positive and finite, got {self!r}")
 
     def value_of(self, state: MarketState) -> float:
-        return self.p1 * state.x + self.p2 * state.y
+        """P . X; InvalidParameterError when it overflows the float range."""
+        value = self.p1 * state.x + self.p2 * state.y
+        if not isfinite(value):
+            raise InvalidParameterError(f"portfolio value P.X = {value!r} is not finite "
+                                        f"at prices {self!r} and reserves {state!r}")
+        return value
 
     @property
     def rate(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import cache
 from itertools import chain
 from math import inf, isfinite
@@ -111,7 +111,7 @@ def emit_table(rows: list[dict], format: str = "csv") -> str:
 
 # the keys a --config file may hold, by section
 _CONFIG_KEYS = {
-    "curve": ("a", "b", "x0", "y0"),
+    "curve": tuple(f.name for f in fields(CurveParams) if f.init),
     "sim": tuple(f.name for f in fields(SimConfig) if f.name != "init_state")
     + ("init_x", "init_y"),
 }
@@ -146,8 +146,8 @@ def _config_number(section: str, key: str, value, integer: bool = False):
     return value
 
 
-def _curve_from(ns: argparse.Namespace, config: dict) -> CurveParams:
-    curve_cfg = config.get("curve", {})
+def _curve_from(ns: argparse.Namespace) -> CurveParams:
+    curve_cfg = _load_config(ns.config).get("curve", {})
     values = {}
     for key in _CONFIG_KEYS["curve"]:
         v = getattr(ns, key)  # a flag overrides the config
@@ -215,8 +215,7 @@ def _floats(text: str) -> list[float]:
 
 
 def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    params = _curve_from(ns, config)
+    params = _curve_from(ns)
     mix = _mix_from(ns)
     n = ns.samples
     if n < 2:
@@ -239,43 +238,27 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_convexity(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    params = _curve_from(ns, config)
+    params = _curve_from(ns)
     schedule = _schedule_from(ns)
     if schedule is None:
         raise AmmixError("convexity requires --schedule")
     report = check_convexity(params, schedule, grid_size=ns.grid)
-    rows = [{
-        "passed": report.passed,
-        "min_margin": report.min_margin,
-        "worst_s": report.worst_s,
-        "grid_size": report.grid_size,
-        "skipped": report.skipped,
-    }]
-    return emit_table(rows, ns.format), 0 if report.passed else 3
+    return emit_table([asdict(report)], ns.format), 0 if report.passed else 3
 
 
 def _cmd_quote(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    params = _curve_from(ns, config)
+    params = _curve_from(ns)
     mix = _mix_from(ns)
     state = MarketState(ns.x, ns.y)
     currency = Currency(ns.sell)
     q = quote(params, mix, state, currency, ns.amount)
-    rows = [{
-        "input_currency": q.input_currency.value,
-        "input_amount": q.input_amount,
-        "output_amount": q.output_amount,
-        "spot_before": q.spot_before,
-        "effective_price": q.effective_price,
-        "slippage": q.slippage,
-    }]
+    # replacing a key keeps its place, so the columns stay in field order
+    rows = [{**asdict(q), "input_currency": q.input_currency.value}]
     return emit_table(rows, ns.format), 0
 
 
 def _cmd_il_table(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    params = _curve_from(ns, config)
+    params = _curve_from(ns)
     mix = _mix_from(ns)
     init = params.initial_state
     r0 = params.a / params.b
@@ -288,8 +271,7 @@ def _cmd_il_table(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    params = _curve_from(ns, config)
+    params = _curve_from(ns)
     for flag, r in (("--r-min", ns.r_min), ("--r-max", ns.r_max)):
         if not (isfinite(r) and r > 0.0):
             raise InvalidParameterError(f"{flag} must be positive and finite, got {r!r}")
@@ -309,7 +291,11 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
             mix = MixSpec.scheduled(Parabolic(bias=ns.bias, center=center))
         # U(r) = V(r, 1) = r*x + 1.0*y, as reduced_value computes it
         for r, (x, y) in zip(rates, _arbitrage_reserves(params, mix, rates)):
-            rows.append({"stability": stability, "r": r, "value": r * x + y})
+            value = r * x + y
+            if not isfinite(value):
+                raise InvalidParameterError(f"portfolio value U(r) = r*x + y = {value!r} is not "
+                                            f"finite at r={r!r}, reserves ({x!r}, {y!r})")
+            rows.append({"stability": stability, "r": r, "value": value})
     return emit_table(rows, ns.format), 0
 
 
@@ -368,9 +354,9 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
 _SIM_INTEGERS = ("steps", "rate_interval", "seed", "runs")
 
 
-def _sim_config_from(ns: argparse.Namespace, config: dict) -> SimConfig:
+def _sim_config_from(ns: argparse.Namespace) -> SimConfig:
     sim_cfg = {key: _config_number("sim", key, v, key in _SIM_INTEGERS)
-               for key, v in config.get("sim", {}).items()}
+               for key, v in _load_config(ns.config).get("sim", {}).items()}
     init_x = sim_cfg.pop("init_x", 3000.0)
     init_y = sim_cfg.pop("init_y", 1000.0)
     base = SimConfig(init_state=MarketState(init_x, init_y), **sim_cfg)
@@ -383,8 +369,7 @@ def _sim_config_from(ns: argparse.Namespace, config: dict) -> SimConfig:
 
 
 def _cmd_sim_run(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    sim_config = _sim_config_from(ns, config)
+    sim_config = _sim_config_from(ns)
     trace = run_sim(sim_config)
     rows = []
     for i in range(len(trace)):
@@ -404,17 +389,8 @@ def _cmd_sim_run(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_sim_sweep(ns: argparse.Namespace) -> tuple[str, int]:
-    config = _load_config(ns.config)
-    sim_config = _sim_config_from(ns, config)
-    stabilities = _floats(ns.stabilities)
-    rows = []
-    for summary in batch_summary(sim_config, stabilities):
-        rows.append({
-            "stability": summary.stability,
-            "mse_internal_external": summary.mse_internal_external,
-            "early_window_slippage": summary.early_window_slippage,
-            "final_window_mse": summary.final_window_mse,
-        })
+    sim_config = _sim_config_from(ns)
+    rows = [asdict(s) for s in batch_summary(sim_config, _floats(ns.stabilities))]
     return emit_table(rows, ns.format), 0
 
 

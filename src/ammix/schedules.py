@@ -240,10 +240,11 @@ def check_convexity(params: "CurveParams", schedule: TSchedule,
     """Certify curve convexity by sampling the margin on a uniform s-grid.
 
     Grid points where the schedule derivative is singular are skipped and
-    counted.  The certificate passes iff the minimum sampled margin stays
-    above -1e-9; NaN margins are ignored and the first strict minimum sets
-    ``worst_s``.  The grid is evaluated in blocks of ``_CONVEXITY_BLOCK``
-    points, so memory stays bounded for any grid size.
+    counted.  NaN margins are ignored and the first strict minimum sets
+    ``worst_s``.  The certificate passes iff the minimum sampled margin is
+    finite and at least -1e-9, so a grid that sampled no margin fails.  The
+    grid is evaluated in blocks of ``_CONVEXITY_BLOCK`` points, so memory
+    stays bounded for any grid size.
     """
     if grid_size < 3:
         raise InvalidParameterError(f"grid_size must be >= 3, got {grid_size!r}")
@@ -266,7 +267,7 @@ def check_convexity(params: "CurveParams", schedule: TSchedule,
                 min_margin = float(margin[i])
                 worst_s = float(s[i])
     return ConvexityReport(
-        passed=min_margin >= CONVEXITY_MARGIN_TOL,
+        passed=CONVEXITY_MARGIN_TOL <= min_margin < inf,
         min_margin=min_margin,
         worst_s=worst_s,
         grid_size=grid_size,

@@ -110,6 +110,13 @@ def test_arbitrage_rejects_nonconvex_schedule(unit_params):
         arbitrage_state(unit_params, MixSpec.scheduled(bad), PriceVector(2, 1))
 
 
+def test_arbitrage_rejects_a_schedule_the_certificate_could_not_sample(unit_params):
+    # every margin of this power law is NaN; the state it used to return at
+    # rate 2 was x = 2e-12
+    with pytest.raises(UnsupportedCurveError):
+        arbitrage_state(unit_params, MixSpec.scheduled(PowerLaw(1e300)), PriceVector(2, 1))
+
+
 def _grid_min_value(params, mix, p, n=100_000):
     # brute-force infimum of P . X over the curve trace
     from ammix.parametrize import point_at
@@ -469,6 +476,15 @@ def test_value_cpmm_example(unit_params):
 
 def test_value_csmm_example(unit_params):
     assert portfolio_value(unit_params, MixSpec.arithmetic(0.0), PriceVector(4, 1)) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_value_past_the_float_range_raises():
+    # x = 1e296 at p1 = 1e300: P.X overflows, where it used to return inf
+    params = CurveParams(1, 1, 1, 1e308)
+    with pytest.raises(InvalidParameterError, match=r"^portfolio value P\.X = inf is not finite"):
+        portfolio_value(params, MixSpec.arithmetic(0.0), PriceVector(1e300, 1.0))
+    with pytest.raises(InvalidParameterError):
+        impermanent_loss(PriceVector(1e300, 1.0), params.initial_state, MarketState(1e296, 1e308))
 
 
 def test_value_homogeneous(unit_params, pool_params):

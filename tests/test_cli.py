@@ -1,20 +1,26 @@
+import ast
 import io
 import json
 import math
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ammix import (
+    ConvexityReport,
     CurveParams,
     MarketState,
     MixSpec,
     Parabolic,
     PriceVector,
+    Quote,
+    SimSummary,
     arbitrage_states,
     cli,
     eval_mixed,
@@ -249,6 +255,18 @@ def test_convexity_fail_exit_3(capsys):
     assert out.splitlines()[1].startswith("false,")
 
 
+@pytest.mark.parametrize("fmt, row", [
+    ("csv", "false,,,30,0"),
+    ("json", '{"passed":false,"min_margin":null,"worst_s":null,"grid_size":30,"skipped":0}'),
+], ids=["csv", "json"])
+def test_convexity_without_a_sampled_margin_exit_3(capsys, fmt, row):
+    # t'' = k(k-1)/M^2 * u^(k-2) is inf*0 at every grid point: no margin is sampled
+    code, out, _ = run(capsys, "--format", fmt, "convexity", "--schedule", "powerlaw",
+                       "--k", "1e300", "--grid", "30")
+    assert code == 3
+    assert out.splitlines()[1] == row
+
+
 def test_curve_sample_points_on_curve(capsys):
     code, out, _ = run(capsys, "curve-sample", "--mix", "geo", "--t", "0.5",
                        "--samples", "64")
@@ -472,6 +490,40 @@ def test_quote_refuses_a_spot_rate_that_is_not_positive_and_finite(capsys, argv,
     assert (code, out) == (2, "")
     assert err.startswith(f"error: spot rate {rate} at reserves (")
     assert err.endswith(") is not positive and finite\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("il-table", "--mix", "csmm", "--y0", "1e308", "--ratios", "1e300"),
+    ("pvf-table", "--a", "33879014162.370903", "--b", "66883.6801136716",
+     "--x0", "2450048565.564313", "--y0", "527026.7313179814",
+     "--r-min", "1.7976931348623157e308", "--r-max", "0.999999999999", "--r-points", "4",
+     "--stabilities", "0.11218229918862466"),
+], ids=["il-table", "pvf-table"])
+def test_portfolio_value_overflow_exit_2(capsys, argv):
+    """P.X past the float range used to print as an empty field at exit 0."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: portfolio value ") and " = inf is not finite at " in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve-sample", "--mix", "hom"),
+    ("convexity",),
+    ("quote", "--mix", "geo", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "0.1"),
+    ("il-table", "--mix", "arith", "--ratios", ""),
+    ("pvf-table", "--r-points", "0"),
+    ("sim-run", "--seed", "1", "--stability", "2"),
+    ("sim-sweep", "--seed", "1", "--stabilities", ""),
+])
+def test_config_errors_come_before_flag_errors(tmp_path, capsys, argv):
+    """Each command reads its --config first, so a bad file is the error
+    reported even when the flags are bad as well."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bogus": {}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config key bogus\n"
 
 
 def test_json_format_flag(capsys):
@@ -729,3 +781,17 @@ def test_cached_parser_prints_what_a_fresh_one_prints(capsys):
     for i in order + order[::-1]:
         assert run(capsys, *_INTERLEAVED[i]) == fresh[i], _INTERLEAVED[i]
     assert cli._parser.cache_info().misses == 1
+
+
+# --- library records reach stdout through their own fields -----------------------
+
+@pytest.mark.parametrize("record", [ConvexityReport, Quote, SimSummary])
+def test_cli_restates_no_record_in_a_dict_display(record):
+    """A record's row comes from ``asdict``: no dict display in cli.py lists
+    the record's field names, so its columns have one home, the record."""
+    names = {f.name for f in fields(record)}
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+            assert not names <= keys, f"cli.py:{node.lineno} restates {record.__name__}"

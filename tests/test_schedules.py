@@ -298,6 +298,14 @@ def test_convexity_report_fields(unit_params):
         check_convexity(unit_params, Uniform(0.5), grid_size=2)
 
 
+def test_convexity_without_a_sampled_margin_fails(unit_params):
+    # t'' = k(k-1)/M^2 * u^(k-2) is inf*0 at every grid point, so every margin
+    # is NaN; a certificate that sampled nothing must not pass
+    report = check_convexity(unit_params, PowerLaw(1e300), grid_size=30)
+    assert (report.passed, report.min_margin, report.skipped) == (False, math.inf, 0)
+    assert math.isnan(report.worst_s)
+
+
 def test_convexity_skips_singular_points(unit_params):
     # exponent below 2 is singular at s0 = 0.5, which an odd grid hits exactly
     report = check_convexity(unit_params, PowerLaw(1.0), grid_size=10_001)
