@@ -1,16 +1,13 @@
 """Scalar kernels for curve evaluation and root solving.
 
 These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
-function here operates on flat floats.  The curve solves are fused, each
-kernel repeating the float operations of the helpers it inlines in their
-order:
-
-* ``lam_at`` and ``lam_prime_at`` compute the blend weight and g(s) in
-  one frame (``sched_value``, ``sched_first`` and ``ray_log_ratio``);
-* ``lam_arith`` inlines its log ratio.
-
-The helpers stay for the other kernels and as the reference the fused
-ones are tested against.
+function here operates on flat floats.  ``lam_at``, the trade solve's
+inner call, is fused: it computes the blend weight and g(s) in one frame,
+repeating the float operations of ``sched_value`` and ``ray_log_ratio``
+in their order, and the helpers stay as the reference it is tested
+against.  The other s-kernels call the helpers: ``lam_prime_at`` takes
+g from ``ray_log_ratio`` and t from ``sched_first``, ``sched_eval`` adds
+t'' to ``sched_first``, and ``lam_arith`` takes g from its caller.
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
@@ -66,19 +63,20 @@ def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg):
     return g, gp
 
 
-def lam_arith(s, t, a, b, x0, y0, alpha, beta, c, s0, deg):
+def lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Scaling putting the ray point on the arithmetic mix, by bracketed Newton.
 
     Solves lam*(1-t)/C + t*(lam/P)**deg = 1; the left side is strictly
     increasing in lam, so the root is unique and bracketed by
-    (0, C/(1-t)] for t < 1.  P = C*exp(g) with g as in ``ray_log_ratio``.
+    (0, C/(1-t)] for t < 1.  P = C*exp(g), with g = g(s) from
+    ``ray_log_ratio`` taken by the caller.
     An iterate with a zero residual is the root and is returned as it is;
     for calibrated weights (deg == 1) that is usually the seed.  Raises
     ConvergenceError when ``_MAX_ITER`` steps do not converge.
     """
     if t <= 0.0:
         return c
-    p = c * exp((alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg)
+    p = c * exp(g)
     if t >= 1.0:
         return p
     lo = 0.0
@@ -145,25 +143,24 @@ def sched_first(kind, q0, q1, q2, s, s0):
 
 
 def sched_eval(kind, q0, q1, q2, s, s0):
-    """(t, t', t'') — raises where either derivative fails to exist."""
+    """(t, t', t'') — raises where either derivative fails to exist.
+
+    (t, t') are ``sched_first``'s.  A power law below exponent 2 is singular
+    at s0; that is raised first, as ``sched_first`` has t' there above 1.
+    """
+    d = s - s0
+    if kind == 1 and d == 0.0 and q0 < 2.0:
+        raise NonDifferentiablePointError(
+            f"power-law schedule with exponent {q0!r} is singular at s0"
+        )
+    t, tp = sched_first(kind, q0, q1, q2, s, s0)
     if kind == 0:
-        return q0, 0.0, 0.0
-    if kind == 1:
-        d = s - s0
-        if d == 0.0:
-            if q0 < 2.0:
-                raise NonDifferentiablePointError(
-                    f"power-law schedule with exponent {q0!r} is singular at s0"
-                )
-            tpp = 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
-            return 0.0, 0.0, tpp
-        u = abs(d) / q1
-        t = u**q0
-        tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
-        tpp = q0 * (q0 - 1.0) / (q1 * q1) * u ** (q0 - 2.0)
-        return t, tp, tpp
-    t = (q0 * s + q1) * s + q2
-    return t, 2.0 * q0 * s + q1, 2.0 * q0
+        return t, tp, 0.0
+    if kind != 1:
+        return t, tp, 2.0 * q0
+    if d == 0.0:
+        return t, tp, 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
+    return t, tp, q0 * (q0 - 1.0) / (q1 * q1) * (abs(d) / q1) ** (q0 - 2.0)
 
 
 def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
@@ -193,14 +190,15 @@ def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
 def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """Scaling lam(s) for any (family, schedule) pair.
 
-    Uniform weights (kind 0) take t = q0 for any family; a schedule takes
-    t(s) from ``sched_value`` and the homotopy formula C + C*expm1(g)*t.
-    Both helpers are inlined here, operation for operation.
+    Uniform weights (kind 0) take t = q0 for any family, and are C itself
+    at t = 0; a schedule takes t(s) from ``sched_value`` and the homotopy
+    formula C + C*expm1(g)*t.  ``sched_value`` and ``ray_log_ratio`` are
+    inlined here, operation for operation.
     """
-    if kind == 0 and family == 0:
-        return lam_arith(s, q0, a, b, x0, y0, alpha, beta, c, s0, deg)
     if kind == 0:
         t = q0
+        if t <= 0.0:
+            return c
     else:
         if kind == 1:
             d = s - s0
@@ -215,6 +213,8 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
         elif t > 1.0:
             t = 1.0
     g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
+    if kind == 0 and family == 0:
+        return lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg)
     if kind == 0 and family == 1:
         return c * exp(g * deg * t / ((1.0 - t) + deg * t))
     # homotopy: lam = C*(1-t) + P*t
@@ -224,34 +224,18 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
 def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
     """(lam, dlam/ds) for any (family, schedule) pair.
 
-    Uniform weights (kind 0) take t = q0 and the family's closed form; a
-    schedule takes (t, t') as ``sched_first`` does and the homotopy
-    formula.  ``ray_log_ratio`` and ``sched_first`` are inlined here,
-    operation for operation.
+    (g, g') come from ``ray_log_ratio``.  Uniform weights (kind 0) take
+    t = q0 and the family's closed form; a schedule takes (t, t') from
+    ``sched_first`` and the homotopy formula.
     """
-    g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
-    gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
+    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg)
     p = c * exp(g)
     if kind != 0:
-        if kind == 1:
-            d = s - s0
-            if d == 0.0:
-                if q0 <= 1.0:
-                    raise NonDifferentiablePointError(
-                        f"power-law schedule with exponent {q0!r} has no derivative at s0"
-                    )
-                t = tp = 0.0
-            else:
-                u = abs(d) / q1
-                t = u**q0
-                tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
-        else:
-            t = (q0 * s + q1) * s + q2
-            tp = 2.0 * q0 * s + q1
+        t, tp = sched_first(kind, q0, q1, q2, s, s0)
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
     if family == 0:
-        lam = lam_arith(s, t, a, b, x0, y0, alpha, beta, c, s0, deg)
+        lam = lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg)
         if t <= 0.0:
             return lam, 0.0
         rd = t * deg * (lam / p) ** deg

@@ -5,7 +5,7 @@ the array kernel must match the scalar one."""
 import ast
 import random
 import re
-from math import exp, expm1
+from math import copysign, exp, expm1
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,12 @@ def _constants(a, b, x0, y0, alpha, beta):
     CurveParams refuses) and deg = alpha + beta."""
     c = a * x0 + b * y0
     return a, b, x0, y0, alpha, beta, c, a * x0 / c if c > 0.0 else 0.5, alpha + beta
+
+
+def _lam_arith(s, t, *nine):
+    """``pure.lam_arith`` at s with g(s) from ``ray_log_ratio``, as its
+    callers take it."""
+    return pure.lam_arith(s, t, pure.ray_log_ratio(s, *nine)[0], *nine)
 
 
 def _powerlaw_scale(s0):
@@ -113,6 +119,36 @@ def test_xy_formulas_have_one_body():
                              ("grad_xy", "w - c / n")]
     assert ("rate_xy", "grad_xy") in calls
     assert ("value_xy", "components_xy") in calls
+
+
+# g(s), g'(s)'s numerator and a power law's and a parabola's t'
+_S_TERMS = {"alpha * log(s0 / s)", "beta * s - alpha * (1.0 - s)",
+            "copysign(q0 / q1 * u ** (q0 - 1.0), d)", "2.0 * q0 * s + q1"}
+
+
+def test_s_formulas_have_one_body():
+    """g(s) is written only in ``ray_log_ratio`` and in the fused
+    ``lam_at``, g'(s) only in ``ray_log_ratio``, and the schedule slopes
+    only in ``sched_first``: ``lam_prime_at``, ``sched_eval`` and
+    ``lam_arith`` take them from there instead of repeating them."""
+    found, calls, names = [], set(), set()
+    for stmt in ast.parse(Path(pure.__file__).read_text(encoding="utf-8")).body:
+        where = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.BinOp, ast.Call)) and ast.unparse(node) in _S_TERMS:
+                found.append((where, ast.unparse(node)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.add((where, node.func.id))
+            elif isinstance(node, ast.Name):
+                names.add((where, node.id))
+    assert sorted(found) == [("lam_at", "alpha * log(s0 / s)"),
+                             ("ray_log_ratio", "alpha * log(s0 / s)"),
+                             ("ray_log_ratio", "beta * s - alpha * (1.0 - s)"),
+                             ("sched_first", "2.0 * q0 * s + q1"),
+                             ("sched_first", "copysign(q0 / q1 * u ** (q0 - 1.0), d)")]
+    assert {("lam_prime_at", "ray_log_ratio"), ("lam_prime_at", "sched_first"),
+            ("sched_eval", "sched_first")} <= calls
+    assert ("lam_arith", "log") not in names
 
 
 def _reference_lam_arith(s, t, a, b, x0, y0, alpha, beta):
@@ -204,7 +240,7 @@ def test_lam_at_matches_helper_composition_bit_for_bit():
         got = pure.lam_at(family, kind, q0, q1, q2, s, *_constants(*curve))
         assert got == want, (family, kind, q0, q1, q2, s, curve)
         if kind == 0 and family == 0:
-            assert pure.lam_arith(s, q0, *_constants(*curve)) == want
+            assert _lam_arith(s, q0, *_constants(*curve)) == want
     assert raised > 0
 
 
@@ -218,7 +254,7 @@ def test_lam_arith_matches_reference_loop_bit_for_bit():
         alpha = a * x0 / (a * x0 + b * y0)
         curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), (1.0 - alpha) * rng.uniform(0.5, 2.0))
         s, t = rng.uniform(0.001, 0.999), rng.uniform(0.0, 1.0)
-        assert pure.lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
+        assert _lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
             (s, t, curve)
 
 
@@ -227,14 +263,14 @@ def test_lam_arith_raises_when_iteration_cap_runs_out(monkeypatch):
     # Newton takes 4 steps from it
     p = CurveParams(0.5, 1, 3000, 1000)
     curve = _constants(p.a, p.b, p.x0, p.y0, 0.6, 1.4)
-    lam = pure.lam_arith(0.37, 0.6, *curve)
+    lam = _lam_arith(0.37, 0.6, *curve)
     monkeypatch.setattr(pure, "_MAX_ITER", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
-        pure.lam_arith(0.37, 0.6, *curve)
+        _lam_arith(0.37, 0.6, *curve)
     with pytest.raises(ConvergenceError):
         pure.lam_at(0, 0, 0.6, 0.0, 0.0, 0.37, *curve)
     monkeypatch.undo()
-    assert pure.lam_arith(0.37, 0.6, *curve) == lam
+    assert _lam_arith(0.37, 0.6, *curve) == lam
 
 
 def _calibrated_arith_grid():
@@ -254,7 +290,7 @@ def _calibrated_arith_grid():
 def test_lam_arith_converges_within_cap_on_grid():
     # no blend weight in [0.01, 0.99] and no s in [S_MIN, S_MAX] reaches _MAX_ITER
     for p, s, t in _calibrated_arith_grid():
-        lam = pure.lam_arith(s, t, *p._curve)
+        lam = _lam_arith(s, t, *p._curve)
         assert 0.0 < lam <= p.c / (1.0 - t)
 
 
@@ -263,7 +299,7 @@ def test_lam_arith_takes_one_step_on_calibrated_grid(monkeypatch):
     # residual is exactly 0 or one Newton step closes the relative 1e-12 gap
     monkeypatch.setattr(pure, "_MAX_ITER", 1)
     for p, s, t in _calibrated_arith_grid():
-        lam = pure.lam_arith(s, t, *p._curve)
+        lam = _lam_arith(s, t, *p._curve)
         assert 0.0 < lam <= p.c / (1.0 - t)
 
 
@@ -279,12 +315,12 @@ def test_lam_arith_solves_where_c_times_p_leaves_the_float_range(scale):
         p = CurveParams(a, b, scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
         curve = p._curve
         s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(1e-9, 1.0 - 1e-9)
-        lam = pure.lam_arith(s, t, *curve)
+        lam = _lam_arith(s, t, *curve)
         x, y = lam * s / p.a, lam * (1.0 - s) / p.b
         assert abs(pure.value_xy(0, t, x, y, *curve) - 1.0) <= 1e-15, (s, t, curve)
         # the same curve at unit scale, scaled back up
         unit = _constants(p.a, p.b, p.x0 / scale, p.y0 / scale, p.alpha, p.beta)
-        assert lam == pytest.approx(scale * pure.lam_arith(s, t, *unit), rel=1e-14)
+        assert lam == pytest.approx(scale * _lam_arith(s, t, *unit), rel=1e-14)
 
 
 def test_lam_arith_seed_unchanged_where_c_times_p_is_a_positive_float():
@@ -297,7 +333,7 @@ def test_lam_arith_seed_unchanged_where_c_times_p_is_a_positive_float():
                         scale * rng.uniform(0.5, 2.0), scale * rng.uniform(0.5, 2.0))
         curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
         s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0)
-        assert pure.lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
+        assert _lam_arith(s, t, *_constants(*curve)) == _reference_lam_arith(s, t, *curve), \
             (s, t, curve)
 
 
@@ -348,7 +384,7 @@ def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, be
     t = q0
     deg = alpha + beta
     if family == 0:
-        lam = pure.lam_arith(s, t, *nine)
+        lam = _lam_arith(s, t, *nine)
         if t <= 0.0:
             return lam, 0.0
         rd = t * deg * (lam / p) ** deg
@@ -361,7 +397,7 @@ def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, be
 
 
 def test_lam_prime_at_matches_helper_composition_bit_for_bit():
-    # lam_prime_at inlines ray_log_ratio and sched_first; it raises where
+    # lam_prime_at calls ray_log_ratio and sched_first; it raises where
     # sched_first does, at s0 under a power law with exponent <= 1
     raised = 0
     for family, kind, q0, q1, q2, s, curve in _fusion_cases(40, 606):
@@ -375,6 +411,47 @@ def test_lam_prime_at_matches_helper_composition_bit_for_bit():
         got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *_constants(*curve))
         assert got == want, (family, kind, q0, q1, q2, s, curve)
     assert raised > 0
+
+
+def _reference_sched_eval(kind, q0, q1, q2, s, s0):
+    # sched_eval with (t, t') written out beside t'', the reference for the composed kernel
+    if kind == 0:
+        return q0, 0.0, 0.0
+    if kind == 1:
+        d = s - s0
+        if d == 0.0:
+            if q0 < 2.0:
+                raise NonDifferentiablePointError(
+                    f"power-law schedule with exponent {q0!r} is singular at s0"
+                )
+            tpp = 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
+            return 0.0, 0.0, tpp
+        u = abs(d) / q1
+        t = u**q0
+        tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
+        tpp = q0 * (q0 - 1.0) / (q1 * q1) * u ** (q0 - 2.0)
+        return t, tp, tpp
+    t = (q0 * s + q1) * s + q2
+    return t, 2.0 * q0 * s + q1, 2.0 * q0
+
+
+def test_sched_eval_matches_its_written_out_body():
+    # the same values, sign of zero included, and the same error and message
+    cases = [(kind, q0, q1, q2, s, a * x0 / (a * x0 + b * y0))
+             for family, kind, q0, q1, q2, s, (a, b, x0, y0, _, _) in _fusion_cases(40, 707)
+             if family == 0]
+    at_s0 = []
+    for a, b, x0, y0, _, _ in _random_curves(8, 708):
+        s0 = a * x0 / (a * x0 + b * y0)
+        at_s0 += [(1, k, _powerlaw_scale(s0), 0.0, s0, s0) for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    for args in cases + at_s0:
+        assert _outcome(pure.sched_eval, *args) == _outcome(_reference_sched_eval, *args), args
+    # at s0 a power law below exponent 2 is singular, exponent 1.5 included,
+    # where sched_first has t'
+    for args in at_s0:
+        singular = (NonDifferentiablePointError,
+                    f"power-law schedule with exponent {args[1]!r} is singular at s0")
+        assert (_outcome(pure.sched_eval, *args) == singular) == (args[1] < 2.0), args
 
 
 def _reference_rate_xy(family, kind, q0, q1, q2, x, y, *curve):
