@@ -18,6 +18,7 @@ from ammix.analysis import (
     impermanent_loss,
     portfolio_value,
     reduced_value,
+    reduced_values,
 )
 from ammix.core import (
     CurveParams,
@@ -28,7 +29,6 @@ from ammix.core import (
     eval_component,
     eval_mixed,
     grad_mixed,
-    rebase_curve,
     spot_rate,
 )
 from ammix.exchange import Currency, LiquidityBound, Quote, max_extractable, quote, swap
@@ -52,7 +52,7 @@ from ammix.schedules import (
     curve_derivatives,
     lambda_derivs,
     stableswap_dynamic_residual,
-    t_of_s,
+    stableswap_dynamic_y,
 )
 from ammix.simulate import (
     SimConfig,
@@ -79,20 +79,20 @@ __all__ = [
     "__version__",
     # core
     "CurveParams", "Family", "MarketState", "MixSpec",
-    "calibrate_weights", "eval_component", "eval_mixed", "grad_mixed",
-    "rebase_curve", "spot_rate",
+    "calibrate_weights", "eval_component", "eval_mixed", "grad_mixed", "spot_rate",
     # parametrize
     "ScalingPair", "lambda_mix", "point_at", "s_of_state", "scaling_factors",
     "state_for_x", "state_for_y",
     # schedules
     "ConvexityReport", "Parabolic", "PowerLaw", "StableswapDynamic",
     "TSchedule", "Uniform", "check_convexity", "curve_derivatives",
-    "lambda_derivs", "stableswap_dynamic_residual", "t_of_s",
+    "lambda_derivs", "stableswap_dynamic_residual", "stableswap_dynamic_y",
     # exchange
     "Currency", "LiquidityBound", "Quote", "max_extractable", "quote", "swap",
     # analysis
     "ILReport", "PriceVector", "arbitrage_state", "arbitrage_states",
     "erli_discrepancy", "impermanent_loss", "portfolio_value", "reduced_value",
+    "reduced_values",
     # stableswap
     "StableswapParams", "chi_from_t", "dynamic_chi", "equivalence_check",
     "invariant_residual", "t_from_chi",

@@ -15,7 +15,7 @@ from math import ceil, exp, inf, isfinite, log, log1p, log2, nan
 from typing import Sequence
 
 from ammix import _kernels as k
-from ammix.core import CurveParams, MarketState, MixSpec, _check_reserves, market
+from ammix.core import CurveParams, MarketState, MixSpec, market
 from ammix.errors import (
     ConvergenceError,
     InvalidCurveError,
@@ -23,7 +23,7 @@ from ammix.errors import (
     UnsupportedCurveError,
 )
 from ammix.parametrize import _reserves_on
-from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, check_convexity
+from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, _check_reserves, check_convexity
 
 # the width in s every arbitrage state is bisected to, and the least
 # distance of a narrowing step from its bracket's ends
@@ -44,6 +44,15 @@ _SPARE_EVALS = 20
 _NEAR_END = 1e-10
 
 
+def _value_at(p1: float, p2: float, x: float, y: float) -> float:
+    """P.X = p1*x + p2*y; InvalidParameterError when it overflows the float range."""
+    value = p1 * x + p2 * y
+    if not isfinite(value):
+        raise InvalidParameterError(f"portfolio value P.X = {value!r} is not finite at prices "
+                                    f"({p1!r}, {p2!r}) and reserves ({x!r}, {y!r})")
+    return value
+
+
 @dataclass(frozen=True)
 class PriceVector:
     """External prices of the two currencies; the rate is p1/p2."""
@@ -57,11 +66,7 @@ class PriceVector:
 
     def value_of(self, state: MarketState) -> float:
         """P . X; InvalidParameterError when it overflows the float range."""
-        value = self.p1 * state.x + self.p2 * state.y
-        if not isfinite(value):
-            raise InvalidParameterError(f"portfolio value P.X = {value!r} is not finite "
-                                        f"at prices {self!r} and reserves {state!r}")
-        return value
+        return _value_at(self.p1, self.p2, state.x, state.y)
 
     @property
     def rate(self) -> float:
@@ -286,11 +291,20 @@ def portfolio_value(params: CurveParams, mix: MixSpec, p: PriceVector) -> float:
     return p.value_of(arbitrage_state(params, mix, p))
 
 
+def reduced_values(params: CurveParams, mix: MixSpec, rates: Sequence[float]) -> list[float]:
+    """U(r) = V(r, 1) at each of the rates, on the reserves solved in one
+    batch as for ``arbitrage_states``, with no record built per rate: the
+    bits of ``PriceVector(r, 1.0).value_of`` the state there."""
+    for r in rates:
+        if not (isfinite(r) and r > 0.0):
+            raise InvalidParameterError(f"rate must be positive and finite, got {r!r}")
+    reserves = _arbitrage_reserves(params, mix, rates)
+    return [_value_at(r, 1.0, x, y) for r, (x, y) in zip(rates, reserves)]
+
+
 def reduced_value(params: CurveParams, mix: MixSpec, r: float) -> float:
     """U(r) = V(r, 1), the portfolio value against the rate alone."""
-    if not (isfinite(r) and r > 0.0):
-        raise InvalidParameterError(f"rate must be positive and finite, got {r!r}")
-    return portfolio_value(params, mix, PriceVector(r, 1.0))
+    return reduced_values(params, mix, [r])[0]
 
 
 DEFAULT_RATE_RATIOS = (0.5, 2.0)

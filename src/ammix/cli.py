@@ -1,6 +1,10 @@
 """Command-line surface: curve sampling, certification, quoting, analysis
 tables, Stableswap comparison, and simulation runs/sweeps.
 
+The module parses arguments into library calls and formats what they
+return; every solve is the library's.  ``curve-sample`` alone evaluates
+the market's kernels in its own loop, one row per s.
+
 Data goes to stdout as CSV (default) or JSON, diagnostics to stderr.
 Numeric output is printed with 12 significant digits and identical seeded
 invocations are byte-identical.  Exit codes: 0 success, 2 invalid
@@ -18,32 +22,23 @@ from itertools import chain
 from math import inf, isfinite
 
 from ammix import _kernels as k
-from ammix.analysis import PriceVector, _arbitrage_reserves, arbitrage_states, impermanent_loss
-from ammix.core import (
-    CurveParams,
-    Family,
-    MarketState,
-    MixSpec,
-    _check_reserves,
-    eval_mixed,
-    market,
-)
+from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss, reduced_values
+from ammix.core import CurveParams, Family, MarketState, MixSpec, eval_mixed, market
 from ammix.errors import (
     AmmixError,
     InsufficientLiquidityError,
     InvalidParameterError,
     OutOfRangeError,
 )
-from ammix.exchange import ON_CURVE_TOL, Currency, quote
+from ammix.exchange import Currency, quote
 from ammix.schedules import (
     Parabolic,
     PowerLaw,
     StableswapDynamic,
     Uniform,
-    _bisect,
+    _check_reserves,
     check_convexity,
-    dynamic_residual_xy,
-    stableswap_dynamic_residual,
+    stableswap_dynamic_y,
 )
 from ammix.simulate import SimConfig, batch_summary, run_sim
 
@@ -289,44 +284,9 @@ def _cmd_pvf_table(ns: argparse.Namespace) -> tuple[str, int]:
         else:
             center = 0.9 * (1.0 - stability) + 0.1 * stability
             mix = MixSpec.scheduled(Parabolic(bias=ns.bias, center=center))
-        # U(r) = V(r, 1) = r*x + 1.0*y, as reduced_value computes it
-        for r, (x, y) in zip(rates, _arbitrage_reserves(params, mix, rates)):
-            value = r * x + y
-            if not isfinite(value):
-                raise InvalidParameterError(f"portfolio value U(r) = r*x + y = {value!r} is not "
-                                            f"finite at r={r!r}, reserves ({x!r}, {y!r})")
+        for r, value in zip(rates, reduced_values(params, mix, rates)):
             rows.append({"stability": stability, "r": r, "value": value})
     return emit_table(rows, ns.format), 0
-
-
-def _solve_dynamic_y(amp: float, scale: float, x: float) -> float:
-    """The y on the dynamic Stableswap curve at x; InvalidParameterError when
-    no representable y satisfies it, float overflow and underflow included."""
-    # residual is +inf at y -> 0 and eventually negative; bisect the sign change
-    def below(y: float) -> bool:
-        return dynamic_residual_xy(amp, scale, x, y) > 0.0
-
-    try:
-        # x and the top of the bracket are checked here, once; the
-        # midpoints below it are positive and finite
-        hi = 4.0 * scale
-        while stableswap_dynamic_residual(amp, scale, MarketState(x, hi)) > 0.0:
-            hi *= 2.0
-            if hi > 1e12 * scale:
-                raise AmmixError(f"no curve crossing found for x={x!r}")
-        y = _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
-        residual = stableswap_dynamic_residual(amp, scale, MarketState(x, y))
-    except ArithmeticError as exc:
-        raise InvalidParameterError(
-            f"the curve's terms leave the float range at x={x!r} ({type(exc).__name__})"
-        ) from exc
-    size = 16.0 * amp * x * y + scale * scale
-    if not abs(residual) <= ON_CURVE_TOL * size:
-        raise InvalidParameterError(
-            f"no y on the curve at x={x!r}: the solve ends at y={y!r} with residual "
-            f"{residual!r} against terms of size {size!r}"
-        )
-    return y
 
 
 def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
@@ -335,11 +295,15 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.samples < 1:
         raise InvalidParameterError(f"--samples must be >= 1, got {ns.samples}")
     half = scale / 2.0
+    first = 0.2 * half
+    if first == 0.0:
+        raise InvalidParameterError(f"--scale {scale!r} is too small: its first sample "
+                                    f"x = 0.2*scale/2 rounds to 0")
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
     rows = []
-    for x in _linspace(0.2 * half, 2.5 * half, ns.samples):
-        y = _solve_dynamic_y(amp, scale, x)
+    for x in _linspace(first, 2.5 * half, ns.samples):
+        y = stableswap_dynamic_y(amp, scale, x)
         state = MarketState(x, y)
         rows.append({
             "x": x,

@@ -30,6 +30,7 @@ from ammix.schedules import (
     StableswapDynamic,
     TSchedule,
     Uniform,
+    _check_reserves,
     schedule_coeffs,
 )
 
@@ -110,12 +111,6 @@ class MarketState:
 
     def __post_init__(self) -> None:
         _check_reserves(self.x, self.y)
-
-
-def _check_reserves(x: float, y: float) -> None:
-    """Raise InvalidParameterError unless both reserves are positive and finite."""
-    if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
-        raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
 
 
 class Family(Enum):
@@ -280,14 +275,3 @@ def spot_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
                                     "is not positive and finite")
     return rate
 
-
-def rebase_curve(params: CurveParams, state: MarketState, new_rate: float) -> CurveParams:
-    """Re-anchor the curve at the state with a fresh initial rate.
-
-    The returned parameters set (x0, y0) to the state, fix b = 1 with
-    a = new_rate, and re-calibrate the exponents; every mixing family then
-    passes through the state with spot rate new_rate.
-    """
-    if not (isfinite(new_rate) and new_rate > 0.0):
-        raise InvalidParameterError(f"new_rate must be positive and finite, got {new_rate!r}")
-    return CurveParams(a=new_rate, b=1.0, x0=state.x, y0=state.y)

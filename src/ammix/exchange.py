@@ -18,9 +18,7 @@ from math import inf, isfinite, nextafter
 from ammix.core import CurveParams, MarketState, MixSpec, eval_mixed, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
 from ammix.parametrize import point_at, state_for_x, state_for_y
-from ammix.schedules import S_MAX, S_MIN
-
-ON_CURVE_TOL = 1e-9
+from ammix.schedules import ON_CURVE_TOL, S_MAX, S_MIN
 
 
 class Currency(Enum):

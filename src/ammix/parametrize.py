@@ -21,12 +21,11 @@ from ammix.core import (
     Market,
     MarketState,
     MixSpec,
-    _check_reserves,
     market,
 )
 from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
 from ammix.errors import InvalidParameterError, OutOfRangeError
-from ammix.schedules import S_MAX, S_MIN, _check_s
+from ammix.schedules import S_MAX, S_MIN, _check_reserves, _check_s
 
 
 @dataclass(frozen=True)

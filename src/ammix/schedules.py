@@ -5,6 +5,10 @@ function of the ray parameter s, which reshapes the curve region by region.
 Schedules must keep t inside [0, 1] and keep the resulting curve convex;
 ``check_convexity`` certifies the latter on a dense grid via the margin
 lam*lam'' - 2*lam'^2 >= 0.
+
+The dynamic Stableswap blend depends on the state instead; its residual
+and the y-solve on it, ``stableswap_dynamic_y``, live here side by side,
+as do the checks and tolerances the layers above share.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from ammix import _kernels as k
 from ammix.errors import (
+    AmmixError,
     ConvergenceError,
     InvalidCurveError,
     InvalidParameterError,
@@ -34,11 +39,21 @@ CONVEXITY_GRID_INSET = 1e-4
 CONVEXITY_MARGIN_TOL = -1e-9
 _CONVEXITY_BLOCK = 4096
 
+# |A(X) - 1| a state on a curve may show; for the dynamic Stableswap curve,
+# relative to the size of its terms
+ON_CURVE_TOL = 1e-9
+
 
 def _check_s(s: float) -> float:
     if not (S_MIN <= s <= S_MAX):
         raise InvalidParameterError(f"s={s!r} outside the supported range [{S_MIN}, {S_MAX}]")
     return s
+
+
+def _check_reserves(x: float, y: float) -> None:
+    """Raise InvalidParameterError unless both reserves are positive and finite."""
+    if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
+        raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
 
 
 # halvings _bisect may take before it raises ConvergenceError
@@ -186,24 +201,6 @@ def schedule_coeffs(schedule: TSchedule, s0: float) -> tuple[int, float, float, 
     )
 
 
-def t_of_s(schedule: TSchedule, params: "CurveParams", s: float) -> tuple[float, float, float]:
-    """Blend weight and its first two s-derivatives, (t, t', t'').
-
-    Power-law schedules have singular derivatives at s = s0 when the
-    exponent is below 2; those points raise.
-    """
-    _check_s(s)
-    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    return k.sched_eval(kind, q0, q1, q2, s, params.s0)
-
-
-def t_first(schedule: TSchedule, params: "CurveParams", s: float) -> tuple[float, float]:
-    """(t, t') only; singular at s0 just for power laws with exponent <= 1."""
-    _check_s(s)
-    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    return k.sched_first(kind, q0, q1, q2, s, params.s0)
-
-
 def lambda_derivs(params: "CurveParams", schedule: TSchedule, s: float) -> tuple[float, float, float]:
     """(lam, lam', lam'') of the scheduled homotopy scaling at s."""
     _check_s(s)
@@ -294,3 +291,43 @@ def dynamic_residual_xy(amplification: float, scale: float, x: float, y: float) 
     lhs = 16.0 * amplification * scale * x * y / (x + y) + scale**3 / (2.0 * sqrt(x * y))
     rhs = 16.0 * amplification * x * y + scale * scale
     return lhs - rhs
+
+
+def stableswap_dynamic_y(amplification: float, scale: float, x: float) -> float:
+    """The y on the dynamic Stableswap curve at x, bisected in y to a
+    relative 1e-15 on [1e-12*D, 4*D], whose top doubles up to 1e12*D until
+    the residual there is not positive (AmmixError past that).
+
+    Raises InvalidParameterError when A, D, x or the bracket's top is not
+    positive and finite, when the curve's terms leave the float range, and
+    when the y found leaves a residual above ON_CURVE_TOL*(16*A*x*y + D^2),
+    as where the curve's y lies below the bracket.
+    """
+    StableswapDynamic(amplification, scale)  # checks A and D
+
+    def below(y: float) -> bool:
+        return dynamic_residual_xy(amplification, scale, x, y) > 0.0
+
+    try:
+        # x and the top of the bracket are checked once: the doubled tops
+        # stay finite, since D**3 overflows before 1e12*D can, and the
+        # midpoints below them are positive and finite
+        hi = 4.0 * scale
+        _check_reserves(x, hi)
+        while below(hi):
+            hi *= 2.0
+            if hi > 1e12 * scale:
+                raise AmmixError(f"no curve crossing found for x={x!r}")
+        y = _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
+        residual = dynamic_residual_xy(amplification, scale, x, y)
+    except ArithmeticError as exc:
+        raise InvalidParameterError(
+            f"the curve's terms leave the float range at x={x!r} ({type(exc).__name__})"
+        ) from exc
+    size = 16.0 * amplification * x * y + scale * scale
+    if not abs(residual) <= ON_CURVE_TOL * size:
+        raise InvalidParameterError(
+            f"no y on the curve at x={x!r}: the solve ends at y={y!r} with residual "
+            f"{residual!r} against terms of size {size!r}"
+        )
+    return y

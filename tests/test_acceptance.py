@@ -22,11 +22,14 @@ from ammix import (
     PowerLaw,
     PriceVector,
     SimConfig,
+    StableswapDynamic,
     StableswapParams,
     Uniform,
     arbitrage_state,
     batch_summary,
     check_convexity,
+    chi_from_t,
+    dynamic_chi,
     equivalence_check,
     erli_discrepancy,
     eval_mixed,
@@ -39,6 +42,8 @@ from ammix import (
     reduced_value,
     scaling_factors,
     stableswap_dynamic_residual,
+    stableswap_dynamic_y,
+    t_from_chi,
 )
 from ammix.cli import run_command
 from ammix.errors import NonDifferentiablePointError
@@ -223,23 +228,26 @@ def test_criterion_05_stableswap_equivalence():
         worst = max(worst, equivalence_check(ss, [*partial, last]))
         count += 1
     amp, scale = 1.0, 2.0
+    dynamic = StableswapDynamic(amp, scale)
     exact = stableswap_dynamic_residual(amp, scale, MarketState(scale / 2, scale / 2))
     dyn_worst = 0.0
+    # the dynamic blend is the chi <-> t reparametrisation at the state's own
+    # leverage chi = A*x*y/(D/2)**2: t_from_chi gives its weight, chi_from_t inverts it
+    blend_worst = chi_worst = 0.0
     for i in range(50):
         x = 0.2 + 2.2 * i / 49
-        lo, hi = 1e-9, 10.0 * scale
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if stableswap_dynamic_residual(amp, scale, MarketState(x, mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        dyn_worst = max(dyn_worst, abs(
-            stableswap_dynamic_residual(amp, scale, MarketState(x, 0.5 * (lo + hi)))))
+        state = MarketState(x, stableswap_dynamic_y(amp, scale, x))
+        dyn_worst = max(dyn_worst, abs(stableswap_dynamic_residual(amp, scale, state)))
+        chi = dynamic_chi(amp, scale, (state.x, state.y))
+        t = dynamic.weight(state)
+        blend_worst = max(blend_worst, abs(t_from_chi(chi, 2) - t) / t)
+        chi_worst = max(chi_worst, abs(chi_from_t(t, 2) - chi) / chi)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and exact == 0.0 and dyn_worst <= 1e-9 * scale * scale
+    ok = (worst <= 1e-9 and exact == 0.0 and dyn_worst <= 1e-9 * scale * scale
+          and blend_worst <= 1e-15 and chi_worst <= 1e-11)
     _report(5, "stableswap blend equivalence", ok, elapsed,
-            f"reparam dev = {worst:.2e}, balanced residual = {exact}, root residual = {dyn_worst:.2e}")
+            f"reparam dev = {worst:.2e}, balanced residual = {exact}, root residual = {dyn_worst:.2e}, "
+            f"dynamic t rel err = {blend_worst:.1e}, chi rel err = {chi_worst:.1e}")
     assert ok
     assert elapsed < 2.0
 

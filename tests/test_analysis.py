@@ -22,6 +22,7 @@ from ammix import (
     impermanent_loss,
     portfolio_value,
     reduced_value,
+    reduced_values,
     point_at,
     spot_rate,
 )
@@ -503,6 +504,35 @@ def test_reduced_value_examples(unit_params):
     assert reduced_value(unit_params, cpmm, 1.0) == pytest.approx(2.0, rel=1e-9)
     csmm = MixSpec.arithmetic(0.0)
     assert reduced_value(unit_params, csmm, 1.0) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_reduced_values_are_value_of_the_batch_states(pool_params):
+    """One batch of rates gives PriceVector(r, 1.0).value_of the state
+    arbitrage_states solves at each rate, bit for bit, on uniform and
+    scheduled curves; at one rate it is reduced_value."""
+    rates = [0.02, 0.3, 0.5, 0.51, 2.0, 40.0]
+    for mix in (MixSpec.arithmetic(0.3), MixSpec.homotopy(0.6),
+                MixSpec.scheduled(Parabolic(bias=0.45, center=0.5))):
+        prices = [PriceVector(r, 1.0) for r in rates]
+        states = arbitrage_states(pool_params, mix, prices)
+        assert reduced_values(pool_params, mix, rates) == [p.value_of(x) for p, x in zip(prices, states)]
+        assert reduced_values(pool_params, mix, [0.51]) == [reduced_value(pool_params, mix, 0.51)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_reduced_values_refuse_a_rate_before_solving(unit_params, monkeypatch, bad):
+    monkeypatch.setattr(analysis, "_arbitrage_reserves", None)  # never reached
+    with pytest.raises(InvalidParameterError, match="^rate must be positive and finite"):
+        reduced_values(unit_params, MixSpec.homotopy(0.5), [1.0, bad])
+
+
+def test_reduced_values_past_the_float_range_raise():
+    # the error PriceVector.value_of raises, at the rate's prices (r, 1.0)
+    params = CurveParams(1, 1, 1, 1e308)
+    with pytest.raises(InvalidParameterError) as info:
+        reduced_values(params, MixSpec.arithmetic(0.0), [1.0, 1e300])
+    assert str(info.value) == ("portfolio value P.X = inf is not finite at prices (1e+300, 1.0) "
+                               "and reserves (1e+296, 9.99999999999e+307)")
 
 
 def test_value_decreases_with_stability(unit_params):

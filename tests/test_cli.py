@@ -25,11 +25,9 @@ from ammix import (
     cli,
     eval_mixed,
     point_at,
-    schedules,
 )
 from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
-from ammix.schedules import stableswap_dynamic_residual
 from ammix.errors import AmmixError
 
 
@@ -674,24 +672,14 @@ def test_stableswap_compare_float_range_exit_2(capsys, scale, exc):
     assert err.endswith(f"({exc})\n")
 
 
-def _reference_dynamic_y(amp, scale, x):
-    # cli._solve_dynamic_y's bisection before it ran on the unchecked residual:
-    # a MarketState and the constant checks at every halving
-    def below(y):
-        return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
-
-    hi = 4.0 * scale
-    while below(hi):
-        hi *= 2.0
-    return schedules._bisect(below, 1e-12 * scale, hi, rtol=1e-15)
-
-
-def test_dynamic_y_solve_matches_the_checked_bisection():
-    rng = random.Random(41)
-    for _ in range(60):
-        amp, scale = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 6)
-        x = 0.5 * scale * rng.uniform(0.2, 2.5)
-        assert cli._solve_dynamic_y(amp, scale, x) == _reference_dynamic_y(amp, scale, x)
+@pytest.mark.parametrize("scale", ["5e-324", "2e-323"])
+def test_stableswap_compare_scale_too_small_exit_2(capsys, scale):
+    # scale/2 rounds to 0 at 5e-324, and the first sample x = 0.2*scale/2 at
+    # 2e-323; both used to name a reserve or --x0, which the command does not take
+    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --scale {float(scale)!r} is too small: its first sample "
+                   "x = 0.2*scale/2 rounds to 0\n")
 
 
 def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):
@@ -795,3 +783,16 @@ def test_cli_restates_no_record_in_a_dict_display(record):
         if isinstance(node, ast.Dict):
             keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
             assert not names <= keys, f"cli.py:{node.lineno} restates {record.__name__}"
+
+
+def test_cli_imports_no_solver_internals():
+    """cli.py parses and formats: the solves it runs are the library's public
+    functions, so it neither imports nor reaches for a bisection, the
+    arbitrage solve or the dynamic curve's residual."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"_bisect", "_arbitrage_reserves", "dynamic_residual_xy"}

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +15,10 @@ from ammix import (
     eval_component,
     eval_mixed,
     grad_mixed,
-    rebase_curve,
     spot_rate,
 )
 from ammix import Parabolic, PowerLaw, StableswapDynamic, Uniform, point_at, state_for_x, state_for_y
+import ammix
 from ammix import _kernels as k
 from ammix.core import market
 from ammix.errors import (
@@ -462,31 +464,32 @@ def test_dynamic_stableswap_blend_refused_by_s_kernels(unit_params, unit_state, 
         call(unit_params, mix, unit_state)
 
 
-# --- rebase_curve -----------------------------------------------------------
+# --- re-anchoring a curve at a state ----------------------------------------
+# CurveParams(a=rate, b=1, x0=x, y0=y) re-anchors a curve at the state (x, y)
+# with a fresh initial rate: every family passes through the state there.
 
-def test_rebase_example(unit_params):
-    new = rebase_curve(unit_params, MarketState(0.5, 2.0), 4.0)
+def test_rebase_example():
+    new = CurveParams(a=4.0, b=1.0, x0=0.5, y0=2.0)
     assert (new.a, new.b, new.x0, new.y0) == (4.0, 1.0, 0.5, 2.0)
     assert new.alpha == pytest.approx(0.5, abs=1e-15)
     assert new.beta == pytest.approx(0.5, abs=1e-15)
 
 
 def test_rebase_identity(unit_params, unit_state):
-    new = rebase_curve(unit_params, unit_state, 1.0)
+    new = CurveParams(a=1.0, b=1.0, x0=unit_state.x, y0=unit_state.y)
     assert new == unit_params
 
 
-def test_rebase_pool_weights_invariant(pool_params):
-    new = rebase_curve(pool_params, MarketState(3000, 1000), 0.5)
+def test_rebase_pool_weights_invariant():
+    new = CurveParams(a=0.5, b=1.0, x0=3000.0, y0=1000.0)
     assert (new.a, new.b) == (0.5, 1.0)
     assert new.alpha == pytest.approx(0.6, abs=1e-14)
     assert new.beta == pytest.approx(0.4, abs=1e-14)
 
 
 def test_rebase_passes_through_state_at_new_rate():
-    params = CurveParams(1, 1, 1, 1)
     state = MarketState(0.5, 2.0)
-    new = rebase_curve(params, state, 4.0)
+    new = CurveParams(a=4.0, b=1.0, x0=state.x, y0=state.y)
     for family in ALL_FAMILIES:
         for t in (0.0, 0.5, 1.0):
             mix = MixSpec(family, Uniform(t))
@@ -494,6 +497,37 @@ def test_rebase_passes_through_state_at_new_rate():
             assert spot_rate(new, mix, state) == pytest.approx(4.0, rel=1e-9)
 
 
-def test_rebase_rejects_nonpositive_rate(unit_params, unit_state):
+def test_rebase_rejects_nonpositive_rate(unit_state):
     with pytest.raises(InvalidParameterError):
-        rebase_curve(unit_params, unit_state, 0.0)
+        CurveParams(a=0.0, b=1.0, x0=unit_state.x, y0=unit_state.y)
+
+
+# --- the package surface -----------------------------------------------------
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _uses(path):
+    """The names a module reads, as names or attributes; a top-level
+    definition's references to itself are not uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name != own:
+                yield name
+
+
+def test_every_public_name_has_a_user():
+    """Each name in ``ammix.__all__`` is used in the library outside its own
+    definition and ``__init__.py``, by the acceptance or property suites, or
+    in the README; a name only its own unit tests call is not public surface."""
+    package = Path(ammix.__file__).parent
+    modules = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+    tests = [_ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_properties.py"]
+    used = {name for path in modules + tests for name in _uses(path)}
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    unused = [name for name in ammix.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert not unused

@@ -20,8 +20,9 @@ from ammix import (
     lambda_derivs,
     point_at,
     stableswap_dynamic_residual,
-    t_of_s,
+    stableswap_dynamic_y,
 )
+from ammix import _kernels
 from ammix import schedules
 from ammix._kernels.arrays import lam_chain_array
 from ammix.cli import run_command
@@ -31,7 +32,7 @@ from ammix.errors import (
     NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
-from ammix.schedules import CONVEXITY_GRID_INSET, schedule_coeffs, t_first
+from ammix.schedules import CONVEXITY_GRID_INSET, schedule_coeffs
 from conftest import central_diff
 
 # --- schedule construction ---------------------------------------------------
@@ -54,14 +55,25 @@ def test_parabolic_range_vetted_against_curve(unit_params):
     # bias 0.9 with a low center dips the vertex below zero on [0, 1]
     bad = Parabolic(bias=0.95, center=0.01)
     with pytest.raises(InvalidParameterError):
-        t_of_s(bad, unit_params, 0.3)
+        schedule_coeffs(bad, unit_params.s0)
 
 
-# --- t_of_s -----------------------------------------------------------------
+# --- t(s) and its derivatives: the kernels on schedule_coeffs -----------------
 
-def test_uniform_t_of_s(unit_params):
+def _t_chain(schedule, params, s):
+    """(t, t', t'') of a schedule on a curve: ``sched_eval`` on the
+    schedule's kernel encoding at the curve's s0."""
+    return _kernels.sched_eval(*schedule_coeffs(schedule, params.s0), s, params.s0)
+
+
+def _t_first(schedule, params, s):
+    """(t, t') of a schedule on a curve, from ``sched_first``."""
+    return _kernels.sched_first(*schedule_coeffs(schedule, params.s0), s, params.s0)
+
+
+def test_uniform_schedule_chain(unit_params):
     for s in (0.1, 0.5, 0.9):
-        assert t_of_s(Uniform(0.3), unit_params, s) == (0.3, 0.0, 0.0)
+        assert _t_chain(Uniform(0.3), unit_params, s) == (0.3, 0.0, 0.0)
 
 
 def test_powerlaw_encodes_its_scale_as_q1():
@@ -76,7 +88,7 @@ def test_powerlaw_k2_values(unit_params):
     # t(s) = ((s - 0.5)/0.5)**2 = 4 (s - 0.5)**2 on the unit curve:
     # t(0.75) = 0.25, t'(0.75) = 2, t''(s) = 8 everywhere.  Verified against
     # central finite differences below.
-    t, tp, tpp = t_of_s(PowerLaw(2.0), unit_params, 0.75)
+    t, tp, tpp = _t_chain(PowerLaw(2.0), unit_params, 0.75)
     assert t == pytest.approx(0.25, rel=1e-12)
     assert tp == pytest.approx(2.0, rel=1e-12)
     assert tpp == pytest.approx(8.0, rel=1e-12)
@@ -86,10 +98,10 @@ def test_powerlaw_matches_finite_differences(unit_params, pool_params):
     for params in (unit_params, pool_params):
         for k in (1.0, 2.0, 3.5, 8.0):
             sched = PowerLaw(k)
-            fval = lambda s: t_of_s(sched, params, s)[0]
-            fp = lambda s: t_of_s(sched, params, s)[1]
+            fval = lambda s: _t_chain(sched, params, s)[0]
+            fp = lambda s: _t_chain(sched, params, s)[1]
             for s in (0.12, 0.31, 0.72, 0.88):
-                t, tp, tpp = t_of_s(sched, params, s)
+                t, tp, tpp = _t_chain(sched, params, s)
                 h = 1e-6
                 assert tp == pytest.approx(central_diff(fval, s, h), rel=1e-5, abs=1e-8)
                 assert tpp == pytest.approx(central_diff(fp, s, h), rel=1e-5, abs=1e-6)
@@ -99,14 +111,14 @@ def test_powerlaw_singularities(unit_params):
     s0 = unit_params.s0
     for k in (0.5, 1.0, 1.99):
         with pytest.raises(NonDifferentiablePointError):
-            t_of_s(PowerLaw(k), unit_params, s0)
+            _t_chain(PowerLaw(k), unit_params, s0)
     # two derivatives exist from exponent 2 up
-    assert t_of_s(PowerLaw(2.0), unit_params, s0) == (0.0, 0.0, 8.0)
-    assert t_of_s(PowerLaw(4.0), unit_params, s0) == (0.0, 0.0, 0.0)
+    assert _t_chain(PowerLaw(2.0), unit_params, s0) == (0.0, 0.0, 8.0)
+    assert _t_chain(PowerLaw(4.0), unit_params, s0) == (0.0, 0.0, 0.0)
     # first derivative exists down to (but not at) exponent 1
-    assert t_first(PowerLaw(1.5), unit_params, s0) == (0.0, 0.0)
+    assert _t_first(PowerLaw(1.5), unit_params, s0) == (0.0, 0.0)
     with pytest.raises(NonDifferentiablePointError):
-        t_first(PowerLaw(1.0), unit_params, s0)
+        _t_first(PowerLaw(1.0), unit_params, s0)
 
 
 def test_parabolic_pinned_values(unit_params):
@@ -130,9 +142,9 @@ def test_parabolic_of_pool_curve(pool_params):
     assert poly(pool_params.s0) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_dynamic_schedule_rejected_by_t_of_s(unit_params):
+def test_dynamic_schedule_rejected_by_schedule_coeffs(unit_params):
     with pytest.raises(UnsupportedScheduleError):
-        t_of_s(StableswapDynamic(1.0, 2.0), unit_params, 0.5)
+        schedule_coeffs(StableswapDynamic(1.0, 2.0), unit_params.s0)
 
 
 def test_schedule_range_on_unit_interval(unit_params, pool_params):
@@ -145,7 +157,7 @@ def test_schedule_range_on_unit_interval(unit_params, pool_params):
                 s = max(1e-12, min(1 - 1e-12, i / 100))
                 if abs(s - params.s0) < 1e-9 and isinstance(sched, PowerLaw):
                     continue
-                t = t_of_s(sched, params, s)[0] if not isinstance(sched, PowerLaw) or sched.exponent >= 2 else t_first(sched, params, s)[0]
+                t = _t_chain(sched, params, s)[0] if not isinstance(sched, PowerLaw) or sched.exponent >= 2 else _t_first(sched, params, s)[0]
                 assert -1e-12 <= t <= 1.0 + 1e-12
 
 
@@ -384,7 +396,7 @@ def test_convexity_cli_raises_no_warning(capsys):
     assert captured.err == ""
 
 
-# --- stableswap_dynamic_residual ---------------------------------------------
+# --- stableswap_dynamic_residual and the y-solve on it -----------------------------------------
 
 def test_dynamic_residual_balanced():
     assert stableswap_dynamic_residual(1.0, 2.0, MarketState(1.0, 1.0)) == 0.0
@@ -405,17 +417,44 @@ def test_dynamic_residual_refuses_non_finite_parameters(amp, scale):
 
 
 def test_dynamic_residual_root_solved():
-    # bisection in y at fixed x = 1.5; the residual itself is the oracle
+    # the y-solve at fixed x = 1.5; the residual itself is the oracle
     amp, scale, x = 1.0, 2.0, 1.5
-    lo, hi = 1e-9, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if stableswap_dynamic_residual(amp, scale, MarketState(x, mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
+    y = stableswap_dynamic_y(amp, scale, x)
     assert abs(stableswap_dynamic_residual(amp, scale, MarketState(x, y))) <= 1e-9 * scale**2
+
+
+def _reference_dynamic_y(amp, scale, x):
+    # the y-solve's bisection before it ran on the unchecked residual:
+    # a MarketState and the constant checks at every halving
+    def below(y):
+        return stableswap_dynamic_residual(amp, scale, MarketState(x, y)) > 0.0
+
+    hi = 4.0 * scale
+    while below(hi):
+        hi *= 2.0
+    return schedules._bisect(below, 1e-12 * scale, hi, rtol=1e-15)
+
+
+def test_dynamic_y_solve_matches_the_checked_bisection():
+    rng = random.Random(41)
+    for _ in range(60):
+        amp, scale = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 6)
+        x = 0.5 * scale * rng.uniform(0.2, 2.5)
+        assert stableswap_dynamic_y(amp, scale, x) == _reference_dynamic_y(amp, scale, x)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((math.nan, 2.0, 1.0), "amplification must be > 0, got nan"),
+    ((1.0, 0.0, 1.0), "scale must be > 0, got 0.0"),
+    ((1.0, 2.0, 0.0), "reserves must be positive and finite, got (0.0, 8.0)"),
+    ((1.0, 2.0, math.inf), "reserves must be positive and finite, got (inf, 8.0)"),
+    ((1.0, 1e200, 1e199), "the curve's terms leave the float range at x=1e+199 (OverflowError)"),
+    ((1e300, 1.0, 1.25), "no y on the curve at x=1.25: the solve ends at y="),
+], ids=["nan-amplification", "zero-scale", "zero-x", "infinite-x", "overflow", "off-curve"])
+def test_dynamic_y_solve_refusals(args, error):
+    with pytest.raises(InvalidParameterError) as info:
+        stableswap_dynamic_y(*args)
+    assert str(info.value).startswith(error)
 
 
 def test_dynamic_curve_not_any_uniform_homotopy():
@@ -424,16 +463,7 @@ def test_dynamic_curve_not_any_uniform_homotopy():
     amp, scale = 1.0, 2.0
     params = CurveParams(1.0, 1.0, scale / 2, scale / 2)
     xs = [0.3, 0.5, 0.8, 1.0, 1.3, 1.8, 2.4]
-    states = []
-    for x in xs:
-        lo, hi = 1e-9, 10.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if stableswap_dynamic_residual(amp, scale, MarketState(x, mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        states.append(MarketState(x, 0.5 * (lo + hi)))
+    states = [MarketState(x, stableswap_dynamic_y(amp, scale, x)) for x in xs]
     for i in range(1, 20):
         t = i / 20
         mix = MixSpec.homotopy(t)
