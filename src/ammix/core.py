@@ -274,4 +274,3 @@ def spot_rate(params: CurveParams, mix: MixSpec, state: MarketState) -> float:
         raise InvalidParameterError(f"spot rate {rate!r} at reserves ({state.x!r}, {state.y!r}) "
                                     "is not positive and finite")
     return rate
-
