@@ -299,6 +299,9 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     if first == 0.0:
         raise InvalidParameterError(f"--scale {scale!r} is too small: its first sample "
                                     f"x = 0.2*scale/2 rounds to 0")
+    if 4.0 * scale == inf:
+        raise InvalidParameterError(f"--scale {scale!r} is too large: the y-solve's "
+                                    f"bracket top 4*scale overflows")
     params = CurveParams(1.0, 1.0, half, half)
     uniform = MixSpec.homotopy(ns.uniform_t)
     rows = []

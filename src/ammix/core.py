@@ -59,7 +59,8 @@ class CurveParams:
     The derived fields are cached at construction: calibrated exponents
     (alpha, beta), the weighted total c = a*x0 + b*y0, and the initial ray
     coordinate s0 = a*x0/c.  ``_curve`` holds the nine constants the
-    kernels take, from ``_kernels.curve_constants``.
+    kernels take, from ``_kernels.curve_constants``, and ``_markets`` the
+    ``Market`` of each mix this instance was resolved with.
     """
 
     a: float
@@ -88,6 +89,8 @@ class CurveParams:
         # hashed once: every curve operation looks its market up by (params, mix)
         object.__setattr__(self, "_hash", hash((self.a, self.b, self.x0, self.y0)))
         object.__setattr__(self, "_curve", curve)
+        # this instance's markets by mix, filled by ``market``
+        object.__setattr__(self, "_markets", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -189,6 +192,10 @@ class MixSpec:
 class Market:
     """A curve resolved for the s-kernels; build it with ``market``.
 
+    Equal (params, mix) pairs share one instance.  The shared cache holds
+    it, and so does the ``_markets`` dict of each ``CurveParams`` object
+    it was looked up with.
+
     ``codes`` = (family, kind, q0, q1, q2) and ``curve`` = (a, b, x0, y0,
     alpha, beta, C, s0, deg) are in the order the kernels take them, so the
     scaling at ray coordinate s is ``k.lam_at(*m.codes, s, *m.curve)``; a
@@ -210,15 +217,28 @@ class Market:
         return market(CurveParams(a=p.b, b=p.a, x0=p.y0, y0=p.x0), MixSpec(self.mix.family, sched))
 
 
-@lru_cache(maxsize=256)
 def market(params: CurveParams, mix: MixSpec) -> Market:
-    """The ``Market`` of (params, mix), built once per pair.
+    """The ``Market`` of (params, mix), built once per equal pair.
+
+    It is looked up in ``params._markets`` first: a caller that holds its
+    curve objects pays one dict probe and no field-by-field compare.  On a
+    miss it comes from the shared ``_shared_market`` cache, so equal curves
+    share one ``Market``, and is stored in ``params._markets``.
 
     Its ``curve`` is the nine constants of ``params._curve``.  The dynamic
     Stableswap blend depends on the state, not on s alone:
     ``schedule_coeffs`` raises UnsupportedScheduleError for it here, on
     every s-kernel path.  Only ``eval_mixed`` evaluates it.
     """
+    m = params._markets.get(mix)
+    if m is None:
+        m = params._markets[mix] = _shared_market(params, mix)
+    return m
+
+
+@lru_cache(maxsize=256)
+def _shared_market(params: CurveParams, mix: MixSpec) -> Market:
+    """``market``'s fallback, shared by equal curves: builds the ``Market``."""
     kind, q0, q1, q2 = schedule_coeffs(mix.schedule, params.s0)
     return Market(params, mix, (mix._family_code, kind, q0, q1, q2), params._curve)
 

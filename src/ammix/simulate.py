@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import isfinite, nan
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,9 @@ class SimConfig:
             raise InvalidParameterError("toward_prob must be in [0, 1]")
         if self.runs < 1:
             raise InvalidParameterError(f"runs must be >= 1, got {self.runs!r}")
+        # numpy's SeedSequence takes only non-negative integers
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def schedule_exponent(self) -> float:

@@ -379,6 +379,17 @@ def test_sim_run_reproducible(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sim-run", "--seed", "-5", "--steps", "3"),
+    ("sim-sweep", "--seed", "-5", "--stabilities", "0.5", "--runs", "1"),
+])
+def test_sim_negative_seed_exit_2(capsys, argv):
+    # numpy's own "expected non-negative integer" named no flag
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be a non-negative integer, got -5\n"
+
+
 def test_sim_sweep_small(capsys):
     code, out, _ = run(capsys, "sim-sweep", "--seed", "7", "--stabilities", "0.2,0.8",
                        "--runs", "2")
@@ -680,6 +691,16 @@ def test_stableswap_compare_scale_too_small_exit_2(capsys, scale):
     assert (code, out) == (2, "")
     assert err == (f"error: --scale {float(scale)!r} is too small: its first sample "
                    "x = 0.2*scale/2 rounds to 0\n")
+
+
+@pytest.mark.parametrize("scale, extra", [("4.5e307", ()), ("1.5e308", ("--samples", "3"))])
+def test_stableswap_compare_scale_too_large_exit_2(capsys, scale, extra):
+    # the y-solve's bracket top 4*scale overflows; these used to name reserves
+    # (4.5e306, inf) and (nan, inf), which the command does not take
+    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale, *extra)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --scale {float(scale)!r} is too large: the y-solve's "
+                   "bracket top 4*scale overflows\n")
 
 
 def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):

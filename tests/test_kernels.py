@@ -1,12 +1,12 @@
 """The kernels ``ammix._kernels`` binds, and their references: the fused
 pure kernels must match the composition of their helpers bit for bit, the
-array kernel must match the scalar one, and the spot rate must match the
-invariant's partials taken by finite differences."""
+array kernel must match the scalar one, and the slope of lam and the spot
+rate must match central differences of lam and of the invariant."""
 
 import ast
 import random
 import re
-from math import copysign, exp, expm1
+from math import copysign, exp, expm1, ulp
 from pathlib import Path
 
 import numpy as np
@@ -351,67 +351,75 @@ def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):
         pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX)
 
 
-def test_lam_prime_at_matches_central_difference_of_lam_at():
-    # the uniform closed forms and the scheduled homotopy form both give lam_at's slope
+def _central_difference_cases():
+    """(code, s, nine constants) on 20 random curves, then on the
+    ``_fusion_cases`` draws where lam_at has a slope to take: not where t(s)
+    leaves [0, 1] (lam_at raises or clamps t there, and lam_prime_at, which
+    takes t unclamped, describes another curve) and not at s0 under a power
+    law with exponent <= 1 (``NonDifferentiablePointError``, pinned below)."""
     rng = random.Random(909)
     for i, curve in enumerate(_random_curves(20, 9)):
         a, b, x0, y0, alpha, beta = curve
         s0 = a * x0 / (a * x0 + b * y0)
         if i % 2:  # uncalibrated weights: deg != 1
             curve = (a, b, x0, y0, alpha * rng.uniform(0.5, 2.0), beta * rng.uniform(0.5, 2.0))
-        curve = _constants(*curve)
         for kind, q0, q1, q2 in ((0, rng.uniform(0.05, 0.95), 0.0, 0.0),
                                  (1, rng.uniform(0.5, 4.0), _powerlaw_scale(s0), 0.0),
                                  (2, 0.3, -0.2, 0.4)):
             s = rng.choice([rng.uniform(0.05, 0.95), 0.5 * s0, 0.5 * (1.0 + s0)])
-            h = 1e-4 * min(s, 1.0 - s)  # lam_arith converges to relative 1e-12 only
             for family in (range(3) if kind == 0 else (2,)):  # schedules blend homotopically
-                code = (family, kind, q0, q1, q2)
-                lam, lamp = pure.lam_prime_at(*code, s, *curve)
-                assert lam == pure.lam_at(*code, s, *curve)
-                slope = (pure.lam_at(*code, s + h, *curve) - pure.lam_at(*code, s - h, *curve)) / (2.0 * h)
-                assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
-
-
-def _reference_lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
-    # lam_prime_at as the composition of ray_log_ratio, sched_first and the closed forms
-    c = a * x0 + b * y0
-    nine = _constants(a, b, x0, y0, alpha, beta)
-    g, gp = pure.ray_log_ratio(s, *nine)
-    p = c * exp(g)
-    if kind != 0:
-        t, tp = pure.sched_first(kind, q0, q1, q2, s, a * x0 / c)
-        return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
-    t = q0
-    deg = alpha + beta
-    if family == 0:
-        lam = _lam_arith(s, t, *nine)
-        if t <= 0.0:
-            return lam, 0.0
-        rd = t * deg * (lam / p) ** deg
-        return lam, rd * gp / ((1.0 - t) / c + rd / lam)
-    if family == 1:
-        d = (1.0 - t) + deg * t
-        lam = c * exp(g * deg * t / d)
-        return lam, lam * deg * t * gp / d
-    return c + c * expm1(g) * t, p * gp * t
-
-
-def test_lam_prime_at_matches_helper_composition_bit_for_bit():
-    # lam_prime_at calls ray_log_ratio and sched_first; it raises where
-    # sched_first does, at s0 under a power law with exponent <= 1
-    raised = 0
+                yield (family, kind, q0, q1, q2), s, _constants(*curve)
     for family, kind, q0, q1, q2, s, curve in _fusion_cases(40, 606):
-        try:
-            want = _reference_lam_prime_at(family, kind, q0, q1, q2, s, *curve)
-        except NonDifferentiablePointError as exc:
-            with pytest.raises(NonDifferentiablePointError, match=re.escape(str(exc))):
-                pure.lam_prime_at(family, kind, q0, q1, q2, s, *_constants(*curve))
-            raised += 1
+        nine = _constants(*curve)
+        if kind == 1 and s == nine[7] and q0 <= 1.0:
             continue
-        got = pure.lam_prime_at(family, kind, q0, q1, q2, s, *_constants(*curve))
-        assert got == want, (family, kind, q0, q1, q2, s, curve)
-    assert raised > 0
+        if kind == 2 and not 0.0 <= pure.sched_first(kind, q0, q1, q2, s, nine[7])[0] <= 1.0:
+            continue
+        yield (family, kind, q0, q1, q2), s, nine
+
+
+def test_lam_prime_at_matches_central_difference_of_lam_at():
+    # the uniform closed forms and the scheduled homotopy form both give lam_at's slope
+    differenced = 0
+    for code, s, curve in _central_difference_cases():
+        lam, lamp = pure.lam_prime_at(*code, s, *curve)
+        assert lam == pure.lam_at(*code, s, *curve)
+        if code[1] == 1 and s == curve[7]:
+            # t and t' vanish at s0, and so does lam'; the difference quotient
+            # tends to 0 only as h**(k - 1) for exponents k in (1, 2)
+            assert lamp == 0.0, (code, s, curve)
+            continue
+        # lam_arith converges to relative 1e-12 only; at S_MAX, s -/+ h are the
+        # floats next to s
+        h = max(1e-4 * min(s, 1.0 - s), ulp(s))
+        lo, hi = pure.lam_at(*code, s - h, *curve), pure.lam_at(*code, s + h, *curve)
+        if abs(hi - lo) <= 1e-12 * lam:
+            # flat to lam_at's resolution, as the arithmetic blend is near the
+            # curve's ends: lam' must not predict more change than that
+            assert abs(lamp) * 2.0 * h <= 1e-11 * lam, (code, s, curve)
+            continue
+        slope = (hi - lo) / ((s + h) - (s - h))
+        assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
+        differenced += 1
+    assert differenced > 1800
+
+
+def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
+    # t = (|s - s0|/M)**k has a cusp at s0 for k < 1 and a corner for k = 1;
+    # the fusion draws at s0 that the central differences leave out, and more
+    cases = [(family, k, (a, b, x0, y0, alpha, beta))
+             for a, b, x0, y0, alpha, beta in _random_curves(5, 1010)
+             for k in (0.25, 0.5, 1.0) for family in range(3)]
+    cases += [(family, q0, curve) for family, kind, q0, _, _, s, curve in _fusion_cases(40, 606)
+              if kind == 1 and q0 <= 1.0 and s == _constants(*curve)[7]]
+    for family, k, curve in cases:
+        nine = _constants(*curve)
+        s0 = nine[7]
+        with pytest.raises(NonDifferentiablePointError,
+                           match=re.escape(f"power-law schedule with exponent {k!r} "
+                                           "has no derivative at s0")):
+            pure.lam_prime_at(family, 1, k, _powerlaw_scale(s0), 0.0, s0, *nine)
+    assert len(cases) > 45
 
 
 def _reference_sched_eval(kind, q0, q1, q2, s, s0):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ def test_config_validation():
         SimConfig(toward_prob=-0.1)
     with pytest.raises(InvalidParameterError):
         SimConfig(steps=-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy's SeedSequence would raise its own bare ValueError or TypeError in run_sim
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        SimConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**70])
+def test_config_takes_any_non_negative_integer_seed(seed):
+    assert SimConfig(seed=seed, steps=3).seed == seed
+    assert len(run_sim(SimConfig(seed=seed, steps=3))) == 4
 
 
 def test_schedule_exponent_is_eight_times_stability():
@@ -190,7 +205,7 @@ def test_run_sim_resolves_its_curve_once(monkeypatch):
     import ammix.core as core
 
     config = SimConfig(seed=1, stability=0.5)
-    core.market.cache_clear()
+    core._shared_market.cache_clear()
     counts = {"schedule_coeffs": 0, "CurveParams": 0}
     schedule_coeffs, post_init = core.schedule_coeffs, core.CurveParams.__post_init__
 
@@ -208,6 +223,28 @@ def test_run_sim_resolves_its_curve_once(monkeypatch):
     assert len(trace) == config.steps + 1
     assert counts["schedule_coeffs"] <= 2
     assert counts["CurveParams"] <= 1 + 2  # the config's own curve, then at most 2 more
+
+
+def test_batch_summary_finds_each_market_without_comparing_curves(monkeypatch):
+    """A batch on fresh curve objects equal to ones already resolved compares
+    each curve once, in the shared cache, and then finds its Market in the
+    instance's own dict (the shared cache alone made 1,202 compares here)."""
+    import ammix.core as core
+
+    config, stabilities = SimConfig(seed=1, steps=200, runs=1), [0.3, 0.7]
+    first = batch_summary(config, stabilities)
+    counts = {"CurveParams": 0, "MixSpec": 0}
+    for cls in (core.CurveParams, core.MixSpec):
+        def counted_eq(self, other, eq=cls.__eq__, name=cls.__name__):
+            counts[name] += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted_eq)
+    assert batch_summary(config, stabilities) == first
+    paths = len(stabilities) * config.runs
+    assert counts["CurveParams"] <= paths and counts["MixSpec"] <= paths, counts
+    params, mix = curve_for(config)
+    assert core.market(params, mix) is core.market(params, mix)
 
 
 def _reference_run_with(config, params, mix, external, rng):
