@@ -226,12 +226,20 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, 
 
     (g, g') come from ``ray_log_ratio``.  Uniform weights (kind 0) take
     t = q0 and the family's closed form; a schedule takes (t, t') from
-    ``sched_first`` and the homotopy formula.
+    ``sched_first``, t clamped into [0, 1] as ``lam_at`` clamps it and t'
+    = 0 where the clamp moved t, and the homotopy formula.
     """
     g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg)
     p = c * exp(g)
     if kind != 0:
         t, tp = sched_first(kind, q0, q1, q2, s, s0)
+        # lam_at's min(1.0, max(0.0, t)), -0.0 and NaN included
+        if not t > 0.0:
+            if t != 0.0:
+                tp = 0.0
+            t = 0.0
+        elif t > 1.0:
+            t, tp = 1.0, 0.0
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
     if family == 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil, exp, inf, isfinite, log, log1p, log2, nan
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from ammix.errors import (
     UnsupportedCurveError,
 )
 from ammix.parametrize import _reserves_on
-from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, _check_reserves, check_convexity
+from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, _check_reserves
 
 # the width in s every arbitrage state is bisected to, and the least
 # distance of a narrowing step from its bracket's ends
@@ -89,11 +88,6 @@ def impermanent_loss(p_f: PriceVector, x_i: MarketState, x_f: MarketState) -> IL
     return ILReport(il=pool / held - 1.0, held_value=held, pool_value=pool)
 
 
-@lru_cache(maxsize=256)
-def _certified_convex(params: CurveParams, mix: MixSpec) -> bool:
-    return check_convexity(params, mix.schedule).passed
-
-
 def _logit(s: float) -> float:
     return log(s) - log1p(-s)
 
@@ -119,7 +113,7 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
     Rates beyond the curve's supported range map to the clamped endpoint
     states, where the infimum is attained.
 
-    The certificate, the ``Market``, the two end rates and the reserves at
+    The ``Market`` and its certificate, the two end rates and the reserves at
     the two ends are resolved once for all the rates, and every spot rate
     is ``_kernels.rate_xy`` at the reserves ``_kernels.lam_at`` gives, on
     the market's unpacked codes and constants.  Each solved s becomes its
@@ -160,11 +154,11 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
     and finite, and ConvergenceError when a price's narrowing runs out of
     its ``_MAX_RATE_EVALS`` evaluations.
     """
-    if not isinstance(mix.schedule, Uniform) and not _certified_convex(params, mix):
+    m = market(params, mix)
+    if not isinstance(mix.schedule, Uniform) and not m.certified:
         raise UnsupportedCurveError(
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
-    m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
     lam_at, rate_xy = k.lam_at, k.rate_xy

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import inf, isfinite
 
 from ammix import _kernels as k
@@ -31,6 +31,7 @@ from ammix.schedules import (
     TSchedule,
     Uniform,
     _check_reserves,
+    check_convexity,
     schedule_coeffs,
 )
 
@@ -86,14 +87,9 @@ class CurveParams:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "c", curve[6])
         object.__setattr__(self, "s0", alpha)
-        # hashed once: every curve operation looks its market up by (params, mix)
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.x0, self.y0)))
         object.__setattr__(self, "_curve", curve)
         # this instance's markets by mix, filled by ``market``
         object.__setattr__(self, "_markets", {})
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def deg(self) -> float:
@@ -148,7 +144,7 @@ class MixSpec:
                 f"{self.family.value} mixing requires a uniform blend weight"
             )
         # the kernels' family code, looked up once; it hashes alike in every
-        # process, and the spec is hashed once, as CurveParams
+        # process, and the spec is hashed once: it keys each curve's markets
         object.__setattr__(self, "_family_code", _FAMILY_CODE[self.family])
         object.__setattr__(self, "_hash", hash((self._family_code, self.schedule)))
 
@@ -192,9 +188,9 @@ class MixSpec:
 class Market:
     """A curve resolved for the s-kernels; build it with ``market``.
 
-    Equal (params, mix) pairs share one instance.  The shared cache holds
-    it, and so does the ``_markets`` dict of each ``CurveParams`` object
-    it was looked up with.
+    The ``_markets`` dict of the ``CurveParams`` object it was resolved
+    from holds it, and it refers to no curve object, so the curve and its
+    markets are freed together.
 
     ``codes`` = (family, kind, q0, q1, q2) and ``curve`` = (a, b, x0, y0,
     alpha, beta, C, s0, deg) are in the order the kernels take them, so the
@@ -202,7 +198,6 @@ class Market:
     power law's q1 is its scale M = max(s0, 1 - s0).
     """
 
-    params: CurveParams
     mix: MixSpec
     codes: tuple[int, int, float, float, float]
     curve: tuple[float, float, float, float, float, float, float, float, float]
@@ -211,19 +206,25 @@ class Market:
     def mirrored(self) -> "Market":
         """The same market with x and y relabeled: s -> 1 - s, so a parabola
         pinned at t(0) = bias starts at 1 - bias."""
-        p, sched = self.params, self.mix.schedule
+        a, b, x0, y0 = self.curve[:4]
+        sched = self.mix.schedule
         if isinstance(sched, Parabolic):
             sched = Parabolic(bias=1.0 - sched.bias, center=sched.center)
-        return market(CurveParams(a=p.b, b=p.a, x0=p.y0, y0=p.x0), MixSpec(self.mix.family, sched))
+        return market(CurveParams(a=b, b=a, x0=y0, y0=x0), MixSpec(self.mix.family, sched))
+
+    @cached_property
+    def certified(self) -> bool:
+        """Whether the curve passes ``check_convexity``'s certificate, taken
+        on first use."""
+        return check_convexity(CurveParams(*self.curve[:4]), self.mix.schedule).passed
 
 
 def market(params: CurveParams, mix: MixSpec) -> Market:
-    """The ``Market`` of (params, mix), built once per equal pair.
+    """The ``Market`` of (params, mix), built once per curve object and mix.
 
-    It is looked up in ``params._markets`` first: a caller that holds its
-    curve objects pays one dict probe and no field-by-field compare.  On a
-    miss it comes from the shared ``_shared_market`` cache, so equal curves
-    share one ``Market``, and is stored in ``params._markets``.
+    It is kept in ``params._markets``, keyed by mix: a caller that holds
+    its curve objects pays one dict probe and no field-by-field compare.
+    Equal but distinct curve objects each build their own.
 
     Its ``curve`` is the nine constants of ``params._curve``.  The dynamic
     Stableswap blend depends on the state, not on s alone:
@@ -232,15 +233,9 @@ def market(params: CurveParams, mix: MixSpec) -> Market:
     """
     m = params._markets.get(mix)
     if m is None:
-        m = params._markets[mix] = _shared_market(params, mix)
+        kind, q0, q1, q2 = schedule_coeffs(mix.schedule, params.s0)
+        m = params._markets[mix] = Market(mix, (mix._family_code, kind, q0, q1, q2), params._curve)
     return m
-
-
-@lru_cache(maxsize=256)
-def _shared_market(params: CurveParams, mix: MixSpec) -> Market:
-    """``market``'s fallback, shared by equal curves: builds the ``Market``."""
-    kind, q0, q1, q2 = schedule_coeffs(mix.schedule, params.s0)
-    return Market(params, mix, (mix._family_code, kind, q0, q1, q2), params._curve)
 
 
 def eval_component(params: CurveParams, state: MarketState) -> tuple[float, float]:

@@ -79,7 +79,7 @@ def _solve_first_reserve(m: Market, target: float, name: str) -> float:
     called ``name`` in messages) is ``target``, solved by bisection in s."""
     if not (isfinite(target) and target > 0.0):
         raise InvalidParameterError(f"{name}_target must be positive and finite, got {target!r}")
-    a, b = m.params.a, m.params.b
+    a, b = m.curve[0], m.curve[1]
     lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
     hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
     if target > hi:

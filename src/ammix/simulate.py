@@ -46,10 +46,12 @@ class SimConfig:
     runs: int = 100
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise InvalidParameterError(f"steps must be >= 0, got {self.steps!r}")
-        if self.rate_interval < 1:
-            raise InvalidParameterError(f"rate_interval must be >= 1, got {self.rate_interval!r}")
+        # refused here, not by numpy or range() deep inside run_sim or batch_summary
+        for name, least in (("steps", 0), ("rate_interval", 1), ("runs", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise InvalidParameterError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not (isfinite(self.init_external_rate) and self.init_external_rate > 0.0):
             raise InvalidParameterError("init_external_rate must be positive")
         if not 0.0 <= self.rate_max_move < 1.0:
@@ -60,8 +62,6 @@ class SimConfig:
             raise InvalidParameterError("max_extraction_frac must be in [0, 1)")
         if not 0.0 <= self.toward_prob <= 1.0:
             raise InvalidParameterError("toward_prob must be in [0, 1]")
-        if self.runs < 1:
-            raise InvalidParameterError(f"runs must be >= 1, got {self.runs!r}")
         # numpy's SeedSequence takes only non-negative integers
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")

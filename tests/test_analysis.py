@@ -29,7 +29,6 @@ from ammix import (
 from ammix import _kernels as k
 from ammix import analysis
 from ammix._kernels import rate_xy
-from ammix.analysis import _certified_convex
 from ammix.cli import run_command
 from ammix.core import market
 from ammix.errors import (
@@ -118,6 +117,18 @@ def test_arbitrage_rejects_a_schedule_the_certificate_could_not_sample(unit_para
         arbitrage_state(unit_params, MixSpec.scheduled(PowerLaw(1e300)), PriceVector(2, 1))
 
 
+def test_arbitrage_certifies_each_curve_once(monkeypatch, unit_params):
+    # the certificate is the Market's, taken on its first arbitrage solve
+    import ammix.core as core
+    checks = []
+    check = core.check_convexity
+    monkeypatch.setattr(core, "check_convexity", lambda *args: checks.append(args) or check(*args))
+    mix = MixSpec.scheduled(Parabolic(bias=0.2, center=0.5))
+    prices = [PriceVector(0.5, 1.0), PriceVector(2.0, 1.0)]
+    assert arbitrage_states(unit_params, mix, prices) == arbitrage_states(unit_params, mix, prices)
+    assert len(checks) == 1
+
+
 def _grid_min_value(params, mix, p, n=100_000):
     # brute-force infimum of P . X over the curve trace
     from ammix.parametrize import point_at
@@ -162,7 +173,7 @@ def _reference_arbitrage_state(params, mix, p, point_at=point_at):
     ``point_at`` is a parameter only so that a test can record where the
     returned state was evaluated.
     """
-    if not isinstance(mix.schedule, Uniform) and not _certified_convex(params, mix):
+    if not isinstance(mix.schedule, Uniform) and not market(params, mix).certified:
         raise UnsupportedCurveError(
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
@@ -234,7 +245,7 @@ def _assume_accepted(params, mix):
     """Keep only curves arbitrage_state solves: uniform or certified convex."""
     if not mix.is_uniform:
         try:
-            assume(_certified_convex(params, mix))
+            assume(market(params, mix).certified)
         except InvalidParameterError:  # a parabola leaving [0, 1]
             assume(False)
 

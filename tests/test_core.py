@@ -1,7 +1,9 @@
 import ast
+import gc
 import math
 import random
 import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -416,12 +418,29 @@ def test_spot_rate_refuses_vanishing_gy():
 def test_market_is_resolved_once_per_curve(pool_params):
     mix = MixSpec.scheduled(Parabolic(bias=0.2, center=0.5))
     m = market(pool_params, mix)
-    assert market(CurveParams(1.0, 2.0, 3000.0, 1000.0), MixSpec.scheduled(Parabolic(0.2, 0.5))) is m
+    assert market(pool_params, MixSpec.scheduled(Parabolic(0.2, 0.5))) is m
     alpha, beta = pool_params.alpha, pool_params.beta
     assert m.curve == (1.0, 2.0, 3000.0, 1000.0, alpha, beta, 5000.0, alpha, alpha + beta)
     assert m.mirrored is m.mirrored
-    assert m.mirrored.params == CurveParams(2.0, 1.0, 1000.0, 3000.0)
+    assert m.mirrored.curve == CurveParams(2.0, 1.0, 1000.0, 3000.0)._curve
     assert m.mirrored.mix == MixSpec.scheduled(Parabolic(bias=0.8, center=0.5))
+
+
+def test_a_curve_and_its_markets_are_freed_by_refcounting():
+    """No Market refers back to a curve object, so dropping the last
+    reference to a curve frees it, its Market, the mirror and the
+    certificate at once, with the cyclic collector off."""
+    gc.disable()
+    try:
+        params = CurveParams(1.0, 2.0, 3000.0, 1000.0)
+        m = market(params, MixSpec.scheduled(Parabolic(bias=0.2, center=0.5)))
+        assert m.mirrored.mix == MixSpec.scheduled(Parabolic(bias=0.8, center=0.5))
+        assert m.certified
+        curve, held = weakref.ref(params), weakref.ref(m)
+        del params, m
+        assert curve() is None and held() is None
+    finally:
+        gc.enable()
 
 
 def test_curve_constants_are_the_kernels_derivation():
@@ -433,10 +452,12 @@ def test_curve_constants_are_the_kernels_derivation():
         params = CurveParams(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3),
                              10 ** rng.uniform(-4, 4), 10 ** rng.uniform(-4, 4))
         mix = MixSpec.scheduled(PowerLaw(rng.uniform(0.5, 8.0)))
-        for p in (params, market(params, mix).mirrored.params):
+        mirrored = market(params, mix).mirrored.curve
+        for p in (params, CurveParams(*mirrored[:4])):
             want = k.curve_constants(p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
             assert p._curve == want, p
             assert (p.c, p.s0, p.deg) == want[6:], p
+        assert mirrored == want  # the mirrored curve's own constants
 
 
 DYNAMIC_REFUSALS = {

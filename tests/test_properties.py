@@ -26,7 +26,7 @@ from ammix import (
     swap,
 )
 from ammix import _kernels as k
-from ammix.analysis import _certified_convex
+from ammix.core import market
 from ammix.errors import (
     InsufficientLiquidityError,
     InvalidParameterError,
@@ -55,7 +55,7 @@ def _assume_accepted(params, mix):
     """Keep only curves arbitrage_state accepts: uniform or certified convex."""
     if not mix.is_uniform:
         try:
-            assume(_certified_convex(params, mix))
+            assume(market(params, mix).certified)
         except InvalidParameterError:  # a parabola leaving [0, 1]
             assume(False)
 

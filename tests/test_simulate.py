@@ -49,6 +49,19 @@ def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
         SimConfig(seed=seed)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("steps", 2.5), ("steps", -1), ("steps", "3"), ("rate_interval", 2.5), ("rate_interval", 0),
+    ("rate_interval", 80.0), ("runs", 1.5), ("runs", 0), ("runs", None),
+])
+def test_config_refuses_a_count_that_is_not_an_integer_in_range(name, value):
+    # steps=2.5 raised numpy's bare TypeError in run_sim, runs=1.5 range()'s in
+    # batch_summary, and rate_interval=2.5 moved the rate at multiples of 2.5
+    least = 0 if name == "steps" else 1
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"{name} must be an integer >= {least}, got {value!r}")):
+        SimConfig(**{name: value})
+
+
 @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**70])
 def test_config_takes_any_non_negative_integer_seed(seed):
     assert SimConfig(seed=seed, steps=3).seed == seed
@@ -205,7 +218,6 @@ def test_run_sim_resolves_its_curve_once(monkeypatch):
     import ammix.core as core
 
     config = SimConfig(seed=1, stability=0.5)
-    core._shared_market.cache_clear()
     counts = {"schedule_coeffs": 0, "CurveParams": 0}
     schedule_coeffs, post_init = core.schedule_coeffs, core.CurveParams.__post_init__
 
@@ -226,9 +238,9 @@ def test_run_sim_resolves_its_curve_once(monkeypatch):
 
 
 def test_batch_summary_finds_each_market_without_comparing_curves(monkeypatch):
-    """A batch on fresh curve objects equal to ones already resolved compares
-    each curve once, in the shared cache, and then finds its Market in the
-    instance's own dict (the shared cache alone made 1,202 compares here)."""
+    """A batch on fresh curve objects equal to ones already resolved finds
+    each Market in the instance's own dict and compares no curves (a shared
+    cache keyed by equal curves made 1,202 compares here)."""
     import ammix.core as core
 
     config, stabilities = SimConfig(seed=1, steps=200, runs=1), [0.3, 0.7]
