@@ -180,21 +180,15 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
     known_s = [S_MIN, S_MAX]  # the kept points, ascending
     known_neg = [-r_max, -r_min]  # minus the rate at each, ascending where the rate falls
     first, last = _reserves_on(m, S_MIN), _reserves_on(m, S_MAX)
+    if r_max == r_min:
+        # constant-rate curve: at the matching price ratio every point
+        # attains the infimum; report the anchor state
+        anchor = (params.x0, params.y0)
+        return [first if r > r_max else last if r < r_min else anchor for r in rates]
     # (log rate, logit s) of the two prices narrowed last, older first
     v0 = u0 = v1 = u1 = nan
     reserves = []
     for r in rates:
-        if r_max == r_min:
-            # constant-rate curve: at the matching price ratio every point
-            # attains the infimum; report the anchor state
-            if r > r_max:
-                xy = first
-            elif r < r_min:
-                xy = last
-            else:
-                xy = (params.x0, params.y0)
-            reserves.append(xy)
-            continue
         if r >= r_max:
             reserves.append(first)
             continue
@@ -305,44 +299,25 @@ DEFAULT_RATE_RATIOS = (0.5, 2.0)
 DEFAULT_PRICE_SCALES = (1.0, 3.0, 10.0)
 
 
-def erli_discrepancy(params: CurveParams, mix: MixSpec,
-                     rate_scenarios: Sequence[tuple[PriceVector, float]] | None = None,
-                     price_level_scales: Sequence[float] | None = None) -> float:
+def erli_discrepancy(params: CurveParams, mix: MixSpec) -> float:
     """Largest IL spread across price levels sharing a rate ratio.
 
-    For each scenario (initial prices, final/initial rate ratio) and each
-    scale k, the currency-1 price level is multiplied by k, the deposit is
-    taken at the scaled initial equilibrium, and IL is evaluated at the
-    scaled final prices.  A rate-level-independent curve yields the same IL
-    at every scale, so the returned spread is ~0; a positive value is a
-    witness that IL depends on more than the rate ratio.
+    For each final/initial rate ratio in ``DEFAULT_RATE_RATIOS`` and each
+    scale k in ``DEFAULT_PRICE_SCALES``, the currency-1 price of (a/b, 1) is
+    multiplied by k, the deposit is taken at that scaled initial
+    equilibrium, and IL is evaluated at the scaled final prices.  A
+    rate-level-independent curve yields the same IL at every scale, so the
+    returned spread is ~0; a positive value is a witness that IL depends on
+    more than the rate ratio.
     """
-    if rate_scenarios is None:
-        base = PriceVector(params.a / params.b, 1.0)
-        rate_scenarios = [(base, ratio) for ratio in DEFAULT_RATE_RATIOS]
-    if price_level_scales is None:
-        price_level_scales = DEFAULT_PRICE_SCALES
-    if not rate_scenarios or not price_level_scales:
-        raise InvalidParameterError("rate_scenarios and price_level_scales must be non-empty")
-    scenarios = []  # the (initial, final) price pairs of each rate scenario
-    for p_init, ratio in rate_scenarios:
-        if not (isfinite(ratio) and ratio > 0.0):
-            raise InvalidParameterError(f"rate ratio must be positive, got {ratio!r}")
-        pairs = []
-        for scale in price_level_scales:
-            if not (isfinite(scale) and scale > 0.0):
-                raise InvalidParameterError(f"price scale must be positive, got {scale!r}")
-            p_i = PriceVector(p_init.p1 * scale, p_init.p2)
-            pairs.append((p_i, PriceVector(p_i.p1 * ratio, p_i.p2)))
-        scenarios.append(pairs)
-    # one batch for every price of every scenario
-    states = iter(arbitrage_states(params, mix, [p for pairs in scenarios for pair in pairs
-                                                 for p in pair]))
-    worst = 0.0
-    for pairs in scenarios:
-        ils = []
-        for _, p_f in pairs:
-            x_i, x_f = next(states), next(states)
-            ils.append(impermanent_loss(p_f, x_i, x_f).il)
-        worst = max(worst, max(ils) - min(ils))
-    return worst
+    prices = []  # the (initial, final) prices of each ratio and scale, in that order
+    for ratio in DEFAULT_RATE_RATIOS:
+        for scale in DEFAULT_PRICE_SCALES:
+            p_i = PriceVector(params.a / params.b * scale, 1.0)
+            prices += [p_i, PriceVector(p_i.p1 * ratio, 1.0)]
+    # one batch for every price
+    states = arbitrage_states(params, mix, prices)
+    ils = [impermanent_loss(p_f, x_i, x_f).il
+           for p_f, x_i, x_f in zip(prices[1::2], states[0::2], states[1::2])]
+    n = len(DEFAULT_PRICE_SCALES)
+    return max(max(ils[i:i + n]) - min(ils[i:i + n]) for i in range(0, len(ils), n))

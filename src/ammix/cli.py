@@ -20,6 +20,7 @@ from dataclasses import asdict, fields, replace
 from functools import cache
 from itertools import chain
 from math import inf, isfinite
+from typing import get_type_hints
 
 from ammix import _kernels as k
 from ammix.analysis import PriceVector, arbitrage_states, impermanent_loss, reduced_values
@@ -32,6 +33,7 @@ from ammix.errors import (
 )
 from ammix.exchange import Currency, quote
 from ammix.schedules import (
+    CONVEXITY_GRID_SIZE,
     Parabolic,
     PowerLaw,
     StableswapDynamic,
@@ -317,15 +319,17 @@ def _cmd_stableswap_compare(ns: argparse.Namespace) -> tuple[str, int]:
     return emit_table(rows, ns.format), 0
 
 
-# the keys of a config's "sim" section that take integers; the others take numbers
-_SIM_INTEGERS = ("steps", "rate_interval", "seed", "runs")
+# the keys of a config's "sim" section that take integers, SimConfig's int
+# fields; the others take numbers
+_SIM_INTEGERS = {name for name, hint in get_type_hints(SimConfig).items() if hint is int}
 
 
 def _sim_config_from(ns: argparse.Namespace) -> SimConfig:
     sim_cfg = {key: _config_number("sim", key, v, key in _SIM_INTEGERS)
                for key, v in _load_config(ns.config).get("sim", {}).items()}
-    init_x = sim_cfg.pop("init_x", 3000.0)
-    init_y = sim_cfg.pop("init_y", 1000.0)
+    init = SimConfig.init_state  # the field's default
+    init_x = sim_cfg.pop("init_x", init.x)
+    init_y = sim_cfg.pop("init_y", init.y)
     base = SimConfig(init_state=MarketState(init_x, init_y), **sim_cfg)
     overrides = {}
     for flag in ("steps", "stability", "runs", "seed"):
@@ -336,22 +340,17 @@ def _sim_config_from(ns: argparse.Namespace) -> SimConfig:
 
 
 def _cmd_sim_run(ns: argparse.Namespace) -> tuple[str, int]:
-    sim_config = _sim_config_from(ns)
-    trace = run_sim(sim_config)
-    rows = []
-    for i in range(len(trace)):
-        cur = trace.extracted[i]
-        rows.append({
-            "step": i,
-            "x": float(trace.x[i]),
-            "y": float(trace.y[i]),
-            "internal_rate": float(trace.internal_rate[i]),
-            "external_rate": float(trace.external_rate[i]),
-            "extracted": cur.value if cur is not None else None,
-            "trade_output": float(trace.trade_output[i]),
-            "trade_input": float(trace.trade_input[i]),
-            "slippage": float(trace.slippage[i]),
-        })
+    trace = run_sim(_sim_config_from(ns))
+    # one column per series field of the trace, in field order: the arrays
+    # as floats, the extracted currencies by value (None where no trade)
+    columns = {}
+    for f in fields(trace):
+        series = getattr(trace, f.name)
+        if isinstance(series, list):
+            columns[f.name] = [getattr(cur, "value", None) for cur in series]
+        elif hasattr(series, "tolist"):
+            columns[f.name] = series.tolist()
+    rows = [{"step": i, **dict(zip(columns, row))} for i, row in enumerate(zip(*columns.values()))]
     return emit_table(rows, ns.format), 0
 
 
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--t", type=float, default=None, help="uniform blend weight")
     _add_curve_flags(p)
-    p.add_argument("--grid", type=int, default=10_001)
+    p.add_argument("--grid", type=int, default=CONVEXITY_GRID_SIZE)
     p.set_defaults(handler=_cmd_convexity)
 
     p = sub.add_parser("quote", help="price a swap without executing it")

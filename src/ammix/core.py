@@ -168,10 +168,6 @@ class MixSpec:
         return cls(Family.HOMOTOPY, schedule)
 
     @property
-    def is_uniform(self) -> bool:
-        return isinstance(self.schedule, Uniform)
-
-    @property
     def has_finite_intercept(self) -> bool:
         """Whether the curve ends at finite intercepts on the axes.
 

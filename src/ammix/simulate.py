@@ -47,9 +47,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # refused here, not by numpy or range() deep inside run_sim or batch_summary
+        # bool is an Integral, but True is not a count
         for name, least in (("steps", 0), ("rate_interval", 1), ("runs", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise InvalidParameterError(
                     f"{name} must be an integer >= {least}, got {value!r}")
         if not (isfinite(self.init_external_rate) and self.init_external_rate > 0.0):
@@ -63,7 +64,7 @@ class SimConfig:
         if not 0.0 <= self.toward_prob <= 1.0:
             raise InvalidParameterError("toward_prob must be in [0, 1]")
         # numpy's SeedSequence takes only non-negative integers
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
@@ -197,13 +198,10 @@ class SimTrace:
     def state(self, i: int) -> MarketState:
         return MarketState(self.x[i], self.y[i])
 
-    def mse_internal_external(self, start: int = 1, stop: int | None = None) -> float:
-        """Mean squared internal-vs-external rate gap over [start, stop]."""
-        stop = len(self.x) if stop is None else min(stop + 1, len(self.x))
-        if stop <= start:
-            return 0.0
-        d = self.internal_rate[start:stop] - self.external_rate[start:stop]
-        return float(np.mean(d * d))
+    def mse_internal_external(self, start: int = 1) -> float:
+        """Mean squared internal-vs-external rate gap from step start to the end."""
+        d = self.internal_rate[start:] - self.external_rate[start:]
+        return float(np.mean(d * d)) if len(d) else 0.0
 
     def mean_slippage(self, start: int = 1, stop: int | None = None) -> float:
         stop = len(self.x) if stop is None else min(stop + 1, len(self.x))

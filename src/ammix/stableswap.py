@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, prod
+from numbers import Integral
 from typing import Sequence
 
 from ammix.errors import InvalidParameterError
 from ammix.schedules import _bisect
+
+
+def _check_n(n: int) -> None:
+    """Raise InvalidParameterError unless n is an integer >= 2; bool is an
+    Integral, but True is not a currency count."""
+    if isinstance(n, bool) or not (isinstance(n, Integral) and n >= 2):
+        raise InvalidParameterError(f"n must be an integer >= 2, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -29,16 +37,11 @@ class StableswapParams:
     chi: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidParameterError(f"n must be >= 2, got {self.n!r}")
+        _check_n(self.n)
         if not (isfinite(self.scale) and self.scale > 0.0):
             raise InvalidParameterError(f"scale must be positive and finite, got {self.scale!r}")
         if not (isfinite(self.chi) and self.chi >= 0.0):
             raise InvalidParameterError(f"chi must be >= 0, got {self.chi!r}")
-
-    @property
-    def balanced_state(self) -> tuple[float, ...]:
-        return (self.scale / self.n,) * self.n
 
 
 def _check_reserves(n: int, reserves: Sequence[float]) -> None:
@@ -61,8 +64,7 @@ def t_from_chi(chi: float, n: int) -> float:
     """Blend weight of the equivalent arithmetic mixing: n**-n / (chi + n**-n)."""
     if chi < 0.0 or not isfinite(chi):
         raise InvalidParameterError(f"chi must be >= 0 and finite, got {chi!r}")
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n!r}")
+    _check_n(n)
     nn = float(n) ** (-n)
     return nn / (chi + nn)
 
@@ -71,8 +73,7 @@ def chi_from_t(t: float, n: int) -> float:
     """Inverse of t_from_chi: chi = n**-n * (1 - t) / t."""
     if not (0.0 < t <= 1.0):
         raise InvalidParameterError(f"t must be in (0, 1], got {t!r}")
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n!r}")
+    _check_n(n)
     return float(n) ** (-n) * (1.0 - t) / t
 
 

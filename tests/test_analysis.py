@@ -71,6 +71,12 @@ def test_arbitrage_cpmm_example(unit_params):
     assert state.y == pytest.approx(2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("p1, p2", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+def test_price_vector_refuses_a_price_that_is_not_positive_and_finite(p1, p2):
+    with pytest.raises(InvalidParameterError, match="prices must be positive and finite"):
+        PriceVector(p1, p2)
+
+
 def test_arbitrage_at_initial_prices(unit_params):
     for family in FAMILIES:
         for t in (0.0, 0.5, 1.0):
@@ -243,7 +249,7 @@ mixes = st.one_of(
 
 def _assume_accepted(params, mix):
     """Keep only curves arbitrage_state solves: uniform or certified convex."""
-    if not mix.is_uniform:
+    if not isinstance(mix.schedule, Uniform):
         try:
             assume(market(params, mix).certified)
         except InvalidParameterError:  # a parabola leaving [0, 1]
@@ -596,6 +602,17 @@ def test_erli_all_mixings_fail_between_endpoints(unit_params):
         assert erli_discrepancy(unit_params, MixSpec(family, Uniform(0.5))) > 1e-6
 
 
-def test_erli_single_scale_trivial(unit_params):
-    value = erli_discrepancy(unit_params, MixSpec.homotopy(0.5), price_level_scales=[1.0])
-    assert value == 0.0
+def test_erli_is_the_spread_over_the_fixed_scenarios(pool_params):
+    """The largest spread of IL across the price scales 1, 3 and 10 of
+    (a/b, 1), at the rate ratios 0.5 and 2, each price solved alone."""
+    mix = MixSpec.homotopy(0.5)
+    spreads = []
+    for ratio in (0.5, 2.0):
+        ils = []
+        for scale in (1.0, 3.0, 10.0):
+            p_i = PriceVector(pool_params.a / pool_params.b * scale, 1.0)
+            p_f = PriceVector(p_i.p1 * ratio, 1.0)
+            x_i, x_f = (arbitrage_state(pool_params, mix, p) for p in (p_i, p_f))
+            ils.append(impermanent_loss(p_f, x_i, x_f).il)
+        spreads.append(max(ils) - min(ils))
+    assert erli_discrepancy(pool_params, mix) == pytest.approx(max(spreads), rel=1e-9)

@@ -1,10 +1,13 @@
 import ast
 import gc
+import inspect
 import math
 import random
 import re
 import weakref
+from functools import cached_property
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -94,6 +97,12 @@ def test_mixspec_non_homotopy_needs_uniform():
     with pytest.raises(InvalidParameterError):
         MixSpec(Family.ARITHMETIC, PowerLaw(2.0))
     MixSpec(Family.HOMOTOPY, PowerLaw(2.0))  # fine
+
+
+@pytest.mark.parametrize("schedule", [0.5, None, "uniform"])
+def test_mixspec_refuses_what_is_not_a_schedule(schedule):
+    with pytest.raises(InvalidParameterError, match=re.escape(f"not a schedule: {schedule!r}")):
+        MixSpec(Family.HOMOTOPY, schedule)
 
 
 # --- eval_component ---------------------------------------------------------
@@ -263,80 +272,7 @@ def test_spot_cpmm_is_reserve_ratio(unit_params):
     assert rate == pytest.approx(4.0, rel=1e-12)
 
 
-# --- the (x, y) kernels against the formulas they replaced --------------------
-
-def _reference_grad_mixed(params, mix, state):
-    # grad_mixed as it was before its arithmetic moved to _kernels.pure.grad_xy
-    if isinstance(mix.schedule, Uniform):
-        t, tp = mix.schedule.t, 0.0
-    else:
-        _, kind, q0, q1, q2 = market(params, mix).codes
-        ax = params.a * state.x
-        t, tp = k.sched_first(kind, q0, q1, q2, ax / (ax + params.b * state.y), params.s0)
-    x, y = state.x, state.y
-    a, b, alpha, beta, c, deg = params.a, params.b, params.alpha, params.beta, params.c, params.deg
-    a0 = (params.a * state.x + params.b * state.y) / params.c
-    a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
-    n = a * x + b * y
-    if mix.family is Family.ARITHMETIC:
-        return (
-            (1.0 - t) * a / c + t * a1 * alpha / x,
-            (1.0 - t) * b / c + t * a1 * beta / y,
-        )
-    if mix.family is Family.GEOMETRIC:
-        g = a0 ** (1.0 - t) * a1**t
-        return (
-            g * ((1.0 - t) * a / n + t * alpha / x),
-            g * ((1.0 - t) * b / n + t * beta / y),
-        )
-    w = a1 ** (-1.0 / deg)
-    raw = (1.0 - t) * c / n + t * w
-    raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
-    raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
-    if tp != 0.0:
-        s_x = a * b * y / (n * n)
-        s_y = -a * b * x / (n * n)
-        dt_term = w - c / n
-        raw_x += tp * s_x * dt_term
-        raw_y += tp * s_y * dt_term
-    inv2 = 1.0 / (raw * raw)
-    return -raw_x * inv2, -raw_y * inv2
-
-
-def _reference_spot_rate(params, mix, state):
-    try:
-        gx, gy = _reference_grad_mixed(params, mix, state)
-    except NonDifferentiablePointError:
-        return params.a / params.b
-    if gy == 0.0:
-        raise DegenerateGradientError("vanishing partial derivative in y")
-    return gx / gy
-
-
-def _reference_checked_spot_rate(params, mix, state):
-    # spot_rate refuses a rate that is not positive and finite
-    rate = _reference_spot_rate(params, mix, state)
-    if not 0.0 < rate < math.inf:
-        raise InvalidParameterError(f"spot rate {rate!r} at reserves ({state.x!r}, {state.y!r}) "
-                                    "is not positive and finite")
-    return rate
-
-
-def _reference_eval_mixed(params, mix, state):
-    a0 = (params.a * state.x + params.b * state.y) / params.c
-    a1 = (state.x / params.x0) ** params.alpha * (state.y / params.y0) ** params.beta
-    if isinstance(mix.schedule, Uniform):
-        t = mix.schedule.t
-    else:
-        _, kind, q0, q1, q2 = market(params, mix).codes
-        ax = params.a * state.x
-        t = k.sched_value(kind, q0, q1, q2, ax / (ax + params.b * state.y), params.s0)
-    if mix.family is Family.ARITHMETIC:
-        return a0 * (1.0 - t) + a1 * t
-    if mix.family is Family.GEOMETRIC:
-        return a0 ** (1.0 - t) * a1**t
-    return (1.0 - t) / a0 + a1 ** (-1.0 / params.deg) * t
-
+# --- the (x, y) kernels against central differences of the invariant -----
 
 def _kernel_cases(n, seed):
     """(params, mix, state) draws over all 3 families and the uniform,
@@ -363,40 +299,73 @@ def _kernel_cases(n, seed):
                 yield params, mix, state
 
 
-def _same_outcome(reference, kernel, *args):
-    """kernel(*args) returns what reference(*args) returns, bit for bit (NaN
-    and the sign of zero included: repr round-trips a float), or raises
-    what it raises, except that a float-range failure of the formulas
-    (ZeroDivisionError or OverflowError) is an InvalidParameterError
-    naming it; returns the type the kernel raised, or None."""
-    try:
-        want = reference(*args)
-    except AmmixError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            kernel(*args)
-        return type(exc)
-    except ArithmeticError as exc:
-        with pytest.raises(InvalidParameterError,
-                           match=re.escape(f"{type(exc).__name__}: {exc}")):
-            kernel(*args)
-        return InvalidParameterError
-    assert repr(kernel(*args)) == repr(want), args
-    return None
+def _central_partials(params, mix, state, h=1e-6):
+    """(F_x, noise_x), (F_y, noise_y): central differences of F with
+    relative steps h, each with the rounding noise of its quotient, 16 ulps
+    of the larger |F| over the step.  F is eval_mixed, or 1/eval_mixed for
+    homotopy, whose gradient is taken on the increasing orientation."""
+    def f(x, y):
+        value = eval_mixed(params, mix, MarketState(x, y))
+        return 1.0 / value if mix.family is Family.HOMOTOPY else value
+
+    x, y = state.x, state.y
+    out = []
+    for i, v in enumerate((x, y)):
+        up, down = v * (1.0 + h), v * (1.0 - h)
+        f_up, f_down = (f(up, y), f(down, y)) if i == 0 else (f(x, up), f(x, down))
+        step = up - down
+        out.append(((f_up - f_down) / step, 16.0 * 2.0**-52 * max(abs(f_up), abs(f_down)) / step))
+    return out
 
 
-def test_xy_kernels_match_the_formulas_they_replaced_bit_for_bit():
+def test_xy_kernels_match_central_differences_of_the_invariant():
+    """On the ``_kernel_cases`` draws, grad_mixed is the gradient of
+    eval_mixed (of 1/eval_mixed for homotopy) and spot_rate the ratio of
+    its partials, within a relative 1e-6 plus the differences' own rounding
+    noise; where they refuse, they raise the typed errors of the k <= 1
+    cusp, of gy == 0 and of A1 == 0 under the homotopy's negative power.
+    eval_mixed is 1 on the curve ``point_at`` traces through the state's
+    ray."""
     raised = set()
     for params, mix, state in _kernel_cases(60, 1212):
-        m = market(params, mix)
-        grad = lambda p, mx, st: k.grad_xy(*m.codes, st.x, st.y, *m.curve)
-        raised.add(_same_outcome(_reference_grad_mixed, grad, params, mix, state))
-        raised.add(_same_outcome(_reference_grad_mixed, grad_mixed, params, mix, state))
-        rate = lambda p, mx, st: k.rate_xy(*m.codes, st.x, st.y, *m.curve)
-        raised.add(_same_outcome(_reference_spot_rate, rate, params, mix, state))
-        raised.add(_same_outcome(_reference_checked_spot_rate, spot_rate, params, mix, state))
-        raised.add(_same_outcome(_reference_eval_mixed, eval_mixed, params, mix, state))
-    # the k <= 1 anchor, A1 == 0 with gy == 0, and A1 == 0 under a negative power
-    assert {NonDifferentiablePointError, DegenerateGradientError, InvalidParameterError} <= raised
+        try:
+            gx, gy = grad_mixed(params, mix, state)
+        except NonDifferentiablePointError:
+            # the cusp at s0 of a power law with k <= 1 quotes the anchor rate
+            assert state == params.initial_state and mix.schedule.exponent <= 1.0
+            assert spot_rate(params, mix, state) == params.a / params.b
+            raised.add(NonDifferentiablePointError)
+            continue
+        except InvalidParameterError:
+            # A1 == 0 under the homotopy's negative power
+            assert state.x == 1e-320 and mix.family is Family.HOMOTOPY
+            with pytest.raises(InvalidParameterError):
+                spot_rate(params, mix, state)
+            raised.add(InvalidParameterError)
+            continue
+        rate = None
+        if gy == 0.0:
+            with pytest.raises(DegenerateGradientError, match="vanishing partial derivative in y"):
+                spot_rate(params, mix, state)
+            raised.add(DegenerateGradientError)
+        elif not 0.0 < gx / gy < math.inf:
+            with pytest.raises(InvalidParameterError, match="is not positive and finite"):
+                spot_rate(params, mix, state)
+            raised.add(InvalidParameterError)
+        else:
+            rate = spot_rate(params, mix, state)
+        if state.x == 1e-320:  # no difference quotient resolves a subnormal reserve
+            continue
+        (fx, noise_x), (fy, noise_y) = _central_partials(params, mix, state)
+        assert gx == pytest.approx(fx, rel=1e-6, abs=noise_x), (params, mix, state)
+        assert gy == pytest.approx(fy, rel=1e-6, abs=noise_y), (params, mix, state)
+        if rate is not None:
+            rel = 2e-6 + noise_x / abs(fx) + noise_y / abs(fy)
+            assert rate == pytest.approx(fx / fy, rel=rel), (params, mix, state)
+        ax = params.a * state.x
+        on_curve = point_at(params, mix, ax / (ax + params.b * state.y))
+        assert eval_mixed(params, mix, on_curve) == pytest.approx(1.0, abs=1e-9), (params, mix, state)
+    assert raised == {NonDifferentiablePointError, DegenerateGradientError, InvalidParameterError}
 
 
 def test_spot_rate_at_power_law_anchor_is_weight_ratio(pool_params):
@@ -528,27 +497,89 @@ def test_rebase_rejects_nonpositive_rate(unit_state):
 _ROOT = Path(__file__).resolve().parent.parent
 
 
-def _uses(path):
-    """The names a module reads, as names or attributes; a top-level
-    definition's references to itself are not uses."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for stmt in tree.body:
-        own = getattr(stmt, "name", None)
-        for node in ast.walk(stmt):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is not None and name != own:
-                yield name
+def _walk(path):
+    """Each node of a module, with the names of the definitions that
+    enclose it: a definition's references to itself are not uses."""
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        yield node, own
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, own)
+    return visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+
+
+def _called_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _members(cls):
+    """The public properties and methods a class defines itself; its
+    dataclass fields are record fields and its enum members values."""
+    fields = getattr(cls, "__dataclass_fields__", {})
+    kinds = (property, cached_property, classmethod, staticmethod, FunctionType)
+    return {name: v for name, v in vars(cls).items()
+            if not name.startswith("_") and name not in fields and isinstance(v, kinds)}
+
+
+def _options(fn, bound):
+    """The defaulted parameters of ``fn`` with their index among the
+    positional arguments of a call; ``bound`` drops self or cls."""
+    params = list(inspect.signature(fn).parameters.values())[1 if bound else 0:]
+    return [(i if p.kind is p.POSITIONAL_OR_KEYWORD else None, p.name)
+            for i, p in enumerate(params) if p.default is not p.empty]
 
 
 def test_every_public_name_has_a_user():
-    """Each name in ``ammix.__all__`` is used in the library outside its own
-    definition and ``__init__.py``, by the acceptance or property suites, or
-    in the README; a name only its own unit tests call is not public surface."""
+    """Each name in ``ammix.__all__``, each public property and method of an
+    exported class, and each defaulted parameter of an exported function or
+    method has a user: the library outside its own definition and
+    ``__init__.py``, the acceptance or property suites, perfbench, or the
+    README.  A parameter is used when some call passes it, by keyword or by
+    position.  A name or an option only its own unit tests use is not
+    public surface."""
     package = Path(ammix.__file__).parent
-    modules = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
-    tests = [_ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_properties.py"]
-    used = {name for path in modules + tests for name in _uses(path)}
+    paths = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+    paths += [_ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_properties.py"]
+    paths += sorted((_ROOT / "perfbench").rglob("*.py"))
+    nodes = [(node, own) for path in paths for node, own in _walk(path)]
+    used = {name for node, own in nodes
+            if (name := _called_name(node)) is not None and name not in own}
+    calls = [node for node, own in nodes
+             if isinstance(node, ast.Call) and _called_name(node.func) not in own]
     readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+
+    def in_readme(pattern):
+        return re.search(pattern, readme) is not None
+
+    def passed(name, index, option):
+        for call in calls:
+            if _called_name(call.func) != name:
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in call.args):
+                return True
+            if index is not None and len(call.args) > index:
+                return True
+            if any(kw.arg in (option, None) for kw in call.keywords):  # None: **kwargs
+                return True
+        return in_readme(rf"\b{re.escape(option)}\s*=")
+
     unused = [name for name in ammix.__all__
-              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+              if name not in used and not in_readme(rf"\b{re.escape(name)}\b")]
+    callables = []
+    for name in ammix.__all__:
+        obj = getattr(ammix, name)
+        if isinstance(obj, type):
+            for member, v in _members(obj).items():
+                if member not in used and not in_readme(rf"\b{re.escape(member)}\b"):
+                    unused.append(f"{name}.{member}")
+                if isinstance(v, (classmethod, staticmethod, FunctionType)):
+                    callables.append((f"{name}.{member}", member, getattr(obj, member),
+                                      not isinstance(v, staticmethod)))
+        elif isinstance(obj, FunctionType):
+            callables.append((name, name, obj, False))
+    for label, name, fn, bound in callables:
+        for index, option in _options(fn, bound):
+            if not passed(name, index, option):
+                unused.append(f"{label}({option}=)")
     assert not unused

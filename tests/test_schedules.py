@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from ammix import schedules
 from ammix._kernels.arrays import lam_chain_array
 from ammix.cli import run_command
 from ammix.errors import (
+    AmmixError,
     ConvergenceError,
     InvalidParameterError,
     NonDifferentiablePointError,
@@ -49,6 +51,17 @@ def test_powerlaw_rejects_zero_exponent():
         PowerLaw(0.0)
     with pytest.raises(InvalidParameterError):
         PowerLaw(-1.0)
+
+
+@pytest.mark.parametrize("bias, center, error", [
+    (-0.1, 0.5, "bias must be in [0, 1], got -0.1"),
+    (math.nan, 0.5, "bias must be in [0, 1], got nan"),
+    (0.5, 1.5, "center must be in [0, 1], got 1.5"),
+    (0.5, math.inf, "center must be in [0, 1], got inf"),
+])
+def test_parabolic_refuses_a_pin_outside_the_unit_interval(bias, center, error):
+    with pytest.raises(InvalidParameterError, match=re.escape(error)):
+        Parabolic(bias=bias, center=center)
 
 
 def test_parabolic_range_vetted_against_curve(unit_params):
@@ -441,6 +454,17 @@ def test_dynamic_y_solve_matches_the_checked_bisection():
         amp, scale = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 6)
         x = 0.5 * scale * rng.uniform(0.2, 2.5)
         assert stableswap_dynamic_y(amp, scale, x) == _reference_dynamic_y(amp, scale, x)
+
+
+def test_dynamic_y_solve_raises_its_bracket_past_the_first_top():
+    """Near the x axis the curve's y lies above the first top 4*D = 8, so
+    the top doubles until it brackets the root; where y lies past 1e12*D no
+    top brackets it."""
+    y = stableswap_dynamic_y(1.0, 2.0, 0.01)
+    assert y == pytest.approx(26.01455, rel=1e-6) and y > 8.0
+    assert abs(stableswap_dynamic_residual(1.0, 2.0, MarketState(0.01, y))) <= 1e-9 * (16.0 * 0.01 * y + 4.0)
+    with pytest.raises(AmmixError, match=re.escape("no curve crossing found for x=1e-14")):
+        stableswap_dynamic_y(1.0, 2.0, 1e-14)
 
 
 @pytest.mark.parametrize("args, error", [

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -12,11 +13,13 @@ from ammix import (
     batch_summary,
     eval_mixed,
     gen_external_rates,
+    point_at,
     run_sim,
     sim_step,
 )
 from ammix.core import spot_rate as internal_rate
 from ammix.errors import InvalidParameterError
+from ammix.schedules import S_MAX, S_MIN
 from ammix.simulate import SimTrace, _external_rng, _run_rng, _run_with, curve_for
 
 
@@ -41,7 +44,20 @@ def test_config_validation():
         SimConfig(steps=-1)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+@pytest.mark.parametrize("field, value, error", [
+    ("init_external_rate", 0.0, "init_external_rate must be positive"),
+    ("init_external_rate", math.nan, "init_external_rate must be positive"),
+    ("rate_max_move", 1.0, "rate_max_move must be in [0, 1)"),
+    ("rate_max_move", -0.1, "rate_max_move must be in [0, 1)"),
+    ("max_extraction_frac", 1.0, "max_extraction_frac must be in [0, 1)"),
+    ("max_extraction_frac", -0.01, "max_extraction_frac must be in [0, 1)"),
+])
+def test_config_refuses_a_rate_or_fraction_out_of_range(field, value, error):
+    with pytest.raises(InvalidParameterError, match=re.escape(error)):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True, False])
 def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     # numpy's SeedSequence would raise its own bare ValueError or TypeError in run_sim
     with pytest.raises(InvalidParameterError,
@@ -52,6 +68,8 @@ def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
 @pytest.mark.parametrize("name,value", [
     ("steps", 2.5), ("steps", -1), ("steps", "3"), ("rate_interval", 2.5), ("rate_interval", 0),
     ("rate_interval", 80.0), ("runs", 1.5), ("runs", 0), ("runs", None),
+    # True is an Integral: steps=True ran one step
+    ("steps", True), ("steps", False), ("rate_interval", True), ("runs", True),
 ])
 def test_config_refuses_a_count_that_is_not_an_integer_in_range(name, value):
     # steps=2.5 raised numpy's bare TypeError in run_sim, runs=1.5 range()'s in
@@ -139,6 +157,43 @@ def test_sim_step_moves_rate_toward_external():
     assert new_state.x < state.x
     after = internal_rate(params, mix, new_state)
     assert before < after < external
+
+
+@pytest.mark.parametrize("end, start, external, extracted", [
+    # x is scarce at S_MIN, where the rate is about 7.5e11
+    (S_MIN, S_MIN * (1.0 + 1e-9), 1e15, Currency.CUR1),
+    (S_MAX, S_MAX - 2.0**-53, 1e-15, Currency.CUR2),  # the float below S_MAX
+])
+def test_sim_step_clamps_a_draw_past_the_curve_end_to_it(end, start, external, extracted):
+    """A state next to the curve's end, pushed toward it: the seeded draw
+    asks for more than the curve holds, and the trade stops at the end
+    state, at a finite slippage."""
+    cfg = SimConfig(toward_prob=1.0)
+    params, mix = curve_for(cfg)
+    boundary = point_at(params, mix, end)
+    state = point_at(params, mix, start)
+    new_state, rec = sim_step(state, params, mix, external, cfg, _run_rng(3, 0))
+    assert new_state == boundary
+    assert rec.extracted is extracted
+    if extracted is Currency.CUR1:
+        assert (rec.output_amount, rec.input_amount) == (state.x - boundary.x, boundary.y - state.y)
+    else:
+        assert (rec.output_amount, rec.input_amount) == (state.y - boundary.y, boundary.x - state.x)
+    assert rec.output_amount > 0.0 and rec.input_amount > 0.0
+    assert math.isfinite(rec.slippage)
+
+
+@pytest.mark.parametrize("end, external", [(S_MIN, 1e15), (S_MAX, 1e-15)])
+def test_sim_step_at_the_curve_end_trades_nothing_at_no_price(end, external):
+    """From the end state itself the clamp returns the same state: nothing is
+    paid, so the slippage is NaN, which ``mean_slippage`` skips."""
+    cfg = SimConfig(toward_prob=1.0)
+    params, mix = curve_for(cfg)
+    state = point_at(params, mix, end)
+    new_state, rec = sim_step(state, params, mix, external, cfg, _run_rng(3, 0))
+    assert new_state == state
+    assert (rec.output_amount, rec.input_amount) == (0.0, 0.0)
+    assert math.isnan(rec.slippage)
 
 
 def test_sim_step_tie_keeps_state_on_curve():

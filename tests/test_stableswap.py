@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,19 @@ def test_chi_rejects_negative():
         t_from_chi(-1.0, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2.5, 2.0, "3", None, True, False])
+def test_currency_count_must_be_an_integer_of_at_least_two(n):
+    """n = "3" raised a bare TypeError, and n = 2.5 built a pool and gave
+    t_from_chi(1.0, 2.5) = 0.0919: each now refuses n by name."""
+    error = re.escape(f"n must be an integer >= 2, got {n!r}")
+    with pytest.raises(InvalidParameterError, match=error):
+        StableswapParams(n=n, scale=2.0, chi=0.25)
+    with pytest.raises(InvalidParameterError, match=error):
+        t_from_chi(1.0, n)
+    with pytest.raises(InvalidParameterError, match=error):
+        chi_from_t(0.5, n)
+
+
 def test_dynamic_chi_balanced():
     assert dynamic_chi(5.0, 2.0, [1.0, 1.0]) == 5.0
 
@@ -81,7 +95,7 @@ def test_dynamic_chi_scaled():
 
 def test_equivalence_balanced():
     ss = StableswapParams(n=2, scale=2.0, chi=0.25)
-    assert equivalence_check(ss, ss.balanced_state) == 0.0
+    assert equivalence_check(ss, [1.0, 1.0]) == 0.0  # scale/n of each currency
 
 
 def test_equivalence_on_surface():
