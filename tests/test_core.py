@@ -27,7 +27,6 @@ import ammix
 from ammix import _kernels as k
 from ammix.core import market
 from ammix.errors import (
-    AmmixError,
     DegenerateGradientError,
     InvalidParameterError,
     NonDifferentiablePointError,
