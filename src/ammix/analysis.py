@@ -22,7 +22,7 @@ from ammix.errors import (
     UnsupportedCurveError,
 )
 from ammix.parametrize import _reserves_on
-from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, _check_reserves
+from ammix.schedules import S_MAX, S_MIN, Uniform, _bisect, _check_reserves, _refuse_bools
 
 # the width in s every arbitrage state is bisected to, and the least
 # distance of a narrowing step from its bracket's ends
@@ -60,6 +60,7 @@ class PriceVector:
     p2: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "p1", "p2")
         if not (isfinite(self.p1) and self.p1 > 0.0 and isfinite(self.p2) and self.p2 > 0.0):
             raise InvalidParameterError(f"prices must be positive and finite, got {self!r}")
 

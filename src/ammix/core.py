@@ -31,6 +31,7 @@ from ammix.schedules import (
     TSchedule,
     Uniform,
     _check_reserves,
+    _refuse_bools,
     check_convexity,
     schedule_coeffs,
 )
@@ -74,6 +75,7 @@ class CurveParams:
     s0: float = field(init=False)
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "a", "b", "x0", "y0")
         alpha, beta = calibrate_weights(self.a, self.b, self.x0, self.y0)
         # every s-kernel takes log(s0) and log(1 - s0)
         if not 0.0 < alpha < 1.0:
@@ -109,6 +111,7 @@ class MarketState:
     y: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "x", "y")
         _check_reserves(self.x, self.y)
 
 

@@ -13,6 +13,7 @@ as do the checks and tolerances the layers above share.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING, Union
@@ -21,7 +22,6 @@ import numpy as np
 
 from ammix import _kernels as k
 from ammix.errors import (
-    AmmixError,
     ConvergenceError,
     InvalidCurveError,
     InvalidParameterError,
@@ -39,6 +39,8 @@ CONVEXITY_GRID_INSET = 1e-4
 CONVEXITY_MARGIN_TOL = -1e-9
 _CONVEXITY_BLOCK = 4096
 
+_FLOAT_MAX = sys.float_info.max
+
 # |A(X) - 1| a state on a curve may show; for the dynamic Stableswap curve,
 # relative to the size of its terms
 ON_CURVE_TOL = 1e-9
@@ -54,6 +56,16 @@ def _check_reserves(x: float, y: float) -> None:
     """Raise InvalidParameterError unless both reserves are positive and finite."""
     if not (isfinite(x) and x > 0.0 and isfinite(y) and y > 0.0):
         raise InvalidParameterError(f"reserves must be positive and finite, got ({x!r}, {y!r})")
+
+
+def _refuse_bools(record: object, *names: str) -> None:
+    """Raise InvalidParameterError naming the first of ``record``'s float
+    fields that holds True or False: bool is a number to Python, but not a
+    price, a reserve or a weight."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool):
+            raise InvalidParameterError(f"{name} must be a float, got {value!r}")
 
 
 # halvings _bisect may take before it raises ConvergenceError
@@ -75,7 +87,9 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
     k_lo, k_hi = known
     tol = atol + rtol * hi  # the stop width at the current hi; atol when rtol is 0
     for _ in range(_BISECT_HALVINGS):
-        mid = 0.5 * (lo + hi)
+        # 0.5*(lo + hi) to the bit wherever lo/2 is normal, without
+        # overflowing on a bracket near the largest float
+        mid = 0.5 * lo + 0.5 * hi
         # each branch tests the stop rule on the bracket it leaves
         if mid <= k_lo or (mid < k_hi and below(mid)):
             lo = mid
@@ -92,7 +106,7 @@ def _bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: float = 0.0,
             f"bisection not narrowed to atol={atol!r}, rtol={rtol!r} in {_BISECT_HALVINGS} "
             f"halvings; last bracket [{lo!r}, {hi!r}]"
         )
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 @dataclass(frozen=True)
@@ -102,6 +116,7 @@ class Uniform:
     t: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "t")
         if not (isfinite(self.t) and 0.0 <= self.t <= 1.0):
             raise InvalidParameterError(f"uniform blend weight must be in [0, 1], got {self.t!r}")
 
@@ -120,6 +135,7 @@ class PowerLaw:
     exponent: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "exponent")
         if not (isfinite(self.exponent) and self.exponent > 0.0):
             raise InvalidParameterError(f"power-law exponent must be > 0, got {self.exponent!r}")
 
@@ -132,6 +148,7 @@ class Parabolic:
     center: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "bias", "center")
         if not (isfinite(self.bias) and 0.0 <= self.bias <= 1.0):
             raise InvalidParameterError(f"bias must be in [0, 1], got {self.bias!r}")
         if not (isfinite(self.center) and 0.0 <= self.center <= 1.0):
@@ -146,6 +163,7 @@ class StableswapDynamic:
     scale: float
 
     def __post_init__(self) -> None:
+        _refuse_bools(self, "amplification", "scale")
         if not (isfinite(self.amplification) and self.amplification > 0.0):
             raise InvalidParameterError(f"amplification must be > 0, got {self.amplification!r}")
         if not (isfinite(self.scale) and self.scale > 0.0):
@@ -295,13 +313,14 @@ def dynamic_residual_xy(amplification: float, scale: float, x: float, y: float) 
 
 def stableswap_dynamic_y(amplification: float, scale: float, x: float) -> float:
     """The y on the dynamic Stableswap curve at x, bisected in y to a
-    relative 1e-15 on [1e-12*D, 4*D], whose top doubles up to 1e12*D until
-    the residual there is not positive (AmmixError past that).
+    relative 1e-15 on [1e-12*D, 4*D], whose top doubles, up to the largest
+    float, until the residual there is not positive.
 
     Raises InvalidParameterError when A, D, x or the bracket's top is not
-    positive and finite, when the curve's terms leave the float range, and
-    when the y found leaves a residual above ON_CURVE_TOL*(16*A*x*y + D^2),
-    as where the curve's y lies below the bracket.
+    positive and finite, when the curve's y lies above the largest float,
+    when the curve's terms leave the float range, and when the y found
+    leaves a residual above ON_CURVE_TOL*(16*A*x*y + D^2), as where the
+    curve's y lies below the bracket.
     """
     StableswapDynamic(amplification, scale)  # checks A and D
 
@@ -309,15 +328,16 @@ def stableswap_dynamic_y(amplification: float, scale: float, x: float) -> float:
         return dynamic_residual_xy(amplification, scale, x, y) > 0.0
 
     try:
-        # x and the top of the bracket are checked once: the doubled tops
-        # stay finite, since D**3 overflows before 1e12*D can, and the
-        # midpoints below them are positive and finite
+        # x and the first top are checked once: the doubled tops are capped
+        # at the largest float, and the midpoints below them are positive
+        # and finite
         hi = 4.0 * scale
         _check_reserves(x, hi)
         while below(hi):
-            hi *= 2.0
-            if hi > 1e12 * scale:
-                raise AmmixError(f"no curve crossing found for x={x!r}")
+            if hi == _FLOAT_MAX:
+                raise InvalidParameterError(
+                    f"the curve's y at x={x!r} lies above the largest float")
+            hi = min(2.0 * hi, _FLOAT_MAX)
         y = _bisect(below, 1e-12 * scale, hi, rtol=1e-15)
         residual = dynamic_residual_xy(amplification, scale, x, y)
     except ArithmeticError as exc:

@@ -25,7 +25,7 @@ from ammix.core import CurveParams, MarketState, MixSpec, spot_rate
 from ammix.errors import InvalidParameterError, OutOfRangeError
 from ammix.exchange import Currency
 from ammix.parametrize import point_at, state_for_x, state_for_y
-from ammix.schedules import S_MAX, S_MIN, PowerLaw
+from ammix.schedules import S_MAX, S_MIN, PowerLaw, _refuse_bools
 
 STABILITY_TO_EXPONENT = 8.0
 
@@ -53,6 +53,8 @@ class SimConfig:
             if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
                 raise InvalidParameterError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        _refuse_bools(self, "init_external_rate", "rate_max_move", "stability",
+                      "max_extraction_frac", "toward_prob")
         if not (isfinite(self.init_external_rate) and self.init_external_rate > 0.0):
             raise InvalidParameterError("init_external_rate must be positive")
         if not 0.0 <= self.rate_max_move < 1.0:

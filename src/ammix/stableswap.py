@@ -15,7 +15,7 @@ from numbers import Integral
 from typing import Sequence
 
 from ammix.errors import InvalidParameterError
-from ammix.schedules import _bisect
+from ammix.schedules import _bisect, _refuse_bools
 
 
 def _check_n(n: int) -> None:
@@ -38,6 +38,7 @@ class StableswapParams:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
+        _refuse_bools(self, "scale", "chi")
         if not (isfinite(self.scale) and self.scale > 0.0):
             raise InvalidParameterError(f"scale must be positive and finite, got {self.scale!r}")
         if not (isfinite(self.chi) and self.chi >= 0.0):

@@ -5,7 +5,6 @@ import re
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from ammix import (
     CurveParams,
@@ -237,47 +236,48 @@ def _solved_s(params, mix, p):
     return s_new, ref[_reference_arbitrage_state(params, mix, p, point_at=ref)]
 
 
-scale = st.floats(min_value=1e-2, max_value=1e2)
-weight = st.floats(min_value=0.0, max_value=1.0)
-curves = st.builds(CurveParams, a=scale, b=scale, x0=scale, y0=scale)
-mixes = st.one_of(
-    st.builds(MixSpec, st.sampled_from(Family), st.builds(Uniform, weight)),
-    st.builds(MixSpec.scheduled, st.builds(PowerLaw, st.floats(min_value=0.1, max_value=8.0))),
-    st.builds(MixSpec.scheduled, st.builds(Parabolic, bias=weight, center=weight)),
-)
+def _end_rates(params, mix):
+    """(r_min, r_max): the spot rates at S_MAX and at S_MIN."""
+    return (spot_rate(params, mix, point_at(params, mix, S_MAX)),
+            spot_rate(params, mix, point_at(params, mix, S_MIN)))
 
 
-def _assume_accepted(params, mix):
-    """Keep only curves arbitrage_state solves: uniform or certified convex."""
-    if not isinstance(mix.schedule, Uniform):
-        try:
-            assume(market(params, mix).certified)
-        except InvalidParameterError:  # a parabola leaving [0, 1]
-            assume(False)
+def _rate_at(q, r_min, r_max):
+    """The rate whose log lies a fraction q from log(r_min) to log(r_max)."""
+    return math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(params=curves, mix=mixes, q=st.floats(min_value=-0.1, max_value=1.1), p2=scale)
-def test_arbitrage_solve_matches_bisection(params, mix, q, p2):
+def test_arbitrage_solve_matches_bisection(draws):
     """The solved s is within 2e-15 of the old bisection's.
 
     q places log(p1/p2) between the logs of the end rates (outside them for
     q < 0 or q > 1, where both return the clamped end state).
     """
-    _assume_accepted(params, mix)
-    r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
-    r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
-    r = math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min)))
-    s_new, s_ref = _solved_s(params, mix, PriceVector(r * p2, p2))
-    if s_new is None or s_ref is None:  # the anchor of a constant rate
-        assert s_new is s_ref is None, (s_new, s_ref)
+    cases = draws(200, lambda d: (*d.accepted_curve(), d.floats(-0.1, 1.1), d.floats(1e-2, 1e2)))
+    for params, mix, q, p2 in cases:
+        r = _rate_at(q, *_end_rates(params, mix))
+        s_new, s_ref = _solved_s(params, mix, PriceVector(r * p2, p2))
+        if s_new is None or s_ref is None:  # the anchor of a constant rate
+            assert s_new is s_ref is None, (params, mix, q, p2, s_new, s_ref)
+        else:
+            assert abs(s_new - s_ref) <= 2e-15, (params, mix, q, p2, s_new, s_ref)
+
+
+def _batch_of_qs(d):
+    """(params, mix, qs): 1-20 fractions q in [-0.1, 1.1], then up to 10
+    repeats of them, ascending, descending or shuffled."""
+    params, mix = d.accepted_curve()
+    qs = [d.floats(-0.1, 1.1) for _ in range(d.integers(1, 20))]
+    qs += [d.choice(qs) for _ in range(d.integers(0, 10))]
+    order = d.choice(["ascending", "descending", "shuffled"])
+    if order == "shuffled":
+        d.rng.shuffle(qs)
     else:
-        assert abs(s_new - s_ref) <= 2e-15, (s_new, s_ref)
+        qs.sort(reverse=order == "descending")
+    return params, mix, qs
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(params=curves, mix=mixes, data=st.data())
-def test_arbitrage_states_match_one_price_at_a_time(params, mix, data):
+def test_arbitrage_states_match_one_price_at_a_time(draws):
     """A batch of 1-30 prices returns what one call per price returns.
 
     The prices come ascending, descending or shuffled, with repeats, and
@@ -293,31 +293,22 @@ def test_arbitrage_states_match_one_price_at_a_time(params, mix, data):
     random arithmetic draws can break it for a single solve too (three
     widths from bisection), and then the batch differs by as much.
     """
-    _assume_accepted(params, mix)
-    r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
-    r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
-    qs = data.draw(st.lists(st.floats(min_value=-0.1, max_value=1.1), min_size=1, max_size=20))
-    repeats = data.draw(st.lists(st.sampled_from(qs), max_size=10))
-    qs = qs + repeats
-    order = data.draw(st.sampled_from(["ascending", "descending", "shuffled"]))
-    if order == "shuffled":
-        qs = data.draw(st.permutations(qs))
-    else:
-        qs = sorted(qs, reverse=order == "descending")
-    prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
-              for q in qs]
-    batch, single = _SOf(_reserves_on), _SOf(_reserves_on)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_reserves_on", batch)
-        states = arbitrage_states(params, mix, prices)
-        mp.setattr(analysis, "_reserves_on", single)
-        one_by_one = [arbitrage_state(params, mix, p) for p in prices]
-    assert len(states) == len(prices)
-    for state, alone in zip(states, one_by_one):
-        if batch[state] is None or single[alone] is None:  # the anchor of a constant rate
-            assert state == alone
-        else:
-            assert abs(batch[state] - single[alone]) <= 2e-15, (batch[state], single[alone])
+    for params, mix, qs in draws(200, _batch_of_qs):
+        r_min, r_max = _end_rates(params, mix)
+        prices = [PriceVector(_rate_at(q, r_min, r_max), 1.0) for q in qs]
+        batch, single = _SOf(_reserves_on), _SOf(_reserves_on)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_reserves_on", batch)
+            states = arbitrage_states(params, mix, prices)
+            mp.setattr(analysis, "_reserves_on", single)
+            one_by_one = [arbitrage_state(params, mix, p) for p in prices]
+        assert len(states) == len(prices)
+        for state, alone in zip(states, one_by_one):
+            if batch[state] is None or single[alone] is None:  # the anchor of a constant rate
+                assert state == alone, (params, mix, qs)
+            else:
+                assert abs(batch[state] - single[alone]) <= 2e-15, (params, mix, qs, batch[state],
+                                                                    single[alone])
 
 
 @pytest.mark.parametrize("mix", [

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from ammix import (
     ConvexityReport,
@@ -29,6 +28,7 @@ from ammix import (
 from ammix._kernels import pure
 from ammix.cli import emit_table, run_command
 from ammix.errors import AmmixError
+from conftest import Reject
 
 
 def run(capsys, *argv):
@@ -96,54 +96,97 @@ def _emit_by_field(rows, format):
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
                 1.7976931348623157e308, 1e16, math.nan, math.inf, -math.inf]
-_any_value = st.one_of(
-    st.floats(), st.sampled_from(_EDGE_FLOATS), st.builds(np.float64, st.floats()),
-    st.integers(), st.booleans(), st.none(), st.text(max_size=4),
-)
-_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.sampled_from(_EDGE_FLOATS[:9]))
 
 
-@st.composite
-def _tables(draw):
-    """1-60 rows over 1-4 keys: all finite floats, any values, or finite
-    floats with one row of any values."""
-    keys = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(min_value=1, max_value=60))
-    kind = draw(st.sampled_from(["finite", "any", "one odd row"]))
+def _char(d):
+    """A printable ASCII character half the time, else any code point but
+    a surrogate."""
+    if d.rng.random() < 0.5:
+        return chr(d.rng.randrange(32, 127))
+    code = d.rng.randrange(0x110000 - 0x800)
+    return chr(code if code < 0xD800 else code + 0x800)
+
+
+def _text(d, least, most):
+    """A string of least-most characters."""
+    return "".join(_char(d) for _ in range(d.integers(least, most)))
+
+
+def _any_value(d):
+    """Any float, an edge float, a numpy float64, an integer of up to 128
+    bits, a bool, None or a string of 0-4 characters."""
+    kind = d.rng.randrange(7)
+    if kind == 0:
+        return d.any_float()
+    if kind == 1:
+        return d.choice(_EDGE_FLOATS)
+    if kind == 2:
+        return np.float64(d.any_float())
+    if kind == 3:
+        return d.rng.getrandbits(d.choice([8, 32, 64, 128])) * d.choice([1, -1])
+    if kind == 4:
+        return d.choice([False, True])
+    if kind == 5:
+        return None
+    return _text(d, 0, 4)
+
+
+def _finite(d):
+    """A finite float, or one of the finite edge floats."""
+    return d.any_float(finite=True) if d.rng.random() < 0.5 else d.choice(_EDGE_FLOATS[:9])
+
+
+def _table(d):
+    """1-60 rows over 1-4 distinct keys of 1-4 characters: all finite
+    floats, any values, or finite floats with one row of any values."""
+    keys = []
+    for _ in range(d.integers(1, 4)):
+        key = _text(d, 1, 4)
+        if key not in keys:
+            keys.append(key)
+    n = d.integers(1, 60)
+    kind = d.choice(["finite", "any", "one odd row"])
     values = _any_value if kind == "any" else _finite
-    rows = [{k: draw(values) for k in keys} for _ in range(n)]
+    rows = [{k: values(d) for k in keys} for _ in range(n)]
     if kind == "one odd row":
-        rows[draw(st.integers(min_value=0, max_value=n - 1))] = {k: draw(_any_value) for k in keys}
+        rows[d.integers(0, n - 1)] = {k: _any_value(d) for k in keys}
     return rows
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(rows=_tables())
-# finite floats whose sum overflows
-@example(rows=[{"v": 1.7976931348623157e308}, {"v": 1.7976931348623157e308}])
-# one NaN row among finite rows
-@example(rows=[{"a": 1.0, "b": 2.5}, {"a": math.nan, "b": 0.5}, {"a": 3.0, "b": 1e-300}])
-# float subclasses
-@example(rows=[{"x": np.float64(0.1), "y": 2.0}, {"x": np.float64(1e300), "y": -0.0}])
-def test_emit_table_renders_every_field_as_fmt_does(rows):
+_EMIT_TABLE_EXAMPLES = [
+    # finite floats whose sum overflows
+    [{"v": 1.7976931348623157e308}, {"v": 1.7976931348623157e308}],
+    # one NaN row among finite rows
+    [{"a": 1.0, "b": 2.5}, {"a": math.nan, "b": 0.5}, {"a": 3.0, "b": 1e-300}],
+    # float subclasses
+    [{"x": np.float64(0.1), "y": 2.0}, {"x": np.float64(1e300), "y": -0.0}],
+]
+
+
+def test_emit_table_renders_every_field_as_fmt_does(draws):
     """A table whose values are all finite floats is one "%.12g" template;
     any other table (NaN, infinities, a sum that overflows, ints, bools,
     None, strings, float subclasses) is rendered field by field.  Both give
     what ``_fmt`` gives, in csv and in json."""
-    for format in ("csv", "json"):
-        assert emit_table(rows, format) == _emit_by_field(rows, format)
+    for rows in [*_EMIT_TABLE_EXAMPLES, *draws(300, _table)]:
+        for format in ("csv", "json"):
+            assert emit_table(rows, format) == _emit_by_field(rows, format), rows
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(start=st.floats(allow_nan=False, allow_infinity=False),
-       stop=st.floats(allow_nan=False, allow_infinity=False),
-       n=st.integers(min_value=1, max_value=300))
-def test_linspace_is_numpys(start, stop, n):
-    assume(math.isfinite(stop - start))
-    with np.errstate(over="ignore"):  # i*step may round past the largest float, as in Python
-        want = np.linspace(start, stop, n).tolist()
-    assert cli._linspace(start, stop, n) == want
+def _span(d):
+    """(start, stop, n): finite floats whose difference is finite, and n in
+    1-300."""
+    start, stop = d.any_float(finite=True), d.any_float(finite=True)
+    if not math.isfinite(stop - start):
+        raise Reject
+    return start, stop, d.integers(1, 300)
+
+
+def test_linspace_is_numpys(draws):
+    for start, stop, n in draws(500, _span):
+        with np.errstate(over="ignore"):  # i*step may round past the largest float, as in Python
+            want = np.linspace(start, stop, n).tolist()
+        assert cli._linspace(start, stop, n) == want, (start, stop, n)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -577,17 +620,36 @@ def test_curve_sample_one_sample_exit_2(capsys):
 
 # --- curve-sample rows against point_at -----------------------------------------
 
-_unit_floats = st.floats(min_value=0.0, max_value=1.0)
-_sample_mixes = st.one_of(
-    st.tuples(st.sampled_from(["arith", "geo", "hom"]), _unit_floats.map(lambda t: ["--t", repr(t)])),
-    st.tuples(st.just("hom"), st.floats(min_value=0.1, max_value=8.0).map(
-        lambda k: ["--schedule", "powerlaw", "--k", repr(k)])),
-    st.tuples(st.just("hom"), st.tuples(_unit_floats, _unit_floats).map(
-        lambda bc: ["--schedule", "parabolic", "--bias", repr(bc[0]), "--center", repr(bc[1])])),
-)
-# the float range's edges included, where the reserves or the anchor stop being representable
-_curve_constants = st.one_of(st.floats(min_value=1e-3, max_value=1e3),
-                             st.sampled_from([1e-306, 1e-200, 1e200, 1e300]))
+def _sample_mix(d):
+    """(--mix, flags): a uniform t in [0, 1] on any family, or a power law
+    with k in [0.1, 8] or a parabola on the homotopy."""
+    kind = d.rng.randrange(3)
+    if kind == 0:
+        return d.choice(["arith", "geo", "hom"]), ["--t", repr(d.floats(0.0, 1.0))]
+    if kind == 1:
+        return "hom", ["--schedule", "powerlaw", "--k", repr(d.floats(0.1, 8.0))]
+    return "hom", ["--schedule", "parabolic", "--bias", repr(d.floats(0.0, 1.0)),
+                   "--center", repr(d.floats(0.0, 1.0))]
+
+
+def _curve_constant(d):
+    """A constant in [1e-3, 1e3], or one at the float range's edges, where
+    the reserves or the anchor stop being representable."""
+    if d.rng.random() < 0.5:
+        return d.floats(1e-3, 1e3)
+    return d.choice([1e-306, 1e-200, 1e200, 1e300])
+
+
+def _sample_case(d):
+    """(mix, a, b, x0, y0, n) with n in 2-40; constants CurveParams
+    refuses are rejected."""
+    mix = _sample_mix(d)
+    a, b, x0, y0 = (_curve_constant(d) for _ in range(4))
+    try:
+        CurveParams(a, b, x0, y0)
+    except AmmixError:
+        raise Reject
+    return mix, a, b, x0, y0, d.integers(2, 40)
 
 
 def _sample_outcome(argv):
@@ -602,33 +664,28 @@ def _sample_outcome(argv):
     return code, rows[0] if rows else None, err.getvalue()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mix=_sample_mixes, a=_curve_constants, b=_curve_constants, x0=_curve_constants,
-       y0=_curve_constants, n=st.integers(min_value=2, max_value=40))
-def test_curve_sample_rows_are_point_at_bit_for_bit(mix, a, b, x0, y0, n):
+def test_curve_sample_rows_are_point_at_bit_for_bit(draws):
     """Every row is point_at's state at the row's s, bit for bit, for every
     family and schedule kind; where point_at refuses an s (reserves that
     are not positive and finite, a parabola leaving [0, 1]) the command
     exits 2 with point_at's message for the first such s."""
-    name, flags = mix
-    argv = ["curve-sample", "--mix", name, *flags, "--a", repr(a), "--b", repr(b),
-            "--x0", repr(x0), "--y0", repr(y0), "--samples", str(n)]
-    try:
+    for mix, a, b, x0, y0, n in draws(200, _sample_case):
+        name, flags = mix
+        argv = ["curve-sample", "--mix", name, *flags, "--a", repr(a), "--b", repr(b),
+                "--x0", repr(x0), "--y0", repr(y0), "--samples", str(n)]
         params = CurveParams(a, b, x0, y0)
-    except AmmixError:
-        assume(False)
-    cli_mix = cli._mix_from(cli._parser().parse_args(argv))
-    code, rows, err = _sample_outcome(argv)
-    want = []
-    try:
-        for i in range(n):
-            s = cli.SAMPLE_INSET + (1.0 - 2.0 * cli.SAMPLE_INSET) * i / (n - 1)
-            state = point_at(params, cli_mix, s)
-            want.append({"s": s, "x": state.x, "y": state.y})
-    except AmmixError as exc:
-        assert (code, rows, err) == (2, None, f"error: {exc}\n")
-    else:
-        assert (code, rows) == (0, want), err
+        cli_mix = cli._mix_from(cli._parser().parse_args(argv))
+        code, rows, err = _sample_outcome(argv)
+        want = []
+        try:
+            for i in range(n):
+                s = cli.SAMPLE_INSET + (1.0 - 2.0 * cli.SAMPLE_INSET) * i / (n - 1)
+                state = point_at(params, cli_mix, s)
+                want.append({"s": s, "x": state.x, "y": state.y})
+        except AmmixError as exc:
+            assert (code, rows, err) == (2, None, f"error: {exc}\n"), argv
+        else:
+            assert (code, rows) == (0, want), (argv, err)
 
 
 def test_curve_sample_unrepresentable_reserve_exit_2(capsys):

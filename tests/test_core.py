@@ -5,6 +5,7 @@ import math
 import random
 import re
 import weakref
+from dataclasses import fields
 from functools import cached_property
 from pathlib import Path
 from types import FunctionType
@@ -23,6 +24,7 @@ from ammix import (
     spot_rate,
 )
 from ammix import Parabolic, PowerLaw, StableswapDynamic, Uniform, point_at, state_for_x, state_for_y
+from ammix import PriceVector, SimConfig, StableswapParams
 import ammix
 from ammix import _kernels as k
 from ammix.core import market
@@ -102,6 +104,36 @@ def test_mixspec_non_homotopy_needs_uniform():
 def test_mixspec_refuses_what_is_not_a_schedule(schedule):
     with pytest.raises(InvalidParameterError, match=re.escape(f"not a schedule: {schedule!r}")):
         MixSpec(Family.HOMOTOPY, schedule)
+
+
+# every public record with a float field, and valid arguments for it
+_RECORDS = {
+    CurveParams: dict(a=1.0, b=1.0, x0=1.0, y0=1.0),
+    MarketState: dict(x=1.0, y=1.0),
+    SimConfig: {},
+    Uniform: dict(t=0.5),
+    PowerLaw: dict(exponent=1.0),
+    Parabolic: dict(bias=0.5, center=0.5),
+    StableswapDynamic: dict(amplification=1.0, scale=2.0),
+    StableswapParams: dict(n=2, scale=2.0, chi=1.0),
+    PriceVector: dict(p1=1.0, p2=1.0),
+}
+_FLOAT_FIELDS = [(cls, f.name) for cls in _RECORDS for f in fields(cls)
+                 if f.init and f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_float_fields_refuse_booleans(cls, name, value):
+    # True and False are ints to Python, and in range for most of these fields
+    cls(**_RECORDS[cls])
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{name} must be a float, got {value!r}")):
+        cls(**{**_RECORDS[cls], name: value})
+
+
+def test_every_float_field_is_refused_a_boolean():
+    assert len(_FLOAT_FIELDS) == 21
 
 
 # --- eval_component ---------------------------------------------------------
@@ -534,9 +566,10 @@ def test_every_public_name_has_a_user():
     exported class, and each defaulted parameter of an exported function or
     method has a user: the library outside its own definition and
     ``__init__.py``, the acceptance or property suites, perfbench, or the
-    README.  A parameter is used when some call passes it, by keyword or by
-    position.  A name or an option only its own unit tests use is not
-    public surface."""
+    README.  A member is read only through an attribute (``.rate``), so a
+    local function or variable of the same name is not a use.  A parameter
+    is used when some call passes it, by keyword or by position.  A name or
+    an option only its own unit tests use is not public surface."""
     package = Path(ammix.__file__).parent
     paths = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
     paths += [_ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_properties.py"]
@@ -544,6 +577,8 @@ def test_every_public_name_has_a_user():
     nodes = [(node, own) for path in paths for node, own in _walk(path)]
     used = {name for node, own in nodes
             if (name := _called_name(node)) is not None and name not in own}
+    read = {node.attr for node, own in nodes
+            if isinstance(node, ast.Attribute) and node.attr not in own}
     calls = [node for node, own in nodes
              if isinstance(node, ast.Call) and _called_name(node.func) not in own]
     readme = (_ROOT / "README.md").read_text(encoding="utf-8")
@@ -570,7 +605,7 @@ def test_every_public_name_has_a_user():
         obj = getattr(ammix, name)
         if isinstance(obj, type):
             for member, v in _members(obj).items():
-                if member not in used and not in_readme(rf"\b{re.escape(member)}\b"):
+                if member not in read and not in_readme(rf"\.{re.escape(member)}\b"):
                     unused.append(f"{name}.{member}")
                 if isinstance(v, (classmethod, staticmethod, FunctionType)):
                     callables.append((f"{name}.{member}", member, getattr(obj, member),

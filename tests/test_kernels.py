@@ -1,12 +1,13 @@
 """The kernels ``ammix._kernels`` binds, and their references: the fused
 pure kernels must match the composition of their helpers bit for bit, the
-array kernel must match the scalar one, and the slope of lam and the spot
-rate must match central differences of lam and of the invariant."""
+array kernel must match the scalar one, and the slope of lam, the
+schedule's t' and t'' and the spot rate must match central differences of
+lam, of t and t' and of the invariant."""
 
 import ast
 import random
 import re
-from math import copysign, exp, expm1, ulp
+from math import exp, expm1, ulp
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from ammix.errors import (
     ScheduleRangeError,
 )
 from ammix.schedules import S_MAX, S_MIN
+from conftest import central_diff
 
 
 def _random_curves(n, seed):
@@ -406,30 +408,15 @@ def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
     assert len(cases) > 45
 
 
-def _reference_sched_eval(kind, q0, q1, q2, s, s0):
-    # sched_eval with (t, t') written out beside t'', the reference for the composed kernel
-    if kind == 0:
-        return q0, 0.0, 0.0
-    if kind == 1:
-        d = s - s0
-        if d == 0.0:
-            if q0 < 2.0:
-                raise NonDifferentiablePointError(
-                    f"power-law schedule with exponent {q0!r} is singular at s0"
-                )
-            tpp = 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
-            return 0.0, 0.0, tpp
-        u = abs(d) / q1
-        t = u**q0
-        tp = copysign(q0 / q1 * u ** (q0 - 1.0), d)
-        tpp = q0 * (q0 - 1.0) / (q1 * q1) * u ** (q0 - 2.0)
-        return t, tp, tpp
-    t = (q0 * s + q1) * s + q2
-    return t, 2.0 * q0 * s + q1, 2.0 * q0
-
-
-def test_sched_eval_matches_its_written_out_body():
-    # the same values, sign of zero included, and the same error and message
+def test_sched_eval_matches_sched_value_and_central_differences():
+    """t is ``sched_value``'s t (clamped into [0, 1] where ``sched_value``
+    clamps, named in its message where it raises), t' the central
+    difference of t and t'' that of t'.  The step stays on one side of a
+    power law's s0 (1e-4 of the distance); t is at most quadratic in s
+    elsewhere, so any step will do.  At s0 a power law below exponent 2
+    raises, t'' being singular there; above it t = t' = 0, and t'' is the
+    limit of the central differences of t', which equal it at exponent 2
+    (to rounding) and shrink with the step above 2."""
     cases = [(kind, q0, q1, q2, s, a * x0 / (a * x0 + b * y0))
              for family, kind, q0, q1, q2, s, (a, b, x0, y0, _, _) in _fusion_cases(40, 707)
              if family == 0]
@@ -437,8 +424,36 @@ def test_sched_eval_matches_its_written_out_body():
     for a, b, x0, y0, _, _ in _random_curves(8, 708):
         s0 = a * x0 / (a * x0 + b * y0)
         at_s0 += [(1, k, _powerlaw_scale(s0), 0.0, s0, s0) for k in (0.5, 1.0, 1.5, 2.0, 3.0)]
-    for args in cases + at_s0:
-        assert _outcome(pure.sched_eval, *args) == _outcome(_reference_sched_eval, *args), args
+    differenced = 0
+    for kind, q0, q1, q2, s, s0 in cases + at_s0:
+        args = (kind, q0, q1, q2, s, s0)
+        if kind == 1 and s == s0 and q0 < 2.0:
+            continue  # the singular points, below
+        t, tp, tpp = pure.sched_eval(*args)
+        try:
+            assert pure.sched_value(*args) == min(1.0, max(0.0, t)), args
+        except ScheduleRangeError as exc:
+            assert f"t={t!r} outside [0, 1]" in str(exc), args
+
+        def level(i):
+            return lambda u: pure.sched_eval(kind, q0, q1, q2, u, s0)[i]
+
+        if kind == 1 and s == s0:
+            assert (t, tp) == (0.0, 0.0) == (0.0, central_diff(level(0), s, 1e-6)), args
+            coarse, fine = (central_diff(level(1), s, h) for h in (1e-4, 1e-8))
+            if q0 == 2.0:
+                assert tpp == pytest.approx(coarse, rel=1e-9), (args, coarse)
+            else:
+                assert tpp == 0.0 and 0.0 < fine < coarse, (args, coarse, fine)
+            continue
+        h = 1e-4 * abs(s - s0) if kind == 1 else 1e-3
+        for got, below in ((tp, 0), (tpp, 1)):
+            want = central_diff(level(below), s, h)
+            # the difference's rounding error is some eps of the level below, over h
+            tol = 1e-6 * abs(got) + 1e-12 * abs(level(below)(s)) / h
+            assert abs(got - want) <= tol, (args, below, got, want)
+        differenced += 1
+    assert differenced > 1000
     # at s0 a power law below exponent 2 is singular, exponent 1.5 included,
     # where sched_first has t'
     for args in at_s0:

@@ -28,13 +28,12 @@ from ammix import schedules
 from ammix._kernels.arrays import lam_chain_array
 from ammix.cli import run_command
 from ammix.errors import (
-    AmmixError,
     ConvergenceError,
     InvalidParameterError,
     NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
-from ammix.schedules import CONVEXITY_GRID_INSET, schedule_coeffs
+from ammix.schedules import CONVEXITY_GRID_INSET, ON_CURVE_TOL, schedule_coeffs
 from conftest import central_diff
 
 # --- schedule construction ---------------------------------------------------
@@ -458,13 +457,18 @@ def test_dynamic_y_solve_matches_the_checked_bisection():
 
 def test_dynamic_y_solve_raises_its_bracket_past_the_first_top():
     """Near the x axis the curve's y lies above the first top 4*D = 8, so
-    the top doubles until it brackets the root; where y lies past 1e12*D no
-    top brackets it."""
+    the top doubles until it brackets the root, up to the largest float.
+    Here y is about 0.25/x: 1.25e13*D at x = 1e-14, 0.99 of the largest
+    float at x = 1.4e-309, and past it at x = 1e-310."""
     y = stableswap_dynamic_y(1.0, 2.0, 0.01)
     assert y == pytest.approx(26.01455, rel=1e-6) and y > 8.0
-    assert abs(stableswap_dynamic_residual(1.0, 2.0, MarketState(0.01, y))) <= 1e-9 * (16.0 * 0.01 * y + 4.0)
-    with pytest.raises(AmmixError, match=re.escape("no curve crossing found for x=1e-14")):
-        stableswap_dynamic_y(1.0, 2.0, 1e-14)
+    for x in (0.01, 1e-14, 1.4e-309):
+        y = stableswap_dynamic_y(1.0, 2.0, x)
+        residual = stableswap_dynamic_residual(1.0, 2.0, MarketState(x, y))
+        assert abs(residual) <= ON_CURVE_TOL * (16.0 * x * y + 4.0), (x, y, residual)
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("the curve's y at x=1e-310 lies above the largest float")):
+        stableswap_dynamic_y(1.0, 2.0, 1e-310)
 
 
 @pytest.mark.parametrize("args, error", [
