@@ -44,11 +44,11 @@ def second_diff(f, x, h):
 # strategy raises ``Reject`` for a case the test does not take, and that
 # case is redrawn, so ``count`` counts accepted cases only.
 
-FLOAT_MAX = sys.float_info.max
-SUBNORMALS = (5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308)
-# the edges of the whole float line, beside the ends of a range
-ANY_FLOAT_EDGES = (0.0, -0.0, *SUBNORMALS, FLOAT_MAX, -FLOAT_MAX, inf, -inf, nan)
-FINITE_FLOAT_EDGES = ANY_FLOAT_EDGES[:8]
+# the edges of the whole float line: the zeros, the least and the largest
+# subnormal, the largest float, then the infinities and nan
+_FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+                sys.float_info.max, -sys.float_info.max, inf, -inf, nan)
+_FINITE_FLOAT_EDGES = _FLOAT_EDGES[:8]
 
 # every range draws one of its edges with this probability
 EDGE_PROBABILITY = 1.0 / 8.0
@@ -83,12 +83,12 @@ class Draw:
         exponent is as likely) or, half the time, a float of moderate size."""
         rng = self.rng
         if rng.random() < EDGE_PROBABILITY:
-            return rng.choice(FINITE_FLOAT_EDGES if finite else ANY_FLOAT_EDGES)
+            return rng.choice(_FINITE_FLOAT_EDGES if finite else _FLOAT_EDGES)
         if rng.random() < 0.5:
             return rng.uniform(-1e3, 1e3)
         while True:
             value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
-            if not finite or abs(value) <= FLOAT_MAX:
+            if not finite or abs(value) <= sys.float_info.max:
                 return value
 
     def integers(self, lo, hi):

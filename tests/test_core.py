@@ -132,10 +132,6 @@ def test_float_fields_refuse_booleans(cls, name, value):
         cls(**{**_RECORDS[cls], name: value})
 
 
-def test_every_float_field_is_refused_a_boolean():
-    assert len(_FLOAT_FIELDS) == 21
-
-
 # --- eval_component ---------------------------------------------------------
 
 def test_component_initial_point(unit_params, unit_state):
