@@ -2,6 +2,7 @@ import random
 import struct
 import sys
 from math import exp, inf, log, nan
+from statistics import correlation
 
 import pytest
 
@@ -33,6 +34,27 @@ def central_diff(f, x, h):
 
 def second_diff(f, x, h):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+def _ranks(values):
+    """The ranks 1..n of values, tied values sharing their average rank."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in order[i:j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman(xs, ys):
+    """Spearman's rank correlation: Pearson's correlation of the ranks,
+    tied values taking their average rank."""
+    return correlation(_ranks(xs), _ranks(ys))
 
 
 # --- seeded draws for the randomized tests -----------------------------------------

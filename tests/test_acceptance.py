@@ -10,7 +10,6 @@ import random
 import time
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from ammix import (
     Currency,
@@ -49,6 +48,7 @@ from ammix.cli import run_command
 from ammix.errors import NonDifferentiablePointError
 from ammix.schedules import curve_derivatives
 from ammix.stableswap import solve_reserve
+from conftest import spearman
 
 UNIT = CurveParams(1.0, 1.0, 1.0, 1.0)
 POOL = CurveParams(1.0, 2.0, 3000.0, 1000.0)
@@ -367,8 +367,8 @@ def test_criterion_09_simulation_trend():
     summaries = batch_summary(config, stabilities)
     mses = [s.mse_internal_external for s in summaries]
     earlies = [s.early_window_slippage for s in summaries]
-    rho_mse = float(spearmanr(stabilities, mses).statistic)
-    rho_slip = float(spearmanr(stabilities, earlies).statistic)
+    rho_mse = spearman(stabilities, mses)
+    rho_slip = spearman(stabilities, earlies)
     elapsed = time.perf_counter() - t0
     ok = rho_mse >= 0.8 and rho_slip <= -0.5
     _report(9, "stability sweep trends", ok, elapsed,

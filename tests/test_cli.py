@@ -228,6 +228,14 @@ def test_quote_below_solver_resolution_exit_2(capsys, argv):
     assert "not positive and finite" in err
 
 
+@pytest.mark.parametrize("amount", ["0", "-0.5", "inf", "nan"])
+def test_quote_amount_not_positive_and_finite_exit_2(capsys, amount):
+    code, out, err = run(capsys, "quote", "--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1",
+                         "--sell", "cur1", f"--amount={amount}")
+    assert (code, out) == (2, "")
+    assert err == f"error: trade amount must be positive and finite, got {float(amount)!r}\n"
+
+
 @pytest.mark.parametrize("sell", ["cur1", "cur2"])
 def test_quote_tiny_arithmetic_trade_exit_0(capsys, sell):
     code, out, err = run(capsys, "--format", "json", "quote", "--mix", "arith", "--t", "0.5",

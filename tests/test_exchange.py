@@ -1,4 +1,5 @@
 import random
+from math import inf, nan, nextafter
 
 import pytest
 
@@ -14,9 +15,11 @@ from ammix import (
     max_extractable,
     point_at,
     quote,
+    spot_rate,
     swap,
 )
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError
+from ammix.schedules import S_MIN
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
 
@@ -47,6 +50,30 @@ def test_quote_homotopy_between_endpoints(unit_params, unit_state):
 def test_quote_rejects_zero_amount(unit_params, unit_state):
     with pytest.raises(InvalidParameterError):
         quote(unit_params, MixSpec.homotopy(0.5), unit_state, Currency.CUR1, 0.0)
+
+
+@pytest.mark.parametrize("amount", [0.0, -0.5, inf, nan])
+def test_trade_amount_guard_names_the_amount(unit_params, unit_state, amount):
+    # refused before any solve: a negative amount would first solve a
+    # backwards trade, and the others would fail later with other messages
+    for trade in (quote, swap):
+        for currency in Currency:
+            with pytest.raises(InvalidParameterError,
+                               match=rf"^trade amount must be positive and finite, got {amount!r}$"):
+                trade(unit_params, MixSpec.homotopy(0.5), unit_state, currency, amount)
+
+
+def test_sell_cur2_spot_is_the_reciprocal_rate(pool_params):
+    # off the anchor the rate is neither 1 nor a/b; selling currency 2 prices
+    # currency 2 in units of currency 1, at 1/rate
+    for mix in (MixSpec.arithmetic(0.4), MixSpec.geometric(0.7), MixSpec.scheduled(PowerLaw(2.0))):
+        state = point_at(pool_params, mix, 0.1)
+        rate = spot_rate(pool_params, mix, state)
+        assert abs(rate - 1.0) > 0.1 and abs(rate - pool_params.a / pool_params.b) > 0.1
+        q = quote(pool_params, mix, state, Currency.CUR2, 10.0)
+        assert q.spot_before == 1.0 / rate
+        assert q.effective_price == q.output_amount / 10.0
+        assert q.slippage == abs(q.spot_before - q.effective_price) / q.spot_before
 
 
 def test_trade_from_off_curve_state_rejected(unit_params):
@@ -155,8 +182,11 @@ def test_insufficient_liquidity_carries_max(unit_params, unit_state):
 
 def test_reported_max_amount_is_tradable():
     # the reported maximum is the solver's own reach, so quoting exactly
-    # max_amount is solved on every finite-intercept curve, in either direction
+    # max_amount is solved on every finite-intercept curve, in either
+    # direction: its sum with the reserve held does not pass the reach, and
+    # the next float up is refused wherever its sum does
     rng = random.Random(18)
+    refused = 0
     for _ in range(1000):
         params = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
                              rng.uniform(0.5, 4000.0), rng.uniform(0.5, 4000.0))
@@ -167,8 +197,20 @@ def test_reported_max_amount_is_tradable():
         sell = rng.choice([Currency.CUR1, Currency.CUR2])
         with pytest.raises(InsufficientLiquidityError) as err:
             quote(params, mix, state, sell, 1e12)
-        q = quote(params, mix, state, sell, err.value.max_amount)
-        assert q.input_amount == err.value.max_amount > 0.0
+        max_amount = err.value.max_amount
+        q = quote(params, mix, state, sell, max_amount)
+        assert q.input_amount == max_amount > 0.0
+        held = state.x if sell is Currency.CUR1 else state.y
+        reach = err.value.__cause__.max_reachable
+        above = nextafter(max_amount, inf)
+        assert held + max_amount <= reach
+        if held + above > reach:
+            with pytest.raises(InsufficientLiquidityError):
+                quote(params, mix, state, sell, above)
+            refused += 1
+        else:  # the next float up lands on the reach too, and so does max_amount
+            assert held + max_amount == reach
+    assert refused > 400
 
 
 def test_max_extractable_csmm(unit_params, unit_state):
@@ -218,3 +260,16 @@ def test_max_extractable_cur1_side(unit_params, unit_state):
     bound = max_extractable(unit_params, MixSpec.arithmetic(0.0), unit_state, Currency.CUR1)
     assert bound.attainable
     assert bound.amount == pytest.approx(1.0, abs=1e-9)
+
+
+def test_max_extractable_cur1_stops_at_the_curves_end():
+    # a = 1e-9 puts the arithmetic curve's end at S_MIN a thousandth of the
+    # anchor's x: the reserve there stays in the pool
+    params = CurveParams(1e-9, 1.0, 1.0, 1.0)
+    mix = MixSpec.arithmetic(0.5)
+    state = params.initial_state
+    end = point_at(params, mix, S_MIN)
+    assert end.x > 1e-3 * state.x
+    bound = max_extractable(params, mix, state, Currency.CUR1)
+    assert bound.attainable
+    assert bound.amount == state.x - end.x

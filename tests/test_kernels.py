@@ -28,6 +28,7 @@ from ammix.errors import (
 )
 from ammix.schedules import S_MAX, S_MIN
 from conftest import central_diff
+import oracle
 
 
 def _random_curves(n, seed):
@@ -319,6 +320,40 @@ def test_lam_arith_solves_where_c_times_p_is_a_positive_float():
         curve = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
         s, t = rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0)
         _assert_solves_arith(_lam_arith(s, t, *_constants(*curve)), s, t, *curve)
+
+
+# worst ULPs per unit of (1 + kappa) over the bulk of s and within 1e-6 of its ends
+_LAM_ARITH_ULPS = {"bulk": 3.0, "ends": 4.0}
+
+
+def _lam_arith_case(d):
+    """(region, curve, s, t): s in [1e-6, 1 - 1e-6], or in [S_MIN, 1e-6] or
+    its mirror, and t in [0, 1], both ends included."""
+    region = d.choice(("bulk", "low", "high"))
+    if region == "bulk":
+        s = d.floats(1e-6, 1.0 - 1e-6)
+    else:
+        u = d.floats(S_MIN, 1e-6)
+        s, region = (u, "ends") if region == "low" else (1.0 - u, "ends")
+    return region, d.curve(), s, d.floats(0.0, 1.0)
+
+
+def test_lam_arith_within_ulp_budget_of_decimal_oracle(draws):
+    """The arithmetic lam_at against the 60-digit oracle.  exp turns
+    g's rounding into |g| ULPs of P, and lam takes the share
+    kappa = |g|*t*lam/P of that, up to 28 at the ends: the budget is a
+    fixed number of ULPs per unit of (1 + kappa), by region."""
+    worst = {}
+    for region, p, s, t in draws(1000, _lam_arith_case):
+        got = pure.lam_at(0, 0, t, 0.0, 0.0, s, *p._curve)
+        exact = oracle.lam_arith(s, t, p.alpha, p.beta, p.c, p.s0)
+        g = pure.ray_log_ratio(s, *p._curve)[0]
+        kappa = abs(g) * t * got / (p.c * exp(g))
+        err = oracle.ulps(got, exact) / (1.0 + kappa)
+        assert err <= _LAM_ARITH_ULPS[region], (p, s, t, err)
+        worst[region] = max(worst.get(region, 0.0), err)
+    print(f"worst ULPs per (1 + kappa): {worst}")
+    assert sorted(worst) == ["bulk", "ends"]
 
 
 def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):

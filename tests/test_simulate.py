@@ -21,6 +21,7 @@ from ammix.core import spot_rate as internal_rate
 from ammix.errors import InvalidParameterError
 from ammix.schedules import S_MAX, S_MIN
 from ammix.simulate import SimTrace, _external_rng, _run_rng, _run_with, curve_for
+from conftest import spearman
 
 
 def test_config_defaults_match_reference_setup():
@@ -257,14 +258,13 @@ def test_batch_single_run_equals_run_sim():
 
 def test_trend_mse_increases_early_slippage_decreases():
     # small but meaningful sweep; the acceptance suite runs the full one
-    from scipy.stats import spearmanr
     cfg = SimConfig(seed=20240801, runs=5, steps=300)
     stabilities = [0.1, 0.3, 0.5, 0.7, 0.9]
     summaries = batch_summary(cfg, stabilities)
     mses = [s.mse_internal_external for s in summaries]
     earls = [s.early_window_slippage for s in summaries]
-    assert spearmanr(stabilities, mses).statistic >= 0.8
-    assert spearmanr(stabilities, earls).statistic <= -0.5
+    assert spearman(stabilities, mses) >= 0.8
+    assert spearman(stabilities, earls) <= -0.5
 
 
 def test_run_sim_resolves_its_curve_once(monkeypatch):
