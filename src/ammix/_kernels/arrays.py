@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
+def lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """(lam, lam', lam'', singular) for the homotopy family over an array s."""
     singular = np.zeros(s.shape, dtype=bool)
     # sched_eval
@@ -38,15 +38,15 @@ def lam_chain_array(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
         tp = 2.0 * q0 * s + q1
         tpp = 2.0 * q0
     # ray_log_ratio
-    g = (alpha * np.log(s0 / s) + beta * np.log((1.0 - s0) / (1.0 - s))) / deg
-    gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
+    g = alpha * np.log(s0 / s) + beta * np.log((1.0 - s0) / (1.0 - s))
+    gp = (beta * s - alpha * (1.0 - s)) / (s * (1.0 - s))
     # lam_chain
     p = c * np.exp(g)
     pmc = c * np.expm1(g)
     pp = p * gp
     u = 1.0 - s
     num = 2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2 + 2.0 * beta * beta * s * s
-    ppp = num / (s * s * u * u * deg * deg) * p
+    ppp = num / (s * s * u * u) * p
     lam = pmc * t + c
     lamp = pmc * tp + pp * t
     lampp = pmc * tpp + 2.0 * pp * tp + ppp * t

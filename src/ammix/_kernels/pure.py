@@ -24,18 +24,21 @@ Conventions:
 * schedule kinds: 0 = uniform (q0 = t), 1 = power law (q0 = exponent,
   q1 = M = max(s0, 1 - s0)), 2 = parabolic (q0, q1, q2 = quadratic
   coefficients, highest first)
-* curve constants are passed as (a, b, x0, y0, alpha, beta, c, s0, deg),
-  as ``curve_constants`` builds them once per curve: the sum
-  C = a*x0 + b*y0, s0 = a*x0/C and deg = alpha + beta.  No kernel derives
-  them again.
+* curve constants are passed as (a, b, x0, y0, alpha, beta, c, s0), as
+  ``curve_constants`` builds them once per curve: the sum C = a*x0 + b*y0
+  and s0 = a*x0/C.  No kernel derives them again.
+* the weights are calibrated, alpha + beta = 1 (``core.calibrate_weights``),
+  so the CPMM component is 1-homogeneous and every formula here is written
+  for that case.
 * the CPMM ray scaling is computed as P(s) = C * exp(g(s)) with
-  g(s) = [alpha*log(s0/s) + beta*log((1-s0)/(1-s))] / deg, which makes
-  P(s0) == C exact and keeps P - C = C*expm1(g) accurate near s0.
+  g(s) = alpha*log(s0/s) + beta*log((1-s0)/(1-s)), which makes P(s0) == C
+  exact and keeps P - C = C*expm1(g) accurate near s0.
 """
 
 from __future__ import annotations
 
 from math import copysign, exp, expm1, inf, log
+from sys import float_info
 
 from ammix.errors import (
     ConvergenceError,
@@ -45,69 +48,42 @@ from ammix.errors import (
     ScheduleRangeError,
 )
 
-_REL_TOL = 1e-12
 _MAX_ITER = 200
+# the least normal float, 2.2250738585072014e-308
+_MIN_NORMAL = float_info.min
 
 
 def curve_constants(a, b, x0, y0, alpha, beta):
-    """The nine constants every kernel takes: (a, b, x0, y0, alpha, beta)
-    followed by C = a*x0 + b*y0, s0 = a*x0/C and deg = alpha + beta."""
+    """The eight constants every kernel takes: (a, b, x0, y0, alpha, beta)
+    followed by C = a*x0 + b*y0 and s0 = a*x0/C."""
     c = a * x0 + b * y0
-    return a, b, x0, y0, alpha, beta, c, a * x0 / c, alpha + beta
+    return a, b, x0, y0, alpha, beta, c, a * x0 / c
 
 
-def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg):
+def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0):
     """g(s) and g'(s) for the CPMM scaling along the ray at parameter s."""
-    g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
-    gp = (beta * s - alpha * (1.0 - s)) / (deg * s * (1.0 - s))
+    g = alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))
+    gp = (beta * s - alpha * (1.0 - s)) / (s * (1.0 - s))
     return g, gp
 
 
-def lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg):
-    """Scaling putting the ray point on the arithmetic mix, by bracketed Newton.
+def lam_arith(t, g, c):
+    """Scaling putting the ray point on the arithmetic mix with weight t.
 
-    Solves lam*(1-t)/C + t*(lam/P)**deg = 1; the left side is strictly
-    increasing in lam, so the root is unique and bracketed by
-    (0, C/(1-t)] for t < 1.  P = C*exp(g), with g = g(s) from
-    ``ray_log_ratio`` taken by the caller.
-    An iterate with a zero residual is the root and is returned as it is;
-    for calibrated weights (deg == 1) that is usually the seed.  Raises
-    ConvergenceError when ``_MAX_ITER`` steps do not converge.
+    The root C*P/((1-t)*P + t*C) of lam*(1-t)/C + t*lam/P = 1, with
+    P = C*exp(g) and g = g(s) from ``ray_log_ratio`` taken by the caller.
+    Where C*P is not a normal float (it underflows, or passes 1.8e308) the
+    same form is taken as C/((1-t) + t*C/P), which keeps every digit there.
     """
     if t <= 0.0:
         return c
     p = c * exp(g)
     if t >= 1.0:
         return p
-    lo = 0.0
-    hi = c / (1.0 - t)
-    # deg == 1 closed form; exact for calibrated weights, a good seed otherwise.
-    # Where C*P overflows (past 1.8e308) or underflows to 0, the same form is
-    # taken with C/P instead
     cp = c * p
-    if 0.0 < cp < inf:
-        lam = cp / ((1.0 - t) * p + t * c)
-    else:
-        lam = c / ((1.0 - t) + t * (c / p))
-    for _ in range(_MAX_ITER):
-        rd = (lam / p) ** deg
-        f = lam * (1.0 - t) / c + t * rd - 1.0
-        if f == 0.0:
-            return lam
-        if f > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        fp = (1.0 - t) / c + t * deg * rd / lam
-        nxt = lam - f / fp
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= _REL_TOL * nxt:
-            return nxt
-        lam = nxt
-    raise ConvergenceError(
-        f"arithmetic scaling did not converge in {_MAX_ITER} steps at s={s!r}, t={t!r}"
-    )
+    if _MIN_NORMAL <= cp < inf:
+        return cp / ((1.0 - t) * p + t * c)
+    return c / ((1.0 - t) + t * (c / p))
 
 
 def sched_value(kind, q0, q1, q2, s, s0):
@@ -163,31 +139,31 @@ def sched_eval(kind, q0, q1, q2, s, s0):
     return t, tp, q0 * (q0 - 1.0) / (q1 * q1) * (abs(d) / q1) ** (q0 - 2.0)
 
 
-def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
+def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """(lam, lam', lam'') for the homotopy family under a schedule t(s).
 
     lam   = (P - C) t + C
     lam'  = (P - C) t' + P' t
     lam'' = (P - C) t'' + 2 P' t' + P'' t
-    with P' = -[alpha(1-s) - beta*s] / [s(1-s)(alpha+beta)] * P and
+    with P' = -[alpha(1-s) - beta*s] / [s(1-s)] * P and
     P'' = [2 alpha^2 (1-s)^2 + alpha beta (1-2s)^2 + 2 beta^2 s^2]
-          / [s^2 (1-s)^2 (alpha+beta)^2] * P.
+          / [s^2 (1-s)^2] * P.
     """
     t, tp, tpp = sched_eval(kind, q0, q1, q2, s, s0)
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg)
+    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)
     p = c * exp(g)
     pmc = c * expm1(g)
     pp = p * gp
     u = 1.0 - s
     num = 2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2 + 2.0 * beta * beta * s * s
-    ppp = num / (s * s * u * u * deg * deg) * p
+    ppp = num / (s * s * u * u) * p
     lam = pmc * t + c
     lamp = pmc * tp + pp * t
     lampp = pmc * tpp + 2.0 * pp * tp + ppp * t
     return lam, lamp, lampp
 
 
-def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
+def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """Scaling lam(s) for any (family, schedule) pair.
 
     Uniform weights (kind 0) take t = q0 for any family, and are C itself
@@ -212,16 +188,16 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
             t = 0.0
         elif t > 1.0:
             t = 1.0
-    g = (alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))) / deg
+    g = alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))
     if kind == 0 and family == 0:
-        return lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg)
+        return lam_arith(t, g, c)
     if kind == 0 and family == 1:
-        return c * exp(g * deg * t / ((1.0 - t) + deg * t))
+        return c * exp(g * t)
     # homotopy: lam = C*(1-t) + P*t
     return c + c * expm1(g) * t
 
 
-def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg):
+def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """(lam, dlam/ds) for any (family, schedule) pair.
 
     (g, g') come from ``ray_log_ratio``.  Uniform weights (kind 0) take
@@ -229,7 +205,7 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, 
     ``sched_first``, t clamped into [0, 1] as ``lam_at`` clamps it and t'
     = 0 where the clamp moved t, and the homotopy formula.
     """
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, deg)
+    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)
     p = c * exp(g)
     if kind != 0:
         t, tp = sched_first(kind, q0, q1, q2, s, s0)
@@ -243,15 +219,14 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, 
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
     if family == 0:
-        lam = lam_arith(s, t, g, a, b, x0, y0, alpha, beta, c, s0, deg)
+        lam = lam_arith(t, g, c)
         if t <= 0.0:
             return lam, 0.0
-        rd = t * deg * (lam / p) ** deg
+        rd = t * lam / p
         return lam, rd * gp / ((1.0 - t) / c + rd / lam)
     if family == 1:
-        d = (1.0 - t) + deg * t
-        lam = c * exp(g * deg * t / d)
-        return lam, lam * deg * t * gp / d
+        lam = c * exp(g * t)
+        return lam, lam * t * gp
     return c + c * expm1(g) * t, p * gp * t
 
 
@@ -264,31 +239,31 @@ def _float_range_error(x, y, exc):
     )
 
 
-def components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
+def components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0):
     """Normalized component values (A0, A1) at (x, y); both 1 at (x0, y0)."""
     a0 = (a * x + b * y) / c
     a1 = (x / x0) ** alpha * (y / y0) ** beta
     return a0, a1
 
 
-def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
+def value_xy(family, t, x, y, a, b, x0, y0, alpha, beta, c, s0):
     """Value of the mixed invariant at (x, y) for blend weight t; 1 on the curve.
 
     t is passed resolved, since the dynamic Stableswap blend depends on
     the state and has no schedule code.
     """
     try:
-        a0, a1 = components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
+        a0, a1 = components_xy(x, y, a, b, x0, y0, alpha, beta, c, s0)
         if family == 0:
             return a0 * (1.0 - t) + a1 * t
         if family == 1:
             return a0 ** (1.0 - t) * a1**t
-        return (1.0 - t) / a0 + a1 ** (-1.0 / deg) * t
+        return (1.0 - t) / a0 + a1 ** -1.0 * t
     except ArithmeticError as exc:
         raise _float_range_error(x, y, exc) from exc
 
 
-def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
+def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     """Outward-oriented gradient (gx, gy) of the mixed invariant at (x, y).
 
     The homotopy invariant as tabulated decreases as reserves grow, so its
@@ -318,10 +293,10 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
                 g * ((1.0 - t) * b / n + t * beta / y),
             )
         # homotopy: differentiate the raw (decreasing) form, then flip via 1/A
-        w = a1 ** (-1.0 / deg)
+        w = a1 ** -1.0
         raw = (1.0 - t) * c / n + t * w
-        raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / (deg * x)
-        raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / (deg * y)
+        raw_x = -(1.0 - t) * c * a / (n * n) - t * w * alpha / x
+        raw_y = -(1.0 - t) * c * b / (n * n) - t * w * beta / y
         if tp != 0.0:
             s_x = a * b * y / (n * n)
             s_y = -a * b * x / (n * n)
@@ -334,7 +309,7 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
         raise _float_range_error(x, y, exc) from exc
 
 
-def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg):
+def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     """Internal exchange rate gx/gy of currency 1 in units of currency 2 at (x, y).
 
     The ratio of ``grad_xy``'s partials, with its errors.  Power-law
@@ -345,7 +320,7 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
     gy == 0.
     """
     try:
-        gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
+        gx, gy = grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0)
     except NonDifferentiablePointError:
         return a / b
     if gy == 0.0:
@@ -353,7 +328,7 @@ def rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, de
     return gx / gy
 
 
-def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, c, s0, deg,
+def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta, c, s0,
                   s_lo, s_hi):
     """Invert x(s) = (s/a) lam(s) by bisection, then one Newton polish.
 
@@ -365,8 +340,7 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
     hi = s_hi
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        xm = mid / a * lam_at(family, kind, q0, q1, q2, mid, a, b, x0, y0, alpha, beta, c, s0,
-                              deg)
+        xm = mid / a * lam_at(family, kind, q0, q1, q2, mid, a, b, x0, y0, alpha, beta, c, s0)
         if xm < x_target:
             lo = mid
         else:
@@ -380,8 +354,7 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
         )
     s = 0.5 * (lo + hi)
     try:
-        lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0,
-                                 deg)
+        lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
     except NonDifferentiablePointError:
         return s
     xp = (lam + s * lamp) / a

@@ -161,17 +161,17 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
             "the schedule fails the convexity certificate; arbitrage states are undefined"
         )
     family, kind, q0, q1, q2 = m.codes
-    a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
+    a, b, x0, y0, alpha, beta, c, s0 = m.curve
     lam_at, rate_xy = k.lam_at, k.rate_xy
     max_evals = _MAX_RATE_EVALS
 
     def rate(s: float) -> float:
-        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
         x = lam * s / a
         y = lam * (1.0 - s) / b
         if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
             _check_reserves(x, y)  # raises MarketState's error
-        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0, deg)
+        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0)
         if not 0.0 < value < inf:  # False for NaN
             raise InvalidCurveError(f"spot rate {value!r} at s={s!r} is not positive and finite")
         return value

@@ -221,12 +221,12 @@ def _cmd_curve_sample(ns: argparse.Namespace) -> tuple[str, int]:
     # every s lies in [SAMPLE_INSET, 1 - SAMPLE_INSET], inside [S_MIN, S_MAX]
     m = market(params, mix)
     family, kind, q0, q1, q2 = m.codes
-    a, b, x0, y0, alpha, beta, c, s0, deg = m.curve
+    a, b, x0, y0, alpha, beta, c, s0 = m.curve
     lam_at = k.lam_at
     rows = []
     for i in range(n):
         s = SAMPLE_INSET + (1.0 - 2.0 * SAMPLE_INSET) * i / (n - 1)
-        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0, deg)
+        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
         x, y = lam * s / a, lam * (1.0 - s) / b
         if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
             _check_reserves(x, y)

@@ -60,7 +60,7 @@ class CurveParams:
 
     The derived fields are cached at construction: calibrated exponents
     (alpha, beta), the weighted total c = a*x0 + b*y0, and the initial ray
-    coordinate s0 = a*x0/c.  ``_curve`` holds the nine constants the
+    coordinate s0 = a*x0/c.  ``_curve`` holds the eight constants the
     kernels take, from ``_kernels.curve_constants``, and ``_markets`` the
     ``Market`` of each mix this instance was resolved with.
     """
@@ -92,11 +92,6 @@ class CurveParams:
         object.__setattr__(self, "_curve", curve)
         # this instance's markets by mix, filled by ``market``
         object.__setattr__(self, "_markets", {})
-
-    @property
-    def deg(self) -> float:
-        """Degree of the CPMM component, alpha + beta (1 when calibrated)."""
-        return self._curve[8]
 
     @property
     def initial_state(self) -> "MarketState":
@@ -192,14 +187,14 @@ class Market:
     markets are freed together.
 
     ``codes`` = (family, kind, q0, q1, q2) and ``curve`` = (a, b, x0, y0,
-    alpha, beta, C, s0, deg) are in the order the kernels take them, so the
+    alpha, beta, C, s0) are in the order the kernels take them, so the
     scaling at ray coordinate s is ``k.lam_at(*m.codes, s, *m.curve)``; a
     power law's q1 is its scale M = max(s0, 1 - s0).
     """
 
     mix: MixSpec
     codes: tuple[int, int, float, float, float]
-    curve: tuple[float, float, float, float, float, float, float, float, float]
+    curve: tuple[float, float, float, float, float, float, float, float]
 
     @cached_property
     def mirrored(self) -> "Market":
@@ -225,7 +220,7 @@ def market(params: CurveParams, mix: MixSpec) -> Market:
     its curve objects pays one dict probe and no field-by-field compare.
     Equal but distinct curve objects each build their own.
 
-    Its ``curve`` is the nine constants of ``params._curve``.  The dynamic
+    Its ``curve`` is the eight constants of ``params._curve``.  The dynamic
     Stableswap blend depends on the state, not on s alone:
     ``schedule_coeffs`` raises UnsupportedScheduleError for it here, on
     every s-kernel path.  Only ``eval_mixed`` evaluates it.

@@ -39,18 +39,17 @@ class ScalingPair:
 def scaling_factors(params: CurveParams, v: MarketState) -> ScalingPair:
     """Scalings (lambda0, lambda1) such that lambda_i * v lies on A_i = 1."""
     lam0 = params.c / (params.a * v.x + params.b * v.y)
-    deg = params.deg
-    lam1 = (params.x0 / v.x) ** (params.alpha / deg) * (params.y0 / v.y) ** (params.beta / deg)
+    lam1 = (params.x0 / v.x) ** params.alpha * (params.y0 / v.y) ** params.beta
     return ScalingPair(lambda0=lam0, lambda1=lam1)
 
 
 def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float:
     """Scaling placing the base point on the family's curve for blend t.
 
-    Homotopy and geometric scalings are closed forms; the arithmetic one is
-    the unique positive root of
-    lam*(1-t)/C + lam**deg * (s/(a*x0))**alpha * ((1-s)/(b*y0))**beta * t = 1,
-    found by bracketed Newton iteration to relative 1e-12.
+    Every family's scaling is a closed form; the arithmetic one is the root
+    of lam*(1-t)/C + lam * (s/(a*x0))**alpha * ((1-s)/(b*y0))**beta * t = 1,
+    which is linear in lam since the weights are calibrated
+    (alpha + beta = 1).
     """
     _check_s(s)
     if not (isfinite(t) and 0.0 <= t <= 1.0):

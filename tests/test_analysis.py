@@ -285,13 +285,10 @@ def test_arbitrage_states_match_one_price_at_a_time(draws):
     that earlier rows evaluated, and the replayed bisection returns the
     same s from any bracket wherever the rate is monotone.  Next to the
     root the computed rate is not monotone at rounding level, so two
-    brackets can end the replay a final width (8.9e-16) or more apart: for
-    an arithmetic blend, whose ``lam_arith`` stops at a relative 1e-12
-    (``_REL_TOL``), and, rarely, for the other families too (about 1 row
-    in 7,000 of random batches, one width apart).  The bound is the one
-    ``test_arbitrage_solve_matches_bisection`` holds a single solve to;
-    random arithmetic draws can break it for a single solve too (three
-    widths from bisection), and then the batch differs by as much.
+    brackets can end the replay a final width (8.9e-16) apart, rarely
+    (11 of 46,216 rows of 3,000 random batches, one width each, in every
+    family but the homotopy).  The bound is the one
+    ``test_arbitrage_solve_matches_bisection`` holds a single solve to.
     """
     for params, mix, qs in draws(200, _batch_of_qs):
         r_min, r_max = _end_rates(params, mix)

@@ -178,20 +178,19 @@ def test_mixed_endpoint_reduction(unit_params):
         assert eval_mixed(unit_params, MixSpec.arithmetic(1.0), state) == pytest.approx(a1, abs=1e-12)
         assert eval_mixed(unit_params, MixSpec.geometric(0.0), state) == pytest.approx(a0, abs=1e-12)
         assert eval_mixed(unit_params, MixSpec.geometric(1.0), state) == pytest.approx(a1, abs=1e-12)
-        deg = unit_params.deg
         assert eval_mixed(unit_params, MixSpec.homotopy(0.0), state) == pytest.approx(1 / a0, abs=1e-12)
-        assert eval_mixed(unit_params, MixSpec.homotopy(1.0), state) == pytest.approx(a1 ** (-1 / deg), abs=1e-12)
+        assert eval_mixed(unit_params, MixSpec.homotopy(1.0), state) == pytest.approx(1 / a1, abs=1e-12)
 
 
 def test_geometric_homogeneity(unit_params, pool_params):
-    # exact identity A_geo(k x, k y) = k**((1-t) + deg*t) * A_geo(x, y);
-    # with calibrated exponents deg = 1, so every mixing is 1-homogeneous
+    # exact identity A_geo(k x, k y) = k**((1-t) + (alpha+beta)*t) * A_geo(x, y);
+    # with calibrated exponents alpha + beta = 1, so every mixing is 1-homogeneous
     for params in (unit_params, pool_params):
         for t in (0.0, 0.3, 0.5, 0.8, 1.0):
             mix = MixSpec.geometric(t)
             state = MarketState(1.7 * params.x0, 0.4 * params.y0)
             base = eval_mixed(params, mix, state)
-            expo = (1 - t) + params.deg * t
+            expo = (1 - t) + (params.alpha + params.beta) * t
             for k in (0.5, 2.0, 7.0):
                 scaled = eval_mixed(params, mix, MarketState(k * state.x, k * state.y))
                 assert scaled == pytest.approx(k**expo * base, rel=1e-10)
@@ -416,7 +415,7 @@ def test_market_is_resolved_once_per_curve(pool_params):
     m = market(pool_params, mix)
     assert market(pool_params, MixSpec.scheduled(Parabolic(0.2, 0.5))) is m
     alpha, beta = pool_params.alpha, pool_params.beta
-    assert m.curve == (1.0, 2.0, 3000.0, 1000.0, alpha, beta, 5000.0, alpha, alpha + beta)
+    assert m.curve == (1.0, 2.0, 3000.0, 1000.0, alpha, beta, 5000.0, alpha)
     assert m.mirrored is m.mirrored
     assert m.mirrored.curve == CurveParams(2.0, 1.0, 1000.0, 3000.0)._curve
     assert m.mirrored.mix == MixSpec.scheduled(Parabolic(bias=0.8, center=0.5))
@@ -440,7 +439,7 @@ def test_a_curve_and_its_markets_are_freed_by_refcounting():
 
 
 def test_curve_constants_are_the_kernels_derivation():
-    """CurveParams derives its nine kernel constants with curve_constants,
+    """CurveParams derives its eight kernel constants with curve_constants,
     and its c and s0 are the same floats: on random curves and on the
     mirrored market of each."""
     rng = random.Random(1616)
@@ -452,7 +451,7 @@ def test_curve_constants_are_the_kernels_derivation():
         for p in (params, CurveParams(*mirrored[:4])):
             want = k.curve_constants(p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
             assert p._curve == want, p
-            assert (p.c, p.s0, p.deg) == want[6:], p
+            assert (p.c, p.s0) == want[6:], p
         assert mirrored == want  # the mirrored curve's own constants
 
 

@@ -48,19 +48,15 @@ def test_quote_homotopy_between_endpoints(unit_params, unit_state):
 
 
 def test_quote_rejects_zero_amount(unit_params, unit_state):
-    with pytest.raises(InvalidParameterError):
-        quote(unit_params, MixSpec.homotopy(0.5), unit_state, Currency.CUR1, 0.0)
-
-
-@pytest.mark.parametrize("amount", [0.0, -0.5, inf, nan])
-def test_trade_amount_guard_names_the_amount(unit_params, unit_state, amount):
-    # refused before any solve: a negative amount would first solve a
-    # backwards trade, and the others would fail later with other messages
-    for trade in (quote, swap):
-        for currency in Currency:
-            with pytest.raises(InvalidParameterError,
-                               match=rf"^trade amount must be positive and finite, got {amount!r}$"):
-                trade(unit_params, MixSpec.homotopy(0.5), unit_state, currency, amount)
+    # and any amount that is not positive and finite, before any solve: a
+    # negative amount would first solve a backwards trade, and the others
+    # would fail later with other messages
+    for amount in (0.0, -0.5, inf, nan):
+        for trade in (quote, swap):
+            for currency in Currency:
+                with pytest.raises(InvalidParameterError, match=(
+                        rf"^trade amount must be positive and finite, got {amount!r}$")):
+                    trade(unit_params, MixSpec.homotopy(0.5), unit_state, currency, amount)
 
 
 def test_sell_cur2_spot_is_the_reciprocal_rate(pool_params):
@@ -260,16 +256,12 @@ def test_max_extractable_cur1_side(unit_params, unit_state):
     bound = max_extractable(unit_params, MixSpec.arithmetic(0.0), unit_state, Currency.CUR1)
     assert bound.attainable
     assert bound.amount == pytest.approx(1.0, abs=1e-9)
-
-
-def test_max_extractable_cur1_stops_at_the_curves_end():
     # a = 1e-9 puts the arithmetic curve's end at S_MIN a thousandth of the
     # anchor's x: the reserve there stays in the pool
     params = CurveParams(1e-9, 1.0, 1.0, 1.0)
     mix = MixSpec.arithmetic(0.5)
-    state = params.initial_state
     end = point_at(params, mix, S_MIN)
-    assert end.x > 1e-3 * state.x
-    bound = max_extractable(params, mix, state, Currency.CUR1)
+    assert end.x > 1e-3 * params.x0
+    bound = max_extractable(params, mix, params.initial_state, Currency.CUR1)
     assert bound.attainable
-    assert bound.amount == state.x - end.x
+    assert bound.amount == params.x0 - end.x

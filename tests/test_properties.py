@@ -228,12 +228,12 @@ def _margin_and_scale(params, schedule, s):
     alpha, beta = params.alpha, params.beta
     lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, *params._curve)
     t, tp, tpp = k.sched_eval(kind, q0, q1, q2, s, params.s0)
-    c, s0, deg, u = params.c, params.s0, params.deg, 1.0 - s
+    c, s0, u = params.c, params.s0, 1.0 - s
     p = c * exp(k.ray_log_ratio(s, *params._curve)[0])
-    pmc = c * expm1((abs(alpha * log(s0 / s)) + abs(beta * log((1.0 - s0) / u))) / deg)
-    pp = p * (beta * s + alpha * u) / (deg * s * u)
+    pmc = c * expm1(abs(alpha * log(s0 / s)) + abs(beta * log((1.0 - s0) / u)))
+    pp = p * (beta * s + alpha * u) / (s * u)
     ppp = (2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2
-           + 2.0 * beta * beta * s * s) / (s * s * u * u * deg * deg) * p
+           + 2.0 * beta * beta * s * s) / (s * s * u * u) * p
     size0 = pmc * abs(t) + c
     size1 = pmc * abs(tp) + pp * abs(t)
     size2 = pmc * abs(tpp) + 2.0 * pp * abs(tp) + ppp * abs(t)
