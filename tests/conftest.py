@@ -1,6 +1,7 @@
 import random
 import struct
 import sys
+from bisect import bisect_left, bisect_right
 from math import exp, inf, log, nan
 from statistics import correlation
 
@@ -38,17 +39,8 @@ def second_diff(f, x, h):
 
 def _ranks(values):
     """The ranks 1..n of values, tied values sharing their average rank."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        for k in order[i:j + 1]:
-            ranks[k] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    ordered = sorted(values)
+    return [0.5 * (bisect_left(ordered, v) + bisect_right(ordered, v) + 1) for v in values]
 
 
 def spearman(xs, ys):
