@@ -103,8 +103,7 @@ def test_kernels_are_written_for_calibrated_weights():
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             where = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
-                if isinstance(node, ast.arg) and node.arg == "deg" or (
-                        isinstance(node, ast.Name) and node.id == "deg"):
+                if "deg" in (getattr(node, "arg", None), getattr(node, "id", None)):
                     named.append((path.name, where))
                 elif isinstance(node, (ast.For, ast.While)):
                     loops.append(where)
