@@ -1,21 +1,18 @@
-"""The scalar kernels, bound from ``pure``, and their integer codes.
+"""The kernels, bound from ``pure`` (flat floats) and ``arrays`` (numpy
+arrays of s), and their integer codes.  ``lam_chain_array`` is the one
+body of the chain (lam, lam', lam'') that the convexity certificate and
+``lambda_derivs`` evaluate."""
 
-``lam_chain_array`` is the numpy array form of ``lam_chain``; grid
-workloads call it instead of looping over the scalar kernel.
-"""
-
-from ammix._kernels.arrays import lam_chain_array
+from ammix._kernels.arrays import lam_chain_array, sched_chain_array
 from ammix._kernels.pure import (
     components_xy,
     curve_constants,
     grad_xy,
     lam_arith,
     lam_at,
-    lam_chain,
     lam_prime_at,
     rate_xy,
     ray_log_ratio,
-    sched_eval,
     sched_first,
     sched_value,
     solve_s_for_x,

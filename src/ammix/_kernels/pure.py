@@ -1,13 +1,13 @@
-"""Scalar kernels for curve evaluation and root solving.
+"""Scalar kernels for curve evaluation and root solving, on flat floats.
 
-These are ammix's only kernels; ``ammix._kernels`` binds them.  Every
-function here operates on flat floats.  ``lam_at``, the trade solve's
-inner call, is fused: it computes the blend weight and g(s) in one frame,
-repeating the float operations of ``sched_value`` and ``ray_log_ratio``
-in their order, and the helpers stay as the reference it is tested
-against.  The other s-kernels call the helpers: ``lam_prime_at`` takes
-g from ``ray_log_ratio`` and t from ``sched_first``, ``sched_eval`` adds
-t'' to ``sched_first``, and ``lam_arith`` takes g from its caller.
+``lam_at``, the trade solve's inner call, is fused: it computes the blend
+weight and g(s) in one frame, repeating the float operations of
+``sched_value`` and ``ray_log_ratio`` in their order, and the helpers stay
+as the reference it is tested against.  The other s-kernels call the
+helpers: ``lam_prime_at`` takes g from ``ray_log_ratio`` and t from
+``sched_first``, and ``lam_arith`` takes g from its caller.  The chain
+(lam, lam', lam'') and t'' have no scalar body: ``arrays.lam_chain_array``
+calls ``ray_log_ratio`` and ``sched_first`` on numpy arrays.
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
@@ -60,8 +60,11 @@ def curve_constants(a, b, x0, y0, alpha, beta):
     return a, b, x0, y0, alpha, beta, c, a * x0 / c
 
 
-def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0):
-    """g(s) and g'(s) for the CPMM scaling along the ray at parameter s."""
+def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, log=log):
+    """g(s) and g'(s) for the CPMM scaling along the ray at parameter s.
+
+    ``log`` is ``math.log`` for a float s; the array kernels pass ``np.log``.
+    """
     g = alpha * log(s0 / s) + beta * log((1.0 - s0) / (1.0 - s))
     gp = (beta * s - alpha * (1.0 - s)) / (s * (1.0 - s))
     return g, gp
@@ -116,51 +119,6 @@ def sched_first(kind, q0, q1, q2, s, s0):
         return u**q0, copysign(q0 / q1 * u ** (q0 - 1.0), d)
     t = (q0 * s + q1) * s + q2
     return t, 2.0 * q0 * s + q1
-
-
-def sched_eval(kind, q0, q1, q2, s, s0):
-    """(t, t', t'') — raises where either derivative fails to exist.
-
-    (t, t') are ``sched_first``'s.  A power law below exponent 2 is singular
-    at s0; that is raised first, as ``sched_first`` has t' there above 1.
-    """
-    d = s - s0
-    if kind == 1 and d == 0.0 and q0 < 2.0:
-        raise NonDifferentiablePointError(
-            f"power-law schedule with exponent {q0!r} is singular at s0"
-        )
-    t, tp = sched_first(kind, q0, q1, q2, s, s0)
-    if kind == 0:
-        return t, tp, 0.0
-    if kind != 1:
-        return t, tp, 2.0 * q0
-    if d == 0.0:
-        return t, tp, 2.0 / (q1 * q1) if q0 == 2.0 else 0.0
-    return t, tp, q0 * (q0 - 1.0) / (q1 * q1) * (abs(d) / q1) ** (q0 - 2.0)
-
-
-def lam_chain(kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
-    """(lam, lam', lam'') for the homotopy family under a schedule t(s).
-
-    lam   = (P - C) t + C
-    lam'  = (P - C) t' + P' t
-    lam'' = (P - C) t'' + 2 P' t' + P'' t
-    with P' = -[alpha(1-s) - beta*s] / [s(1-s)] * P and
-    P'' = [2 alpha^2 (1-s)^2 + alpha beta (1-2s)^2 + 2 beta^2 s^2]
-          / [s^2 (1-s)^2] * P.
-    """
-    t, tp, tpp = sched_eval(kind, q0, q1, q2, s, s0)
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)
-    p = c * exp(g)
-    pmc = c * expm1(g)
-    pp = p * gp
-    u = 1.0 - s
-    num = 2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2 + 2.0 * beta * beta * s * s
-    ppp = num / (s * s * u * u) * p
-    lam = pmc * t + c
-    lamp = pmc * tp + pp * t
-    lampp = pmc * tpp + 2.0 * pp * tp + ppp * t
-    return lam, lamp, lampp
 
 
 def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):

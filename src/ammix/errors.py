@@ -45,9 +45,9 @@ class OutOfRangeError(AmmixError, ValueError):
 class InsufficientLiquidityError(AmmixError, ValueError):
     """A trade would push past the curve's finite intercept.
 
-    ``max_amount`` carries the largest tradable input amount: the held
-    reserve plus ``max_amount`` does not pass the curve's reach, so a
-    trade of exactly ``max_amount`` is not refused for it.
+    ``max_amount`` carries the largest tradable input amount: the largest
+    float whose sum with the held reserve does not pass the curve's reach,
+    so a trade of it is not refused for that, and one of the next float is.
     """
 
     def __init__(self, message: str, max_amount: float):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import inf, isfinite, nextafter
+from math import fsum, inf, isfinite, nextafter, ulp
 
 from ammix.core import CurveParams, MarketState, MixSpec, eval_mixed, spot_rate
 from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
@@ -54,10 +54,12 @@ def _solve_trade(params: CurveParams, mix: MixSpec, state: MarketState,
     try:
         new_state = solve(params, mix, held + amount)
     except OutOfRangeError as exc:
-        # the largest amount whose sum with held does not round past the reach
+        # the largest amount whose sum with held does not round past the reach:
+        # the midpoint between the reach and the next float up, less held, as
+        # fsum rounds it, or the float below where its sum with held rounds up
         reach = exc.max_reachable
-        max_amount = reach - held
-        while held + max_amount > reach:
+        max_amount = fsum((reach, -held, ulp(reach) / 2.0))
+        if held + max_amount > reach:
             max_amount = nextafter(max_amount, -inf)
         raise InsufficientLiquidityError(
             f"trade of {amount!r} {input_currency.value} exceeds the curve's reach",

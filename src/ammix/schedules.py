@@ -25,6 +25,7 @@ from ammix.errors import (
     ConvergenceError,
     InvalidCurveError,
     InvalidParameterError,
+    NonDifferentiablePointError,
     UnsupportedScheduleError,
 )
 
@@ -220,10 +221,15 @@ def schedule_coeffs(schedule: TSchedule, s0: float) -> tuple[int, float, float, 
 
 
 def lambda_derivs(params: "CurveParams", schedule: TSchedule, s: float) -> tuple[float, float, float]:
-    """(lam, lam', lam'') of the scheduled homotopy scaling at s."""
+    """(lam, lam', lam'') of the scheduled homotopy scaling at s: the
+    certificate's array kernel at one point."""
     _check_s(s)
     kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    return k.lam_chain(kind, q0, q1, q2, s, *params._curve)
+    with np.errstate(all="ignore"):
+        *chain, singular = k.lam_chain_array(kind, q0, q1, q2, np.float64(s), *params._curve)
+    if singular:
+        raise NonDifferentiablePointError(f"power-law schedule with exponent {q0!r} is singular at s0")
+    return float(chain[0]), float(chain[1]), float(chain[2])
 
 
 def curve_derivatives(params: "CurveParams", schedule: TSchedule, s: float) -> tuple[float, float]:

@@ -177,12 +177,11 @@ def test_insufficient_liquidity_carries_max(unit_params, unit_state):
 
 
 def test_reported_max_amount_is_tradable():
-    # the reported maximum is the solver's own reach, so quoting exactly
-    # max_amount is solved on every finite-intercept curve, in either
-    # direction: its sum with the reserve held does not pass the reach, and
-    # the next float up is refused wherever its sum does
+    # the reported maximum is the largest amount whose sum with the reserve
+    # held does not pass the solver's reach, on every finite-intercept
+    # curve, in either direction: quoting exactly max_amount is solved, and
+    # the next float up is refused
     rng = random.Random(18)
-    refused = 0
     for _ in range(1000):
         params = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
                              rng.uniform(0.5, 4000.0), rng.uniform(0.5, 4000.0))
@@ -199,14 +198,9 @@ def test_reported_max_amount_is_tradable():
         held = state.x if sell is Currency.CUR1 else state.y
         reach = err.value.__cause__.max_reachable
         above = nextafter(max_amount, inf)
-        assert held + max_amount <= reach
-        if held + above > reach:
-            with pytest.raises(InsufficientLiquidityError):
-                quote(params, mix, state, sell, above)
-            refused += 1
-        else:  # the next float up lands on the reach too, and so does max_amount
-            assert held + max_amount == reach
-    assert refused > 400
+        assert held + max_amount <= reach < held + above
+        with pytest.raises(InsufficientLiquidityError):
+            quote(params, mix, state, sell, above)
 
 
 def test_max_extractable_csmm(unit_params, unit_state):

@@ -1,8 +1,9 @@
 """The kernels ``ammix._kernels`` binds, and their references: the fused
 pure kernels must match the composition of their helpers bit for bit, the
-array kernel must match the scalar one, and the slope of lam, the
-schedule's t' and t'' and the spot rate must match central differences of
-lam, of t and t' and of the invariant."""
+arithmetic scaling and the array chain kernel must stay within a budget of
+the 60-digit oracle in ``oracle.py``, and the slope of lam, the schedule's
+t' and t'' and the spot rate must match central differences of lam, of t
+and t' and of the invariant."""
 
 import ast
 import random
@@ -16,7 +17,7 @@ import pytest
 import ammix
 import ammix._kernels as selector
 from ammix import Family, MarketState, MixSpec, Parabolic, PowerLaw, Uniform, eval_mixed, point_at
-from ammix._kernels import pure
+from ammix._kernels import arrays, pure
 from ammix.core import CurveParams, _check_reserves, market
 from ammix.errors import (
     AmmixError,
@@ -26,8 +27,8 @@ from ammix.errors import (
     NonDifferentiablePointError,
     ScheduleRangeError,
 )
-from ammix.schedules import S_MAX, S_MIN
-from conftest import central_diff
+from ammix.schedules import S_MAX, S_MIN, schedule_coeffs
+from conftest import Reject, central_diff
 import oracle
 
 
@@ -71,7 +72,7 @@ def test_selected_backend_reported():
                 if not name.startswith("_") and callable(value)}
     assert "lam_at" in exported
     for name, value in exported.items():
-        assert value is getattr(pure, name, None) or value is selector.lam_chain_array, name
+        assert value is getattr(pure, name, None) or value is getattr(arrays, name, None), name
 
 
 # the derivations of C, s0 and a power law's M from a curve's constants, and
@@ -142,38 +143,52 @@ def test_xy_formulas_have_one_body():
     assert ("value_xy", "components_xy") in calls
 
 
-# g(s), g'(s)'s numerator, a power law's and a parabola's t', and the
-# arithmetic scaling's two forms
-_S_TERMS = {"alpha * log(s0 / s)", "beta * s - alpha * (1.0 - s)",
-            "copysign(q0 / q1 * u ** (q0 - 1.0), d)", "2.0 * q0 * s + q1",
+# g(s) (its scalar and array forms), g'(s)'s numerator, a parabola's t and
+# t', a power law's t', the numerator of P'' and the arithmetic scaling's
+# two forms
+_S_TERMS = {"alpha * log(s0 / s)", "alpha * np.log(s0 / s)", "beta * s - alpha * (1.0 - s)",
+            "(q0 * s + q1) * s + q2", "2.0 * q0 * s + q1",
+            "copysign(q0 / q1 * u ** (q0 - 1.0), d)",
+            "2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2"
+            " + 2.0 * beta * beta * s * s",
             "cp / ((1.0 - t) * p + t * c)", "c / (1.0 - t + t * (c / p))"}
 
 
 def test_s_formulas_have_one_body():
-    """g(s) is written only in ``ray_log_ratio`` and in the fused
-    ``lam_at``, g'(s) only in ``ray_log_ratio``, the schedule slopes only
-    in ``sched_first`` and the arithmetic scaling only in ``lam_arith``:
-    ``lam_prime_at``, ``sched_eval`` and ``lam_at`` take them from there
-    instead of repeating them, and ``lam_arith`` takes g from its caller."""
+    """Across the scalar and the array kernels, g(s) is written only in
+    ``ray_log_ratio`` and in the fused ``lam_at``, g'(s) only in
+    ``ray_log_ratio``, a parabola's t only there, in ``sched_value`` and in
+    ``sched_first``, the scalar schedule slopes only in ``sched_first``,
+    P'' only in ``lam_chain_array`` and the arithmetic scaling only in
+    ``lam_arith``: ``lam_prime_at``, ``lam_chain_array``,
+    ``sched_chain_array`` and ``lam_at`` take them from there instead of
+    repeating them, and ``lam_arith`` takes g from its caller."""
     found, calls, names = [], set(), set()
-    for stmt in ast.parse(Path(pure.__file__).read_text(encoding="utf-8")).body:
-        where = getattr(stmt, "name", "<module>")
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.BinOp, ast.Call)) and ast.unparse(node) in _S_TERMS:
-                found.append((where, ast.unparse(node)))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                calls.add((where, node.func.id))
-            elif isinstance(node, ast.Name):
-                names.add((where, node.id))
+    for path in (Path(pure.__file__), Path(arrays.__file__)):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.BinOp, ast.Call)) and ast.unparse(node) in _S_TERMS:
+                    found.append((where, ast.unparse(node)))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    calls.add((where, node.func.id))
+                elif isinstance(node, ast.Name):
+                    names.add((where, node.id))
     assert sorted(found) == [("lam_arith", "c / (1.0 - t + t * (c / p))"),
                              ("lam_arith", "cp / ((1.0 - t) * p + t * c)"),
+                             ("lam_at", "(q0 * s + q1) * s + q2"),
                              ("lam_at", "alpha * log(s0 / s)"),
+                             ("lam_chain_array", "2.0 * alpha * alpha * u * u + alpha * beta"
+                              " * (1.0 - 2.0 * s) ** 2 + 2.0 * beta * beta * s * s"),
                              ("ray_log_ratio", "alpha * log(s0 / s)"),
                              ("ray_log_ratio", "beta * s - alpha * (1.0 - s)"),
+                             ("sched_first", "(q0 * s + q1) * s + q2"),
                              ("sched_first", "2.0 * q0 * s + q1"),
-                             ("sched_first", "copysign(q0 / q1 * u ** (q0 - 1.0), d)")]
+                             ("sched_first", "copysign(q0 / q1 * u ** (q0 - 1.0), d)"),
+                             ("sched_value", "(q0 * s + q1) * s + q2")]
     assert {("lam_prime_at", "ray_log_ratio"), ("lam_prime_at", "sched_first"),
-            ("sched_eval", "sched_first"), ("lam_at", "lam_arith"),
+            ("lam_chain_array", "ray_log_ratio"), ("lam_chain_array", "sched_chain_array"),
+            ("sched_chain_array", "sched_first"), ("lam_at", "lam_arith"),
             ("lam_prime_at", "lam_arith")} <= calls
     assert ("lam_arith", "log") not in names
 
@@ -410,7 +425,15 @@ def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
     assert len(cases) > 45
 
 
-def test_sched_eval_matches_sched_value_and_central_differences():
+def _sched_chain(kind, q0, q1, q2, s, s0):
+    """``sched_chain_array`` at one s: (t, t', t'') as floats, and
+    whether t'' is singular there."""
+    with np.errstate(all="ignore"):
+        t, tp, tpp, singular = selector.sched_chain_array(kind, q0, q1, q2, np.float64(s), s0)
+    return float(t), float(tp), float(tpp), bool(singular)
+
+
+def test_sched_chain_array_matches_sched_value_and_central_differences():
     """t is ``sched_value``'s t (clamped into [0, 1] where ``sched_value``
     clamps, named in its message where it raises), t' the central
     difference of t and t'' that of t'.  The step stays on one side of a
@@ -418,7 +441,8 @@ def test_sched_eval_matches_sched_value_and_central_differences():
     elsewhere, so any step will do.  At s0 a power law below exponent 2
     raises, t'' being singular there; above it t = t' = 0, and t'' is the
     limit of the central differences of t', which equal it at exponent 2
-    (to rounding) and shrink with the step above 2."""
+    (to rounding) and shrink with the step above 2.  The kernel is taken
+    one s at a time."""
     cases = [(kind, q0, q1, q2, s, a * x0 / (a * x0 + b * y0))
              for family, kind, q0, q1, q2, s, (a, b, x0, y0, _, _) in _fusion_cases(40, 707)
              if family == 0]
@@ -431,14 +455,15 @@ def test_sched_eval_matches_sched_value_and_central_differences():
         args = (kind, q0, q1, q2, s, s0)
         if kind == 1 and s == s0 and q0 < 2.0:
             continue  # the singular points, below
-        t, tp, tpp = pure.sched_eval(*args)
+        t, tp, tpp, singular = _sched_chain(*args)
+        assert not singular, args
         try:
             assert pure.sched_value(*args) == min(1.0, max(0.0, t)), args
         except ScheduleRangeError as exc:
             assert f"t={t!r} outside [0, 1]" in str(exc), args
 
         def level(i):
-            return lambda u: pure.sched_eval(kind, q0, q1, q2, u, s0)[i]
+            return lambda u: _sched_chain(kind, q0, q1, q2, u, s0)[i]
 
         if kind == 1 and s == s0:
             assert (t, tp) == (0.0, 0.0) == (0.0, central_diff(level(0), s, 1e-6)), args
@@ -459,9 +484,7 @@ def test_sched_eval_matches_sched_value_and_central_differences():
     # at s0 a power law below exponent 2 is singular, exponent 1.5 included,
     # where sched_first has t'
     for args in at_s0:
-        singular = (NonDifferentiablePointError,
-                    f"power-law schedule with exponent {args[1]!r} is singular at s0")
-        assert (_outcome(pure.sched_eval, *args) == singular) == (args[1] < 2.0), args
+        assert _sched_chain(*args)[3] == (args[1] < 2.0), args
 
 
 def _ray_rate(rate, family, kind, q0, q1, q2, s, *curve):
@@ -569,33 +592,54 @@ def test_rate_xy_is_the_ratio_of_the_invariants_partials():
         assert rate == pytest.approx(fx / fy, rel=1e-6), (params, mix, s)
 
 
-def test_lam_chain_array_matches_scalar_kernel():
-    # the array kernel repeats lam_chain's operations, so it differs only by
-    # numpy's rounding of exp/log/expm1/power; it marks s0 where lam_chain raises
-    rng = random.Random(404)
-    for curve in _random_curves(30, 4):
-        a, b, x0, y0, alpha, beta = curve
-        s0 = a * x0 / (a * x0 + b * y0)
-        kind = rng.choice([0, 1, 2])
-        if kind == 0:
-            q = (rng.uniform(0, 1), 0.0, 0.0)
-        elif kind == 1:
-            q = (rng.choice([rng.uniform(0.25, 8.0), 0.5, 1.0, 2.0, 3.0]), _powerlaw_scale(s0), 0.0)
-        else:
-            q = (0.3, -0.2, 0.4)
-        curve = _constants(*curve)
-        s = np.array([rng.uniform(0.02, 0.98) for _ in range(50)] + [s0])
+# the chain's budget, in units of eps times the size of each value's terms
+# (``oracle.lam_chain``)
+CHAIN_BUDGET = 8.0
+
+
+def _chain_case(d):
+    """(curve, schedule coefficients, s): a uniform weight, a power law with
+    exponent in [0.25, 8] or one of 0.5, 1, 1.5, 2 and 3, or a parabola, and
+    an s in [S_MIN, 0.5] or its mirror, or s0 an eighth of the time.  A
+    parabola leaving [0, 1] is rejected."""
+    params = d.curve()
+    kind = d.rng.randrange(3)
+    if kind == 0:
+        schedule = Uniform(d.floats(0.0, 1.0))
+    elif kind == 1:
+        schedule = PowerLaw(d.floats(0.25, 8.0) if d.rng.random() < 0.5
+                            else d.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+    else:
+        schedule = Parabolic(d.floats(0.0, 1.0), d.floats(0.0, 1.0))
+    try:
+        coeffs = schedule_coeffs(schedule, params.s0)
+    except InvalidParameterError:  # a parabola leaving [0, 1]
+        raise Reject
+    u = d.floats(S_MIN, 0.5)
+    s = params.s0 if d.rng.random() < 1.0 / 8.0 else u if d.rng.random() < 0.5 else 1.0 - u
+    return params, coeffs, s
+
+
+def test_lam_chain_array_within_budget_of_decimal_oracle(draws):
+    """lam_chain_array's (lam, lam', lam'') and margin, and the (t, t', t'')
+    of sched_chain_array, against the 60-digit oracle: each within
+    CHAIN_BUDGET eps of the size of its terms (at most 4.4 over 20,000
+    draws of six other seeds).  Both kernels mark s exactly where the
+    oracle has no t''."""
+    worst = {}
+    for params, coeffs, s in draws(500, _chain_case):
+        exact = oracle.lam_chain(*coeffs, s, params.alpha, params.beta, params.c, params.s0)
+        grid = np.array([s])
         with np.errstate(all="ignore"):
-            lam, lamp, lampp, singular = selector.lam_chain_array(kind, *q, s, *curve)
-        for i, si in enumerate(s.tolist()):
-            try:
-                want = selector.lam_chain(kind, *q, si, *curve)
-            except NonDifferentiablePointError:
-                assert singular[i], (kind, q, si)
-                continue
-            assert not singular[i]
-            got = (float(lam[i]), float(lamp[i]), float(lampp[i]))
-            if si == s0:  # P - C is exactly 0 at s0 in both
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
+            t, tp, tpp, t_singular = selector.sched_chain_array(*coeffs, grid, params.s0)
+            lam, lamp, lampp, singular = selector.lam_chain_array(*coeffs, grid, *params._curve)
+        assert bool(singular[0]) == bool(t_singular[0]) == (exact is None), (params, coeffs, s)
+        if exact is None:
+            continue
+        got = {key: float(np.broadcast_to(v, 1)[0]) for key, v in
+               (("t", t), ("t'", tp), ("t''", tpp), ("lam", lam), ("lam'", lamp), ("lam''", lampp))}
+        got["margin"] = got["lam"] * got["lam''"] - 2.0 * got["lam'"] * got["lam'"]
+        for key, err in oracle.size_errors(got, *exact).items():
+            assert err <= CHAIN_BUDGET, (key, err, params, coeffs, s)
+            worst[key] = max(worst.get(key, 0.0), err)
+    print(f"worst errors in eps of their sizes: {worst}")

@@ -117,6 +117,8 @@ def test_lambda_rejects_bad_inputs(unit_params):
         lambda_mix(unit_params, Family.HOMOTOPY, 0.0, 0.5)
     with pytest.raises(InvalidParameterError):
         lambda_mix(unit_params, Family.HOMOTOPY, 0.5, 1.5)
+    with pytest.raises(InvalidParameterError):
+        lambda_mix(unit_params, Family.HOMOTOPY, 0.5, math.nextafter(1.0, 2.0))
 
 
 # --- point_at ---------------------------------------------------------------

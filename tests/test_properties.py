@@ -5,7 +5,7 @@ import ast
 import os
 import subprocess
 import sys
-from math import exp, expm1, inf, isfinite, isnan, log, nan, nextafter
+from math import inf, isfinite, nextafter
 from pathlib import Path
 
 from ammix import (
@@ -29,12 +29,7 @@ from ammix import (
     state_for_y,
     swap,
 )
-from ammix import _kernels as k
-from ammix.errors import (
-    InsufficientLiquidityError,
-    InvalidParameterError,
-    NonDifferentiablePointError,
-)
+from ammix.errors import InsufficientLiquidityError, InvalidParameterError
 from ammix.schedules import (
     CONVEXITY_GRID_INSET,
     CONVEXITY_GRID_SIZE,
@@ -44,6 +39,9 @@ from ammix.schedules import (
     schedule_coeffs,
 )
 from conftest import Reject
+import oracle
+
+EPS = sys.float_info.epsilon
 
 
 def test_spot_rate_finite_and_positive_at_ends_and_anchor(draws):
@@ -196,56 +194,13 @@ def test_arbitrage_state_matches_the_rate(draws):
         assert abs(spot_rate(params, mix, state) - r) <= 1e-9 * r, (params, mix, r)
 
 
-def _scalar_certificate(params, schedule, grid_size):
-    """The certificate as a scalar loop over k.lam_chain: (min, worst_s, skipped)."""
-    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    step = (1.0 - 2.0 * CONVEXITY_GRID_INSET) / (grid_size - 1)
-    min_margin, worst_s, skipped = inf, nan, 0
-    for i in range(grid_size):
-        s = CONVEXITY_GRID_INSET + i * step
-        try:
-            lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, *params._curve)
-        except NonDifferentiablePointError:
-            skipped += 1
-            continue
-        margin = lam * lampp - 2.0 * lamp * lamp
-        if margin < min_margin:
-            min_margin, worst_s = margin, s
-    return min_margin, worst_s, skipped
-
-
-def _margin_and_scale(params, schedule, s):
-    """The scalar margin lam lam'' - 2 lam'^2 at s, and the size of its terms.
-
-    The size is the margin recomputed with every factor and every term of
-    lam_chain taken in absolute value, including the two logs of g and the
-    two terms of the numerator of g'.  Rounding error in the margin is at
-    most a small multiple of eps times this size.  It is |lam lam''| +
-    2 lam'^2 except next to s0, where g and g' cancel and the margin of a
-    power law with exponent below 2 is rounding noise in any evaluation.
-    """
-    kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
-    alpha, beta = params.alpha, params.beta
-    lam, lamp, lampp = k.lam_chain(kind, q0, q1, q2, s, *params._curve)
-    t, tp, tpp = k.sched_eval(kind, q0, q1, q2, s, params.s0)
-    c, s0, u = params.c, params.s0, 1.0 - s
-    p = c * exp(k.ray_log_ratio(s, *params._curve)[0])
-    pmc = c * expm1(abs(alpha * log(s0 / s)) + abs(beta * log((1.0 - s0) / u)))
-    pp = p * (beta * s + alpha * u) / (s * u)
-    ppp = (2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2
-           + 2.0 * beta * beta * s * s) / (s * s * u * u) * p
-    size0 = pmc * abs(t) + c
-    size1 = pmc * abs(tp) + pp * abs(t)
-    size2 = pmc * abs(tpp) + 2.0 * pp * abs(tp) + ppp * abs(t)
-    return lam * lampp - 2.0 * lamp * lamp, size0 * size2 + 2.0 * size1 * size1
-
-
 def _certificate_case(d):
-    """(params, schedule, grid size).  Half the curves are symmetric,
-    (u, v, v, u): s0 is exactly 0.5 on these, and most odd grids put a
-    point on it.  Exponents in [0.25, 8] or one of 0.5, 1, 2 and 3; grids
-    of 3-9,000 points, odd ones of 3-9,001, or the default size.  A
-    parabola leaving [0, 1] is rejected."""
+    """(params, schedule, grid size, probes).  Half the curves are
+    symmetric, (u, v, v, u): s0 is exactly 0.5 on these, and most odd grids
+    put a point on it.  Exponents in [0.25, 8] or one of 0.5, 1, 2 and 3;
+    grids of 3-9,000 points, odd ones of 3-9,001, or the default size.  A
+    parabola leaving [0, 1] is rejected.  The two probes in [0, 1] pick
+    grid points by their place on the grid."""
     if d.rng.random() < 0.5:
         params = d.curve()
     else:
@@ -266,32 +221,50 @@ def _certificate_case(d):
         schedule_coeffs(schedule, params.s0)
     except InvalidParameterError:  # a parabola leaving [0, 1]
         raise Reject
-    return params, schedule, grid_size
+    return params, schedule, grid_size, (d.floats(0.0, 1.0), d.floats(0.0, 1.0))
 
 
-def test_array_certificate_matches_scalar_loop(draws):
-    """check_convexity against the scalar loop it replaced.
+# the certificate's budget, in units of eps times the size of a margin's
+# terms (``oracle.lam_chain``)
+MARGIN_BUDGET = 8.0
 
-    The two evaluate the same operations and differ only where numpy's
-    exp/log/expm1/power round differently from libm's, so each margin
-    agrees within 1e-9 of the size of its terms.  The minima then agree
-    within the larger size at the two worst points, and the scalar margin
-    at the array's worst point (symmetric curves tie) lies within both
-    sizes of the scalar minimum.
+
+def test_array_certificate_matches_decimal_oracle(draws):
+    """check_convexity against the 60-digit oracle.
+
+    The skipped points are the grid points at s0 where the oracle has no
+    t''.  The reported minimum is the oracle's margin at worst_s within
+    MARGIN_BUDGET eps of the size of its terms, and it lies below the
+    oracle's margin, within the budget of both sizes, at worst_s's grid
+    neighbours, at both ends of the grid and at two drawn grid points.
     """
-    for params, schedule, grid_size in draws(200, _certificate_case):
+    worst = 0.0
+    for params, schedule, grid_size, probes in draws(200, _certificate_case):
         case = (params, schedule, grid_size)
         report = check_convexity(params, schedule, grid_size)
-        min_margin, worst_s, skipped = _scalar_certificate(params, schedule, grid_size)
-        assert (report.grid_size, report.skipped) == (grid_size, skipped), case
-        assert report.passed == (min_margin >= CONVEXITY_MARGIN_TOL), case
-        if isnan(worst_s):  # every point skipped
-            assert report.min_margin == inf and isnan(report.worst_s), case
-            continue
-        _, size = _margin_and_scale(params, schedule, worst_s)
-        at_worst, size_at_worst = _margin_and_scale(params, schedule, report.worst_s)
-        assert abs(report.min_margin - min_margin) <= 1e-9 * max(size, size_at_worst), case
-        assert min_margin <= at_worst <= min_margin + 1e-9 * (size + size_at_worst), case
+        coeffs = schedule_coeffs(schedule, params.s0)
+
+        def exact(s):
+            return oracle.lam_chain(*coeffs, s, params.alpha, params.beta, params.c, params.s0)
+
+        step = (1.0 - 2.0 * CONVEXITY_GRID_INSET) / (grid_size - 1)
+        grid = [CONVEXITY_GRID_INSET + i * step for i in range(grid_size)]
+        assert report.grid_size == grid_size, case
+        assert report.skipped == sum(exact(s) is None for s in grid if s == params.s0), case
+        assert report.passed == (CONVEXITY_MARGIN_TOL <= report.min_margin < inf), case
+        assert isfinite(report.min_margin), case  # no drawn schedule makes a NaN margin
+        values, sizes = exact(report.worst_s)
+        err = oracle.size_errors({"margin": report.min_margin}, values, sizes)["margin"]
+        assert err <= MARGIN_BUDGET, (case, err)
+        worst = max(worst, err)
+        i = grid.index(report.worst_s)
+        for j in {0, max(i - 1, 0), min(i + 1, grid_size - 1), grid_size - 1,
+                  *(round(probe * (grid_size - 1)) for probe in probes)}:
+            chain = exact(grid[j])
+            if chain is not None:
+                budget = MARGIN_BUDGET * EPS * (chain[1]["margin"] + sizes["margin"])
+                assert report.min_margin <= float(chain[0]["margin"]) + budget, (case, grid[j])
+    print(f"worst error of min_margin in eps of its size: {worst}")
 
 
 # --- an oracle for V(P) that does not share the solver ----------------------------

@@ -73,9 +73,13 @@ def test_parabolic_range_vetted_against_curve(unit_params):
 # --- t(s) and its derivatives: the kernels on schedule_coeffs -----------------
 
 def _t_chain(schedule, params, s):
-    """(t, t', t'') of a schedule on a curve: ``sched_eval`` on the
-    schedule's kernel encoding at the curve's s0."""
-    return _kernels.sched_eval(*schedule_coeffs(schedule, params.s0), s, params.s0)
+    """(t, t', t'') of a schedule on a curve as floats, and whether t'' is
+    singular there: ``sched_chain_array`` at one s, on the schedule's
+    kernel encoding at the curve's s0."""
+    with np.errstate(all="ignore"):
+        t, tp, tpp, singular = _kernels.sched_chain_array(
+            *schedule_coeffs(schedule, params.s0), np.float64(s), params.s0)
+    return float(t), float(tp), float(tpp), bool(singular)
 
 
 def _t_first(schedule, params, s):
@@ -85,7 +89,7 @@ def _t_first(schedule, params, s):
 
 def test_uniform_schedule_chain(unit_params):
     for s in (0.1, 0.5, 0.9):
-        assert _t_chain(Uniform(0.3), unit_params, s) == (0.3, 0.0, 0.0)
+        assert _t_chain(Uniform(0.3), unit_params, s) == (0.3, 0.0, 0.0, False)
 
 
 def test_powerlaw_encodes_its_scale_as_q1():
@@ -100,7 +104,7 @@ def test_powerlaw_k2_values(unit_params):
     # t(s) = ((s - 0.5)/0.5)**2 = 4 (s - 0.5)**2 on the unit curve:
     # t(0.75) = 0.25, t'(0.75) = 2, t''(s) = 8 everywhere.  Verified against
     # central finite differences below.
-    t, tp, tpp = _t_chain(PowerLaw(2.0), unit_params, 0.75)
+    t, tp, tpp, _ = _t_chain(PowerLaw(2.0), unit_params, 0.75)
     assert t == pytest.approx(0.25, rel=1e-12)
     assert tp == pytest.approx(2.0, rel=1e-12)
     assert tpp == pytest.approx(8.0, rel=1e-12)
@@ -113,7 +117,7 @@ def test_powerlaw_matches_finite_differences(unit_params, pool_params):
             fval = lambda s: _t_chain(sched, params, s)[0]
             fp = lambda s: _t_chain(sched, params, s)[1]
             for s in (0.12, 0.31, 0.72, 0.88):
-                t, tp, tpp = _t_chain(sched, params, s)
+                t, tp, tpp, _ = _t_chain(sched, params, s)
                 h = 1e-6
                 assert tp == pytest.approx(central_diff(fval, s, h), rel=1e-5, abs=1e-8)
                 assert tpp == pytest.approx(central_diff(fp, s, h), rel=1e-5, abs=1e-6)
@@ -122,11 +126,13 @@ def test_powerlaw_matches_finite_differences(unit_params, pool_params):
 def test_powerlaw_singularities(unit_params):
     s0 = unit_params.s0
     for k in (0.5, 1.0, 1.99):
-        with pytest.raises(NonDifferentiablePointError):
-            _t_chain(PowerLaw(k), unit_params, s0)
+        assert _t_chain(PowerLaw(k), unit_params, s0)[3]
+        message = f"power-law schedule with exponent {k!r} is singular at s0"
+        with pytest.raises(NonDifferentiablePointError, match=re.escape(message)):
+            lambda_derivs(unit_params, PowerLaw(k), s0)
     # two derivatives exist from exponent 2 up
-    assert _t_chain(PowerLaw(2.0), unit_params, s0) == (0.0, 0.0, 8.0)
-    assert _t_chain(PowerLaw(4.0), unit_params, s0) == (0.0, 0.0, 0.0)
+    assert _t_chain(PowerLaw(2.0), unit_params, s0) == (0.0, 0.0, 8.0, False)
+    assert _t_chain(PowerLaw(4.0), unit_params, s0) == (0.0, 0.0, 0.0, False)
     # first derivative exists down to (but not at) exponent 1
     assert _t_first(PowerLaw(1.5), unit_params, s0) == (0.0, 0.0)
     with pytest.raises(NonDifferentiablePointError):
@@ -169,7 +175,7 @@ def test_schedule_range_on_unit_interval(unit_params, pool_params):
                 s = max(1e-12, min(1 - 1e-12, i / 100))
                 if abs(s - params.s0) < 1e-9 and isinstance(sched, PowerLaw):
                     continue
-                t = _t_chain(sched, params, s)[0] if not isinstance(sched, PowerLaw) or sched.exponent >= 2 else _t_first(sched, params, s)[0]
+                t = _t_chain(sched, params, s)[0]
                 assert -1e-12 <= t <= 1.0 + 1e-12
 
 
@@ -182,8 +188,9 @@ def test_lambda_derivs_uniform_at_anchor(unit_params):
 
 def test_lambda_derivs_csmm(unit_params):
     for s in (0.2, 0.5, 0.8):
-        lam, lamp, lampp = lambda_derivs(unit_params, Uniform(0.0), s)
-        assert (lam, lamp, lampp) == (2.0, 0.0, 0.0)
+        derivs = lambda_derivs(unit_params, Uniform(0.0), s)
+        assert derivs == (2.0, 0.0, 0.0)
+        assert [type(v) for v in derivs] == [float] * 3
 
 
 def test_lambda_derivs_cpmm_frozen(unit_params):
