@@ -196,39 +196,7 @@ def test_geometric_homogeneity(unit_params, pool_params):
                 assert scaled == pytest.approx(k**expo * base, rel=1e-10)
 
 
-def test_arithmetic_inhomogeneous_with_degree_two_product():
-    # the basic construction A0 = (x+y)/2, A1 = x*y (degree 2): the weighted
-    # sum is not homogeneous of any single degree, unlike the geometric mean
-    def a_arith(x, y, t):
-        return (x + y) / 2 * (1 - t) + x * y * t
-
-    def a_geo(x, y, t):
-        return ((x + y) / 2) ** (1 - t) * (x * y) ** t
-
-    t, k = 0.5, 2.0
-    expo = (1 - t) + 2 * t
-    x, y = 1.3, 0.6
-    geo_gap = abs(a_geo(k * x, k * y, t) - k**expo * a_geo(x, y, t)) / a_geo(k * x, k * y, t)
-    arith_gap = abs(a_arith(k * x, k * y, t) - k**expo * a_arith(x, y, t)) / a_arith(k * x, k * y, t)
-    assert geo_gap <= 1e-10
-    assert arith_gap > 1e-3
-
-
 # --- grad_mixed -------------------------------------------------------------
-
-def _fd_grad(params, mix, state):
-    def f(x, y):
-        value = eval_mixed(params, mix, MarketState(x, y))
-        if mix.family is Family.HOMOTOPY:
-            return 1.0 / value  # gradients use the increasing orientation
-        return value
-
-    hx = 1e-6 * max(1.0, abs(state.x))
-    hy = 1e-6 * max(1.0, abs(state.y))
-    gx = (f(state.x + hx, state.y) - f(state.x - hx, state.y)) / (2 * hx)
-    gy = (f(state.x, state.y + hy) - f(state.x, state.y - hy)) / (2 * hy)
-    return gx, gy
-
 
 def test_grad_csmm_constant(unit_params):
     for family in ALL_FAMILIES:
@@ -249,37 +217,6 @@ def test_grad_parallel_to_weights_at_anchor(pool_params):
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             gx, gy = grad_mixed(pool_params, MixSpec(family, Uniform(t)), state)
             assert gx / gy == pytest.approx(pool_params.a / pool_params.b, rel=1e-12)
-
-
-def test_grad_matches_finite_differences(unit_params, pool_params):
-    rng = random.Random(21)
-    for params in (unit_params, pool_params):
-        for _ in range(10):
-            family = rng.choice(ALL_FAMILIES)
-            t = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-            state = MarketState(
-                params.x0 * rng.uniform(0.4, 2.5),
-                params.y0 * rng.uniform(0.4, 2.5),
-            )
-            got = grad_mixed(params, MixSpec(family, Uniform(t)), state)
-            want = _fd_grad(params, MixSpec(family, Uniform(t)), state)
-            assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_grad_scheduled_matches_finite_differences(unit_params, pool_params):
-    rng = random.Random(5)
-    schedules = [PowerLaw(2.0), PowerLaw(4.0), Parabolic(bias=0.2, center=0.5)]
-    for params in (unit_params, pool_params):
-        for schedule in schedules:
-            for _ in range(5):
-                mix = MixSpec.scheduled(schedule)
-                state = MarketState(
-                    params.x0 * rng.uniform(0.5, 2.0),
-                    params.y0 * rng.uniform(0.5, 2.0),
-                )
-                got = grad_mixed(params, mix, state)
-                want = _fd_grad(params, mix, state)
-                assert got == pytest.approx(want, rel=1e-6)
 
 
 # --- spot_rate --------------------------------------------------------------
@@ -478,44 +415,6 @@ def test_dynamic_stableswap_blend_refused_by_s_kernels(unit_params, unit_state, 
     mix = MixSpec.scheduled(StableswapDynamic(1.0, 2.0))
     with pytest.raises(UnsupportedScheduleError, match="depends on the state"):
         call(unit_params, mix, unit_state)
-
-
-# --- re-anchoring a curve at a state ----------------------------------------
-# CurveParams(a=rate, b=1, x0=x, y0=y) re-anchors a curve at the state (x, y)
-# with a fresh initial rate: every family passes through the state there.
-
-def test_rebase_example():
-    new = CurveParams(a=4.0, b=1.0, x0=0.5, y0=2.0)
-    assert (new.a, new.b, new.x0, new.y0) == (4.0, 1.0, 0.5, 2.0)
-    assert new.alpha == pytest.approx(0.5, abs=1e-15)
-    assert new.beta == pytest.approx(0.5, abs=1e-15)
-
-
-def test_rebase_identity(unit_params, unit_state):
-    new = CurveParams(a=1.0, b=1.0, x0=unit_state.x, y0=unit_state.y)
-    assert new == unit_params
-
-
-def test_rebase_pool_weights_invariant():
-    new = CurveParams(a=0.5, b=1.0, x0=3000.0, y0=1000.0)
-    assert (new.a, new.b) == (0.5, 1.0)
-    assert new.alpha == pytest.approx(0.6, abs=1e-14)
-    assert new.beta == pytest.approx(0.4, abs=1e-14)
-
-
-def test_rebase_passes_through_state_at_new_rate():
-    state = MarketState(0.5, 2.0)
-    new = CurveParams(a=4.0, b=1.0, x0=state.x, y0=state.y)
-    for family in ALL_FAMILIES:
-        for t in (0.0, 0.5, 1.0):
-            mix = MixSpec(family, Uniform(t))
-            assert eval_mixed(new, mix, state) == pytest.approx(1.0, abs=1e-12)
-            assert spot_rate(new, mix, state) == pytest.approx(4.0, rel=1e-9)
-
-
-def test_rebase_rejects_nonpositive_rate(unit_state):
-    with pytest.raises(InvalidParameterError):
-        CurveParams(a=0.0, b=1.0, x0=unit_state.x, y0=unit_state.y)
 
 
 # --- the package surface -----------------------------------------------------

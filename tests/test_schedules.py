@@ -19,7 +19,6 @@ from ammix import (
     check_convexity,
     curve_derivatives,
     lambda_derivs,
-    point_at,
     stableswap_dynamic_residual,
     stableswap_dynamic_y,
 )
@@ -241,30 +240,6 @@ def test_curve_cpmm_second_derivative(unit_params):
     assert d2 == pytest.approx(2.0, rel=1e-10)  # y = 1/x has y'' = 2 at x = 1
 
 
-def test_curve_derivs_match_trace(unit_params, pool_params):
-    # finite differences of the parametric trace (x(s), y(s))
-    schedules = [Uniform(0.5), Uniform(1.0), PowerLaw(2.0), Parabolic(bias=0.3, center=0.6)]
-    for params in (unit_params, pool_params):
-        for sched in schedules:
-            mix = MixSpec.scheduled(sched) if not isinstance(sched, Uniform) else MixSpec.homotopy(sched.t)
-            for s in (0.2, 0.45, 0.7):
-                h = 1e-6
-                pm = point_at(params, mix, s - h)
-                pp = point_at(params, mix, s + h)
-                xp = (pp.x - pm.x) / (2 * h)
-                yp = (pp.y - pm.y) / (2 * h)
-                # wider step for second differences: cancellation noise
-                h2 = 1e-4
-                pm2 = point_at(params, mix, s - h2)
-                pp2 = point_at(params, mix, s + h2)
-                p0 = point_at(params, mix, s)
-                xpp = (pp2.x - 2 * p0.x + pm2.x) / (h2 * h2)
-                ypp = (pp2.y - 2 * p0.y + pm2.y) / (h2 * h2)
-                dy_dx, d2 = curve_derivatives(params, sched, s)
-                assert dy_dx == pytest.approx(yp / xp, rel=1e-6)
-                assert d2 == pytest.approx((xp * ypp - xpp * yp) / xp**3, rel=1e-4)
-
-
 def test_slope_negative_everywhere(pool_params):
     for sched in (Uniform(0.4), PowerLaw(4.0)):
         for i in range(1, 20):
@@ -292,33 +267,6 @@ def test_csmm_margin_zero(unit_params):
     report = check_convexity(unit_params, Uniform(0.0))
     assert report.passed
     assert report.min_margin == pytest.approx(0.0, abs=1e-15)
-
-
-def test_margin_sign_matches_second_derivative(unit_params):
-    # the margin and d2y/dx2 share their sign pointwise: compare against the
-    # unsimplified determinant form of the second derivative
-    from ammix.schedules import lambda_derivs as ld
-    schedules = [Uniform(0.25), Uniform(0.75), PowerLaw(1.0), PowerLaw(8.0),
-                 Parabolic(bias=0.2, center=0.5), Parabolic(bias=0.8, center=0.5)]
-    a, b = unit_params.a, unit_params.b
-    for sched in schedules:
-        for i in range(1, 100):
-            s = i / 100
-            try:
-                lam, lamp, lampp = ld(unit_params, sched, s)
-            except NonDifferentiablePointError:
-                continue
-            margin = lam * lampp - 2.0 * lamp * lamp
-            xp = (lam + s * lamp) / a
-            xpp = (2 * lamp + s * lampp) / a
-            yp = (-lam + (1 - s) * lamp) / b
-            ypp = (-2 * lamp + (1 - s) * lampp) / b
-            det_d2 = (xp * ypp - xpp * yp) / xp**3
-            scale = max(abs(margin), abs(det_d2) * xp**3, 1e-12)
-            if margin > 1e-9 * scale:
-                assert det_d2 > 0.0
-            elif margin < -1e-9 * scale:
-                assert det_d2 < 0.0
 
 
 def test_convexity_report_fields(unit_params):
