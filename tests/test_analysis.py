@@ -70,7 +70,8 @@ def test_arbitrage_cpmm_example(unit_params):
     assert state.y == pytest.approx(2.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("p1, p2", [(0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("p1, p2", [(0.0, 1.0), (1.0, 0.0), (1.0, -1.0), (math.inf, 1.0),
+                                    (1.0, math.nan)])
 def test_price_vector_refuses_a_price_that_is_not_positive_and_finite(p1, p2):
     with pytest.raises(InvalidParameterError, match="prices must be positive and finite"):
         PriceVector(p1, p2)
@@ -349,9 +350,25 @@ def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     assert r_min < r_max <= r_min * (1.0 + 1e-14)
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
               for q in qs]
+    prices += [PriceVector(r_max, 1.0), PriceVector(r_min, 1.0)]  # the end rates, exactly
     batch = arbitrage_states(params, mix, prices)
     assert batch == [arbitrage_state(params, mix, p) for p in prices]
     assert batch == [_reference_arbitrage_state(params, mix, p) for p in prices]
+
+
+@pytest.mark.parametrize("params, reserves", [
+    (CurveParams(1e308, 1.0, 1e-320, 1e-12), r"\(0\.0, [^,]+\)$"),
+    (CurveParams(1.0, 1e308, 1e-5, 1e-323), r"\([^,]+, 0\.0\)$"),
+    (CurveParams(1e-308, 1.0, 1e308, 1.0), r"\(inf, [^,]+\)$"),
+    (CurveParams(1.0, 1e-308, 1.0, 1e308), r"\([^,]+, inf\)$"),
+], ids=["x-underflows", "y-underflows", "x-overflows", "y-overflows"])
+def test_arbitrage_refuses_a_curve_end_with_one_reserve_out_of_range(params, reserves):
+    """At an end of s one reserve of these constant-product curves leaves
+    the float range while the other is finite: the rate there is refused
+    with MarketState's error, before a spot rate is taken at that reserve."""
+    with pytest.raises(InvalidParameterError,
+                       match="^reserves must be positive and finite, got " + reserves):
+        arbitrage_state(params, MixSpec.arithmetic(1.0), PriceVector(2.0, 1.0))
 
 
 def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):

@@ -176,6 +176,20 @@ def test_insufficient_liquidity_carries_max(unit_params, unit_state):
     assert q.output_amount <= 1.0
 
 
+def _assert_max_amount_is_largest(params, mix, state, sell):
+    with pytest.raises(InsufficientLiquidityError) as err:
+        quote(params, mix, state, sell, 1e12)
+    max_amount = err.value.max_amount
+    q = quote(params, mix, state, sell, max_amount)
+    assert q.input_amount == max_amount > 0.0
+    held = state.x if sell is Currency.CUR1 else state.y
+    reach = err.value.__cause__.max_reachable
+    above = nextafter(max_amount, inf)
+    assert held + max_amount <= reach < held + above
+    with pytest.raises(InsufficientLiquidityError):
+        quote(params, mix, state, sell, above)
+
+
 def test_reported_max_amount_is_tradable():
     # the reported maximum is the largest amount whose sum with the reserve
     # held does not pass the solver's reach, on every finite-intercept
@@ -189,18 +203,11 @@ def test_reported_max_amount_is_tradable():
         t = rng.uniform(0.0, 0.999) if family is Family.ARITHMETIC else 0.0
         mix = MixSpec(family, Uniform(t))
         state = point_at(params, mix, rng.uniform(0.01, 0.99))
-        sell = rng.choice([Currency.CUR1, Currency.CUR2])
-        with pytest.raises(InsufficientLiquidityError) as err:
-            quote(params, mix, state, sell, 1e12)
-        max_amount = err.value.max_amount
-        q = quote(params, mix, state, sell, max_amount)
-        assert q.input_amount == max_amount > 0.0
-        held = state.x if sell is Currency.CUR1 else state.y
-        reach = err.value.__cause__.max_reachable
-        above = nextafter(max_amount, inf)
-        assert held + max_amount <= reach < held + above
-        with pytest.raises(InsufficientLiquidityError):
-            quote(params, mix, state, sell, above)
+        _assert_max_amount_is_largest(params, mix, state, rng.choice([Currency.CUR1, Currency.CUR2]))
+    # next to the end the held reserve nears, max_amount is far below an ulp of the reach
+    params, mix = CurveParams(1.3, 1.0, 0.7, 1.6), MixSpec.arithmetic(0.5)
+    for s, sell in ((1.0 - 1e-9, Currency.CUR1), (1e-9, Currency.CUR2)):
+        _assert_max_amount_is_largest(params, mix, point_at(params, mix, s), sell)
 
 
 def test_max_extractable_csmm(unit_params, unit_state):

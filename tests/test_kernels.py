@@ -8,7 +8,7 @@ and t' and of the invariant."""
 import ast
 import random
 import re
-from math import exp, expm1, ulp
+from math import exp, expm1, nextafter, ulp
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,10 @@ def _fusion_cases(n, seed):
             (2, -1.0, 1.0, rng.uniform(0.0, 0.75)),  # t in [0, 1]
             (2, 0.0, 0.0, 1.0 + 5e-13),  # clamped down to 1
             (2, 0.0, 0.0, -5e-13),  # clamped up to 0
+            (2, 0.0, 0.0, 1.0 + 1e-12),  # the range check's bounds, clamped
+            (2, 0.0, 0.0, -1e-12),
+            (2, 0.0, 0.0, nextafter(1.0 + 1e-12, 2.0)),  # a float past them: ScheduleRangeError
+            (2, 0.0, 0.0, nextafter(-1e-12, -1.0)),
             (2, -0.0, -0.0, -0.0),  # t == -0.0
             (2, 0.0, 0.0, rng.choice([1.5, -0.5, 1.0 + 1.5e-12, -1.5e-12])),  # ScheduleRangeError
         ]
@@ -323,12 +327,15 @@ def test_lam_arith_within_ulp_budget_of_decimal_oracle(draws):
     """The arithmetic lam_at against the 60-digit oracle.  exp turns
     g's rounding into |g| ULPs of P, and lam takes the share
     kappa = |g|*t*lam/P of that, up to 28 at the ends: the budget is a
-    fixed number of ULPs per unit of (1 + kappa), by region."""
+    fixed number of ULPs per unit of (1 + kappa), by region.  At the ends
+    of t it is C and P = C*exp(g) themselves."""
     worst = {}
     for region, p, s, t in draws(1000, _lam_arith_case):
         got = pure.lam_at(0, 0, t, 0.0, 0.0, s, *p._curve)
         exact = oracle.lam_arith(s, t, p.alpha, p.beta, p.c, p.s0)
         g = pure.ray_log_ratio(s, *p._curve)[0]
+        if t in (0.0, 1.0):
+            assert got == (p.c if t == 0.0 else p.c * exp(g)), (p, s, t)
         kappa = abs(g) * t * got / (p.c * exp(g))
         err = oracle.ulps(got, exact) / (1.0 + kappa)
         assert err <= _LAM_ARITH_ULPS[region], (p, s, t, err)
@@ -405,6 +412,19 @@ def test_lam_prime_at_matches_central_difference_of_lam_at():
         assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
         differenced += 1
     assert differenced > 1800
+
+
+def test_lam_prime_at_zeroes_t_prime_only_where_the_clamp_moved_t():
+    """A parabola with t' = 1 at s = 1/4 and t = 0 or 1 there exactly keeps
+    t'; one that puts t 5e-13 outside [0, 1] is clamped, and its lam' is
+    the uniform blend's at the clamped t, whose t' is 0."""
+    eight = CurveParams(1.3, 1.0, 0.7, 1.6)._curve
+    # kind 2 with q = (0, 1, q2): t = 1/4 + q2 and t' = 1
+    for q2, t, moved in [(-0.25, 0.0, False), (-0.25 - 5e-13, 0.0, True),
+                         (0.75, 1.0, False), (0.75 + 5e-13, 1.0, True)]:
+        lam, lamp = pure.lam_prime_at(2, 2, 0.0, 1.0, q2, 0.25, *eight)
+        uniform = pure.lam_prime_at(2, 0, t, 0.0, 0.0, 0.25, *eight)
+        assert lam == uniform[0] and (lamp == uniform[1]) is moved, q2
 
 
 def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
@@ -590,6 +610,26 @@ def test_rate_xy_is_the_ratio_of_the_invariants_partials():
         fx = (f(xp, y) - f(xm, y)) / (xp - xm)
         fy = (f(x, yp) - f(x, ym)) / (yp - ym)
         assert rate == pytest.approx(fx / fy, rel=1e-6), (params, mix, s)
+
+
+def test_grad_xy_takes_a_slope_of_t_of_exactly_one():
+    """t = s - 1/4 (kind 2, q = (0, 1, -1/4)) has t' = 1: the homotopy's
+    partials are those of 1/value_xy at t(s(x, y)), by central differences
+    with relative steps of 1e-6."""
+    eight = CurveParams(1.3, 1.0, 0.7, 1.6)._curve
+    a, b, s0 = eight[0], eight[1], eight[7]
+    code = (2, 2, 0.0, 1.0, -0.25)
+
+    def f(x, y):
+        t = pure.sched_value(*code[1:], a * x / (a * x + b * y), s0)
+        return 1.0 / pure.value_xy(2, t, x, y, *eight)
+
+    for s in (0.3, 0.5, 0.7):
+        lam = pure.lam_at(*code, s, *eight)
+        x, y = lam * s / a, lam * (1.0 - s) / b
+        fx = (f(x * (1.0 + 1e-6), y) - f(x * (1.0 - 1e-6), y)) / (2e-6 * x)
+        fy = (f(x, y * (1.0 + 1e-6)) - f(x, y * (1.0 - 1e-6))) / (2e-6 * y)
+        assert pure.grad_xy(*code, x, y, *eight) == pytest.approx((fx, fy), rel=1e-6), s
 
 
 # the chain's budget, in units of eps times the size of each value's terms

@@ -269,3 +269,5 @@ def test_state_for_y_reports_reach_in_y(unit_params):
     with pytest.raises(OutOfRangeError) as err:
         state_for_y(unit_params, MixSpec.arithmetic(0.5), 1e-300)
     assert str(err.value).startswith("y=1e-300 below the curve's reach (min representable y is ")
+    assert state_for_y(unit_params, MixSpec.arithmetic(0.5), err.value.max_reachable).y \
+        == err.value.max_reachable

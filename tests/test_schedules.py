@@ -134,6 +134,7 @@ def test_powerlaw_singularities(unit_params):
     assert _t_chain(PowerLaw(4.0), unit_params, s0) == (0.0, 0.0, 0.0, False)
     # first derivative exists down to (but not at) exponent 1
     assert _t_first(PowerLaw(1.5), unit_params, s0) == (0.0, 0.0)
+    assert _t_first(PowerLaw(math.nextafter(1.0, 2.0)), unit_params, s0) == (0.0, 0.0)
     with pytest.raises(NonDifferentiablePointError):
         _t_first(PowerLaw(1.0), unit_params, s0)
 
