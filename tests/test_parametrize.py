@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -14,8 +15,9 @@ from ammix import (
     state_for_x,
     state_for_y,
 )
-from ammix import Uniform, PowerLaw
+from ammix import CurveParams, PowerLaw, Uniform
 from ammix.errors import InvalidParameterError, OutOfRangeError
+from ammix.schedules import S_MAX
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
 
@@ -67,7 +69,6 @@ def test_scaling_symmetric(unit_params):
 
 
 def test_scaling_surfaces_random(pool_params):
-    import random
     from ammix import eval_component
     rng = random.Random(3)
     for _ in range(20):
@@ -225,6 +226,25 @@ def test_state_for_x_out_of_range(unit_params):
     with pytest.raises(OutOfRangeError) as err:
         state_for_x(unit_params, MixSpec.arithmetic(0.0), 3.0)
     assert err.value.max_reachable == pytest.approx(2.0, rel=1e-9)
+    # at the reach itself the Newton polish lands on the curve's end, S_MAX
+    for mix in (MixSpec.arithmetic(0.0), MixSpec.homotopy(0.5)):
+        with pytest.raises(OutOfRangeError) as err:
+            state_for_x(unit_params, mix, 1e300)
+        state = state_for_x(unit_params, mix, err.value.max_reachable)
+        assert state.y == point_at(unit_params, mix, S_MAX).y, mix
+
+
+def test_state_for_x_is_exact_under_power_of_two_scaling():
+    """x0, y0 and the target scaled by 2**-20 scale the solved state by
+    2**-20 exactly, through the bisection and the Newton polish alike,
+    though x'(s) falls from about 1 to about 1e-6."""
+    rng = random.Random(1919)
+    for _ in range(200):
+        a, b, x0, y0 = (rng.uniform(0.5, 2.0) for _ in range(4))
+        mix = MixSpec(rng.choice(FAMILIES), Uniform(rng.uniform(0.0, 1.0)))
+        params, small = CurveParams(a, b, x0, y0), CurveParams(a, b, x0 * 2**-20, y0 * 2**-20)
+        x = point_at(params, mix, rng.uniform(0.05, 0.95)).x
+        assert state_for_x(small, mix, x * 2**-20).y == state_for_x(params, mix, x).y * 2**-20
 
 
 def test_state_for_x_precision(pool_params):
