@@ -6,7 +6,6 @@ body of the chain (lam, lam', lam'') that the convexity certificate and
 from ammix._kernels.arrays import lam_chain_array, sched_chain_array
 from ammix._kernels.pure import (
     components_xy,
-    curve_constants,
     grad_xy,
     lam_arith,
     lam_at,

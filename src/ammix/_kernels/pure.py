@@ -25,7 +25,7 @@ Conventions:
   q1 = M = max(s0, 1 - s0)), 2 = parabolic (q0, q1, q2 = quadratic
   coefficients, highest first)
 * curve constants are passed as (a, b, x0, y0, alpha, beta, c, s0), as
-  ``curve_constants`` builds them once per curve: the sum C = a*x0 + b*y0
+  ``CurveParams`` derives them once per curve: the sum C = a*x0 + b*y0
   and s0 = a*x0/C.  No kernel derives them again.
 * the weights are calibrated, alpha + beta = 1 (``core.calibrate_weights``),
   so the CPMM component is 1-homogeneous and every formula here is written
@@ -51,13 +51,6 @@ from ammix.errors import (
 _MAX_ITER = 200
 # the least normal float, 2.2250738585072014e-308
 _MIN_NORMAL = float_info.min
-
-
-def curve_constants(a, b, x0, y0, alpha, beta):
-    """The eight constants every kernel takes: (a, b, x0, y0, alpha, beta)
-    followed by C = a*x0 + b*y0 and s0 = a*x0/C."""
-    c = a * x0 + b * y0
-    return a, b, x0, y0, alpha, beta, c, a * x0 / c
 
 
 def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, log=log):
@@ -94,8 +87,7 @@ def sched_value(kind, q0, q1, q2, s, s0):
     if kind == 0:
         t = q0
     elif kind == 1:
-        d = s - s0
-        t = 0.0 if d == 0.0 else (abs(d) / q1) ** q0
+        t = (abs(s - s0) / q1) ** q0
     else:
         t = (q0 * s + q1) * s + q2
     if t < -1e-12 or t > 1.0 + 1e-12:
@@ -124,19 +116,16 @@ def sched_first(kind, q0, q1, q2, s, s0):
 def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """Scaling lam(s) for any (family, schedule) pair.
 
-    Uniform weights (kind 0) take t = q0 for any family, and are C itself
-    at t = 0; a schedule takes t(s) from ``sched_value`` and the homotopy
-    formula C + C*expm1(g)*t.  ``sched_value`` and ``ray_log_ratio`` are
-    inlined here, operation for operation.
+    Uniform weights (kind 0) take t = q0 and the family's closed form,
+    which is C itself at t = 0; a schedule takes t(s) from ``sched_value``
+    and the homotopy formula C + C*expm1(g)*t.  ``sched_value`` and
+    ``ray_log_ratio`` are inlined here, operation for operation.
     """
     if kind == 0:
         t = q0
-        if t <= 0.0:
-            return c
     else:
         if kind == 1:
-            d = s - s0
-            t = 0.0 if d == 0.0 else (abs(d) / q1) ** q0
+            t = (abs(s - s0) / q1) ** q0
         else:
             t = (q0 * s + q1) * s + q2
         if t < -1e-12 or t > 1.0 + 1e-12:
@@ -178,8 +167,6 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     t = q0
     if family == 0:
         lam = lam_arith(t, g, c)
-        if t <= 0.0:
-            return lam, 0.0
         rd = t * lam / p
         return lam, rd * gp / ((1.0 - t) / c + rd / lam)
     if family == 1:

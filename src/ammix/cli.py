@@ -70,12 +70,11 @@ def _fmt_json(value) -> str:
 def emit_table(rows: list[dict], format: str = "csv") -> str:
     """Serialize uniform-schema rows; byte-stable for identical inputs.
 
-    One rule per table: when every value is exactly a ``float`` and their
-    sum is finite (so every value is), the whole table is one "%.12g"
-    template, which renders a finite float as ``_fmt`` does; otherwise
-    every field goes through ``_fmt`` (csv) or ``_fmt_json`` (json).  Finite
-    values whose sum overflows take the field-by-field path, which renders
-    them alike.
+    Every field goes through ``_fmt`` (csv) or ``_fmt_json`` (json), but
+    for one fast path: a csv table whose values are all exactly ``float``
+    with a finite sum (so every value is) is one "%.12g" template, which
+    renders a finite float as ``_fmt`` does.  Finite values whose sum
+    overflows take the field-by-field path, which renders them alike.
     """
     if not rows:
         raise AmmixError("no rows to emit")
@@ -85,23 +84,18 @@ def emit_table(rows: list[dict], format: str = "csv") -> str:
     if list(chain.from_iterable(rows)) != keys * len(rows):
         bad = next(list(row) for row in rows if list(row) != keys)
         raise AmmixError(f"row schema mismatch: {bad!r} != {keys!r}")
-    values = list(chain.from_iterable(map(dict.values, rows)))
-    bulk = set(map(type, values)) <= {float} and isfinite(sum(values))
     if format == "csv":
         head = ",".join(keys) + "\n"
-        if bulk:
+        values = list(chain.from_iterable(map(dict.values, rows)))
+        if set(map(type, values)) <= {float} and isfinite(sum(values)):
             template = ",".join(["%.12g"] * len(keys)) + "\n"
             return head + (template * len(rows)) % tuple(values)
         return head + "".join(",".join([_fmt(row[k]) for k in keys]) + "\n" for row in rows)
     if format == "json":
         names = [json.dumps(k) for k in keys]
-        if bulk:
-            template = "{" + ",".join([f"{name.replace('%', '%%')}:%.12g" for name in names]) + "}"
-            body = ",\n".join([template] * len(rows)) % tuple(values)
-        else:
-            body = ",\n".join("{" + ",".join([f"{name}:{_fmt_json(row[k])}"
-                                                for name, k in zip(names, keys)]) + "}"
-                               for row in rows)
+        body = ",\n".join("{" + ",".join([f"{name}:{_fmt_json(row[k])}"
+                                            for name, k in zip(names, keys)]) + "}"
+                           for row in rows)
         return "[\n" + body + "\n]\n"
     raise AmmixError(f"unknown format {format!r}")
 

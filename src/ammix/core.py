@@ -43,6 +43,13 @@ def calibrate_weights(a: float, b: float, x0: float, y0: float) -> tuple[float, 
     alpha = a*x0 / (a*x0 + b*y0) and beta = b*y0 / (a*x0 + b*y0), i.e. the
     normalized solution of (a, b) parallel to (alpha/x0, beta/y0).
     """
+    return _anchor_constants(a, b, x0, y0)[4:6]
+
+
+def _anchor_constants(a: float, b: float, x0: float, y0: float) -> tuple[float, ...]:
+    """The eight constants the kernels take, (a, b, x0, y0, alpha, beta, C,
+    s0): the one derivation of C = a*x0 + b*y0, of the calibrated weights
+    and of s0 = alpha = a*x0/C."""
     for name, v in (("a", a), ("b", b), ("x0", x0), ("y0", y0)):
         if not (isfinite(v) and v > 0.0):
             raise InvalidParameterError(f"{name} must be positive and finite, got {v!r}")
@@ -51,7 +58,8 @@ def calibrate_weights(a: float, b: float, x0: float, y0: float) -> tuple[float, 
         raise InvalidParameterError(
             f"a*x0 + b*y0 underflows to 0 for a={a!r}, b={b!r}, x0={x0!r}, y0={y0!r}"
         )
-    return a * x0 / c, b * y0 / c
+    s0 = a * x0 / c
+    return a, b, x0, y0, s0, b * y0 / c, c, s0
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class CurveParams:
     The derived fields are cached at construction: calibrated exponents
     (alpha, beta), the weighted total c = a*x0 + b*y0, and the initial ray
     coordinate s0 = a*x0/c.  ``_curve`` holds the eight constants the
-    kernels take, from ``_kernels.curve_constants``, and ``_markets`` the
+    kernels take, in their order, and ``_markets`` the
     ``Market`` of each mix this instance was resolved with.
     """
 
@@ -76,19 +84,18 @@ class CurveParams:
 
     def __post_init__(self) -> None:
         _refuse_bools(self, "a", "b", "x0", "y0")
-        alpha, beta = calibrate_weights(self.a, self.b, self.x0, self.y0)
+        curve = _anchor_constants(self.a, self.b, self.x0, self.y0)
+        alpha, beta, c, s0 = curve[4:]
         # every s-kernel takes log(s0) and log(1 - s0)
-        if not 0.0 < alpha < 1.0:
+        if not 0.0 < s0 < 1.0:
             raise InvalidParameterError(
-                f"anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = {alpha!r} is not strictly "
+                f"anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = {s0!r} is not strictly "
                 f"inside (0, 1) for a={self.a!r}, b={self.b!r}, x0={self.x0!r}, y0={self.y0!r}"
             )
-        # the constants in the order the kernels take them
-        curve = k.curve_constants(self.a, self.b, self.x0, self.y0, alpha, beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "c", curve[6])
-        object.__setattr__(self, "s0", alpha)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s0", s0)
         object.__setattr__(self, "_curve", curve)
         # this instance's markets by mix, filled by ``market``
         object.__setattr__(self, "_markets", {})

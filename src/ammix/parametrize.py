@@ -21,6 +21,7 @@ from ammix.core import (
     Market,
     MarketState,
     MixSpec,
+    eval_component,
     market,
 )
 from ammix.core import s_of_state  # noqa: F401  (also public as ammix.parametrize.s_of_state)
@@ -37,10 +38,10 @@ class ScalingPair:
 
 
 def scaling_factors(params: CurveParams, v: MarketState) -> ScalingPair:
-    """Scalings (lambda0, lambda1) such that lambda_i * v lies on A_i = 1."""
-    lam0 = params.c / (params.a * v.x + params.b * v.y)
-    lam1 = (params.x0 / v.x) ** params.alpha * (params.y0 / v.y) ** params.beta
-    return ScalingPair(lambda0=lam0, lambda1=lam1)
+    """Scalings (lambda0, lambda1) such that lambda_i * v lies on A_i = 1:
+    1/A_i(v), each component being 1-homogeneous."""
+    a0, a1 = eval_component(params, v)
+    return ScalingPair(lambda0=1.0 / a0, lambda1=1.0 / a1)
 
 
 def lambda_mix(params: CurveParams, family: Family, s: float, t: float) -> float:

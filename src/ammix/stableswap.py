@@ -15,7 +15,7 @@ from numbers import Integral
 from typing import Sequence
 
 from ammix.errors import InvalidParameterError
-from ammix.schedules import _bisect, _refuse_bools
+from ammix.schedules import StableswapDynamic, _bisect, _refuse_bools
 
 
 def _check_n(n: int) -> None:
@@ -80,10 +80,7 @@ def chi_from_t(t: float, n: int) -> float:
 
 def dynamic_chi(amplification: float, scale: float, reserves: Sequence[float]) -> float:
     """State-tracking leverage chi = A * prod(x) / (D/n)**n; equals A when balanced."""
-    if not (isfinite(amplification) and amplification > 0.0):
-        raise InvalidParameterError(f"amplification must be > 0, got {amplification!r}")
-    if not (isfinite(scale) and scale > 0.0):
-        raise InvalidParameterError(f"scale must be > 0, got {scale!r}")
+    StableswapDynamic(amplification, scale)  # checks A and D
     n = len(reserves)
     _check_reserves(n, reserves)
     return amplification * prod(reserves) / (scale / n) ** n

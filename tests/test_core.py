@@ -26,7 +26,6 @@ from ammix import (
 from ammix import Parabolic, PowerLaw, StableswapDynamic, Uniform, point_at, state_for_x, state_for_y
 from ammix import PriceVector, SimConfig, StableswapParams
 import ammix
-from ammix import _kernels as k
 from ammix.core import market
 from ammix.errors import (
     DegenerateGradientError,
@@ -376,9 +375,10 @@ def test_a_curve_and_its_markets_are_freed_by_refcounting():
 
 
 def test_curve_constants_are_the_kernels_derivation():
-    """CurveParams derives its eight kernel constants with curve_constants,
-    and its c and s0 are the same floats: on random curves and on the
-    mirrored market of each."""
+    """CurveParams holds the eight constants the kernels take, its alpha,
+    beta, c and s0 among them as the same floats, with the weights
+    calibrate_weights gives: on random curves and on the mirrored market of
+    each."""
     rng = random.Random(1616)
     for _ in range(500):
         params = CurveParams(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3),
@@ -386,9 +386,10 @@ def test_curve_constants_are_the_kernels_derivation():
         mix = MixSpec.scheduled(PowerLaw(rng.uniform(0.5, 8.0)))
         mirrored = market(params, mix).mirrored.curve
         for p in (params, CurveParams(*mirrored[:4])):
-            want = k.curve_constants(p.a, p.b, p.x0, p.y0, p.alpha, p.beta)
+            want = (p.a, p.b, p.x0, p.y0, p.alpha, p.beta, p.c, p.s0)
             assert p._curve == want, p
-            assert (p.c, p.s0) == want[6:], p
+            assert (p.alpha, p.beta) == calibrate_weights(p.a, p.b, p.x0, p.y0), p
+            assert p.s0 == p.alpha and p.c == p.a * p.x0 + p.b * p.y0, p
         assert mirrored == want  # the mirrored curve's own constants
 
 

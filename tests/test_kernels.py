@@ -17,6 +17,7 @@ import pytest
 import ammix
 import ammix._kernels as selector
 from ammix import Family, MarketState, MixSpec, Parabolic, PowerLaw, Uniform, eval_mixed, point_at
+from ammix import core
 from ammix._kernels import arrays, pure
 from ammix.core import CurveParams, _check_reserves, market
 from ammix.errors import (
@@ -48,7 +49,7 @@ def _random_curves(n, seed):
 
 def _constants(a, b, x0, y0, alpha, beta):
     """The eight constants the kernels take, derived here rather than by
-    ``pure.curve_constants``, so the bit-for-bit checks do not rest on it:
+    ``CurveParams``, so the bit-for-bit checks do not rest on it:
     C = a*x0 + b*y0 and s0 = a*x0/C (0.5 where C underflows to 0, which
     CurveParams refuses)."""
     c = a * x0 + b * y0
@@ -81,18 +82,19 @@ _DERIVATIONS = {"a * x0 + b * y0", "a * x0 / c", "alpha + beta", "s0 >= 1.0 - s0
 
 
 def test_curve_constants_are_derived_in_one_place():
-    """Each curve's C and s0 come from ``curve_constants`` (and M from
-    ``schedules.schedule_coeffs``): no other code under ``_kernels`` derives
-    them, and none takes the degree alpha + beta."""
+    """Each curve's C, alpha, beta and s0 come from ``core._anchor_constants``
+    (and M from ``schedules.schedule_coeffs``): nothing else in ``core.py``
+    or under ``_kernels`` derives them, and nothing takes the degree
+    alpha + beta."""
     found = []
-    for path in sorted(Path(pure.__file__).parent.glob("*.py")):
+    for path in [Path(core.__file__), *sorted(Path(pure.__file__).parent.glob("*.py"))]:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             where = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.BinOp, ast.Compare)) and ast.unparse(node) in _DERIVATIONS:
                     found.append((path.name, where, ast.unparse(node)))
-    assert sorted(found) == [("pure.py", "curve_constants", "a * x0 + b * y0"),
-                             ("pure.py", "curve_constants", "a * x0 / c")]
+    assert sorted(found) == [("core.py", "_anchor_constants", "a * x0 + b * y0"),
+                             ("core.py", "_anchor_constants", "a * x0 / c")]
 
 
 def test_kernels_are_written_for_calibrated_weights():

@@ -93,6 +93,17 @@ def test_dynamic_chi_scaled():
     assert dynamic_chi(1.0, 2.0, [2.0, 2.0]) == pytest.approx(4.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("amp, scale, error", [
+    (True, 2.0, "amplification must be a float, got True"),
+    (1.0, False, "scale must be a float, got False"),
+    (0.0, 2.0, "amplification must be > 0, got 0.0"),
+    (1.0, math.inf, "scale must be > 0, got inf"),
+])
+def test_dynamic_chi_refuses_what_the_dynamic_blend_refuses(amp, scale, error):
+    with pytest.raises(InvalidParameterError, match=re.escape(error)):
+        dynamic_chi(amp, scale, [1.0, 1.0])
+
+
 def test_equivalence_balanced():
     ss = StableswapParams(n=2, scale=2.0, chi=0.25)
     assert equivalence_check(ss, [1.0, 1.0]) == 0.0  # scale/n of each currency
