@@ -1,5 +1,5 @@
 import random
-from math import inf, nan, nextafter
+from math import inf, nan, nextafter, ulp
 
 import pytest
 
@@ -16,9 +16,10 @@ from ammix import (
     point_at,
     quote,
     spot_rate,
+    state_for_x,
     swap,
 )
-from ammix.errors import InsufficientLiquidityError, InvalidParameterError
+from ammix.errors import InsufficientLiquidityError, InvalidParameterError, OutOfRangeError
 from ammix.schedules import S_MIN
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
@@ -176,25 +177,22 @@ def test_insufficient_liquidity_carries_max(unit_params, unit_state):
     assert q.output_amount <= 1.0
 
 
-def _assert_max_amount_is_largest(params, mix, state, sell):
+def _max_amount(params, mix, state, sell):
+    """The max_amount of a sale too large for the curve, checked to be the
+    largest amount whose sum with the reserve held does not pass the
+    solver's reach."""
     with pytest.raises(InsufficientLiquidityError) as err:
         quote(params, mix, state, sell, 1e12)
     max_amount = err.value.max_amount
-    q = quote(params, mix, state, sell, max_amount)
-    assert q.input_amount == max_amount > 0.0
     held = state.x if sell is Currency.CUR1 else state.y
     reach = err.value.__cause__.max_reachable
-    above = nextafter(max_amount, inf)
-    assert held + max_amount <= reach < held + above
-    with pytest.raises(InsufficientLiquidityError):
-        quote(params, mix, state, sell, above)
+    assert held + max_amount <= reach < held + nextafter(max_amount, inf)
+    return max_amount
 
 
 def test_reported_max_amount_is_tradable():
-    # the reported maximum is the largest amount whose sum with the reserve
-    # held does not pass the solver's reach, on every finite-intercept
-    # curve, in either direction: quoting exactly max_amount is solved, and
-    # the next float up is refused
+    # on every finite-intercept curve, in either direction: quoting exactly
+    # max_amount is solved, and the next float up is refused
     rng = random.Random(18)
     for _ in range(1000):
         params = CurveParams(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
@@ -203,11 +201,20 @@ def test_reported_max_amount_is_tradable():
         t = rng.uniform(0.0, 0.999) if family is Family.ARITHMETIC else 0.0
         mix = MixSpec(family, Uniform(t))
         state = point_at(params, mix, rng.uniform(0.01, 0.99))
-        _assert_max_amount_is_largest(params, mix, state, rng.choice([Currency.CUR1, Currency.CUR2]))
-    # next to the end the held reserve nears, max_amount is far below an ulp of the reach
+        sell = rng.choice([Currency.CUR1, Currency.CUR2])
+        max_amount = _max_amount(params, mix, state, sell)
+        q = quote(params, mix, state, sell, max_amount)
+        assert q.input_amount == max_amount > 0.0
+        with pytest.raises(InsufficientLiquidityError):
+            quote(params, mix, state, sell, nextafter(max_amount, inf))
+    # a few ulps of the reach below it, under the solve's resolution, the
+    # bound still holds
     params, mix = CurveParams(1.3, 1.0, 0.7, 1.6), MixSpec.arithmetic(0.5)
-    for s, sell in ((1.0 - 1e-9, Currency.CUR1), (1e-9, Currency.CUR2)):
-        _assert_max_amount_is_largest(params, mix, point_at(params, mix, s), sell)
+    with pytest.raises(OutOfRangeError) as err:
+        state_for_x(params, mix, 1e300)
+    reach = err.value.max_reachable
+    for k in (1, 3, 8):
+        _max_amount(params, mix, state_for_x(params, mix, reach - k * ulp(reach)), Currency.CUR1)
 
 
 def test_max_extractable_csmm(unit_params, unit_state):
