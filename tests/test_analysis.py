@@ -456,7 +456,8 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
 
 def _patched_rate(monkeypatch, inner_rate):
     """The kernel rate_xy for the two end rates of one solve,
-    inner_rate(state) at the curve point after them."""
+    inner_rate(state) at the curve point after them; returns the list of
+    the reserves of each call."""
     calls = []
 
     def rate(family, kind, q0, q1, q2, x, y, *rest):
@@ -466,6 +467,7 @@ def _patched_rate(monkeypatch, inner_rate):
         return inner_rate(MarketState(x, y))  # point_at's state
 
     monkeypatch.setattr(k, "rate_xy", rate)
+    return calls
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
@@ -485,10 +487,11 @@ def test_arbitrage_exhausted_cap_raises(monkeypatch, unit_params):
     _patched_rate(monkeypatch, _step_rate)
     mix, p = MixSpec.homotopy(0.5), PriceVector(2.0, 1.0)
     assert isinstance(arbitrage_state(unit_params, mix, p), MarketState)
-    _patched_rate(monkeypatch, _step_rate)
+    calls = _patched_rate(monkeypatch, _step_rate)
     monkeypatch.setattr(analysis, "_MAX_RATE_EVALS", 20)
     with pytest.raises(ConvergenceError, match="after 20 evaluations"):
         arbitrage_state(unit_params, mix, p)
+    assert len(calls) == 2 + 20  # the end rates, then the 20 the cap allows
 
 
 # --- portfolio_value / reduced_value ------------------------------------------
@@ -609,15 +612,18 @@ def test_erli_all_mixings_fail_between_endpoints(unit_params):
 
 def test_erli_is_the_spread_over_the_fixed_scenarios(pool_params):
     """The largest spread of IL across the price scales 1, 3 and 10 of
-    (a/b, 1), at the rate ratios 0.5 and 2, each price solved alone."""
-    mix = MixSpec.homotopy(0.5)
-    spreads = []
-    for ratio in (0.5, 2.0):
-        ils = []
-        for scale in (1.0, 3.0, 10.0):
-            p_i = PriceVector(pool_params.a / pool_params.b * scale, 1.0)
-            p_f = PriceVector(p_i.p1 * ratio, 1.0)
-            x_i, x_f = (arbitrage_state(pool_params, mix, p) for p in (p_i, p_f))
-            ils.append(impermanent_loss(p_f, x_i, x_f).il)
-        spreads.append(max(ils) - min(ils))
-    assert erli_discrepancy(pool_params, mix) == pytest.approx(max(spreads), rel=1e-9)
+    (a/b, 1), at the rate ratios 0.5 and 2, each price solved alone.  On
+    the second curve the spread at ratio 0.5 is the larger one, and scale
+    3 sets its lowest IL."""
+    for params, mix in ((pool_params, MixSpec.homotopy(0.5)),
+                        (CurveParams(1.0, 1.0, 3.0, 1.0), MixSpec.arithmetic(0.5))):
+        spreads = []
+        for ratio in (0.5, 2.0):
+            ils = []
+            for scale in (1.0, 3.0, 10.0):
+                p_i = PriceVector(params.a / params.b * scale, 1.0)
+                p_f = PriceVector(p_i.p1 * ratio, 1.0)
+                x_i, x_f = (arbitrage_state(params, mix, p) for p in (p_i, p_f))
+                ils.append(impermanent_loss(p_f, x_i, x_f).il)
+            spreads.append(max(ils) - min(ils))
+        assert erli_discrepancy(params, mix) == pytest.approx(max(spreads), rel=1e-9)
