@@ -356,21 +356,6 @@ def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     assert batch == [_reference_arbitrage_state(params, mix, p) for p in prices]
 
 
-@pytest.mark.parametrize("params, reserves", [
-    (CurveParams(1e308, 1.0, 1e-320, 1e-12), r"\(0\.0, [^,]+\)$"),
-    (CurveParams(1.0, 1e308, 1e-5, 1e-323), r"\([^,]+, 0\.0\)$"),
-    (CurveParams(1e-308, 1.0, 1e308, 1.0), r"\(inf, [^,]+\)$"),
-    (CurveParams(1.0, 1e-308, 1.0, 1e308), r"\([^,]+, inf\)$"),
-], ids=["x-underflows", "y-underflows", "x-overflows", "y-overflows"])
-def test_arbitrage_refuses_a_curve_end_with_one_reserve_out_of_range(params, reserves):
-    """At an end of s one reserve of these constant-product curves leaves
-    the float range while the other is finite: the rate there is refused
-    with MarketState's error, before a spot rate is taken at that reserve."""
-    with pytest.raises(InvalidParameterError,
-                       match="^reserves must be positive and finite, got " + reserves):
-        arbitrage_state(params, MixSpec.arithmetic(1.0), PriceVector(2.0, 1.0))
-
-
 def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     """A rate flat to 1e-14 across the middle, steep at the ends.
 
@@ -397,6 +382,11 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     (CurveParams(1.35, 1.0, 1545.0, 665.0), PowerLaw(3.495)),
     # the reserves at S_MIN overflow: the reserve check's error
     (CurveParams(3.0, 1.0, 1e300, 1e300), Uniform(1.0)),
+    # one reserve at an end underflows to 0 or overflows, the other is finite
+    (CurveParams(1e308, 1.0, 1e-320, 1e-12), Uniform(1.0)),
+    (CurveParams(1.0, 1e308, 1e-5, 1e-323), Uniform(1.0)),
+    (CurveParams(1e-308, 1.0, 1e308, 1.0), Uniform(1.0)),
+    (CurveParams(1.0, 1e-308, 1.0, 1e308), Uniform(1.0)),
 ])
 def test_arbitrage_errors_match_bisection(params, schedule):
     mix = MixSpec.scheduled(schedule)
