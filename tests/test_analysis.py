@@ -93,19 +93,6 @@ def test_arbitrage_csmm_endpoint(unit_params):
     assert state.y == pytest.approx(2.0, abs=1e-9)
 
 
-def test_arbitrage_matches_spot(unit_params, pool_params):
-    rng = random.Random(17)
-    for params in (unit_params, pool_params):
-        base_rate = params.a / params.b
-        for _ in range(8):
-            family = rng.choice(FAMILIES)
-            t = rng.uniform(0.2, 1.0)
-            mix = MixSpec(family, Uniform(t))
-            r = base_rate * rng.uniform(0.3, 3.0)
-            state = arbitrage_state(params, mix, PriceVector(r, 1.0))
-            assert spot_rate(params, mix, state) == pytest.approx(r, rel=1e-9)
-
-
 def test_arbitrage_rejects_nonconvex_schedule(unit_params):
     # a low-bias parabola with a raised center bends the curve concave while
     # keeping t inside [0, 1]
@@ -332,12 +319,18 @@ def test_arbitrage_states_on_a_grid_are_the_single_solves(mix, order):
 
 
 @pytest.mark.parametrize("params, t, qs", [
+    # flat end to end: end rates 16 and 3 ULPs apart
     (CurveParams(9.0, 0.25, 1.0, 1.5), 1.175494351e-38, [0.0, 0.5]),
     (CurveParams(10.0, 53.31390075048979, 46.546875, 1.0), 1.1754943508222875e-38, [1.0, 0.5]),
+    # flat near S_MIN only (r_max/r_min = 1.0196): prices 2e-11 and 8e-11 below r_max
+    (CurveParams(2.8730653453395925, 0.27613294831623514, 0.07288595776803831, 4.868210966582404),
+     1.394762874661386e-24, [1.0 - 1e-9, 1.0 - 4e-9]),
+    # flat near S_MAX only (r_max/r_min = 1.0262): prices 2.7e-13 and 1.1e-11 above r_min
+    (CurveParams(9.0, 0.25, 1.0, 1.5), 1e-25, [1e-11, 4e-10]),
 ])
 def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
-    """Rates within 1e-10 of an end rate, here on curves whose end rates
-    are 16 and 3 ULPs apart.
+    """Rates within 1e-10 of an end rate, on curves flat end to end and
+    flat near one end only, so each of the two conditions is met alone.
 
     The computed rate steps between neighbouring floats and back over
     stretches of 1e-13 in s, so narrowing from different brackets used to
@@ -347,9 +340,10 @@ def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     mix = MixSpec.homotopy(t)
     r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
     r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
-    assert r_min < r_max <= r_min * (1.0 + 1e-14)
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
               for q in qs]
+    assert all(r_min <= p.p1 <= r_min * (1.0 + 1e-10) or r_max * (1.0 - 1e-10) <= p.p1 <= r_max
+               for p in prices)
     prices += [PriceVector(r_max, 1.0), PriceVector(r_min, 1.0)]  # the end rates, exactly
     batch = arbitrage_states(params, mix, prices)
     assert batch == [arbitrage_state(params, mix, p) for p in prices]

@@ -4,6 +4,9 @@ import json
 import math
 import random
 import re
+import shlex
+import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -201,41 +204,6 @@ def test_quote_cpmm(capsys):
     assert float(row["slippage"]) == pytest.approx(0.5, rel=1e-9)
 
 
-def test_quote_infeasible_exit_4(capsys):
-    code, _, err = run(capsys, "quote", "--mix", "csmm", "--x", "1", "--y", "1",
-                       "--sell", "cur1", "--amount", "5")
-    assert code == 4
-    assert "error" in err
-
-
-def test_quote_off_curve_exit_2(capsys):
-    code, out, err = run(capsys, "quote", "--mix", "cpmm", "--x", "1", "--y", "2",
-                         "--sell", "cur1", "--amount", "0.001")
-    assert code == 2
-    assert out == ""
-    assert "off the curve" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["--mix", "arith", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1e-16"],
-    ["--mix", "arith", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur2", "--amount", "1e-16"],
-    ["--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "1e-16"],
-])
-def test_quote_below_solver_resolution_exit_2(capsys, argv):
-    code, out, err = run(capsys, "quote", *argv)
-    assert code == 2
-    assert out == ""
-    assert "not positive and finite" in err
-
-
-@pytest.mark.parametrize("amount", ["0", "-0.5", "inf", "nan"])
-def test_quote_amount_not_positive_and_finite_exit_2(capsys, amount):
-    code, out, err = run(capsys, "quote", "--mix", "hom", "--t", "0.5", "--x", "1", "--y", "1",
-                         "--sell", "cur1", f"--amount={amount}")
-    assert (code, out) == (2, "")
-    assert err == f"error: trade amount must be positive and finite, got {float(amount)!r}\n"
-
-
 @pytest.mark.parametrize("sell", ["cur1", "cur2"])
 def test_quote_tiny_arithmetic_trade_exit_0(capsys, sell):
     code, out, err = run(capsys, "--format", "json", "quote", "--mix", "arith", "--t", "0.5",
@@ -253,41 +221,6 @@ def test_quote_solver_out_of_halvings_exit_2(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: solve for x=1.3 not narrowed to 1e-14 in 20 halvings")
     assert "Traceback" not in err
-
-
-def test_quote_underflowing_reserve_exit_2(capsys):
-    # x/x0 underflows to 0, so A1 == 0 under the homotopy's negative power
-    code, out, err = run(capsys, "quote", "--mix", "hom", "--t", "0.5", "--x0", "1e10",
-                         "--x", "1e-320", "--y", "1", "--sell", "cur1", "--amount", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the invariant is not representable at reserves (1e-320, 1.0): "
-                          "ZeroDivisionError")
-    assert "Traceback" not in err and err.count("\n") == 1
-
-
-def test_degenerate_anchor_exit_2(capsys):
-    code, out, err = run(capsys, "il-table", "--mix", "hom", "--t", "0.5", "--ratios", "0.5",
-                         "--a", "1e300")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = 1.0 "
-                          "is not strictly inside (0, 1) for a=1e+300")
-    assert "math domain error" not in err
-
-
-def test_curve_sample_t_out_of_range_exit_2(capsys):
-    code, _, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "1.5")
-    assert code == 2
-    assert "error" in err
-
-
-def test_unknown_flag_exit_2(capsys):
-    code, _, _ = run(capsys, "curve-sample", "--mix", "hom", "--t", "0.5", "--bogus")
-    assert code == 2
-
-
-def test_unknown_subcommand_exit_2(capsys):
-    code, _, _ = run(capsys, "no-such-command")
-    assert code == 2
 
 
 def test_convexity_pass_exit_0(capsys):
@@ -330,11 +263,15 @@ def test_curve_sample_points_on_curve(capsys):
         assert abs(eval_mixed(params, mix, MarketState(x, y)) - 1.0) <= 1e-10
 
 
-def test_il_table(capsys):
-    code, out, _ = run(capsys, "il-table", "--mix", "cpmm", "--ratios", "4")
-    assert code == 0
-    row = out.strip().split("\n")[1].split(",")
-    assert float(row[1]) == pytest.approx(2 * 2 / 5 - 1, abs=1e-8)  # 2*sqrt(4)/(1+4) - 1
+def test_il_table(capsys, monkeypatch):
+    """Ratios are to the curve's own rate a/b, through the console entry point."""
+    for curve in ([], ["--a", "2", "--b", "4", "--x0", "2"]):
+        monkeypatch.setattr(sys, "argv",
+                            ["ammix", "il-table", "--mix", "cpmm", "--ratios", "4"] + curve)
+        with pytest.raises(SystemExit, match="^0$"):
+            cli.main()
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(row[1]) == pytest.approx(2 * 2 / 5 - 1, abs=1e-8)  # 2*sqrt(4)/(1+4) - 1
 
 
 def test_il_table_unconverged_solve_exit_2(capsys, monkeypatch):
@@ -417,11 +354,6 @@ def test_pvf_table_values_are_the_public_apis(capsys):
         assert next(rows, None) is None
 
 
-def test_sim_run_requires_seed(capsys):
-    code, _, _ = run(capsys, "sim-run", "--steps", "5")
-    assert code == 2
-
-
 def test_sim_run_reproducible(capsys):
     args = ("sim-run", "--seed", "42", "--steps", "40", "--stability", "0.5")
     code1, out1, _ = run(capsys, *args)
@@ -430,33 +362,29 @@ def test_sim_run_reproducible(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("argv", [
-    ("sim-run", "--seed", "-5", "--steps", "3"),
-    ("sim-sweep", "--seed", "-5", "--stabilities", "0.5", "--runs", "1"),
-])
-def test_sim_negative_seed_exit_2(capsys, argv):
-    # numpy's own "expected non-negative integer" named no flag
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: seed must be a non-negative integer, got -5\n"
+def test_pvf_table_default_grid(capsys):
+    code, out, _ = run(capsys, "pvf-table")
+    assert (code, out.count("\n")) == (0, 1 + 5 * 25)  # 5 stabilities by 25 rates
 
 
-def test_sim_sweep_small(capsys):
-    code, out, _ = run(capsys, "sim-sweep", "--seed", "7", "--stabilities", "0.2,0.8",
-                       "--runs", "2")
+def test_sim_sweep_small(tmp_path, capsys):
+    """One row per default stability, 0.05 to 0.95 in steps of 0.05."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"steps": 20}}))
+    code, out, _ = run(capsys, "sim-sweep", "--seed", "7", "--runs", "2", "--config", str(cfg))
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "stability,mse_internal_external,early_window_slippage,final_window_mse"
-    assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == [f"{i / 20:g}" for i in range(1, 20)]
 
 
 def test_stableswap_compare(capsys):
-    code, out, _ = run(capsys, "stableswap-compare", "--amp", "1", "--scale", "2",
-                       "--samples", "5")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "x,y,t_dynamic,uniform_residual"
-    assert len(lines) == 6
+    for samples in (5, 1):
+        code, out, _ = run(capsys, "stableswap-compare", "--amp", "1", "--scale", "2",
+                           "--samples", str(samples))
+        lines = out.strip().split("\n")
+        assert (code, lines[0]) == (0, "x,y,t_dynamic,uniform_residual")
+        assert len(lines) == samples + 1
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -467,123 +395,6 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert float(row[3]) == pytest.approx(0.5, rel=1e-9)  # spot_before = a/b
-
-
-@pytest.mark.parametrize("section, argv", [
-    ("curve", ("curve-sample", "--mix", "hom", "--t", "0.5")),
-    ("sim", ("sim-run", "--seed", "1", "--steps", "3")),
-])
-@pytest.mark.parametrize("value", [[], ["steps"], "steps", 3, 0.5])
-def test_config_section_must_be_an_object(tmp_path, capsys, section, argv, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: value}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: config section {section!r} must hold a JSON object\n"
-
-
-@pytest.mark.parametrize("section, key, argv", [
-    ("sim", "steps", ("sim-run", "--seed", "1")),
-    ("sim", "stability", ("sim-sweep", "--seed", "1", "--stabilities", "0.5", "--runs", "1")),
-    ("sim", "init_x", ("sim-run", "--seed", "1", "--steps", "3")),
-    ("curve", "a", ("quote", "--mix", "cpmm", "--x", "1", "--y", "1", "--sell", "cur1",
-                    "--amount", "0.1")),
-    ("curve", "y0", ("curve-sample", "--mix", "hom", "--t", "0.5")),
-])
-@pytest.mark.parametrize("value", [True, False, "3", None, [3]])
-def test_config_numbers_refuse_non_numbers(tmp_path, capsys, section, key, argv, value):
-    """JSON true is not 1: a boolean or any other non-number under a numeric
-    config key exits 2 with a typed error, not a run on a = 1 or 1 step."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: {key: value}}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert (code, out) == (2, "")
-    kind = "an integer" if key == "steps" else "a number"
-    assert err == f"error: config key {section}.{key} must be {kind}, got {json.dumps(value)}\n"
-
-
-@pytest.mark.parametrize("config, key", [
-    ({"curve": {"X0": 5}}, "curve.X0"),
-    ({"curve": {"a": 2, "bogus": True}}, "curve.bogus"),
-    ({"bogus": {}}, "bogus"),
-    ({"sim": {"bogus": 1}}, "sim.bogus"),
-    ({"sim": {"init_state": [1, 1]}}, "sim.init_state"),
-    # keys are checked before values
-    ({"curve": {"a": True, "X0": 5}}, "curve.X0"),
-    ({"sim": {"steps": "3"}, "bogus": 1}, "bogus"),
-])
-@pytest.mark.parametrize("argv", [
-    ("curve-sample", "--mix", "hom", "--t", "0.5", "--samples", "2"),
-    ("sim-run", "--seed", "1", "--steps", "3"),
-])
-def test_config_refuses_unknown_keys(tmp_path, capsys, config, key, argv):
-    """A misspelt section or key exits 2 with one typed error line, whichever
-    command reads the file, instead of running on the default."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert err == f"error: unknown config key {key}\n"
-
-
-def test_config_integer_key_refuses_a_float(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sim": {"runs": 2.0}}))
-    code, out, err = run(capsys, "sim-sweep", "--seed", "1", "--stabilities", "0.5",
-                         "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert err == "error: config key sim.runs must be an integer, got 2.0\n"
-
-
-@pytest.mark.parametrize("argv, rate", [
-    # the partials' ratio underflows to 0: 1/rate used to raise ZeroDivisionError
-    (("--mix", "cpmm", "--y0", "1e300", "--x", "9.999e+303", "--y", "1e+300", "--sell", "cur2",
-      "--amount", "6.150305336174553e+303"), "0.0"),
-    # both partials overflow: the rate used to print as an empty spot_before and slippage
-    (("--mix", "hom", "--t", "0.19171569487091622", "--a", "0.00013738015707961775",
-      "--b", "1e160", "--y0", "290.9866163112117", "--x", "3.66707704473e+165",
-      "--y", "251.770950489", "--sell", "cur1", "--amount", "1.5887714586464152e+161"), "nan"),
-])
-def test_quote_refuses_a_spot_rate_that_is_not_positive_and_finite(capsys, argv, rate):
-    code, out, err = run(capsys, "quote", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: spot rate {rate} at reserves (")
-    assert err.endswith(") is not positive and finite\n") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ("il-table", "--mix", "csmm", "--y0", "1e308", "--ratios", "1e300"),
-    ("pvf-table", "--a", "33879014162.370903", "--b", "66883.6801136716",
-     "--x0", "2450048565.564313", "--y0", "527026.7313179814",
-     "--r-min", "1.7976931348623157e308", "--r-max", "0.999999999999", "--r-points", "4",
-     "--stabilities", "0.11218229918862466"),
-], ids=["il-table", "pvf-table"])
-def test_portfolio_value_overflow_exit_2(capsys, argv):
-    """P.X past the float range used to print as an empty field at exit 0."""
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: portfolio value ") and " = inf is not finite at " in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ("curve-sample", "--mix", "hom"),
-    ("convexity",),
-    ("quote", "--mix", "geo", "--x", "1", "--y", "1", "--sell", "cur1", "--amount", "0.1"),
-    ("il-table", "--mix", "arith", "--ratios", ""),
-    ("pvf-table", "--r-points", "0"),
-    ("sim-run", "--seed", "1", "--stability", "2"),
-    ("sim-sweep", "--seed", "1", "--stabilities", ""),
-])
-def test_config_errors_come_before_flag_errors(tmp_path, capsys, argv):
-    """Each command reads its --config first, so a bad file is the error
-    reported even when the flags are bad as well."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": {}}))
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert err == "error: unknown config key bogus\n"
 
 
 def test_json_format_flag(capsys):
@@ -617,13 +428,6 @@ def test_il_table_with_curve_end_states(capsys, curve):
     ils = [float(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
     assert len(ils) == 4
     assert all(il <= 0.0 for il in ils)
-
-
-def test_curve_sample_one_sample_exit_2(capsys):
-    code, out, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "0.5", "--samples", "1")
-    assert code == 2
-    assert out == ""
-    assert "--samples" in err
 
 
 # --- curve-sample rows against point_at -----------------------------------------
@@ -696,13 +500,6 @@ def test_curve_sample_rows_are_point_at_bit_for_bit(draws):
             assert (code, rows) == (0, want), (argv, err)
 
 
-def test_curve_sample_unrepresentable_reserve_exit_2(capsys):
-    # x = lam*s/a overflows at a = 1e-306
-    code, out, err = run(capsys, "curve-sample", "--mix", "hom", "--t", "0.5", "--a", "1e-306")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: reserves must be positive and finite, got (inf, ")
-
-
 @pytest.mark.parametrize("argv", [
     ["curve-sample", "--mix", "arith", "--t", "0.5", "--x0", "1e154", "--y0", "1e154"],
     ["il-table", "--mix", "arith", "--t", "0.5", "--x0", "1e200", "--y0", "1e200"],
@@ -721,88 +518,171 @@ def test_arithmetic_curve_past_c_times_p_range_exit_0(capsys, argv):
     assert values and all(math.isfinite(v) for v in values)
 
 
-# --- typed refusals of stableswap-compare and pvf-table -------------------------
+# --- refusals: the exit code and the one stderr line of each --------------------
 
-@pytest.mark.parametrize("amp", ["nan", "inf"])
-def test_stableswap_compare_non_finite_amp_exit_2(capsys, amp):
-    code, out, err = run(capsys, "stableswap-compare", "--amp", amp, "--scale", "1")
-    assert (code, out) == (2, "")
-    assert err == f"error: amplification must be > 0, got {amp}\n"
+_STABILITIES = "error: --stabilities values must be in [0, 1], got "
+_FLOAT_RANGE = "error: the curve's terms leave the float range at x="
+_RESERVES = "error: reserves must be positive and finite, got "
 
-
-def test_stableswap_compare_off_curve_row_exit_2(capsys):
+# (command line, --config body or None, exit code, stderr's last line)
+_REFUSALS = [
+    ("quote --mix csmm --x 1 --y 1 --sell cur1 --amount 5", None, 4,
+     "error: trade of 5.0 cur1 exceeds the curve's reach"),
+    ("quote --mix cpmm --x 1 --y 2 --sell cur1 --amount 0.001", None, 2,
+     "error: state (1.0, 2.0) is off the curve: A(X) - 1 = 0.41421356237309515"),
+    # trades below the solver's resolution
+    *[(f"quote --mix {mix} --t 0.5 --x 1 --y 1 --sell {sell} --amount 1e-16", None, 2,
+       f"error: trade of 1e-16 {sell} gives output 0.0, which is not positive and finite")
+      for mix, sell in (("arith", "cur1"), ("arith", "cur2"), ("hom", "cur1"))],
+    *[(f"quote --mix hom --t 0.5 --x 1 --y 1 --sell cur1 --amount={amount}", None, 2,
+       f"error: trade amount must be positive and finite, got {float(amount)!r}")
+      for amount in ("0", "-0.5", "inf", "nan")],
+    # x/x0 underflows to 0, so A1 == 0 under the homotopy's negative power
+    ("quote --mix hom --t 0.5 --x0 1e10 --x 1e-320 --y 1 --sell cur1 --amount 1", None, 2,
+     "error: the invariant is not representable at reserves (1e-320, 1.0): "
+     "ZeroDivisionError: 0.0 cannot be raised to a negative power"),
+    ("quote --mix cpmm --y0 1e300 --x 9.999e+303 --y 1e+300 --sell cur2 "
+     "--amount 6.150305336174553e+303", None, 2,  # the partials' ratio underflows to 0
+     "error: spot rate 0.0 at reserves (9.999e+303, 1e+300) is not positive and finite"),
+    ("quote --mix hom --t 0.19171569487091622 --a 0.00013738015707961775 --b 1e160 "
+     "--y0 290.9866163112117 --x 3.66707704473e+165 --y 251.770950489 --sell cur1 "
+     "--amount 1.5887714586464152e+161", None, 2,  # both partials overflow
+     "error: spot rate nan at reserves (3.66707704473e+165, 251.770950489) "
+     "is not positive and finite"),
+    ("il-table --mix hom --t 0.5 --ratios 0.5 --a 1e300", None, 2,  # s0 rounds to 1
+     "error: anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = 1.0 is not strictly inside (0, 1) "
+     "for a=1e+300, b=1.0, x0=1.0, y0=1.0"),
+    *[(f"curve-sample --mix hom --t {t}", None, 2,
+       f"error: uniform blend weight must be in [0, 1], got {t}") for t in ("1.5", "1.0000005")],
+    *[(f"convexity --schedule parabolic --bias {bias} --center {center}", None, 2, f"error: {line}")
+      for bias, center, line in (
+          ("1.0000005", "0.5", "bias must be in [0, 1], got 1.0000005"),
+          ("0.5", "1.0000005", "center must be in [0, 1], got 1.0000005"),
+          ("0", "0.7500158", "parabolic schedule leaves [0, 1]: t(0.999968) = 1"))],  # 1 + 1e-9
+    ("curve-sample --mix hom --t 0.5 --samples 1", None, 2, "error: --samples must be >= 2, got 1"),
+    # x = lam*s/a overflows; then x, then y, underflows to 0
+    ("curve-sample --mix hom --t 0.5 --a 1e-306", None, 2, _RESERVES + "(inf, 0.5010282778864971)"),
+    ("curve-sample --mix csmm --x0 1e-321 --y0 1e-321 --samples 3", None, 2,
+     _RESERVES + "(0.0, 1.996e-321)"),
+    ("curve-sample --mix csmm --a 1e-300 --b 1e20 --y0 1e-321 --samples 3", None, 2,
+     _RESERVES + "(1.0996912803338859, 0.0)"),
+    ("convexity --schedule parabolic --bias 0.5", None, 2,
+     "error: --schedule parabolic requires --bias and --center"),
+    ("curve-sample --mix hom --t 0.5 --bogus", None, 2,
+     "ammix: error: unrecognized arguments: --bogus"),
+    ("no-such-command", None, 2,
+     "ammix: error: argument command: invalid choice: 'no-such-command' (choose from "
+     "'curve-sample', 'convexity', 'quote', 'il-table', 'pvf-table', 'stableswap-compare', "
+     "'sim-run', 'sim-sweep')"),
+    ("sim-run --steps 5", None, 2,
+     "ammix sim-run: error: the following arguments are required: --seed"),
+    *[(command, None, 2, "error: seed must be a non-negative integer, got -5") for command in (
+        "sim-run --seed -5 --steps 3", "sim-sweep --seed -5 --stabilities 0.5 --runs 1")],
+    ("il-table --mix csmm --y0 1e308 --ratios 1e300", None, 2,  # P.X past the float range
+     "error: portfolio value P.X = inf is not finite at prices (1e+300, 1.0) "
+     "and reserves (1e+296, 9.99999999999e+307)"),
+    ("pvf-table --a 33879014162.370903 --b 66883.6801136716 --x0 2450048565.564313 "
+     "--y0 527026.7313179814 --r-min 1.7976931348623157e308 --r-max 0.999999999999 "
+     "--r-points 4 --stabilities 0.11218229918862466", None, 2,
+     "error: portfolio value P.X = inf is not finite at prices (1.7976931348623157e+308, 1.0) "
+     "and reserves (2175196438.89827, 1.1018160309668125e+27)"),
+    *[(f"stableswap-compare --amp {amp} --scale 1", None, 2,
+       f"error: amplification must be > 0, got {amp}") for amp in ("nan", "inf")],
     # the curve is all but constant-sum: its y at x = 1.25 > D lies below the
-    # solver's floor, which used to be printed with residual 223606
-    code, out, err = run(capsys, "stableswap-compare", "--amp", "1e300", "--scale", "1",
-                         "--samples", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: no y on the curve at x=1.25:") and err.count("\n") == 1
+    # solver's floor
+    ("stableswap-compare --amp 1e300 --scale 1 --samples 3", None, 2,
+     "error: no y on the curve at x=1.25: the solve ends at y=1.0000000000000002e-12 with "
+     "residual -4.0000000000128027e+288 against terms of size 2.0000000000000006e+289"),
+    # the last scale puts 4*scale just below the largest float
+    *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2, f"{_FLOAT_RANGE}{x} ({exc})")
+      for scale, x, exc in (("1e200 --samples 3", "1e+199", "OverflowError"),
+                            ("1e-300 --samples 3", "1e-301", "ZeroDivisionError"),
+                            ("4.4942e307", "4.4942e+306", "OverflowError"))],
+    # scale/2 rounds to 0 at 5e-324, and the first sample x = 0.2*scale/2 at 2e-323
+    *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2,
+       f"error: --scale {scale} is too small: its first sample x = 0.2*scale/2 rounds to 0")
+      for scale in ("5e-324", "2e-323")],
+    *[(f"stableswap-compare --amp 1 --scale {scale}{extra}", None, 2,
+       f"error: --scale {float(scale)!r} is too large: the y-solve's bracket top 4*scale "
+       "overflows") for scale, extra in (("4.5e307", ""), ("1.5e308", " --samples 3"))],
+    *[(f"stableswap-compare --amp 1 --scale 1 --samples {samples}", None, 2,
+       f"error: --samples must be >= 1, got {samples}") for samples in ("0", "-1")],
+    ("pvf-table --r-max inf", None, 2, "error: --r-max must be positive and finite, got inf"),
+    ("pvf-table --r-min 0", None, 2, "error: --r-min must be positive and finite, got 0.0"),
+    *[(f"pvf-table --r-points {points}", None, 2, f"error: --r-points must be >= 1, got {points}")
+      for points in ("0", "-1")],
+    *[(f"pvf-table --stabilities {stabilities}{extra}", None, 2, _STABILITIES + bad)
+      for extra in ("", " --bias 0.5")
+      for stabilities, bad in (("1.5", "1.5"), ("0.5,-0.25", "-0.25"), ("nan", "nan"))],
+    ("pvf-table --stabilities 1.0000005", None, 2, _STABILITIES + "1.0000005"),
+]
+
+_CURVE_SAMPLE = "curve-sample --mix hom --t 0.5"
+_SIM_RUN = "sim-run --seed 1 --steps 3"
+
+# a section that is not an object
+_REFUSALS += [(command, {section: value}, 2,
+               f"error: config section {section!r} must hold a JSON object")
+              for section, command in (("curve", _CURVE_SAMPLE), ("sim", _SIM_RUN))
+              for value in ([], ["steps"], "steps", 3, 0.5)]
+# JSON true is not 1: a boolean or any other non-number under a numeric key
+# is refused, not run on a = 1 or 1 step
+_REFUSALS += [(command, {section: {key: value}}, 2,
+               f"error: config key {section}.{key} must be "
+               f"{'an integer' if key == 'steps' else 'a number'}, got {json.dumps(value)}")
+              for section, key, command in (
+                  ("sim", "steps", "sim-run --seed 1"),
+                  ("sim", "stability", "sim-sweep --seed 1 --stabilities 0.5 --runs 1"),
+                  ("sim", "init_x", _SIM_RUN),
+                  ("curve", "a", "quote --mix cpmm --x 1 --y 1 --sell cur1 --amount 0.1"),
+                  ("curve", "y0", _CURVE_SAMPLE))
+              for value in (True, False, "3", None, [3])]
+_REFUSALS.append(("sim-sweep --seed 1 --stabilities 0.5", {"sim": {"runs": 2.0}}, 2,
+                  "error: config key sim.runs must be an integer, got 2.0"))
+# a misspelt section or key, whichever command reads the file; keys are
+# checked before values
+_REFUSALS += [(command, config, 2, f"error: unknown config key {key}")
+              for config, key in (
+                  ({"curve": {"X0": 5}}, "curve.X0"),
+                  ({"curve": {"a": 2, "bogus": True}}, "curve.bogus"),
+                  ({"bogus": {}}, "bogus"),
+                  ({"sim": {"bogus": 1}}, "sim.bogus"),
+                  ({"sim": {"init_state": [1, 1]}}, "sim.init_state"),
+                  ({"curve": {"a": True, "X0": 5}}, "curve.X0"),
+                  ({"sim": {"steps": "3"}, "bogus": 1}, "bogus"))
+              for command in (_CURVE_SAMPLE + " --samples 2", _SIM_RUN)]
+# each command reads its --config first, so a bad file is the error reported
+# even when the flags are bad as well
+_REFUSALS += [(command, {"bogus": {}}, 2, "error: unknown config key bogus") for command in (
+    "curve-sample --mix hom",
+    "convexity",
+    "quote --mix geo --x 1 --y 1 --sell cur1 --amount 0.1",
+    "il-table --mix arith --ratios ''",
+    "pvf-table --r-points 0",
+    "sim-run --seed 1 --stability 2",
+    "sim-sweep --seed 1 --stabilities ''",
+)]
 
 
-@pytest.mark.parametrize("scale, exc", [("1e200", "OverflowError"), ("1e-300", "ZeroDivisionError")])
-def test_stableswap_compare_float_range_exit_2(capsys, scale, exc):
-    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale,
-                         "--samples", "3")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the curve's terms leave the float range")
-    assert err.endswith(f"({exc})\n")
-
-
-@pytest.mark.parametrize("scale", ["5e-324", "2e-323"])
-def test_stableswap_compare_scale_too_small_exit_2(capsys, scale):
-    # scale/2 rounds to 0 at 5e-324, and the first sample x = 0.2*scale/2 at
-    # 2e-323; both used to name a reserve or --x0, which the command does not take
-    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale)
-    assert (code, out) == (2, "")
-    assert err == (f"error: --scale {float(scale)!r} is too small: its first sample "
-                   "x = 0.2*scale/2 rounds to 0\n")
-
-
-@pytest.mark.parametrize("scale, extra", [("4.5e307", ()), ("1.5e308", ("--samples", "3"))])
-def test_stableswap_compare_scale_too_large_exit_2(capsys, scale, extra):
-    # the y-solve's bracket top 4*scale overflows; these used to name reserves
-    # (4.5e306, inf) and (nan, inf), which the command does not take
-    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", scale, *extra)
-    assert (code, out) == (2, "")
-    assert err == (f"error: --scale {float(scale)!r} is too large: the y-solve's "
-                   "bracket top 4*scale overflows\n")
-
-
-def test_pvf_table_infinite_rate_exit_2_without_warning(capfd):
-    import warnings
+@pytest.mark.parametrize("command, config, code, line", _REFUSALS, ids=[
+    " ".join(shlex.split(command)) + ("" if config is None else f" --config {json.dumps(config)}")
+    for command, config, _, _ in _REFUSALS])
+def test_refusal(tmp_path, capsys, command, config, code, line):
+    """A refusal: its exit code, no stdout, no warning, one stderr line."""
+    argv = shlex.split(command)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run_command(["pvf-table", "--r-max", "inf"])
-    out, err = capfd.readouterr()
-    assert (code, out) == (2, "")
-    assert err == "error: --r-max must be positive and finite, got inf\n"
-
-
-@pytest.mark.parametrize("points", ["0", "-1"])
-def test_pvf_table_r_points_below_one_exit_2(capsys, points):
-    code, out, err = run(capsys, "pvf-table", "--r-points", points)
-    assert (code, out) == (2, "")
-    assert err == f"error: --r-points must be >= 1, got {points}\n"
-
-
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_stableswap_compare_samples_below_one_exit_2(capsys, samples):
-    code, out, err = run(capsys, "stableswap-compare", "--amp", "1", "--scale", "1",
-                         "--samples", samples)
-    assert (code, out) == (2, "")
-    assert err == f"error: --samples must be >= 1, got {samples}\n"
-
-
-@pytest.mark.parametrize("stabilities, bad", [
-    ("1.5", "1.5"),
-    ("0.5,-0.25", "-0.25"),
-    ("nan", "nan"),
-])
-@pytest.mark.parametrize("extra", [(), ("--bias", "0.5")])
-def test_pvf_table_stability_outside_unit_interval_exit_2(capsys, stabilities, bad, extra):
-    code, out, err = run(capsys, "pvf-table", "--stabilities", stabilities, *extra)
-    assert (code, out) == (2, "")
-    assert err == f"error: --stabilities values must be in [0, 1], got {bad}\n"
+        got = run_command(argv)
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    if line.startswith("error: "):
+        assert err == line + "\n"
+    else:
+        assert err.splitlines()[-1] == line
 
 
 # --- one parser per process -------------------------------------------------------

@@ -94,7 +94,7 @@ def test_uniform_schedule_chain(unit_params):
 def test_powerlaw_encodes_its_scale_as_q1():
     # the kernels read M = max(s0, 1 - s0) from q1 instead of deriving it
     rng = random.Random(1617)
-    for s0 in [0.5, 0.25, 0.75, 1e-12, 1.0 - 1e-12] + [rng.random() for _ in range(200)]:
+    for s0 in [0.5, 0.5000001, 0.25, 0.75, 1e-12, 1.0 - 1e-12] + [rng.random() for _ in range(200)]:
         k = rng.uniform(0.1, 8.0)
         assert schedule_coeffs(PowerLaw(k), s0) == (1, k, max(s0, 1.0 - s0), 0.0), s0
 
@@ -140,15 +140,15 @@ def test_powerlaw_singularities(unit_params):
 
 
 def test_parabolic_pinned_values(unit_params):
-    sched = Parabolic(bias=0.2, center=0.5)
     s0 = unit_params.s0
     # evaluate the quadratic at the pinned abscissas via its coefficients
     from ammix.schedules import parabolic_coefficients
-    c2, c1, c0 = parabolic_coefficients(sched, s0)
-    poly = lambda s: (c2 * s + c1) * s + c0
-    assert poly(0.0) == pytest.approx(0.2, abs=1e-12)
-    assert poly(1.0) == pytest.approx(0.8, abs=1e-12)
-    assert poly(s0) == pytest.approx(0.5, abs=1e-12)
+    for bias, center in ((0.2, 0.5), (0.5, 1.0)):  # the second's top is 1.0 exactly
+        c2, c1, c0 = parabolic_coefficients(Parabolic(bias=bias, center=center), s0)
+        poly = lambda s: (c2 * s + c1) * s + c0
+        assert poly(0.0) == pytest.approx(bias, abs=1e-12)
+        assert poly(1.0) == pytest.approx(1.0 - bias, abs=1e-12)
+        assert poly(s0) == pytest.approx(center, abs=1e-12)
 
 
 def test_parabolic_of_pool_curve(pool_params):
@@ -223,7 +223,7 @@ def test_lambda_derivs_match_finite_differences(unit_params, pool_params):
 # --- curve_derivatives ------------------------------------------------------
 
 def test_curve_slope_at_anchor(unit_params, pool_params):
-    for params in (unit_params, pool_params):
+    for params in (unit_params, pool_params, CurveParams(1.0, 1.0, 0.25, 0.25)):  # x'(s) below 1
         for t in (0.0, 0.3, 0.7, 1.0):
             dy_dx, _ = curve_derivatives(params, Uniform(t), params.s0)
             assert dy_dx == pytest.approx(-params.a / params.b, rel=1e-9)
@@ -237,8 +237,9 @@ def test_curve_csmm_is_line(unit_params):
 
 
 def test_curve_cpmm_second_derivative(unit_params):
-    dy_dx, d2 = curve_derivatives(unit_params, Uniform(1.0), 0.5)
-    assert d2 == pytest.approx(2.0, rel=1e-10)  # y = 1/x has y'' = 2 at x = 1
+    # y = 1/x has y'' = 2/x^3: 2 at x = 1 and 0.25 at x = 2 (s = 0.8)
+    for s, want in ((0.5, 2.0), (0.8, 0.25)):
+        assert curve_derivatives(unit_params, Uniform(1.0), s)[1] == pytest.approx(want, rel=1e-10)
 
 
 def test_slope_negative_everywhere(pool_params):
@@ -409,6 +410,8 @@ def test_dynamic_y_solve_matches_the_checked_bisection():
         amp, scale = 10 ** rng.uniform(-1, 3), 10 ** rng.uniform(-3, 6)
         x = 0.5 * scale * rng.uniform(0.2, 2.5)
         assert stableswap_dynamic_y(amp, scale, x) == _reference_dynamic_y(amp, scale, x)
+    # y = 26 > 4*D: the bracket's top doubles twice
+    assert stableswap_dynamic_y(1.0, 2.0, 0.01) == _reference_dynamic_y(1.0, 2.0, 0.01)
 
 
 def test_dynamic_y_solve_raises_its_bracket_past_the_first_top():
@@ -459,6 +462,12 @@ def test_bisect_raises_when_halvings_run_out(monkeypatch):
     # [0, 1] narrows to 1e-12 after 40 halvings
     root = schedules._bisect(lambda x: x < 0.3, 0.0, 1.0, atol=1e-12)
     assert abs(root - 0.3) <= 1e-12
+    # a root at the top: [0, 4] narrows to rtol*hi = 4e-15 after 50 halvings
+    assert schedules._bisect(lambda x: True, 0.0, 4.0, rtol=1e-15) == 4.0 - 2.0**-49
+    # a bracket exactly atol wide stops, whichever end moved last
+    monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 40)
+    assert schedules._bisect(lambda x: True, 0.0, 1.0, atol=2.0**-40) == 1.0 - 2.0**-41
+    assert schedules._bisect(lambda x: False, 0.0, 1.0, atol=2.0**-40) == 2.0**-41
     monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 39)
     with pytest.raises(ConvergenceError, match="in 39 halvings"):
         schedules._bisect(lambda x: x < 0.3, 0.0, 1.0, atol=1e-12)

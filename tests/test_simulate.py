@@ -20,7 +20,8 @@ from ammix import (
 from ammix.core import spot_rate as internal_rate
 from ammix.errors import InvalidParameterError
 from ammix.schedules import S_MAX, S_MIN
-from ammix.simulate import SimTrace, _external_rng, _run_rng, _run_with, curve_for
+from ammix.simulate import (
+    SimSummary, SimTrace, _external_rng, _run_rng, _run_with, curve_for, summarize)
 from conftest import spearman
 
 
@@ -34,15 +35,15 @@ def test_config_defaults_match_reference_setup():
     assert cfg.max_extraction_frac == 0.02
     assert cfg.toward_prob == 0.9
     assert cfg.runs == 100
+    assert cfg.seed == 0
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        SimConfig(stability=1.5)
-    with pytest.raises(InvalidParameterError):
-        SimConfig(toward_prob=-0.1)
-    with pytest.raises(InvalidParameterError):
-        SimConfig(steps=-1)
+    for bad in ({"stability": 1.5}, {"stability": 1.0000005}, {"toward_prob": -0.1},
+                {"toward_prob": 1.0000005}, {"steps": -1}):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(**bad)
+    assert SimConfig(toward_prob=0.0).toward_prob == 0.0
 
 
 @pytest.mark.parametrize("field, value, error", [
@@ -143,7 +144,7 @@ def test_sim_step_noop_when_size_zero():
     state = cfg.init_state
     new_state, rec = sim_step(state, params, mix, 0.8, cfg, _run_rng(cfg.seed, 0))
     assert new_state == state
-    assert rec.extracted is None
+    assert (rec.extracted, rec.output_amount, rec.input_amount) == (None, 0.0, 0.0)
 
 
 def test_sim_step_moves_rate_toward_external():
@@ -211,6 +212,10 @@ def test_run_sim_zero_steps():
     trace = run_sim(SimConfig(steps=0, seed=5))
     assert len(trace) == 1
     assert trace.extracted[0] is None
+    assert summarize(trace) == SimSummary(0.5, 0.0, 0.0, 0.0)  # empty windows read 0
+    # a run of at most 101 steps is all final window
+    short = summarize(run_sim(SimConfig(steps=5, seed=5)))
+    assert short.final_window_mse == short.mse_internal_external
 
 
 def test_run_sim_deterministic():

@@ -23,8 +23,8 @@ from ammix.stableswap import normalized_components, solve_reserve
 
 
 def test_residual_balanced_two():
-    ss = StableswapParams(n=2, scale=2.0, chi=0.7)
-    assert invariant_residual(ss, [1.0, 1.0]) == 0.0
+    for chi in (0.7, 0.0):  # chi = 0 is the constant-product pool
+        assert invariant_residual(StableswapParams(n=2, scale=2.0, chi=chi), [1.0, 1.0]) == 0.0
 
 
 def test_residual_balanced_three():
@@ -33,15 +33,34 @@ def test_residual_balanced_three():
 
 
 def test_residual_root_solved_point():
-    ss = StableswapParams(n=2, scale=2.0, chi=0.25)
-    y = solve_reserve(ss, [1.5])
-    assert abs(invariant_residual(ss, [1.5, y])) <= 1e-10 * ss.scale**ss.n
+    # scales 1e-8 to 1e8, and a completion of 5.6e-13, just inside the bracket's 1e-12*D/n
+    for scale, partial in ((2.0, [1.5]), (1e-8, [5e-9]), (1e8, [5e7]), (1.0, [1.999999999995])):
+        ss = StableswapParams(n=2, scale=scale, chi=0.25)
+        y = solve_reserve(ss, partial)
+        assert abs(invariant_residual(ss, [*partial, y])) <= 1e-10 * ss.scale**ss.n
+    with pytest.raises(InvalidParameterError, match=re.escape("expected 1 fixed reserves, got 2")):
+        solve_reserve(ss, [0.5, 0.5])
 
 
 def test_residual_dimension_mismatch():
     ss = StableswapParams(n=3, scale=3.0, chi=0.5)
     with pytest.raises(InvalidParameterError):
         invariant_residual(ss, [1.0, 1.0])
+    for x in (0.0, -1.0, math.inf):
+        with pytest.raises(InvalidParameterError, match="reserves must be positive and finite"):
+            invariant_residual(ss, [1.0, 1.0, x])
+
+
+@pytest.mark.parametrize("scale, chi, error", [
+    (0.0, 0.25, "scale must be positive and finite, got 0.0"),
+    (-1.0, 0.25, "scale must be positive and finite, got -1.0"),
+    (math.inf, 0.25, "scale must be positive and finite, got inf"),
+    (2.0, -1.0, "chi must be >= 0, got -1.0"),
+    (2.0, math.inf, "chi must be >= 0, got inf"),
+])
+def test_pool_constants_refused(scale, chi, error):
+    with pytest.raises(InvalidParameterError, match=re.escape(error)):
+        StableswapParams(n=2, scale=scale, chi=chi)
 
 
 def test_t_from_chi_endpoints():
@@ -61,6 +80,10 @@ def test_chi_round_trip():
     for n in (2, 3):
         for chi in (0.01, 0.25, 1.0, 10.0, 1e4):
             assert chi_from_t(t_from_chi(chi, n), n) == pytest.approx(chi, rel=1e-12)
+    assert chi_from_t(1.0, 2) == 0.0
+    for t in (0.0, 1.0000005):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"t must be in (0, 1], got {t}")):
+            chi_from_t(t, 2)
 
 
 def test_chi_rejects_negative():
@@ -124,7 +147,9 @@ def test_equivalence_off_surface():
 def test_equivalence_random_points():
     rng = random.Random(41)
     count = 0
-    while count < 100:
+    for _ in range(1000):  # a solver that refuses every draw fails, not hangs
+        if count == 100:
+            break
         n = rng.choice([2, 3])
         chi = rng.choice([0.01, 0.25, 10.0])
         scale = rng.choice([1.0, 2.0, 7.0])
@@ -136,6 +161,7 @@ def test_equivalence_random_points():
             continue
         assert equivalence_check(ss, [*partial, last]) <= 1e-9
         count += 1
+    assert count == 100
 
 
 def test_chi_substitution_gives_reciprocal_product_curve():
