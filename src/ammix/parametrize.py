@@ -80,8 +80,9 @@ def _solve_first_reserve(m: Market, target: float, name: str) -> float:
     if not (isfinite(target) and target > 0.0):
         raise InvalidParameterError(f"{name}_target must be positive and finite, got {target!r}")
     a, b = m.curve[0], m.curve[1]
-    lo = S_MIN / a * k.lam_at(*m.codes, S_MIN, *m.curve)
-    hi = S_MAX / a * k.lam_at(*m.codes, S_MAX, *m.curve)
+    # rounded as _reserves_on rounds x, so each end's own x is in reach
+    lo = k.lam_at(*m.codes, S_MIN, *m.curve) * S_MIN / a
+    hi = k.lam_at(*m.codes, S_MAX, *m.curve) * S_MAX / a
     if target > hi:
         raise OutOfRangeError(
             f"{name}={target!r} beyond the curve's reach (max reachable {name} is {hi:.12g})",

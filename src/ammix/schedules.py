@@ -302,10 +302,7 @@ def stableswap_dynamic_residual(amplification: float, scale: float, state: "Mark
     Zero iff the state satisfies
     16*A*D*x*y/(x + y) + D^3/(2*sqrt(x*y)) = 16*A*x*y + D^2.
     """
-    if not (isfinite(amplification) and amplification > 0.0 and isfinite(scale) and scale > 0.0):
-        raise InvalidParameterError(
-            f"amplification and scale must be positive and finite, got {amplification!r} and {scale!r}"
-        )
+    StableswapDynamic(amplification, scale)  # checks A and D
     return dynamic_residual_xy(amplification, scale, state.x, state.y)
 
 

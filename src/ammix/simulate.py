@@ -205,9 +205,9 @@ class SimTrace:
         d = self.internal_rate[start:] - self.external_rate[start:]
         return float(np.mean(d * d)) if len(d) else 0.0
 
-    def mean_slippage(self, start: int = 1, stop: int | None = None) -> float:
-        stop = len(self.x) if stop is None else min(stop + 1, len(self.x))
-        s = self.slippage[start:stop]
+    def mean_slippage(self, start: int, stop: int) -> float:
+        """Mean finite slippage from step start to step stop."""
+        s = self.slippage[start:stop + 1]
         s = s[np.isfinite(s)]
         return float(np.mean(s)) if len(s) else 0.0
 

@@ -17,7 +17,7 @@ from ammix import (
 )
 from ammix import CurveParams, PowerLaw, Uniform
 from ammix.errors import InvalidParameterError, OutOfRangeError
-from ammix.schedules import S_MAX
+from ammix.schedules import S_MAX, S_MIN
 
 FAMILIES = [Family.ARITHMETIC, Family.GEOMETRIC, Family.HOMOTOPY]
 
@@ -222,7 +222,13 @@ def test_state_for_x_csmm(unit_params):
     assert state.y == pytest.approx(0.5, rel=1e-12)
 
 
-def test_state_for_x_out_of_range(unit_params):
+def _homotopy_curve(d):
+    """(params, mix): a homotopy with a, b, x0, y0 in [0.5, 2], t in [0, 1]."""
+    params = CurveParams(*(d.floats(0.5, 2.0) for _ in range(4)))
+    return params, MixSpec.homotopy(d.floats(0.0, 1.0))
+
+
+def test_state_for_x_out_of_range(unit_params, draws):
     with pytest.raises(OutOfRangeError) as err:
         state_for_x(unit_params, MixSpec.arithmetic(0.0), 3.0)
     assert err.value.max_reachable == pytest.approx(2.0, rel=1e-9)
@@ -232,6 +238,10 @@ def test_state_for_x_out_of_range(unit_params):
             state_for_x(unit_params, mix, 1e300)
         state = state_for_x(unit_params, mix, err.value.max_reachable)
         assert state.y == point_at(unit_params, mix, S_MAX).y, mix
+    # each end's own x is in reach: the reach rounds as point_at's x does
+    for params, mix in draws(300, _homotopy_curve):
+        for s in (S_MIN, S_MAX):
+            state_for_x(params, mix, point_at(params, mix, s).x)
 
 
 def test_state_for_x_is_exact_under_power_of_two_scaling():

@@ -376,12 +376,16 @@ def test_dynamic_residual_off_curve():
 
 
 @pytest.mark.parametrize("amp, scale", [
-    (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0),
-    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    (math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0), (True, 2.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, False),
 ])
 def test_dynamic_residual_refuses_non_finite_parameters(amp, scale):
-    # the same values StableswapDynamic refuses; unchecked they give a NaN residual
-    with pytest.raises(InvalidParameterError, match="positive and finite"):
+    # StableswapDynamic's refusals; unchecked, a non-finite value gives a NaN
+    # residual and a boolean runs as 1 or 0
+    name, value = ("amplification", amp) if scale == 2.0 else ("scale", scale)
+    must = "a float" if isinstance(value, bool) else "> 0"
+    message = f"{name} must be {must}, got {value!r}"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
         stableswap_dynamic_residual(amp, scale, MarketState(1.0, 1.0))
 
 
