@@ -597,7 +597,7 @@ _REFUSALS = [
     *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2, f"{_FLOAT_RANGE}{x} ({exc})")
       for scale, x, exc in (("1e200 --samples 3", "1e+199", "OverflowError"),
                             ("1e-300 --samples 3", "1e-301", "ZeroDivisionError"),
-                            ("4.4942e307", "4.4942e+306", "OverflowError"))],
+                            ("4.49423e307", "4.49423e+306", "OverflowError"))],
     # scale/2 rounds to 0 at 5e-324, and the first sample x = 0.2*scale/2 at 2e-323
     *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2,
        f"error: --scale {scale} is too small: its first sample x = 0.2*scale/2 rounds to 0")
