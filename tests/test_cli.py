@@ -524,165 +524,175 @@ _STABILITIES = "error: --stabilities values must be in [0, 1], got "
 _FLOAT_RANGE = "error: the curve's terms leave the float range at x="
 _RESERVES = "error: reserves must be positive and finite, got "
 
-# (command line, --config body or None, exit code, stderr's last line)
+# (command line, exit code, stderr's last line)
 _REFUSALS = [
-    ("quote --mix csmm --x 1 --y 1 --sell cur1 --amount 5", None, 4,
+    ("quote --mix csmm --x 1 --y 1 --sell cur1 --amount 5", 4,
      "error: trade of 5.0 cur1 exceeds the curve's reach"),
-    ("quote --mix cpmm --x 1 --y 2 --sell cur1 --amount 0.001", None, 2,
+    ("quote --mix cpmm --x 1 --y 2 --sell cur1 --amount 0.001", 2,
      "error: state (1.0, 2.0) is off the curve: A(X) - 1 = 0.41421356237309515"),
     # trades below the solver's resolution
-    *[(f"quote --mix {mix} --t 0.5 --x 1 --y 1 --sell {sell} --amount 1e-16", None, 2,
+    *[(f"quote --mix {mix} --t 0.5 --x 1 --y 1 --sell {sell} --amount 1e-16", 2,
        f"error: trade of 1e-16 {sell} gives output 0.0, which is not positive and finite")
       for mix, sell in (("arith", "cur1"), ("arith", "cur2"), ("hom", "cur1"))],
-    *[(f"quote --mix hom --t 0.5 --x 1 --y 1 --sell cur1 --amount={amount}", None, 2,
+    *[(f"quote --mix hom --t 0.5 --x 1 --y 1 --sell cur1 --amount={amount}", 2,
        f"error: trade amount must be positive and finite, got {float(amount)!r}")
       for amount in ("0", "-0.5", "inf", "nan")],
     # x/x0 underflows to 0, so A1 == 0 under the homotopy's negative power
-    ("quote --mix hom --t 0.5 --x0 1e10 --x 1e-320 --y 1 --sell cur1 --amount 1", None, 2,
+    ("quote --mix hom --t 0.5 --x0 1e10 --x 1e-320 --y 1 --sell cur1 --amount 1", 2,
      "error: the invariant is not representable at reserves (1e-320, 1.0): "
      "ZeroDivisionError: 0.0 cannot be raised to a negative power"),
     ("quote --mix cpmm --y0 1e300 --x 9.999e+303 --y 1e+300 --sell cur2 "
-     "--amount 6.150305336174553e+303", None, 2,  # the partials' ratio underflows to 0
+     "--amount 6.150305336174553e+303", 2,  # the partials' ratio underflows to 0
      "error: spot rate 0.0 at reserves (9.999e+303, 1e+300) is not positive and finite"),
     ("quote --mix hom --t 0.19171569487091622 --a 0.00013738015707961775 --b 1e160 "
      "--y0 290.9866163112117 --x 3.66707704473e+165 --y 251.770950489 --sell cur1 "
-     "--amount 1.5887714586464152e+161", None, 2,  # both partials overflow
+     "--amount 1.5887714586464152e+161", 2,  # both partials overflow
      "error: spot rate nan at reserves (3.66707704473e+165, 251.770950489) "
      "is not positive and finite"),
-    ("il-table --mix hom --t 0.5 --ratios 0.5 --a 1e300", None, 2,  # s0 rounds to 1
+    ("il-table --mix hom --t 0.5 --ratios 0.5 --a 1e300", 2,  # s0 rounds to 1
      "error: anchor ray coordinate s0 = a*x0/(a*x0 + b*y0) = 1.0 is not strictly inside (0, 1) "
      "for a=1e+300, b=1.0, x0=1.0, y0=1.0"),
-    *[(f"curve-sample --mix hom --t {t}", None, 2,
+    *[(f"curve-sample --mix hom --t {t}", 2,
        f"error: uniform blend weight must be in [0, 1], got {t}") for t in ("1.5", "1.0000005")],
-    *[(f"convexity --schedule parabolic --bias {bias} --center {center}", None, 2, f"error: {line}")
+    *[(f"convexity --schedule parabolic --bias {bias} --center {center}", 2, f"error: {line}")
       for bias, center, line in (
           ("1.0000005", "0.5", "bias must be in [0, 1], got 1.0000005"),
           ("0.5", "1.0000005", "center must be in [0, 1], got 1.0000005"),
           ("0", "0.7500158", "parabolic schedule leaves [0, 1]: t(0.999968) = 1"))],  # 1 + 1e-9
-    ("curve-sample --mix hom --t 0.5 --samples 1", None, 2, "error: --samples must be >= 2, got 1"),
+    ("curve-sample --mix hom --t 0.5 --samples 1", 2, "error: --samples must be >= 2, got 1"),
     # x = lam*s/a overflows; then x, then y, underflows to 0
-    ("curve-sample --mix hom --t 0.5 --a 1e-306", None, 2, _RESERVES + "(inf, 0.5010282778864971)"),
-    ("curve-sample --mix csmm --x0 1e-321 --y0 1e-321 --samples 3", None, 2,
+    ("curve-sample --mix hom --t 0.5 --a 1e-306", 2, _RESERVES + "(inf, 0.5010282778864971)"),
+    ("curve-sample --mix csmm --x0 1e-321 --y0 1e-321 --samples 3", 2,
      _RESERVES + "(0.0, 1.996e-321)"),
-    ("curve-sample --mix csmm --a 1e-300 --b 1e20 --y0 1e-321 --samples 3", None, 2,
+    ("curve-sample --mix csmm --a 1e-300 --b 1e20 --y0 1e-321 --samples 3", 2,
      _RESERVES + "(1.0996912803338859, 0.0)"),
-    ("convexity --schedule parabolic --bias 0.5", None, 2,
+    ("convexity --schedule parabolic --bias 0.5", 2,
      "error: --schedule parabolic requires --bias and --center"),
-    ("curve-sample --mix hom --t 0.5 --bogus", None, 2,
-     "ammix: error: unrecognized arguments: --bogus"),
-    ("no-such-command", None, 2,
+    ("curve-sample --mix hom --t 0.5 --bogus", 2, "ammix: error: unrecognized arguments: --bogus"),
+    ("no-such-command", 2,
      "ammix: error: argument command: invalid choice: 'no-such-command' (choose from "
      "'curve-sample', 'convexity', 'quote', 'il-table', 'pvf-table', 'stableswap-compare', "
      "'sim-run', 'sim-sweep')"),
-    ("sim-run --steps 5", None, 2,
-     "ammix sim-run: error: the following arguments are required: --seed"),
-    *[(command, None, 2, "error: seed must be a non-negative integer, got -5") for command in (
+    ("sim-run --steps 5", 2, "ammix sim-run: error: the following arguments are required: --seed"),
+    *[(command, 2, "error: seed must be a non-negative integer, got -5") for command in (
         "sim-run --seed -5 --steps 3", "sim-sweep --seed -5 --stabilities 0.5 --runs 1")],
-    ("il-table --mix csmm --y0 1e308 --ratios 1e300", None, 2,  # P.X past the float range
+    ("il-table --mix csmm --y0 1e308 --ratios 1e300", 2,  # P.X past the float range
      "error: portfolio value P.X = inf is not finite at prices (1e+300, 1.0) "
      "and reserves (1e+296, 9.99999999999e+307)"),
     ("pvf-table --a 33879014162.370903 --b 66883.6801136716 --x0 2450048565.564313 "
      "--y0 527026.7313179814 --r-min 1.7976931348623157e308 --r-max 0.999999999999 "
-     "--r-points 4 --stabilities 0.11218229918862466", None, 2,
+     "--r-points 4 --stabilities 0.11218229918862466", 2,
      "error: portfolio value P.X = inf is not finite at prices (1.7976931348623157e+308, 1.0) "
      "and reserves (2175196438.89827, 1.1018160309668125e+27)"),
-    *[(f"stableswap-compare --amp {amp} --scale 1", None, 2,
+    *[(f"stableswap-compare --amp {amp} --scale 1", 2,
        f"error: amplification must be > 0, got {amp}") for amp in ("nan", "inf")],
     # the curve is all but constant-sum: its y at x = 1.25 > D lies below the
     # solver's floor
-    ("stableswap-compare --amp 1e300 --scale 1 --samples 3", None, 2,
+    ("stableswap-compare --amp 1e300 --scale 1 --samples 3", 2,
      "error: no y on the curve at x=1.25: the solve ends at y=1.0000000000000002e-12 with "
      "residual -4.0000000000128027e+288 against terms of size 2.0000000000000006e+289"),
     # the last scale puts 4*scale just below the largest float
-    *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2, f"{_FLOAT_RANGE}{x} ({exc})")
+    *[(f"stableswap-compare --amp 1 --scale {scale}", 2, f"{_FLOAT_RANGE}{x} ({exc})")
       for scale, x, exc in (("1e200 --samples 3", "1e+199", "OverflowError"),
                             ("1e-300 --samples 3", "1e-301", "ZeroDivisionError"),
                             ("4.49423e307", "4.49423e+306", "OverflowError"))],
     # scale/2 rounds to 0 at 5e-324, and the first sample x = 0.2*scale/2 at 2e-323
-    *[(f"stableswap-compare --amp 1 --scale {scale}", None, 2,
+    *[(f"stableswap-compare --amp 1 --scale {scale}", 2,
        f"error: --scale {scale} is too small: its first sample x = 0.2*scale/2 rounds to 0")
       for scale in ("5e-324", "2e-323")],
-    *[(f"stableswap-compare --amp 1 --scale {scale}{extra}", None, 2,
+    *[(f"stableswap-compare --amp 1 --scale {scale}{extra}", 2,
        f"error: --scale {float(scale)!r} is too large: the y-solve's bracket top 4*scale "
        "overflows") for scale, extra in (("4.5e307", ""), ("1.5e308", " --samples 3"))],
-    *[(f"stableswap-compare --amp 1 --scale 1 --samples {samples}", None, 2,
+    *[(f"stableswap-compare --amp 1 --scale 1 --samples {samples}", 2,
        f"error: --samples must be >= 1, got {samples}") for samples in ("0", "-1")],
-    ("pvf-table --r-max inf", None, 2, "error: --r-max must be positive and finite, got inf"),
-    ("pvf-table --r-min 0", None, 2, "error: --r-min must be positive and finite, got 0.0"),
-    *[(f"pvf-table --r-points {points}", None, 2, f"error: --r-points must be >= 1, got {points}")
+    ("pvf-table --r-max inf", 2, "error: --r-max must be positive and finite, got inf"),
+    ("pvf-table --r-min 0", 2, "error: --r-min must be positive and finite, got 0.0"),
+    *[(f"pvf-table --r-points {points}", 2, f"error: --r-points must be >= 1, got {points}")
       for points in ("0", "-1")],
-    *[(f"pvf-table --stabilities {stabilities}{extra}", None, 2, _STABILITIES + bad)
+    *[(f"pvf-table --stabilities {stabilities}{extra}", 2, _STABILITIES + bad)
       for extra in ("", " --bias 0.5")
       for stabilities, bad in (("1.5", "1.5"), ("0.5,-0.25", "-0.25"), ("nan", "nan"))],
-    ("pvf-table --stabilities 1.0000005", None, 2, _STABILITIES + "1.0000005"),
+    ("pvf-table --stabilities 1.0000005", 2, _STABILITIES + "1.0000005"),
 ]
 
-_CURVE_SAMPLE = "curve-sample --mix hom --t 0.5"
-_SIM_RUN = "sim-run --seed 1 --steps 3"
 
-# a section that is not an object
-_REFUSALS += [(command, {section: value}, 2,
-               f"error: config section {section!r} must hold a JSON object")
-              for section, command in (("curve", _CURVE_SAMPLE), ("sim", _SIM_RUN))
-              for value in ([], ["steps"], "steps", 3, 0.5)]
-# JSON true is not 1: a boolean or any other non-number under a numeric key
-# is refused, not run on a = 1 or 1 step
-_REFUSALS += [(command, {section: {key: value}}, 2,
-               f"error: config key {section}.{key} must be "
-               f"{'an integer' if key == 'steps' else 'a number'}, got {json.dumps(value)}")
-              for section, key, command in (
-                  ("sim", "steps", "sim-run --seed 1"),
-                  ("sim", "stability", "sim-sweep --seed 1 --stabilities 0.5 --runs 1"),
-                  ("sim", "init_x", _SIM_RUN),
-                  ("curve", "a", "quote --mix cpmm --x 1 --y 1 --sell cur1 --amount 0.1"),
-                  ("curve", "y0", _CURVE_SAMPLE))
-              for value in (True, False, "3", None, [3])]
-_REFUSALS.append(("sim-sweep --seed 1 --stabilities 0.5", {"sim": {"runs": 2.0}}, 2,
-                  "error: config key sim.runs must be an integer, got 2.0"))
-# a misspelt section or key, whichever command reads the file; keys are
-# checked before values
-_REFUSALS += [(command, config, 2, f"error: unknown config key {key}")
-              for config, key in (
-                  ({"curve": {"X0": 5}}, "curve.X0"),
-                  ({"curve": {"a": 2, "bogus": True}}, "curve.bogus"),
-                  ({"bogus": {}}, "bogus"),
-                  ({"sim": {"bogus": 1}}, "sim.bogus"),
-                  ({"sim": {"init_state": [1, 1]}}, "sim.init_state"),
-                  ({"curve": {"a": True, "X0": 5}}, "curve.X0"),
-                  ({"sim": {"steps": "3"}, "bogus": 1}, "bogus"))
-              for command in (_CURVE_SAMPLE + " --samples 2", _SIM_RUN)]
-# each command reads its --config first, so a bad file is the error reported
-# even when the flags are bad as well
-_REFUSALS += [(command, {"bogus": {}}, 2, "error: unknown config key bogus") for command in (
-    "curve-sample --mix hom",
-    "convexity",
-    "quote --mix geo --x 1 --y 1 --sell cur1 --amount 0.1",
-    "il-table --mix arith --ratios ''",
-    "pvf-table --r-points 0",
-    "sim-run --seed 1 --stability 2",
-    "sim-sweep --seed 1 --stabilities ''",
-)]
-
-
-@pytest.mark.parametrize("command, config, code, line", _REFUSALS, ids=[
-    " ".join(shlex.split(command)) + ("" if config is None else f" --config {json.dumps(config)}")
-    for command, config, _, _ in _REFUSALS])
-def test_refusal(tmp_path, capsys, command, config, code, line):
+def _refuses(tmp_path, capsys, argv, code, line, config=None):
     """A refusal: its exit code, no stdout, no warning, one stderr line."""
-    argv = shlex.split(command)
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
+        argv = [*argv, "--config", str(path)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = run_command(argv)
+        got = run_command(list(argv))
     out, err = capsys.readouterr()
     assert (got, out) == (code, "")
     if line.startswith("error: "):
         assert err == line + "\n"
     else:
         assert err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("command, code, line", _REFUSALS,
+                         ids=[" ".join(shlex.split(command)) for command, _, _ in _REFUSALS])
+def test_refusal(tmp_path, capsys, command, code, line):
+    _refuses(tmp_path, capsys, shlex.split(command), code, line)
+
+
+# The --config refusals are cross-products, generated over the same check.
+_CURVE_SAMPLE = shlex.split("curve-sample --mix hom --t 0.5")
+_SIM_RUN = shlex.split("sim-run --seed 1 --steps 3")
+
+
+@pytest.mark.parametrize("section, argv", [("curve", _CURVE_SAMPLE), ("sim", _SIM_RUN)])
+@pytest.mark.parametrize("value", [[], ["steps"], "steps", 3, 0.5])
+def test_config_section_must_be_an_object(tmp_path, capsys, section, argv, value):
+    _refuses(tmp_path, capsys, argv, 2,
+             f"error: config section {section!r} must hold a JSON object", {section: value})
+
+
+@pytest.mark.parametrize("section, key, argv", [
+    ("sim", "steps", shlex.split("sim-run --seed 1")),
+    ("sim", "stability", shlex.split("sim-sweep --seed 1 --stabilities 0.5 --runs 1")),
+    ("sim", "init_x", _SIM_RUN),
+    ("curve", "a", shlex.split("quote --mix cpmm --x 1 --y 1 --sell cur1 --amount 0.1")),
+    ("curve", "y0", _CURVE_SAMPLE),
+])
+@pytest.mark.parametrize("value", [True, False, "3", None, [3]])
+def test_config_numbers_refuse_non_numbers(tmp_path, capsys, section, key, argv, value):
+    """JSON true is not 1: a boolean or any other non-number under a numeric
+    key is refused, not run on a = 1 or 1 step."""
+    kind = "an integer" if key == "steps" else "a number"
+    _refuses(tmp_path, capsys, argv, 2, f"error: config key {section}.{key} must be {kind}, got "
+             f"{json.dumps(value)}", {section: {key: value}})
+
+
+def test_config_integer_key_refuses_a_float(tmp_path, capsys):
+    _refuses(tmp_path, capsys, shlex.split("sim-sweep --seed 1 --stabilities 0.5"), 2,
+             "error: config key sim.runs must be an integer, got 2.0", {"sim": {"runs": 2.0}})
+
+
+# a misspelt section or key, whichever command reads the file; keys are
+# checked before values
+@pytest.mark.parametrize("config, key", [
+    ({"curve": {"X0": 5}}, "curve.X0"), ({"curve": {"a": 2, "bogus": True}}, "curve.bogus"),
+    ({"bogus": {}}, "bogus"), ({"sim": {"bogus": 1}}, "sim.bogus"),
+    ({"sim": {"init_state": [1, 1]}}, "sim.init_state"),
+    ({"curve": {"a": True, "X0": 5}}, "curve.X0"), ({"sim": {"steps": "3"}, "bogus": 1}, "bogus"),
+])
+@pytest.mark.parametrize("argv", [[*_CURVE_SAMPLE, "--samples", "2"], _SIM_RUN])
+def test_config_refuses_unknown_keys(tmp_path, capsys, config, key, argv):
+    _refuses(tmp_path, capsys, argv, 2, f"error: unknown config key {key}", config)
+
+
+# each command reads its --config first, so a bad file is the error reported
+# even when the flags are bad as well
+@pytest.mark.parametrize("argv", [shlex.split(command) for command in (
+    "curve-sample --mix hom", "convexity", "quote --mix geo --x 1 --y 1 --sell cur1 --amount 0.1",
+    "il-table --mix arith --ratios ''", "pvf-table --r-points 0", "sim-run --seed 1 --stability 2",
+    "sim-sweep --seed 1 --stabilities ''")])
+def test_config_errors_come_before_flag_errors(tmp_path, capsys, argv):
+    _refuses(tmp_path, capsys, argv, 2, "error: unknown config key bogus", {"bogus": {}})
 
 
 # --- one parser per process -------------------------------------------------------
