@@ -45,7 +45,7 @@ from ammix import (
     t_from_chi,
 )
 from ammix.cli import run_command
-from ammix.errors import NonDifferentiablePointError
+from ammix.errors import InvalidParameterError, NonDifferentiablePointError
 from ammix.schedules import curve_derivatives
 from ammix.stableswap import solve_reserve
 from conftest import spearman
@@ -159,11 +159,44 @@ def _random_schedule(rng):
     return Parabolic(bias=rng.uniform(0.2, 0.8), center=rng.uniform(0.3, 0.7))
 
 
+def _derivative_errors(params, sched, s, h=1e-5, h2=1e-4):
+    """(lambda, curve) relative errors of the derivative chain at s against
+    central differences of lambda_derivs and of point_at."""
+    lam, lamp, lampp = lambda_derivs(params, sched, s)
+    lp = lambda_derivs(params, sched, s + h)
+    lm = lambda_derivs(params, sched, s - h)
+    fd1 = (lp[0] - lm[0]) / (2 * h)
+    fd2 = (lp[1] - lm[1]) / (2 * h)
+    scale = max(abs(lam), params.c)
+    lam_err = max(abs(lamp - fd1) / max(abs(fd1), 1e-7 * scale),
+                  abs(lampp - fd2) / max(abs(fd2), 1e-7 * scale))
+    dy_dx, d2 = curve_derivatives(params, sched, s)
+    mix = MixSpec.scheduled(sched) if not isinstance(sched, Uniform) else MixSpec.homotopy(sched.t)
+    pm, pp = point_at(params, mix, s - h), point_at(params, mix, s + h)
+    xp = (pp.x - pm.x) / (2 * h)
+    yp = (pp.y - pm.y) / (2 * h)
+    pm2, p0, pp2 = point_at(params, mix, s - h2), point_at(params, mix, s), point_at(params, mix, s + h2)
+    xpp = (pp2.x - 2 * p0.x + pm2.x) / (h2 * h2)
+    ypp = (pp2.y - 2 * p0.y + pm2.y) / (h2 * h2)
+    fd_d2 = (xp * ypp - xpp * yp) / xp**3
+    curve_err = max(abs(dy_dx - yp / xp) / max(abs(yp / xp), 1e-9),
+                    abs(d2 - fd_d2) / max(abs(fd_d2), 1e-7 * params.c))
+    return lam_err, curve_err
+
+
 def test_criterion_04_derivative_checks():
     t0 = time.perf_counter()
-    rng = random.Random(2024)
     lam_worst = 0.0
     curve_worst = 0.0
+    # fixed schedules, the uniform ends among them, on both pools
+    fixed = random.Random(11)
+    for params in (UNIT, POOL):
+        for sched in (Uniform(0.0), Uniform(0.5), Uniform(1.0), PowerLaw(2.0), PowerLaw(4.5),
+                      Parabolic(bias=0.3, center=0.6)):
+            for _ in range(4):
+                lam_err, curve_err = _derivative_errors(params, sched, fixed.uniform(0.08, 0.92))
+                lam_worst, curve_worst = max(lam_worst, lam_err), max(curve_worst, curve_err)
+    rng = random.Random(2024)
     trials = 0
     while trials < 100:
         a, b = rng.uniform(0.4, 2.5), rng.uniform(0.4, 2.5)
@@ -174,33 +207,15 @@ def test_criterion_04_derivative_checks():
         if isinstance(sched, PowerLaw) and abs(s - params.s0) < 0.03:
             continue
         try:
-            lam, lamp, lampp = lambda_derivs(params, sched, s)
+            lambda_derivs(params, sched, s)
             curve_derivatives(params, sched, s)
         except Exception:
             # e.g. a parabola that escapes [0, 1] or breaks the monotone
             # trace on this particular curve; only valid draws count
             continue
         trials += 1
-        h = 1e-5
-        lp = lambda_derivs(params, sched, s + h)
-        lm = lambda_derivs(params, sched, s - h)
-        fd1 = (lp[0] - lm[0]) / (2 * h)
-        fd2 = (lp[1] - lm[1]) / (2 * h)
-        scale = max(abs(lam), params.c)
-        lam_worst = max(lam_worst, abs(lamp - fd1) / max(abs(fd1), 1e-7 * scale))
-        lam_worst = max(lam_worst, abs(lampp - fd2) / max(abs(fd2), 1e-7 * scale))
-        dy_dx, d2 = curve_derivatives(params, sched, s)
-        mix = MixSpec.scheduled(sched) if not isinstance(sched, Uniform) else MixSpec.homotopy(sched.t)
-        pm, pp = point_at(params, mix, s - h), point_at(params, mix, s + h)
-        xp = (pp.x - pm.x) / (2 * h)
-        yp = (pp.y - pm.y) / (2 * h)
-        h2 = 1e-4
-        pm2, p0, pp2 = point_at(params, mix, s - h2), point_at(params, mix, s), point_at(params, mix, s + h2)
-        xpp = (pp2.x - 2 * p0.x + pm2.x) / (h2 * h2)
-        ypp = (pp2.y - 2 * p0.y + pm2.y) / (h2 * h2)
-        curve_worst = max(curve_worst, abs(dy_dx - yp / xp) / max(abs(yp / xp), 1e-9))
-        fd_d2 = (xp * ypp - xpp * yp) / xp**3
-        curve_worst = max(curve_worst, abs(d2 - fd_d2) / max(abs(fd_d2), 1e-7 * params.c))
+        lam_err, curve_err = _derivative_errors(params, sched, s)
+        lam_worst, curve_worst = max(lam_worst, lam_err), max(curve_worst, curve_err)
     elapsed = time.perf_counter() - t0
     ok = lam_worst <= 1e-5 and curve_worst <= 1e-4
     _report(4, "derivative chain vs finite differences", ok, elapsed,
@@ -213,22 +228,26 @@ def test_criterion_04_derivative_checks():
 
 def test_criterion_05_stableswap_equivalence():
     t0 = time.perf_counter()
-    rng = random.Random(55)
     worst = 0.0
-    count = 0
-    for _ in range(1000):  # a solver that refuses every draw fails, not hangs
-        if count == 100:
-            break
-        n = rng.choice([2, 3])
-        chi = rng.choice([0.01, 0.25, 10.0])
-        ss = StableswapParams(n=n, scale=rng.choice([1.0, 2.0, 5.0]), chi=chi)
-        partial = [ss.scale / n * rng.uniform(0.3, 2.0) for _ in range(n - 1)]
-        try:
-            last = solve_reserve(ss, partial)
-        except Exception:
-            continue
-        worst = max(worst, equivalence_check(ss, [*partial, last]))
-        count += 1
+    counts = []
+    # 100 solved completions from each of two seeded streams of pools
+    for seed, scales in ((55, [1.0, 2.0, 5.0]), (41, [1.0, 2.0, 7.0])):
+        rng = random.Random(seed)
+        count = 0
+        for _ in range(1000):  # a solver that refuses every draw fails, not hangs
+            if count == 100:
+                break
+            n = rng.choice([2, 3])
+            chi = rng.choice([0.01, 0.25, 10.0])
+            ss = StableswapParams(n=n, scale=rng.choice(scales), chi=chi)
+            partial = [ss.scale / n * rng.uniform(0.3, 2.0) for _ in range(n - 1)]
+            try:
+                last = solve_reserve(ss, partial)
+            except InvalidParameterError:
+                continue
+            worst = max(worst, equivalence_check(ss, [*partial, last]))
+            count += 1
+        counts.append(count)
     amp, scale = 1.0, 2.0
     dynamic = StableswapDynamic(amp, scale)
     exact = stableswap_dynamic_residual(amp, scale, MarketState(scale / 2, scale / 2))
@@ -245,7 +264,7 @@ def test_criterion_05_stableswap_equivalence():
         blend_worst = max(blend_worst, abs(t_from_chi(chi, 2) - t) / t)
         chi_worst = max(chi_worst, abs(chi_from_t(t, 2) - chi) / chi)
     elapsed = time.perf_counter() - t0
-    ok = (count == 100 and worst <= 1e-9 and exact == 0.0
+    ok = (counts == [100, 100] and worst <= 1e-9 and exact == 0.0
           and dyn_worst <= 1e-9 * scale * scale
           and blend_worst <= 1e-15 and chi_worst <= 1e-11)
     _report(5, "stableswap blend equivalence", ok, elapsed,
@@ -271,13 +290,15 @@ def test_criterion_06_impermanent_loss():
     t0 = time.perf_counter()
     rng = random.Random(66)
     il_max = -math.inf
-    for _ in range(200):
-        family = rng.choice(FAMILIES)
-        t = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-        mix = MixSpec(family, Uniform(t))
-        p_f = PriceVector(rng.uniform(0.2, 5.0), rng.uniform(0.5, 2.0))
-        x_f = arbitrage_state(UNIT, mix, p_f)
-        il_max = max(il_max, impermanent_loss(p_f, UNIT.initial_state, x_f).il)
+    for params in (UNIT, POOL):
+        base_rate = params.a / params.b
+        for _ in range(200):
+            family = rng.choice(FAMILIES)
+            t = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
+            mix = MixSpec(family, Uniform(t))
+            p_f = PriceVector(base_rate * rng.uniform(0.2, 5.0), rng.uniform(0.5, 2.0))
+            x_f = arbitrage_state(params, mix, p_f)
+            il_max = max(il_max, impermanent_loss(p_f, params.initial_state, x_f).il)
     closed_worst = 0.0
     cpmm = MixSpec.arithmetic(1.0)
     for r in (0.25, 0.5, 2.0, 4.0):
@@ -306,17 +327,18 @@ def test_criterion_07_portfolio_value():
     grid_v41, _ = _cpmm_grid_min(4.0, 1.0)
     grid_u1, _ = _cpmm_grid_min(1.0, 1.0)
     values_ok = (
-        abs(v41 - 4.0) <= 1e-8 and abs(u1 - 2.0) <= 1e-8
+        abs(v41 - 4.0) <= 1e-9 * 4.0 and abs(u1 - 2.0) <= 1e-8
         and abs(grid_v41 - 4.0) <= 1e-8 and abs(grid_u1 - 2.0) <= 1e-8
     )
     hom_ok = True
-    for mix in (cpmm, MixSpec.homotopy(0.4)):
-        p = PriceVector(1.7, 1.0)
-        base = portfolio_value(UNIT, mix, p)
-        for lam in (0.5, 3.0):
-            scaled = portfolio_value(UNIT, mix, PriceVector(lam * p.p1, lam * p.p2))
-            if abs(scaled - lam * base) > 1e-10 * abs(lam * base):
-                hom_ok = False
+    for params in (UNIT, POOL):
+        for mix in (cpmm, MixSpec.homotopy(0.4)):
+            p = PriceVector(1.7 * params.a / params.b, 1.0)
+            base = portfolio_value(params, mix, p)
+            for lam in (0.5, 3.0):
+                scaled = portfolio_value(params, mix, PriceVector(lam * p.p1, lam * p.p2))
+                if abs(scaled - lam * base) > 1e-10 * abs(lam * base):
+                    hom_ok = False
     ordering_ok = True
     for r in (0.5, 2.0):
         values = [reduced_value(UNIT, MixSpec.homotopy(1.0 - s), r)
@@ -365,13 +387,14 @@ def test_criterion_08_liquidity_dichotomy():
 
 def test_criterion_09_simulation_trend():
     t0 = time.perf_counter()
-    config = SimConfig(seed=20240801, runs=20)
-    stabilities = [round(0.1 * i, 2) for i in range(1, 10)]
-    summaries = batch_summary(config, stabilities)
-    mses = [s.mse_internal_external for s in summaries]
-    earlies = [s.early_window_slippage for s in summaries]
-    rho_mse = spearman(stabilities, mses)
-    rho_slip = spearman(stabilities, earlies)
+    rho_mse, rho_slip = 1.0, -1.0
+    # the full sweep, and a short one: 5 runs of 300 steps at every other stability
+    full, short = SimConfig(seed=20240801, runs=20), SimConfig(seed=20240801, runs=5, steps=300)
+    for config, stabilities in ((full, [round(0.1 * i, 2) for i in range(1, 10)]),
+                                (short, [0.1, 0.3, 0.5, 0.7, 0.9])):
+        summaries = batch_summary(config, stabilities)
+        rho_mse = min(rho_mse, spearman(stabilities, [s.mse_internal_external for s in summaries]))
+        rho_slip = max(rho_slip, spearman(stabilities, [s.early_window_slippage for s in summaries]))
     elapsed = time.perf_counter() - t0
     ok = rho_mse >= 0.8 and rho_slip <= -0.5
     _report(9, "stability sweep trends", ok, elapsed,

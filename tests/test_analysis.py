@@ -480,10 +480,6 @@ def test_arbitrage_exhausted_cap_raises(monkeypatch, unit_params):
 
 # --- portfolio_value / reduced_value ------------------------------------------
 
-def test_value_cpmm_example(unit_params):
-    assert portfolio_value(unit_params, MixSpec.arithmetic(1.0), PriceVector(4, 1)) == pytest.approx(4.0, rel=1e-9)
-
-
 def test_value_csmm_example(unit_params):
     assert portfolio_value(unit_params, MixSpec.arithmetic(0.0), PriceVector(4, 1)) == pytest.approx(2.0, rel=1e-9)
 
@@ -495,16 +491,6 @@ def test_value_past_the_float_range_raises():
         portfolio_value(params, MixSpec.arithmetic(0.0), PriceVector(1e300, 1.0))
     with pytest.raises(InvalidParameterError):
         impermanent_loss(PriceVector(1e300, 1.0), params.initial_state, MarketState(1e296, 1e308))
-
-
-def test_value_homogeneous(unit_params, pool_params):
-    for params in (unit_params, pool_params):
-        for mix in (MixSpec.arithmetic(1.0), MixSpec.homotopy(0.4)):
-            p = PriceVector(1.7 * params.a / params.b, 1.0)
-            base = portfolio_value(params, mix, p)
-            for lam in (0.5, 3.0):
-                scaled = portfolio_value(params, mix, PriceVector(lam * p.p1, lam * p.p2))
-                assert scaled == pytest.approx(lam * base, rel=1e-10)
 
 
 def test_reduced_value_examples(unit_params):
@@ -544,50 +530,7 @@ def test_reduced_values_past_the_float_range_raise():
                                "and reserves (1e+296, 9.99999999999e+307)")
 
 
-def test_value_decreases_with_stability(unit_params):
-    # higher stability (lower t) leaves less value at every off-anchor rate
-    for r in (0.5, 2.0):
-        values = [reduced_value(unit_params, MixSpec.homotopy(1.0 - s), r)
-                  for s in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        for lo, hi in zip(values[1:], values):
-            assert lo <= hi + 1e-12
-
-
-# --- impermanent loss properties ----------------------------------------------
-
-def test_il_never_positive(unit_params, pool_params):
-    rng = random.Random(29)
-    for params in (unit_params, pool_params):
-        x_i = params.initial_state
-        base_rate = params.a / params.b
-        for _ in range(40):
-            family = rng.choice(FAMILIES)
-            t = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-            mix = MixSpec(family, Uniform(t))
-            p_f = PriceVector(base_rate * rng.uniform(0.2, 5.0), rng.uniform(0.5, 2.0))
-            x_f = arbitrage_state(params, mix, p_f)
-            assert impermanent_loss(p_f, x_i, x_f).il <= 1e-9
-
-
-def test_cpmm_il_closed_form(unit_params):
-    cpmm = MixSpec.arithmetic(1.0)
-    x_i = unit_params.initial_state
-    for r in (0.25, 0.5, 2.0, 4.0):
-        p_f = PriceVector(r, 1.0)
-        x_f = arbitrage_state(unit_params, cpmm, p_f)
-        il = impermanent_loss(p_f, x_i, x_f).il
-        assert il == pytest.approx(2 * math.sqrt(r) / (1 + r) - 1, abs=1e-8)
-
-
 # --- ERLI ----------------------------------------------------------------------
-
-def test_erli_cpmm_level_independent(unit_params):
-    assert erli_discrepancy(unit_params, MixSpec.arithmetic(1.0)) <= 1e-9
-
-
-def test_erli_homotopy_witness(unit_params):
-    assert erli_discrepancy(unit_params, MixSpec.homotopy(0.5)) > 1e-6
-
 
 def test_erli_all_mixings_fail_between_endpoints(unit_params):
     for family in FAMILIES:

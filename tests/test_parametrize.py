@@ -163,37 +163,6 @@ def test_round_trip(unit_params, pool_params):
                 assert s_of_state(params, point_at(params, mix, s)) == pytest.approx(s, abs=1e-12)
 
 
-def test_homotopy_fraction_property(unit_params, pool_params):
-    # the homotopy point divides [lam0*v, lam1*v] in exact ratio t
-    for params in (unit_params, pool_params):
-        for i in range(1, 10):
-            s = i / 10
-            v = MarketState(s / params.a, (1 - s) / params.b)
-            pair = scaling_factors(params, v)
-            span = abs(pair.lambda1 - pair.lambda0)
-            if span <= 1e-9 * pair.lambda0:
-                continue  # ray through the anchor: both projections coincide
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                p = point_at(params, MixSpec.homotopy(t), s)
-                frac = math.hypot(p.x - pair.lambda0 * v.x, p.y - pair.lambda0 * v.y)
-                frac /= math.hypot((pair.lambda1 - pair.lambda0) * v.x,
-                                   (pair.lambda1 - pair.lambda0) * v.y)
-                assert frac == pytest.approx(t, abs=1e-9)
-
-
-def test_endpoint_asymptotics(pool_params):
-    # constant-sum-like scalings stay bounded at the ray endpoints; the
-    # geometric and homotopy ones blow up
-    c = pool_params.c
-    for s in (1e-6, 1 - 1e-6):
-        lam_a = lambda_mix(pool_params, Family.ARITHMETIC, s, 0.5)
-        lam_g = lambda_mix(pool_params, Family.GEOMETRIC, s, 0.5)
-        lam_h = lambda_mix(pool_params, Family.HOMOTOPY, s, 0.5)
-        assert lam_a < 10 * c
-        assert lam_g > 1e2
-        assert lam_h > 1e2
-
-
 def test_endpoint_divergence_direction(unit_params):
     # even on the small unit curve the geometric/homotopy scalings diverge
     # as s heads to the endpoints while the arithmetic one saturates

@@ -200,26 +200,6 @@ def test_lambda_derivs_cpmm_frozen(unit_params):
     assert lampp == pytest.approx(8.0, rel=1e-12)
 
 
-def _lam_of(params, sched, s):
-    return lambda_derivs(params, sched, s)[0]
-
-
-def test_lambda_derivs_match_finite_differences(unit_params, pool_params):
-    rng = random.Random(11)
-    schedules = [Uniform(0.0), Uniform(0.5), Uniform(1.0), PowerLaw(2.0),
-                 PowerLaw(4.5), Parabolic(bias=0.3, center=0.6)]
-    for params in (unit_params, pool_params):
-        for sched in schedules:
-            for _ in range(4):
-                s = rng.uniform(0.08, 0.92)
-                lam, lamp, lampp = lambda_derivs(params, sched, s)
-                h = 1e-5
-                fd1 = central_diff(lambda u: _lam_of(params, sched, u), s, h)
-                fd2 = central_diff(lambda u: lambda_derivs(params, sched, u)[1], s, h)
-                assert lamp == pytest.approx(fd1, rel=1e-5, abs=1e-7 * params.c)
-                assert lampp == pytest.approx(fd2, rel=1e-5, abs=1e-6 * params.c)
-
-
 # --- curve_derivatives ------------------------------------------------------
 
 def test_curve_slope_at_anchor(unit_params, pool_params):
@@ -251,13 +231,6 @@ def test_slope_negative_everywhere(pool_params):
 
 
 # --- check_convexity --------------------------------------------------------
-
-def test_powerlaw_family_always_convex(unit_params, pool_params):
-    for params in (unit_params, pool_params):
-        for k in (1.0, 2.0, 4.0, 8.0):
-            report = check_convexity(params, PowerLaw(k))
-            assert report.passed, (k, report)
-
 
 def test_cpmm_convex_with_positive_margin(unit_params):
     report = check_convexity(unit_params, Uniform(1.0))
