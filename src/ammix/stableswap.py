@@ -10,12 +10,12 @@ numerically on arbitrary states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import fsum, isfinite, nan, prod
 from numbers import Integral
 from typing import Sequence
 
 from ammix.errors import InvalidParameterError
-from ammix.schedules import StableswapDynamic, _bisect, _refuse_bools
+from ammix.schedules import StableswapDynamic, _refuse_bools
 
 
 def _check_n(n: int) -> None:
@@ -107,19 +107,17 @@ def equivalence_check(ss: StableswapParams, reserves: Sequence[float]) -> float:
 
 
 def solve_reserve(ss: StableswapParams, partial: Sequence[float]) -> float:
-    """Last reserve putting (partial..., x_n) on the invariant, by bisection.
-
-    The residual is strictly increasing in the last coordinate, so the root
-    is unique.
+    """Last reserve putting (partial..., x_n) on the invariant, which is
+    linear in x_n: x_n = (chi*D**(n-1)*(D - sum(p)) + (D/n)**n) /
+    (chi*D**(n-1) + prod(p)), with D - sum(p) taken by ``fsum``.
     """
-    if len(partial) != ss.n - 1:
-        raise InvalidParameterError(f"expected {ss.n - 1} fixed reserves, got {len(partial)}")
-    lo = 1e-12 * ss.scale / ss.n
-    hi = 64.0 * ss.scale
-    f = lambda x: invariant_residual(ss, [*partial, x])
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise InvalidParameterError(
-            f"no on-surface completion for partial reserves {partial!r}"
-        )
-    return _bisect(lambda x: f(x) < 0.0, lo, hi, rtol=1e-15)
+    n, d = ss.n, ss.scale
+    if len(partial) != n - 1:
+        raise InvalidParameterError(f"expected {n - 1} fixed reserves, got {len(partial)}")
+    _check_reserves(n - 1, partial)
+    lev = ss.chi * d ** (n - 1)
+    den = lev + prod(partial)  # 0 only where chi == 0 and prod(p) underflows
+    x = (lev * fsum([d, *(-p for p in partial)]) + (d / n) ** n) / den if den else nan
+    if not (isfinite(x) and x > 0.0):
+        raise InvalidParameterError(f"no on-surface completion for partial reserves {partial!r}")
+    return x

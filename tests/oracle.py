@@ -7,11 +7,13 @@ relative: the rounding a kernel adds is its distance from it, counted in
 ULPs of the correctly rounded result or in units of the size of its terms.
 The formulas are written for calibrated weights, alpha + beta = 1, as the
 kernels are; where the floats' alpha + beta is 1 within an ULP, the
-difference is an ULP of the result.
+difference is an ULP of the result.  The Stableswap completion, a
+rational function of its inputs, is exact in ``Fraction``.
 """
 
 from decimal import Decimal, localcontext
-from math import exp, expm1, inf, log, ulp
+from fractions import Fraction
+from math import exp, expm1, inf, log, prod, ulp
 from sys import float_info
 
 DIGITS = 60
@@ -133,3 +135,17 @@ def size_errors(got, values, sizes):
             size = float_info.epsilon * sizes[key]
             errors[key] = 0.0 if gap == 0 else inf if size == 0.0 else float(gap / Decimal(size))
         return errors
+
+
+def stableswap_completion(n, scale, chi, partial):
+    """The last reserve on the Stableswap invariant, exactly, and the size
+    of its closed form's terms.
+
+    The invariant chi*D**(n-1)*sum(x) + prod(x) = chi*D**n + (D/n)**n is
+    linear in x_n, so in ``Fraction`` its root is exact:
+    x_n = (L*(D - sum(p)) + (D/n)**n) / (L + prod(p)) with L = chi*D**(n-1).
+    The size is the same quotient with |D - sum(p)|.
+    """
+    d, lev = Fraction(scale), Fraction(chi) * Fraction(scale) ** (n - 1)
+    gap, den = d - sum(map(Fraction, partial)), lev + prod(map(Fraction, partial))
+    return (lev * gap + (d / n) ** n) / den, float((lev * abs(gap) + (d / n) ** n) / den)

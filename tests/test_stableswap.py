@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -17,9 +19,9 @@ from ammix import (
     stableswap_dynamic_residual,
     t_from_chi,
 )
-from ammix import schedules
-from ammix.errors import ConvergenceError, InvalidParameterError
+from ammix.errors import InvalidParameterError
 from ammix.stableswap import normalized_components, solve_reserve
+import oracle
 
 
 def test_residual_balanced_two():
@@ -33,13 +35,32 @@ def test_residual_balanced_three():
 
 
 def test_residual_root_solved_point():
-    # scales 1e-8 to 1e8, and a completion of 5.6e-13, just inside the bracket's 1e-12*D/n
-    for scale, partial in ((2.0, [1.5]), (1e-8, [5e-9]), (1e8, [5e7]), (1.0, [1.999999999995])):
-        ss = StableswapParams(n=2, scale=scale, chi=0.25)
-        y = solve_reserve(ss, partial)
-        assert abs(invariant_residual(ss, [*partial, y])) <= 1e-10 * ss.scale**ss.n
+    """The completion is the exact rational root of the invariant on the
+    same floats, within 8 eps of the size of the closed form's terms
+    (``oracle.stableswap_completion``): scales 1e-8 to 1e8; near-empty
+    completions of 5.6e-13 and 5.6e-15 at D = 1; n = 3; and n = 4 with x4
+    near 4e-6*D, where the numerator's two terms cancel: 200 ULPs of x4,
+    inside the budget.
+    What leaves no positive and finite completion is refused."""
+    for n, scale, chi, partial in ((2, 2.0, 0.25, [1.5]), (2, 1e-8, 0.25, [5e-9]),
+                                   (2, 1e8, 0.25, [5e7]), (2, 1.0, 0.25, [1.999999999995]),
+                                   (2, 1.0, 0.25, [1.99999999999995]), (3, 3.0, 10.0, [0.7, 1.9]),
+                                   (4, 1.0, 0.3, [0.3, 0.3, 0.41301633771372814])):
+        ss = StableswapParams(n=n, scale=scale, chi=chi)
+        x = solve_reserve(ss, partial)
+        root, size = oracle.stableswap_completion(n, scale, chi, partial)
+        assert abs(Fraction(x) - root) <= 8 * sys.float_info.epsilon * size, (n, scale, partial)
+        assert abs(invariant_residual(ss, [*partial, x])) <= 1e-10 * scale**n
     with pytest.raises(InvalidParameterError, match=re.escape("expected 1 fixed reserves, got 2")):
-        solve_reserve(ss, [0.5, 0.5])
+        solve_reserve(StableswapParams(n=2, scale=2.0, chi=0.25), [0.5, 0.5])
+    ss = StableswapParams(n=2, scale=1.0, chi=0.25)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="reserves must be positive and finite"):
+            solve_reserve(ss, [bad])
+    for partial in ([2.0], [2.5]):  # x2 = 0 exactly, and x2 < 0
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"no on-surface completion for partial reserves {partial!r}")):
+            solve_reserve(ss, partial)
 
 
 def test_residual_dimension_mismatch():
@@ -189,10 +210,3 @@ def test_normalized_components_balanced():
     assert (a0, a1) == (1.0, 1.0)
     a0, a1 = normalized_components(3.0, [1.0, 1.0, 1.0])
     assert (a0, a1) == (1.0, 1.0)
-
-
-def test_solve_reserve_raises_when_bisection_runs_out(monkeypatch):
-    ss = StableswapParams(n=2, scale=2.0, chi=0.7)
-    monkeypatch.setattr(schedules, "_BISECT_HALVINGS", 20)
-    with pytest.raises(ConvergenceError, match="in 20 halvings"):
-        solve_reserve(ss, [1.5])
