@@ -34,6 +34,107 @@ def lam_arith(s, t, alpha, beta, c, s0):
         return 1 / ((1 - t) / c + t / p)
 
 
+def ray_rate(family, kind, q0, q1, q2, s, a, b, alpha, beta, c, s0):
+    """The spot rate at ray coordinate s, and its relative condition.
+
+    The rate is the ratio of the invariant's partials at the ray point
+    lam(s)*(s/a, (1-s)/b), where A0 = lam/C and A1 = lam/P, so that lam
+    cancels:
+
+    - arithmetic: (a/b)*[(1-t)/C + t*alpha/(P*s)] / [(1-t)/C + t*beta/(P*(1-s))]
+    - geometric: (a/b)*[(1-t) + t*alpha/s] / [(1-t) + t*beta/(1-s)]
+    - homotopy (every schedule): (a/b)*[(1-t)*C + t*P*alpha/s - t'*(1-s)*(P-C)]
+      / [(1-t)*C + t*P*beta/(1-s) + t'*s*(P-C)]
+
+    with P = C*exp(g) and (t, t') from ``sched_chain``, t clamped into
+    [0, 1] as the kernels clamp it (a parabola may leave it by 1e-12).  At
+    s0 on a power
+    law it is the anchor rate a/b: the tangent limit where t' has no value
+    (exponents <= 1), and what the formula gives above 1, where t = t' = 0.
+
+    The condition is what a float evaluation's rounding is measured in: the
+    magnitudes of the numerator's terms over the numerator, the same for
+    the denominator, where t, t', P and P - C count with their sizes as
+    ``lam_chain`` takes them, plus |s * d(log rate)/ds|, the relative
+    change of the rate per relative change of s, since a rate taken at
+    reserves rounded from the ray point is the rate at a rounded s.
+    """
+    rate = _ray_rate(family, kind, q0, q1, q2, s, a, b, alpha, beta, c, s0)
+    if kind == 1 and s == s0:
+        return rate, 1.0
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        h = Decimal(s) * Decimal("1e-25")
+        up, down = (_ray_rate(family, kind, q0, q1, q2, Decimal(s) + d, a, b, alpha, beta, c, s0)
+                    for d in (h, -h))
+        slope = float(abs((up - down) / (2 * h) * Decimal(s) / rate))
+    t, tp = map(float, _clamped(*sched_chain(kind, q0, q1, q2, s, s0)[:2]))
+    u = 1.0 - s
+    size_g = abs(alpha * log(s0 / s)) + abs(beta * log((1.0 - s0) / u))
+    g = alpha * log(s0 / s) + beta * log((1.0 - s0) / u)
+    p = c * exp(g)
+    size_p = p * (1.0 + size_g)
+    size_pmc = size_p + c * abs(expm1(g))
+    if kind == 1:
+        st, stp = (1.0 + q0) * abs(t), (1.0 + q0) * abs(tp)
+    elif kind == 2:
+        st, stp = (abs(q0) * s + abs(q1)) * s + abs(q2), 2.0 * abs(q0) * s + abs(q1)
+    else:
+        st, stp = t, 0.0
+    if family == 0:
+        terms = ((1.0 + st) / c, st * alpha / (p * s), st * alpha * size_g / (p * s)), \
+                ((1.0 + st) / c, st * beta / (p * u), st * beta * size_g / (p * u))
+        vals = ((1.0 - t) / c + t * alpha / (p * s), (1.0 - t) / c + t * beta / (p * u))
+    elif family == 1:
+        terms = (1.0 + st, st * alpha / s), (1.0 + st, st * beta / u)
+        vals = (1.0 - t + t * alpha / s, 1.0 - t + t * beta / u)
+    else:
+        pmc = c * expm1(g)
+        terms = ((1.0 + st) * c, st * size_p * alpha / s, stp * u * size_pmc), \
+                ((1.0 + st) * c, st * size_p * beta / u, stp * s * size_pmc)
+        vals = ((1.0 - t) * c + t * p * alpha / s - tp * u * pmc,
+                (1.0 - t) * c + t * p * beta / u + tp * s * pmc)
+    kappa = sum(sum(ts) / abs(v) for ts, v in zip(terms, vals))
+    return rate, kappa + slope
+
+
+def _clamped(t, tp):
+    """t clamped into [0, 1] as the kernels clamp it, and t' = 0 where that
+    moved t: the curve's t(s) is the clamped one."""
+    if t < 0:
+        return Decimal(0), Decimal(0)
+    if t > 1:
+        return Decimal(1), Decimal(0)
+    return t, tp
+
+
+def _ray_rate(family, kind, q0, q1, q2, s, a, b, alpha, beta, c, s0):
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        da, db = Decimal(a), Decimal(b)
+        if kind == 1 and s == s0:
+            return da / db
+        t, tp = _clamped(*sched_chain(kind, q0, q1, q2, s, s0)[:2])
+        ds, dal, dbe, dc, ds0 = map(Decimal, (s, alpha, beta, c, s0))
+        u = 1 - ds
+        p = dc * (dal * (ds0 / ds).ln() + dbe * ((1 - ds0) / u).ln()).exp()
+        if family == 0:
+            num, den = (1 - t) / dc + t * dal / (p * ds), (1 - t) / dc + t * dbe / (p * u)
+        elif family == 1:
+            num, den = (1 - t) + t * dal / ds, (1 - t) + t * dbe / u
+        else:
+            num = (1 - t) * dc + t * p * dal / ds - tp * u * (p - dc)
+            den = (1 - t) * dc + t * p * dbe / u + tp * ds * (p - dc)
+        return da / db * num / den
+
+
+def relative(got, exact):
+    """|got - exact| / |exact|, as a float."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float(abs(Decimal(got) - exact) / abs(exact))
+
+
 def ulps(got, exact):
     """|got - exact| in ULPs of the float nearest ``exact``."""
     with localcontext() as ctx:

@@ -8,6 +8,8 @@ and t' and of the invariant."""
 import ast
 import random
 import re
+import sys
+from decimal import Decimal, localcontext
 from math import exp, expm1, nextafter, ulp
 from pathlib import Path
 
@@ -562,6 +564,63 @@ def test_ray_rate_edges_match_the_composition(args, want):
     assert got[0] is want if isinstance(want, type) else got == repr(want)
     reached = _outcome(_ray_rate, lambda *xy_args: "rate", *args) == repr("rate")
     assert reached == (_RAY_RATE_EDGES.index((args, want)) >= 3)
+
+
+# the spot rate's budget, in units of eps times its condition (``oracle.ray_rate``)
+RATE_BUDGET = 4.0
+
+
+def _rate_case(d):
+    """(params, market, s): a and b in [1e-2, 1e2] and a skewed anchor, x0
+    and y0 in [1e-9, 1]; any mix; s in [1e-6, 1 - 1e-6], in [S_MIN, 1e-6]
+    or its mirror.  A parabola leaving [0, 1] is rejected, and so is an s
+    where lam_at refuses its t (no curve point is there)."""
+    params = CurveParams(d.floats(1e-2, 1e2), d.floats(1e-2, 1e2), d.floats(1e-9, 1.0),
+                         d.floats(1e-9, 1.0))
+    try:
+        m = market(params, d.mix())
+    except InvalidParameterError:
+        raise Reject
+    region = d.choice(("bulk", "low", "high"))
+    u = d.floats(S_MIN, 1e-6)
+    s = d.floats(1e-6, 1.0 - 1e-6) if region == "bulk" else u if region == "low" else 1.0 - u
+    try:
+        pure.lam_at(*m.codes, s, *m.curve)
+    except ScheduleRangeError:
+        raise Reject
+    return params, m, s
+
+
+def test_spot_rates_within_budget_of_decimal_oracle(draws):
+    """rate_xy at point_at(s) against the 60-digit ray rate at s: within
+    RATE_BUDGET eps per unit of the rate's condition (at most 2.2 over
+    40,000 draws of four other seeds; the relative error itself reaches
+    about 4e-15 where the condition is 1, and 0.28 where a parabola's t
+    cancels to 1e-7 next to s = 1).  On the homotopy the oracle is also
+    the curve's slope (a/b)*(lam - lam'*(1-s))/(lam + lam'*s), from
+    ``oracle.lam_chain``, to 1e-40, where the weights sum to 1 exactly: both forms take alpha + beta = 1, and elsewhere they differ
+    by P*t*(1 - alpha - beta) in each term."""
+    worst, sloped = {}, 0
+    for params, m, s in draws(1000, _rate_case):
+        anchor = (params.a, params.b, params.alpha, params.beta, params.c, params.s0)
+        exact, kappa = oracle.ray_rate(*m.codes, s, *anchor)
+        chain = oracle.lam_chain(*m.codes[1:], s, *anchor[2:])
+        if (m.codes[0] == 2 and Decimal(params.alpha) + Decimal(params.beta) == 1 and chain is not None
+                and 0 <= chain[0]["t"] <= 1):
+            lam, lamp = chain[0]["lam"], chain[0]["lam'"]
+            with localcontext() as ctx:
+                ctx.prec = oracle.DIGITS
+                a, b, ds = map(Decimal, (params.a, params.b, s))
+                slope = a / b * (lam - lamp * (1 - ds)) / (lam + lamp * ds)
+            assert oracle.relative(slope, exact) <= 1e-40, (params, m.codes, s)
+            sloped += 1
+        state = point_at(params, m.mix, s)
+        err = oracle.relative(pure.rate_xy(*m.codes, state.x, state.y, *m.curve), exact)
+        err /= sys.float_info.epsilon * kappa
+        assert err <= RATE_BUDGET, (params, m.codes, s, err)
+        worst[m.codes[:2]] = max(worst.get(m.codes[:2], 0.0), err)
+    print(f"worst errors in eps of the condition: {worst}; {sloped} slopes")
+    assert len(worst) == 5 and sloped > 20
 
 
 def _oracle_case(rng):
