@@ -10,6 +10,7 @@ from ammix._kernels.pure import (
     lam_arith,
     lam_at,
     lam_prime_at,
+    rate_s,
     rate_xy,
     ray_log_ratio,
     sched_first,

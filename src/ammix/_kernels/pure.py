@@ -4,16 +4,18 @@
 weight and g(s) in one frame, repeating the float operations of
 ``sched_value`` and ``ray_log_ratio`` in their order, and the helpers stay
 as the reference it is tested against.  The other s-kernels call the
-helpers: ``lam_prime_at`` takes g from ``ray_log_ratio`` and t from
-``sched_first``, and ``lam_arith`` takes g from its caller.  The chain
-(lam, lam', lam'') and t'' have no scalar body: ``arrays.lam_chain_array``
-calls ``ray_log_ratio`` and ``sched_first`` on numpy arrays.
+helpers: ``lam_prime_at`` and ``rate_s`` take g from ``ray_log_ratio``
+and (t, t') from ``_sched_clamped``, and ``lam_arith`` takes g from its
+caller.  ``rate_s``, the spot rate at ray coordinate s, is the rate of
+every arbitrage solve.  The chain (lam, lam', lam'') and t'' have no
+scalar body: ``arrays.lam_chain_array`` calls ``ray_log_ratio`` and
+``sched_first`` on numpy arrays.
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
 (A0, A1), which ``value_xy`` blends; ``grad_xy`` gives the gradient, and
-``rate_xy``, the one spot-rate kernel, is the ratio of its partials.
-``ammix.core`` wraps them for ``MarketState`` arguments.
+``rate_xy``, the spot rate at a user's (x, y), is the ratio of its
+partials.  ``ammix.core`` wraps them for ``MarketState`` arguments.
 Reserves whose terms leave the float range (A1 underflowing to 0 under
 a negative power, say) raise InvalidParameterError, not a bare
 ArithmeticError.
@@ -144,25 +146,31 @@ def lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     return c + c * expm1(g) * t
 
 
+def _sched_clamped(kind, q0, q1, q2, s, s0):
+    """(t, t') from ``sched_first``, t checked and clamped into [0, 1] by
+    ``sched_value`` as ``lam_at`` checks and clamps it, and t' = 0 where
+    the clamp moved t.  Raises ScheduleRangeError where ``lam_at`` does."""
+    t, tp = sched_first(kind, q0, q1, q2, s, s0)
+    if not 0.0 < t < 1.0:  # True for NaN
+        clamped = sched_value(kind, q0, q1, q2, s, s0)
+        if clamped != t:
+            tp = 0.0
+        t = clamped
+    return t, tp
+
+
 def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """(lam, dlam/ds) for any (family, schedule) pair.
 
     (g, g') come from ``ray_log_ratio``.  Uniform weights (kind 0) take
     t = q0 and the family's closed form; a schedule takes (t, t') from
-    ``sched_first``, t clamped into [0, 1] as ``lam_at`` clamps it and t'
-    = 0 where the clamp moved t, and the homotopy formula.
+    ``_sched_clamped``, which checks and clamps t as ``lam_at`` does, and
+    the homotopy formula.
     """
     g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)
     p = c * exp(g)
     if kind != 0:
-        t, tp = sched_first(kind, q0, q1, q2, s, s0)
-        # lam_at's min(1.0, max(0.0, t)), -0.0 and NaN included
-        if not t > 0.0:
-            if t != 0.0:
-                tp = 0.0
-            t = 0.0
-        elif t > 1.0:
-            t, tp = 1.0, 0.0
+        t, tp = _sched_clamped(kind, q0, q1, q2, s, s0)
         return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
     t = q0
     if family == 0:
@@ -173,6 +181,62 @@ def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
         lam = c * exp(g * t)
         return lam, lam * t * gp
     return c + c * expm1(g) * t, p * gp * t
+
+
+def rate_s(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
+    """(lam, rate) at ray coordinate s: ``lam_at``'s lam, and the spot rate
+    ``rate_xy`` takes at the ray point lam*(s/a, (1-s)/b), in s alone.
+
+    There A0 = lam/C and A1 = lam/P, so lam cancels from the ratio of the
+    partials, and no reserve, product of reserves or power is formed:
+
+    - arithmetic: (a/b)*[(1-t)/C + t*alpha/(P*s)] / [(1-t)/C + t*beta/(P*(1-s))]
+    - geometric: (a/b)*[(1-t) + t*alpha/s] / [(1-t) + t*beta/(1-s)]
+    - homotopy: (a/b)*[(1-t)*C + t*P*alpha/s - t'*(1-s)*(P-C)]
+      / [(1-t)*C + t*P*beta/(1-s) + t'*s*(P-C)]
+
+    g comes from ``ray_log_ratio`` and a schedule's (t, t') from
+    ``_sched_clamped``, so ScheduleRangeError is raised where ``lam_at``
+    raises it; where t' does not exist (a power law of exponent <= 1 at
+    s0) the rate is the anchor rate a/b, as in ``rate_xy``.  Raises
+    DegenerateGradientError where the denominator (the partial in y)
+    vanishes, and InvalidParameterError where a term leaves the float
+    range.
+    """
+    try:
+        g = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)[0]
+        if kind == 0 and family == 0:
+            t = q0
+            p = c * exp(g)
+            w = (1.0 - t) / c
+            num, den = w + t * alpha / (p * s), w + t * beta / (p * (1.0 - s))
+            lam = lam_arith(t, g, c)
+        elif kind == 0 and family == 1:
+            t = q0
+            num, den = 1.0 - t + t * alpha / s, 1.0 - t + t * beta / (1.0 - s)
+            lam = c * exp(g * t)
+        else:
+            t, tp = q0, 0.0
+            if kind != 0:
+                try:
+                    t, tp = _sched_clamped(kind, q0, q1, q2, s, s0)
+                except NonDifferentiablePointError:
+                    return c, a / b  # s == s0, where t = 0 and g = 0
+            pmc = c * expm1(g)
+            p = c * exp(g)
+            w = (1.0 - t) * c
+            num, den = w + t * p * alpha / s, w + t * p * beta / (1.0 - s)
+            if tp != 0.0:
+                num -= tp * (1.0 - s) * pmc
+                den += tp * s * pmc
+            lam = c + pmc * t
+        if den != 0.0:
+            return lam, a / b * (num / den)
+    except ArithmeticError as exc:
+        raise InvalidParameterError(
+            f"the spot rate is not representable at s={s!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+    raise DegenerateGradientError("vanishing partial derivative in y")
 
 
 def _float_range_error(x, y, exc):
@@ -215,8 +279,9 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     gradient is taken on the reciprocal form; with that orientation every
     family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
     of the partials is the internal exchange rate for all of them.  A
-    schedule takes (t, t') from ``sched_first`` at s = a*x/(a*x + b*y),
-    which raises NonDifferentiablePointError where t' does not exist.
+    schedule takes (t, t') from ``_sched_clamped`` at s = a*x/(a*x + b*y),
+    t clamped as ``lam_at`` clamps it, which raises
+    NonDifferentiablePointError where t' does not exist.
     A1 is ``components_xy``'s, operation for operation.
     """
     try:
@@ -224,7 +289,7 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
         if kind == 0:
             t, tp = q0, 0.0
         else:
-            t, tp = sched_first(kind, q0, q1, q2, a * x / n, s0)
+            t, tp = _sched_clamped(kind, q0, q1, q2, a * x / n, s0)
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             return (

@@ -116,10 +116,11 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
 
     The ``Market`` and its certificate, the two end rates and the reserves at
     the two ends are resolved once for all the rates, and every spot rate
-    is ``_kernels.rate_xy`` at the reserves ``_kernels.lam_at`` gives, on
-    the market's unpacked codes and constants.  Each solved s becomes its
-    reserves through ``parametrize._reserves_on``; no ``MarketState`` is
-    built here.
+    is ``_kernels.rate_s`` at s, on the market's unpacked codes and
+    constants: the rate ``rate_xy`` takes at the ray point, in s alone,
+    with no reserve product or power.  The reserves of its lam are checked
+    as ``MarketState`` checks them.  Each solved s becomes its reserves
+    through ``parametrize._reserves_on``; no ``MarketState`` is built here.
     Each price is solved in three steps, all in this function's frame:
 
     - **Warm start.**  The two end rates and the final bracket ends of
@@ -162,16 +163,15 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
         )
     family, kind, q0, q1, q2 = m.codes
     a, b, x0, y0, alpha, beta, c, s0 = m.curve
-    lam_at, rate_xy = k.lam_at, k.rate_xy
+    rate_s = k.rate_s
     max_evals = _MAX_RATE_EVALS
 
     def rate(s: float) -> float:
-        lam = lam_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
+        lam, value = rate_s(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
         x = lam * s / a
         y = lam * (1.0 - s) / b
         if not (0.0 < x < inf and 0.0 < y < inf):  # False for NaN
             _check_reserves(x, y)  # raises MarketState's error
-        value = rate_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0)
         if not 0.0 < value < inf:  # False for NaN
             raise InvalidCurveError(f"spot rate {value!r} at s={s!r} is not positive and finite")
         return value

@@ -23,11 +23,10 @@ from ammix import (
     reduced_value,
     reduced_values,
     point_at,
-    spot_rate,
 )
 from ammix import _kernels as k
 from ammix import analysis
-from ammix._kernels import rate_xy
+from ammix._kernels import rate_s
 from ammix.cli import run_command
 from ammix.core import market
 from ammix.errors import (
@@ -160,8 +159,22 @@ def _reference_bisect(below, lo: float, hi: float, atol: float = 0.0, rtol: floa
     return 0.5 * (lo + hi)
 
 
+def _ray_rate(params, mix, s, point_at=point_at):
+    """The spot rate at ray coordinate s as the arbitrage solve takes it:
+    the kernel ``rate_s`` at s, after ``point_at``'s reserve check, and the
+    error ``spot_rate`` raises where it is not positive and finite."""
+    point_at(params, mix, s)
+    m = market(params, mix)
+    rate = k.rate_s(*m.codes, s, *m.curve)[1]
+    if not 0.0 < rate < math.inf:
+        raise InvalidParameterError(f"spot rate {rate!r} at s={s!r} is not positive and finite")
+    return rate
+
+
 def _reference_arbitrage_state(params, mix, p, point_at=point_at):
-    """arbitrage_state as it was before the regula falsi solve, verbatim.
+    """arbitrage_state as it was before the regula falsi solve, verbatim but
+    for its rate: ``_ray_rate`` at s, where it was ``spot_rate`` at
+    ``point_at(s)``, the kernel ``rate_xy`` at the point's reserves.
 
     ``point_at`` is a parameter only so that a test can record where the
     returned state was evaluated.
@@ -173,7 +186,7 @@ def _reference_arbitrage_state(params, mix, p, point_at=point_at):
     r = p.rate
 
     def rate_at(s: float) -> float:
-        return spot_rate(params, mix, point_at(params, mix, s))
+        return _ray_rate(params, mix, s, point_at)
 
     lo, hi = S_MIN, S_MAX
     r_max, r_min = rate_at(lo), rate_at(hi)
@@ -226,8 +239,7 @@ def _solved_s(params, mix, p):
 
 def _end_rates(params, mix):
     """(r_min, r_max): the spot rates at S_MAX and at S_MIN."""
-    return (spot_rate(params, mix, point_at(params, mix, S_MAX)),
-            spot_rate(params, mix, point_at(params, mix, S_MIN)))
+    return _ray_rate(params, mix, S_MAX), _ray_rate(params, mix, S_MIN)
 
 
 def _rate_at(q, r_min, r_max):
@@ -319,13 +331,13 @@ def test_arbitrage_states_on_a_grid_are_the_single_solves(mix, order):
 
 
 @pytest.mark.parametrize("params, t, qs", [
-    # flat end to end: end rates 16 and 3 ULPs apart
+    # flat end to end: end rates 17 and 3 ULPs apart
     (CurveParams(9.0, 0.25, 1.0, 1.5), 1.175494351e-38, [0.0, 0.5]),
     (CurveParams(10.0, 53.31390075048979, 46.546875, 1.0), 1.1754943508222875e-38, [1.0, 0.5]),
     # flat near S_MIN only (r_max/r_min = 1.0196): prices 2e-11 and 8e-11 below r_max
     (CurveParams(2.8730653453395925, 0.27613294831623514, 0.07288595776803831, 4.868210966582404),
      1.394762874661386e-24, [1.0 - 1e-9, 1.0 - 4e-9]),
-    # flat near S_MAX only (r_max/r_min = 1.0262): prices 2.7e-13 and 1.1e-11 above r_min
+    # flat near S_MAX only (r_max/r_min = 1.0269): prices 2.7e-13 and 1.1e-11 above r_min
     (CurveParams(9.0, 0.25, 1.0, 1.5), 1e-25, [1e-11, 4e-10]),
 ])
 def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
@@ -338,8 +350,7 @@ def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     and 3.6e-13 away from the same price solved alone.  Such prices are
     solved by the bisection itself, in a batch and alone alike."""
     mix = MixSpec.homotopy(t)
-    r_max = spot_rate(params, mix, point_at(params, mix, S_MIN))
-    r_min = spot_rate(params, mix, point_at(params, mix, S_MAX))
+    r_min, r_max = _end_rates(params, mix)
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
               for q in qs]
     assert all(r_min <= p.p1 <= r_min * (1.0 + 1e-10) or r_max * (1.0 - 1e-10) <= p.p1 <= r_max
@@ -362,7 +373,7 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     p = PriceVector(1.000000000000007, 1.0)
     calls = []  # one per rate evaluation of arbitrage_state alone, not the reference's
     with monkeypatch.context() as mp:
-        mp.setattr(k, "rate_xy", lambda *args: calls.append(args) or rate_xy(*args))
+        mp.setattr(k, "rate_s", lambda *args: calls.append(args) or rate_s(*args))
         arbitrage_state(params, mix, p)
     s_new, s_ref = _solved_s(params, mix, p)
     assert abs(s_new - s_ref) <= 2e-15
@@ -405,16 +416,17 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
 
     A row's rates are those evaluated after the reserves before it were
     resolved: each solve ends by resolving its row's reserves, and the end
-    reserves are resolved right after the end rates.
+    reserves are resolved right after the end rates.  Every rate is
+    ``rate_s``'s, at s; no rate is taken at reserves (x, y).
     """
-    rated = []  # (codes, (x, y)) of every spot rate
+    rated = []  # (codes, s) of every spot rate
     per_solve = []  # rates of each solved row, its probe included
     since = [0]  # len(rated) when the last reserves were resolved
     reserves_on = analysis._reserves_on
 
     def counting_rate(*args):
-        rated.append((args[:5], args[5:7]))
-        return rate_xy(*args)
+        rated.append((args[:5], args[5]))
+        return rate_s(*args)
 
     def counting_reserves(m, s):
         if S_MIN < s < S_MAX:
@@ -422,7 +434,12 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
         since[0] = len(rated)
         return reserves_on(m, s)
 
-    monkeypatch.setattr(k, "rate_xy", counting_rate)
+    def refused(*args):
+        raise AssertionError("the arbitrage solve took a rate at reserves (x, y)")
+
+    monkeypatch.setattr(k, "rate_s", counting_rate)
+    monkeypatch.setattr(k, "rate_xy", refused)
+    monkeypatch.setattr(k, "grad_xy", refused)
     monkeypatch.setattr(analysis, "_reserves_on", counting_reserves)
     with redirect_stdout(io.StringIO()):
         assert run_command(["pvf-table", "--r-points", "101"]) == 0
@@ -434,23 +451,23 @@ def test_arbitrage_solve_work_bound_on_pvf_table(monkeypatch):
     assert {mix for mix, _ in rated} == {m.codes for m in markets}
     for m in markets:
         for end in (S_MIN, S_MAX):
-            end_xy = reserves_on(m, end)  # the reserves of the end rate
-            assert sum(1 for codes, xy in rated if codes == m.codes and xy == end_xy) == 1
+            assert sum(1 for codes, s in rated if codes == m.codes and s == end) == 1
 
 
 def _patched_rate(monkeypatch, inner_rate):
-    """The kernel rate_xy for the two end rates of one solve,
+    """The kernel rate_s for the two end rates of one solve, its lam and
     inner_rate(state) at the curve point after them; returns the list of
-    the reserves of each call."""
+    the s of each call."""
     calls = []
 
-    def rate(family, kind, q0, q1, q2, x, y, *rest):
-        calls.append((x, y))
+    def rate(family, kind, q0, q1, q2, s, *curve):
+        calls.append(s)
+        lam, value = rate_s(family, kind, q0, q1, q2, s, *curve)
         if len(calls) <= 2:
-            return rate_xy(family, kind, q0, q1, q2, x, y, *rest)
-        return inner_rate(MarketState(x, y))  # point_at's state
+            return lam, value
+        return lam, inner_rate(MarketState(lam * s / curve[0], lam * (1.0 - s) / curve[1]))
 
-    monkeypatch.setattr(k, "rate_xy", rate)
+    monkeypatch.setattr(k, "rate_s", rate)
     return calls
 
 

@@ -518,6 +518,17 @@ def test_arithmetic_curve_past_c_times_p_range_exit_0(capsys, argv):
     assert values and all(math.isfinite(v) for v in values)
 
 
+def test_homotopy_il_table_at_tiny_anchor_is_the_unit_table(capsys):
+    """The anchor (1e-300, 1e-300) is the unit anchor scaled, and an IL
+    table depends on the rate ratios alone: its stdout is the unit
+    command's, byte for byte.  It exited 2 with "the invariant is not
+    representable ... ZeroDivisionError" while the arbitrage solve took its
+    rates at the reserves, whose squared a*x + b*y underflowed."""
+    argv = ["il-table", "--mix", "hom", "--t", "0.5", "--ratios", "4"]
+    tiny = run(capsys, *argv, "--x0", "1e-300", "--y0", "1e-300")
+    assert tiny == run(capsys, *argv) == (0, "ratio,il\n4,-0.309499704837\n", "")
+
+
 # --- refusals: the exit code and the one stderr line of each --------------------
 
 _STABILITIES = "error: --stabilities values must be in [0, 1], got "

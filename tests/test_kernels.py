@@ -164,9 +164,11 @@ def test_s_formulas_have_one_body():
     ``ray_log_ratio``, a parabola's t only there, in ``sched_value`` and in
     ``sched_first``, the scalar schedule slopes only in ``sched_first``,
     P'' only in ``lam_chain_array`` and the arithmetic scaling only in
-    ``lam_arith``: ``lam_prime_at``, ``lam_chain_array``,
+    ``lam_arith``: ``lam_prime_at``, ``rate_s``, ``lam_chain_array``,
     ``sched_chain_array`` and ``lam_at`` take them from there instead of
-    repeating them, and ``lam_arith`` takes g from its caller."""
+    repeating them (``lam_prime_at``, ``rate_s`` and ``grad_xy`` take the
+    clamped (t, t') from ``_sched_clamped``, which checks and clamps t
+    through ``sched_value``), and ``lam_arith`` takes g from its caller."""
     found, calls, names = [], set(), set()
     for path in (Path(pure.__file__), Path(arrays.__file__)):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -190,7 +192,10 @@ def test_s_formulas_have_one_body():
                              ("sched_first", "2.0 * q0 * s + q1"),
                              ("sched_first", "copysign(q0 / q1 * u ** (q0 - 1.0), d)"),
                              ("sched_value", "(q0 * s + q1) * s + q2")]
-    assert {("lam_prime_at", "ray_log_ratio"), ("lam_prime_at", "sched_first"),
+    assert {("lam_prime_at", "ray_log_ratio"), ("lam_prime_at", "_sched_clamped"),
+            ("_sched_clamped", "sched_first"), ("_sched_clamped", "sched_value"),
+            ("rate_s", "ray_log_ratio"), ("rate_s", "_sched_clamped"), ("rate_s", "lam_arith"),
+            ("grad_xy", "_sched_clamped"),
             ("lam_chain_array", "ray_log_ratio"), ("lam_chain_array", "sched_chain_array"),
             ("sched_chain_array", "sched_first"), ("lam_at", "lam_arith"),
             ("lam_prime_at", "lam_arith")} <= calls
@@ -566,6 +571,32 @@ def test_ray_rate_edges_match_the_composition(args, want):
     assert reached == (_RAY_RATE_EDGES.index((args, want)) >= 3)
 
 
+def _ray_rate_s(family, kind, q0, q1, q2, s, *curve):
+    """The spot rate at ray coordinate s as arbitrage_states takes it:
+    ``rate_s``, then the reserves of its lam and the MarketState check."""
+    lam, rate = pure.rate_s(family, kind, q0, q1, q2, s, *curve)
+    _check_reserves(lam * s / curve[0], lam * (1.0 - s) / curve[1])
+    return rate
+
+
+# each row of _RAY_RATE_EDGES and its outcome through rate_s, which forms
+# no reserve product: the same as through rate_xy but on the fifth row,
+# whose squared a*x + b*y underflowed; at s = 0.5 on a curve symmetric
+# in (x, y) the rate is 1.  The third row's C = 0 now raises in rate_s's
+# (1 - t)/C, and the fourth row's partial in y underflows to 0 there too.
+_RAY_RATE_S_EDGES = [(args, want) for (args, _), want in zip(_RAY_RATE_EDGES, [
+    ScheduleRangeError, InvalidParameterError, InvalidParameterError, DegenerateGradientError,
+    1.0, 2.0, 2.0])]
+
+
+@pytest.mark.parametrize("args, want", _RAY_RATE_S_EDGES)
+def test_ray_rate_edges_through_rate_s(args, want):
+    """Every outcome is a rate or a typed error: rate_s wraps what would
+    leave it as a bare ArithmeticError, as rate_xy does."""
+    got = _outcome(_ray_rate_s, *args)
+    assert got[0] is want if isinstance(want, type) else got == repr(want)
+
+
 # the spot rate's budget, in units of eps times its condition (``oracle.ray_rate``)
 RATE_BUDGET = 4.0
 
@@ -592,11 +623,12 @@ def _rate_case(d):
 
 
 def test_spot_rates_within_budget_of_decimal_oracle(draws):
-    """rate_xy at point_at(s) against the 60-digit ray rate at s: within
-    RATE_BUDGET eps per unit of the rate's condition (at most 2.2 over
-    40,000 draws of four other seeds; the relative error itself reaches
-    about 4e-15 where the condition is 1, and 0.28 where a parabola's t
-    cancels to 1e-7 next to s = 1).  On the homotopy the oracle is also
+    """rate_xy at point_at(s), and rate_s at s, against the 60-digit ray
+    rate at s: each within RATE_BUDGET eps per unit of the rate's
+    condition (at most 2.2 for rate_xy and 0.9 for rate_s over 40,000
+    draws of four other seeds; the relative error itself reaches about
+    4e-15 where the condition is about 20, and 0.28 where a parabola's t
+    cancels to 1e-7 next to s = 1).  rate_s's lam is lam_at's, bit for bit.  On the homotopy the oracle is also
     the curve's slope (a/b)*(lam - lam'*(1-s))/(lam + lam'*s), from
     ``oracle.lam_chain``, to 1e-40, where the weights sum to 1 exactly: both forms take alpha + beta = 1, and elsewhere they differ
     by P*t*(1 - alpha - beta) in each term."""
@@ -615,12 +647,34 @@ def test_spot_rates_within_budget_of_decimal_oracle(draws):
             assert oracle.relative(slope, exact) <= 1e-40, (params, m.codes, s)
             sloped += 1
         state = point_at(params, m.mix, s)
-        err = oracle.relative(pure.rate_xy(*m.codes, state.x, state.y, *m.curve), exact)
-        err /= sys.float_info.epsilon * kappa
-        assert err <= RATE_BUDGET, (params, m.codes, s, err)
-        worst[m.codes[:2]] = max(worst.get(m.codes[:2], 0.0), err)
+        lam, rate = pure.rate_s(*m.codes, s, *m.curve)
+        assert lam == pure.lam_at(*m.codes, s, *m.curve), (params, m.codes, s)
+        for name, got in (("rate_xy", pure.rate_xy(*m.codes, state.x, state.y, *m.curve)),
+                          ("rate_s", rate)):
+            err = oracle.relative(got, exact) / (sys.float_info.epsilon * kappa)
+            assert err <= RATE_BUDGET, (name, params, m.codes, s, err)
+            worst[name, m.codes[:2]] = max(worst.get((name, m.codes[:2]), 0.0), err)
     print(f"worst errors in eps of the condition: {worst}; {sloped} slopes")
-    assert len(worst) == 5 and sloped > 20
+    assert len(worst) == 10 and sloped > 20
+
+
+def test_rate_xy_takes_the_clamped_t():
+    """A parabola pinned at t(0) = t(s0) = 0 dips to t = -9.1e-17 at
+    s = 5.6e-11, inside the range check's 1e-12, and lam_at clamps it to
+    0.  rate_xy used to take the unclamped t and t' = -1.6e-6 there, 2.2e-11
+    relative (49,000 eps per unit of the condition) from the rate of the
+    curve lam_at traces; it takes the clamped (t, t') as rate_s does."""
+    params = CurveParams(0.5180348242104659, 53.807800927420104, 0.0001590822563526857,
+                         0.9425331672125931)
+    m = market(params, MixSpec.scheduled(Parabolic(bias=0.0, center=0.0)))
+    s = 5.573370313104572e-11
+    assert pure.sched_first(*m.codes[1:], s, params.s0)[0] < 0.0
+    exact, kappa = oracle.ray_rate(*m.codes, s, params.a, params.b, params.alpha, params.beta,
+                                   params.c, params.s0)
+    state = point_at(params, m.mix, s)
+    for got in (pure.rate_xy(*m.codes, state.x, state.y, *m.curve),
+                pure.rate_s(*m.codes, s, *m.curve)[1]):
+        assert oracle.relative(got, exact) <= RATE_BUDGET * sys.float_info.epsilon * kappa
 
 
 def _oracle_case(rng):
