@@ -10,7 +10,7 @@ numerically on arbitrary states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite, nan, prod
+from math import fsum, inf, isfinite, nan, prod
 from numbers import Integral
 from typing import Sequence
 
@@ -53,11 +53,17 @@ def _check_reserves(n: int, reserves: Sequence[float]) -> None:
 
 
 def invariant_residual(ss: StableswapParams, reserves: Sequence[float]) -> float:
-    """LHS - RHS of chi*D**(n-1)*sum(x) + prod(x) = chi*D**n + (D/n)**n."""
+    """LHS - RHS of chi*D**(n-1)*sum(x) + prod(x) = chi*D**n + (D/n)**n;
+    InvalidParameterError where a power of D leaves the float range."""
     _check_reserves(ss.n, reserves)
     d, n, chi = ss.scale, ss.n, ss.chi
-    lhs = chi * d ** (n - 1) * sum(reserves) + prod(reserves)
-    rhs = chi * d**n + (d / n) ** n
+    try:
+        lhs = chi * d ** (n - 1) * sum(reserves) + prod(reserves)
+        rhs = chi * d**n + (d / n) ** n
+    except OverflowError as exc:
+        raise InvalidParameterError(
+            f"the invariant's terms leave the float range at scale {d!r}: {exc}"
+        ) from exc
     return lhs - rhs
 
 
@@ -107,17 +113,23 @@ def equivalence_check(ss: StableswapParams, reserves: Sequence[float]) -> float:
 
 
 def solve_reserve(ss: StableswapParams, partial: Sequence[float]) -> float:
-    """Last reserve putting (partial..., x_n) on the invariant, which is
-    linear in x_n: x_n = (chi*D**(n-1)*(D - sum(p)) + (D/n)**n) /
-    (chi*D**(n-1) + prod(p)), with D - sum(p) taken by ``fsum``.
+    """Last reserve putting (partial..., x_n) on the invariant, solved in
+    u = x/D, where it reads chi*sum(u) + prod(u) = chi + n**-n with no
+    power of D, and is linear in u_n:
+    u_n = (chi*(1 - sum(u_p)) + n**-n) / (chi + prod(u_p)), with
+    1 - sum(u_p) taken as (D - sum(p))/D by ``fsum``.  So the completion
+    scales with D across the float range, and x_n = D*u_n.
     """
     n, d = ss.n, ss.scale
     if len(partial) != n - 1:
         raise InvalidParameterError(f"expected {n - 1} fixed reserves, got {len(partial)}")
     _check_reserves(n - 1, partial)
-    lev = ss.chi * d ** (n - 1)
-    den = lev + prod(partial)  # 0 only where chi == 0 and prod(p) underflows
-    x = (lev * fsum([d, *(-p for p in partial)]) + (d / n) ** n) / den if den else nan
+    try:
+        gap = fsum([d, *(-p for p in partial)]) / d
+    except OverflowError:  # the partial reserves sum past the float range
+        gap = -inf
+    den = ss.chi + prod(p / d for p in partial)  # 0 only where chi == 0 and prod underflows
+    x = d * ((ss.chi * gap + float(n) ** -n) / den) if den else nan
     if not (isfinite(x) and x > 0.0):
         raise InvalidParameterError(f"no on-surface completion for partial reserves {partial!r}")
     return x

@@ -63,6 +63,35 @@ def test_residual_root_solved_point():
             solve_reserve(ss, partial)
 
 
+@pytest.mark.parametrize("n, scale, chi, partial", [
+    (2, 1e200, 0.25, [5e199]),  # D**(n-1) and (D/n)**n overflowed: OverflowError
+    (2, 1e-200, 0.0, [1e-200]),  # (D/n)**n underflowed to 0: refused
+    (2, 1e-160, 0.25, [1e-160]),  # a subnormal (D/n)**n: 1.99998e-161 for 2e-161
+    (2, 1e-160, 0.0, [1e-160]),  # 2.49997e-161 for 2.5e-161
+    (3, 3e300, 10.0, [0.7e300, 1.9e300]),
+    (4, 1e-300, 0.3, [0.3e-300, 0.3e-300, 0.41301633771372814e-300]),
+])
+def test_completion_across_the_float_range(n, scale, chi, partial):
+    """The completion is solved in u = x/D, with no power of D, so it stays
+    within the budget of the exact root at any scale, and at the scale
+    times a power of 2 it is the completion times that power, exactly."""
+    x = solve_reserve(StableswapParams(n=n, scale=scale, chi=chi), partial)
+    root, size = oracle.stableswap_completion(n, scale, chi, partial)
+    assert abs(Fraction(x) - root) <= 8 * sys.float_info.epsilon * size, (n, scale, partial)
+    factors = [f for f in (2.0**100, 2.0**-100) if 1e-290 < scale * f < 1e290]
+    for f in factors:
+        scaled = StableswapParams(n=n, scale=scale * f, chi=chi)
+        assert solve_reserve(scaled, [p * f for p in partial]) == x * f, (n, scale, f)
+    assert factors
+
+
+def test_residual_past_the_float_range_is_refused():
+    ss = StableswapParams(n=2, scale=1e200, chi=0.25)
+    with pytest.raises(InvalidParameterError, match="the invariant's terms leave the float "
+                                                    "range at scale 1e[+]200"):
+        invariant_residual(ss, [5e199, 5e199])
+
+
 def test_residual_dimension_mismatch():
     ss = StableswapParams(n=3, scale=3.0, chi=0.5)
     with pytest.raises(InvalidParameterError):
