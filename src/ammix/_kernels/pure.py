@@ -279,9 +279,10 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     gradient is taken on the reciprocal form; with that orientation every
     family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
     of the partials is the internal exchange rate for all of them.  A
-    schedule takes (t, t') from ``_sched_clamped`` at s = a*x/(a*x + b*y),
-    t clamped as ``lam_at`` clamps it, which raises
-    NonDifferentiablePointError where t' does not exist.
+    schedule takes (t, t') from ``sched_first`` at s = a*x/(a*x + b*y),
+    which raises NonDifferentiablePointError where t' does not exist, and
+    from ``_sched_clamped`` where t is not inside (0, 1), so t is clamped
+    as ``lam_at`` clamps it.
     A1 is ``components_xy``'s, operation for operation.
     """
     try:
@@ -289,7 +290,9 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
         if kind == 0:
             t, tp = q0, 0.0
         else:
-            t, tp = _sched_clamped(kind, q0, q1, q2, a * x / n, s0)
+            t, tp = sched_first(kind, q0, q1, q2, a * x / n, s0)
+            if not 0.0 < t < 1.0:  # True for NaN; rare, so off the quotes' hot path
+                t, tp = _sched_clamped(kind, q0, q1, q2, a * x / n, s0)
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             return (
