@@ -85,11 +85,15 @@ def test_completion_across_the_float_range(n, scale, chi, partial):
     assert factors
 
 
-def test_residual_past_the_float_range_is_refused():
+def test_past_the_float_range_is_refused():
+    """A power of D past the float range in the residual, and partial
+    reserves whose sum is (fsum raised OverflowError in D - sum(p))."""
     ss = StableswapParams(n=2, scale=1e200, chi=0.25)
     with pytest.raises(InvalidParameterError, match="the invariant's terms leave the float "
                                                     "range at scale 1e[+]200"):
         invariant_residual(ss, [5e199, 5e199])
+    with pytest.raises(InvalidParameterError, match="no on-surface completion"):
+        solve_reserve(StableswapParams(n=3, scale=1e308, chi=1.0), [1.7e308, 1.7e308])
 
 
 def test_residual_dimension_mismatch():
