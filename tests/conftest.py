@@ -29,14 +29,6 @@ def unit_state():
     return MarketState(1.0, 1.0)
 
 
-def central_diff(f, x, h):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def second_diff(f, x, h):
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
 def _ranks(values):
     """The ranks 1..n of values, tied values sharing their average rank."""
     ordered = sorted(values)

@@ -500,3 +500,24 @@ def test_every_public_name_has_a_user():
             if not passed(name, index, option):
                 unused.append(f"{label}({option}=)")
     assert not unused
+
+
+def test_every_test_helper_has_a_user():
+    """Each module-level function and class under ``tests/`` that is not a
+    test has a user in ``tests/``, outside its own definition: a name or an
+    attribute (``oracle.lam_chain``) that reads it, or, for a fixture, a
+    parameter that names it.  An import alone is not a use."""
+    paths = sorted((_ROOT / "tests").glob("*.py"))
+    defined = [(path.name, stmt.name) for path in paths
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+               and not stmt.name.startswith("test_")]
+    used = set()
+    for path in paths:
+        for node, own in _walk(path):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.arg
+                    if isinstance(node, ast.arg) else None)
+            if name is not None and name not in own:
+                used.add(name)
+    assert [(file, name) for file, name in defined if name not in used] == []

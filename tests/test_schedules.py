@@ -33,7 +33,6 @@ from ammix.errors import (
     UnsupportedScheduleError,
 )
 from ammix.schedules import CONVEXITY_GRID_INSET, ON_CURVE_TOL, schedule_coeffs
-from conftest import central_diff
 
 # --- schedule construction ---------------------------------------------------
 
@@ -101,25 +100,11 @@ def test_powerlaw_encodes_its_scale_as_q1():
 
 def test_powerlaw_k2_values(unit_params):
     # t(s) = ((s - 0.5)/0.5)**2 = 4 (s - 0.5)**2 on the unit curve:
-    # t(0.75) = 0.25, t'(0.75) = 2, t''(s) = 8 everywhere.  Verified against
-    # central finite differences below.
+    # t(0.75) = 0.25, t'(0.75) = 2, t''(s) = 8 everywhere.
     t, tp, tpp, _ = _t_chain(PowerLaw(2.0), unit_params, 0.75)
     assert t == pytest.approx(0.25, rel=1e-12)
     assert tp == pytest.approx(2.0, rel=1e-12)
     assert tpp == pytest.approx(8.0, rel=1e-12)
-
-
-def test_powerlaw_matches_finite_differences(unit_params, pool_params):
-    for params in (unit_params, pool_params):
-        for k in (1.0, 2.0, 3.5, 8.0):
-            sched = PowerLaw(k)
-            fval = lambda s: _t_chain(sched, params, s)[0]
-            fp = lambda s: _t_chain(sched, params, s)[1]
-            for s in (0.12, 0.31, 0.72, 0.88):
-                t, tp, tpp, _ = _t_chain(sched, params, s)
-                h = 1e-6
-                assert tp == pytest.approx(central_diff(fval, s, h), rel=1e-5, abs=1e-8)
-                assert tpp == pytest.approx(central_diff(fp, s, h), rel=1e-5, abs=1e-6)
 
 
 def test_powerlaw_singularities(unit_params):
