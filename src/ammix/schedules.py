@@ -182,22 +182,23 @@ TSchedule = Union[Uniform, PowerLaw, Parabolic, StableswapDynamic]
 def parabolic_coefficients(schedule: Parabolic, s0: float) -> tuple[float, float, float]:
     """Quadratic coefficients (c2, c1, c0) of the parabolic schedule at pivot s0.
 
-    Raises if the parabola leaves [0, 1] anywhere on [0, 1]; besides the
-    pinned points only the vertex can be extremal.
+    Raises if the parabola leaves [0, 1] on [S_MIN, S_MAX]; only the ends
+    and the vertex can be extremal, and t is taken there as the kernels take
+    it, so that the rounding of c2 and c1 (large where s0*(1 - s0) is small)
+    cannot move t(S_MAX) off the pinned value 1 - bias unseen.
     """
     bias, center = schedule.bias, schedule.center
     denom = s0 * (1.0 - s0)
     c2 = ((1.0 - 2.0 * bias) * s0 + (bias - center)) / denom
     c1 = -((1.0 - 2.0 * bias) * s0 * s0 + (bias - center)) / denom
     c0 = bias
-    if c2 != 0.0:
-        vertex = -c1 / (2.0 * c2)
-        if 0.0 < vertex < 1.0:
-            tv = (c2 * vertex + c1) * vertex + c0
-            if tv < -1e-12 or tv > 1.0 + 1e-12:
-                raise InvalidParameterError(
-                    f"parabolic schedule leaves [0, 1]: t({vertex:.6g}) = {tv:.6g}"
-                )
+    points = [S_MIN, S_MAX]
+    if c2 != 0.0 and 0.0 < -c1 / (2.0 * c2) < 1.0:
+        points.append(-c1 / (2.0 * c2))
+    for s in points:
+        t = (c2 * s + c1) * s + c0
+        if t < -1e-12 or t > 1.0 + 1e-12:
+            raise InvalidParameterError(f"parabolic schedule leaves [0, 1]: t({s:.6g}) = {t:.6g}")
     return c2, c1, c0
 
 

@@ -570,6 +570,10 @@ _REFUSALS = [
           ("1.0000005", "0.5", "bias must be in [0, 1], got 1.0000005"),
           ("0.5", "1.0000005", "center must be in [0, 1], got 1.0000005"),
           ("0", "0.7500158", "parabolic schedule leaves [0, 1]: t(0.999968) = 1"))],  # 1 + 1e-9
+    # s0 = 1 - 3e-9: c2 and c1 round so that t(S_MAX) misses its pin 1 - bias = 0
+    ("il-table --mix hom --schedule parabolic --bias 1 --center 0 --a 71.98636318447703 "
+     "--b 65.61502859272154 --x0 0.30390023567803764 --y0 1e-09 --ratios 2", 2,
+     "error: parabolic schedule leaves [0, 1]: t(1) = -2.99931e-09"),
     ("curve-sample --mix hom --t 0.5 --samples 1", 2, "error: --samples must be >= 2, got 1"),
     # x = lam*s/a overflows; then x, then y, underflows to 0
     ("curve-sample --mix hom --t 0.5 --a 1e-306", 2, _RESERVES + "(inf, 0.5010282778864971)"),

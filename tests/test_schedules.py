@@ -25,6 +25,7 @@ from ammix import (
 from ammix import _kernels
 from ammix import schedules
 from ammix._kernels.arrays import lam_chain_array
+from ammix.core import market
 from ammix.cli import run_command
 from ammix.errors import (
     ConvergenceError,
@@ -66,6 +67,11 @@ def test_parabolic_range_vetted_against_curve(unit_params):
     bad = Parabolic(bias=0.95, center=0.01)
     with pytest.raises(InvalidParameterError):
         schedule_coeffs(bad, unit_params.s0)
+    # s0 = 1 - 3e-9: c2 and c1, over s0*(1 - s0), round so that t(S_MAX)
+    # misses its pin 1 - bias = 0 by 3e-9, with the vertex at s = 1
+    skewed = CurveParams(71.98636318447703, 65.61502859272154, 0.30390023567803764, 1e-09)
+    with pytest.raises(InvalidParameterError, match=re.escape("t(1) = -2.99931e-09")):
+        market(skewed, MixSpec.scheduled(Parabolic(bias=1.0, center=0.0)))
 
 
 # --- t(s) and its derivatives: the kernels on schedule_coeffs -----------------
