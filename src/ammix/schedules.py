@@ -193,8 +193,10 @@ def parabolic_coefficients(schedule: Parabolic, s0: float) -> tuple[float, float
     c1 = -((1.0 - 2.0 * bias) * s0 * s0 + (bias - center)) / denom
     c0 = bias
     points = [S_MIN, S_MAX]
-    if c2 != 0.0 and 0.0 < -c1 / (2.0 * c2) < 1.0:
-        points.append(-c1 / (2.0 * c2))
+    if c2 != 0.0:
+        vertex = -c1 / (2.0 * c2)
+        if 0.0 < vertex < 1.0:
+            points.append(vertex)
     for s in points:
         t = (c2 * s + c1) * s + c0
         if t < -1e-12 or t > 1.0 + 1e-12:
