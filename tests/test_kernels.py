@@ -432,16 +432,6 @@ def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
     assert len(cases) > 45
 
 
-def _ray_rate(rate, family, kind, q0, q1, q2, s, *curve):
-    """The spot rate at ray coordinate s as arbitrage_states takes it:
-    lam_at, the reserves and the MarketState check, then ``rate`` there."""
-    lam = pure.lam_at(family, kind, q0, q1, q2, s, *curve)
-    x = lam * s / curve[0]
-    y = lam * (1.0 - s) / curve[1]
-    _check_reserves(x, y)
-    return rate(family, kind, q0, q1, q2, x, y, *curve)
-
-
 def _outcome(f, *args):
     """repr of f(*args), which round-trips a float (NaN and the sign of zero
     included), or the type and message of what it raises."""
@@ -460,8 +450,9 @@ def _ray_args(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
     return (family, kind, q0, q1, q2, s, *curve)
 
 
-# (arguments at ray coordinate s, outcome): the first three raise in lam_at
-# or the reserve check, before any rate is taken; the rest reach rate_xy
+# (arguments at ray coordinate s, outcome through rate_s, which forms no
+# reserve product): the first three raise in lam_at, the reserve check or
+# rate_s's (1 - t)/C, and the fourth's partial in y underflows to 0
 _RAY_RATE_EDGES = [(_ray_args(*args), want) for args, want in [
     # a parabola at t = 1.5
     ((2, 2, 0.0, 0.0, 1.5, 0.3, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5), ScheduleRangeError),
@@ -471,20 +462,14 @@ _RAY_RATE_EDGES = [(_ray_args(*args), want) for args, want in [
     ((0, 0, 0.0, 0.0, 0.0, 0.5, 1e-200, 1e-200, 1e-200, 1e-200, 0.5, 0.5), InvalidParameterError),
     # beta*A1/y underflows to 0 on the constant-product curve: gy == 0
     ((0, 0, 1.0, 0.0, 0.0, S_MIN, 1.0, 1.0, 1.0, 1.0, 0.5, 1e-320), DegenerateGradientError),
-    # (a*x + b*y)**2 underflows to 0 in the homotopy's gradient: the float range
-    ((2, 0, 0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 1e-170, 1e-170, 0.5, 0.5), InvalidParameterError),
+    # (a*x + b*y)**2 would underflow to 0; at s = 0.5 on a curve symmetric in
+    # (x, y) the rate is 1
+    ((2, 0, 0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 1e-170, 1e-170, 0.5, 0.5), 1.0),
     # power laws with exponent <= 1 have no t' at s0: the anchor rate a/b
     ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
     ((2, 1, 1.0, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
+    ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 4.0, 2.0, 1.0, 0.5, 0.5), 0.5),  # b != 1: a/b, not a*b
 ]]
-
-
-@pytest.mark.parametrize("args, want", _RAY_RATE_EDGES)
-def test_ray_rate_edges_match_the_composition(args, want):
-    got = _outcome(_ray_rate, pure.rate_xy, *args)
-    assert got[0] is want if isinstance(want, type) else got == repr(want)
-    reached = _outcome(_ray_rate, lambda *xy_args: "rate", *args) == repr("rate")
-    assert reached == (_RAY_RATE_EDGES.index((args, want)) >= 3)
 
 
 def _ray_rate_s(family, kind, q0, q1, q2, s, *curve):
@@ -495,17 +480,7 @@ def _ray_rate_s(family, kind, q0, q1, q2, s, *curve):
     return rate
 
 
-# each row of _RAY_RATE_EDGES and its outcome through rate_s, which forms
-# no reserve product: the same as through rate_xy but on the fifth row,
-# whose squared a*x + b*y underflowed; at s = 0.5 on a curve symmetric
-# in (x, y) the rate is 1.  The third row's C = 0 now raises in rate_s's
-# (1 - t)/C, and the fourth row's partial in y underflows to 0 there too.
-_RAY_RATE_S_EDGES = [(args, want) for (args, _), want in zip(_RAY_RATE_EDGES, [
-    ScheduleRangeError, InvalidParameterError, InvalidParameterError, DegenerateGradientError,
-    1.0, 2.0, 2.0])]
-
-
-@pytest.mark.parametrize("args, want", _RAY_RATE_S_EDGES)
+@pytest.mark.parametrize("args, want", _RAY_RATE_EDGES)
 def test_ray_rate_edges_through_rate_s(args, want):
     """Every outcome is a rate or a typed error: rate_s wraps what would
     leave it as a bare ArithmeticError, as rate_xy does."""
@@ -586,12 +561,15 @@ def test_rate_xy_takes_the_clamped_t():
     for got in (pure.rate_xy(*m.codes, state.x, state.y, *m.curve),
                 pure.rate_s(*m.codes, s, *m.curve)[1]):
         assert oracle.relative(got, exact) <= RATE_BUDGET * sys.float_info.epsilon * kappa
+    # a t past the range check's 1 + 1e-12 raises there, as in lam_at
+    with pytest.raises(ScheduleRangeError):
+        pure.rate_xy(2, 2, 0.0, 0.0, 1.0 + 5e-7, state.x, state.y, *m.curve)
 
 
 def test_grad_xy_takes_a_slope_of_t_of_exactly_one():
     """t = s - 1/4 (kind 2, q = (0, 1, -1/4)) has t' = 1: the homotopy's
     partials are those of 1/value_xy at t(s(x, y)), by central differences
-    with relative steps of 1e-6."""
+    with relative steps of 1e-6, and rate_s's rate at s is their ratio."""
     eight = CurveParams(1.3, 1.0, 0.7, 1.6)._curve
     a, b, s0 = eight[0], eight[1], eight[7]
     code = (2, 2, 0.0, 1.0, -0.25)
@@ -606,6 +584,7 @@ def test_grad_xy_takes_a_slope_of_t_of_exactly_one():
         fx = (f(x * (1.0 + 1e-6), y) - f(x * (1.0 - 1e-6), y)) / (2e-6 * x)
         fy = (f(x, y * (1.0 + 1e-6)) - f(x, y * (1.0 - 1e-6))) / (2e-6 * y)
         assert pure.grad_xy(*code, x, y, *eight) == pytest.approx((fx, fy), rel=1e-6), s
+        assert pure.rate_s(*code, s, *eight)[1] == pytest.approx(fx / fy, rel=2e-6), s
 
 
 # the chain's budget, in units of eps times the size of each value's terms

@@ -104,15 +104,6 @@ def test_powerlaw_encodes_its_scale_as_q1():
         assert schedule_coeffs(PowerLaw(k), s0) == (1, k, max(s0, 1.0 - s0), 0.0), s0
 
 
-def test_powerlaw_k2_values(unit_params):
-    # t(s) = ((s - 0.5)/0.5)**2 = 4 (s - 0.5)**2 on the unit curve:
-    # t(0.75) = 0.25, t'(0.75) = 2, t''(s) = 8 everywhere.
-    t, tp, tpp, _ = _t_chain(PowerLaw(2.0), unit_params, 0.75)
-    assert t == pytest.approx(0.25, rel=1e-12)
-    assert tp == pytest.approx(2.0, rel=1e-12)
-    assert tpp == pytest.approx(8.0, rel=1e-12)
-
-
 def test_powerlaw_singularities(unit_params):
     s0 = unit_params.s0
     for k in (0.5, 1.0, 1.99):
@@ -173,22 +164,9 @@ def test_schedule_range_on_unit_interval(unit_params, pool_params):
 # --- lambda_derivs ----------------------------------------------------------
 
 def test_lambda_derivs_uniform_at_anchor(unit_params):
-    lam, lamp, lampp = lambda_derivs(unit_params, Uniform(0.37), unit_params.s0)
-    assert lamp == pytest.approx(0.0, abs=1e-12)
-
-
-def test_lambda_derivs_csmm(unit_params):
-    for s in (0.2, 0.5, 0.8):
-        derivs = lambda_derivs(unit_params, Uniform(0.0), s)
-        assert derivs == (2.0, 0.0, 0.0)
-        assert [type(v) for v in derivs] == [float] * 3
-
-
-def test_lambda_derivs_cpmm_frozen(unit_params):
-    lam, lamp, lampp = lambda_derivs(unit_params, Uniform(1.0), 0.5)
-    assert lam == pytest.approx(2.0, rel=1e-12)
-    assert lamp == pytest.approx(0.0, abs=1e-12)
-    assert lampp == pytest.approx(8.0, rel=1e-12)
+    derivs = lambda_derivs(unit_params, Uniform(0.37), unit_params.s0)
+    assert derivs[1] == pytest.approx(0.0, abs=1e-12)
+    assert [type(v) for v in derivs] == [float] * 3
 
 
 # --- curve_derivatives ------------------------------------------------------
@@ -405,7 +383,10 @@ def test_dynamic_y_solve_raises_its_bracket_past_the_first_top():
     ((1.0, 2.0, math.inf), "reserves must be positive and finite, got (inf, 8.0)"),
     ((1.0, 1e200, 1e199), "the curve's terms leave the float range at x=1e+199 (OverflowError)"),
     ((1e300, 1.0, 1.25), "no y on the curve at x=1.25: the solve ends at y="),
-], ids=["nan-amplification", "zero-scale", "zero-x", "infinite-x", "overflow", "off-curve"])
+    # residual -1.0e-10 against terms of size 16*A*x*y + D**2 = 1.16e-10
+    ((1e-3, 1e-5, 1e8), "no y on the curve at x=100000000.0: the solve ends at y="),
+], ids=["nan-amplification", "zero-scale", "zero-x", "infinite-x", "overflow", "off-curve",
+        "off-curve-small-d"])
 def test_dynamic_y_solve_refusals(args, error):
     with pytest.raises(InvalidParameterError) as info:
         stableswap_dynamic_y(*args)
