@@ -392,6 +392,11 @@ def test_arbitrage_solve_bounded_on_nearly_constant_sum_curve(monkeypatch):
     (CurveParams(1.0, 1e308, 1e-5, 1e-323), Uniform(1.0)),
     (CurveParams(1e-308, 1.0, 1e308, 1.0), Uniform(1.0)),
     (CurveParams(1.0, 1e-308, 1.0, 1e308), Uniform(1.0)),
+    # x overflows at S_MAX, where the rate underflows to 0: the reserve
+    # check's error, not the rate's
+    (CurveParams(1e-308, 1e-308, 1e-12, 1e300), Uniform(1.0)),
+    # y overflows at S_MIN, and x only at S_MAX
+    (CurveParams(1e-308, 1e-308, 1e308, 1e308), Uniform(1.0)),
 ])
 def test_arbitrage_errors_match_bisection(params, schedule):
     mix = MixSpec.scheduled(schedule)
