@@ -2,7 +2,7 @@
 
     python tools/mutants.py run --tree CHECKOUT --out KILLERS.jsonl \\
         src/ammix/exchange.py src/ammix/schedules.py:182-204 [-- PYTEST_ARGS...]
-    python tools/mutants.py report KILLERS.jsonl [--by-test]
+    python tools/mutants.py report KILLERS.jsonl
 
 Each mutant changes one site of one module: an arithmetic operator swapped
 (``+``/``-``, ``*``/``/``, ``**`` to ``*``, ``//`` to ``/``, augmented
@@ -20,7 +20,7 @@ default suite is the whole of pytest's collection without ``-x``.  A test is
 a mutant's killer when it passed unmutated and does not pass against the
 mutant: it fails, errors, or is not collected (a collection error, or a
 parametrize id built from a mutated constant).  With ``-x`` in the pytest
-arguments only the failures are recorded.  A run past ``--timeout`` seconds
+arguments only the failures are recorded.  A run past ``TIMEOUT`` seconds
 has its process group killed and counts as a kill.  Each mutant's record is
 one JSON line appended to ``--out``; a rerun skips the records already there.
 """
@@ -56,6 +56,7 @@ _SYMBOLS = {
     ast.Eq: "==", ast.NotEq: "!=", ast.And: "and", ast.Or: "or",
 }
 TESTS = ["-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIMEOUT = 300.0
 
 
 def _end(node):
@@ -162,7 +163,7 @@ def _outcomes(xml_path):
     return outcomes
 
 
-def _run_suite(workdir, pytest_args, timeout):
+def _run_suite(workdir, pytest_args):
     """(seconds, timed out, return code, {test id: passed} or None)."""
     xml_path = os.path.join(workdir, ".mutants-junit.xml")
     if os.path.exists(xml_path):
@@ -173,7 +174,7 @@ def _run_suite(workdir, pytest_args, timeout):
                             cwd=workdir, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -214,8 +215,7 @@ def run(args):
             dest = os.path.join(root, str(i))
             shutil.copytree(args.tree, dest, ignore=ignore)
             workers.put(dest)
-        seconds, timed_out, code, baseline = _run_suite(os.path.join(root, "0"), pytest_args,
-                                                        args.timeout)
+        seconds, timed_out, code, baseline = _run_suite(os.path.join(root, "0"), pytest_args)
         if timed_out or not baseline or not all(baseline.values()):
             sys.exit(f"the unmutated suite does not pass (exit {code})")
         print(f"baseline: {len(baseline)} tests in {seconds:.1f} s", file=sys.stderr)
@@ -230,7 +230,7 @@ def run(args):
             try:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text)
-                seconds, timed_out, code, outcomes = _run_suite(workdir, pytest_args, args.timeout)
+                seconds, timed_out, code, outcomes = _run_suite(workdir, pytest_args)
             finally:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)
@@ -261,14 +261,14 @@ def report(args):
     for r in records:
         if r["status"] != "killed":
             print(f"{r['status']}: {r['module']}:{r['line']}:{r['col']} `{r['from']}` -> `{r['to']}`")
-    if args.by_test:
-        kills, unique = Counter(), Counter()
-        for r in records:
-            kills.update(r["killers"])
-            if len(r["killers"]) == 1:
-                unique.update(r["killers"])
-        for test, n in sorted(kills.items(), key=lambda kv: (unique[kv[0]], kv[1])):
-            print(f"{unique[test]:4d} {n:5d} {test}")
+    kills, unique = Counter(), Counter()
+    for r in records:
+        kills.update(r["killers"])
+        if len(r["killers"]) == 1:
+            unique.update(r["killers"])
+    print("unique kills, kills, test")
+    for test, n in sorted(kills.items(), key=lambda kv: (unique[kv[0]], kv[1])):
+        print(f"{unique[test]:4d} {n:5d} {test}")
 
 
 def main(argv=None):
@@ -279,12 +279,10 @@ def main(argv=None):
     p.add_argument("--tree", required=True, help="checkout to copy and mutate")
     p.add_argument("--out", required=True, help="JSON-lines file of per-mutant records")
     p.add_argument("--jobs", type=int, default=2)
-    p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--work", default=None, help="directory for the work copies")
     p.set_defaults(func=run)
-    p = sub.add_parser("report", help="totals, survivors and, with --by-test, each test's kills")
+    p = sub.add_parser("report", help="totals, survivors and each test's unique and total kills")
     p.add_argument("records")
-    p.add_argument("--by-test", action="store_true", help="unique and total kills per test")
     p.set_defaults(func=report)
     argv = sys.argv[1:] if argv is None else list(argv)
     extra = []
