@@ -16,8 +16,8 @@ def test_mutation_runner_records_the_killer_of_a_two_line_module(tmp_path):
         "from mod import add\n\n\ndef test_add():\n    assert add(2, 1) == 3\n\n\n"
         "def test_type():\n    assert isinstance(add(2, 1), int)\n")
     out = tmp_path / "killers.jsonl"
-    mutants.main(["run", "--tree", str(tree), "--out", str(out), "--jobs", "1",
-                  "--work", str(tmp_path), "mod.py", "--", "-q", "-p", "no:cacheprovider"])
+    mutants.main(["run", "--tree", str(tree), "--out", str(out), "--work", str(tmp_path),
+                  "mod.py", "--", "-q", "-p", "no:cacheprovider"])
     [record] = [json.loads(line) for line in out.read_text().splitlines()]
     assert record["module"] == "mod.py" and (record["line"], record["col"]) == (2, 12)
     assert (record["from"], record["to"], record["status"]) == ("+", "-", "killed")

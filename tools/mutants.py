@@ -1,7 +1,7 @@
 """One-site mutation pass: run a test suite against every mutant of some modules.
 
     python tools/mutants.py run --tree CHECKOUT --out KILLERS.jsonl \\
-        src/ammix/exchange.py src/ammix/schedules.py:182-204 [-- PYTEST_ARGS...]
+        src/ammix/exchange.py src/ammix/schedules.py:195-203 [-- PYTEST_ARGS...]
     python tools/mutants.py report KILLERS.jsonl
 
 Each mutant changes one site of one module: an arithmetic operator swapped
@@ -13,16 +13,17 @@ inside f-strings count.  The edited text must parse to the mutated tree;
 where it would regroup (``-x**2`` to ``-x*2``) the site is parenthesised.
 ``MODULE:A-B`` keeps the sites on lines A to B.
 
-``run`` copies CHECKOUT (without ``.git``) into one work directory per job,
-runs the suite once unmutated, and then once per mutant with
-``PYTHONDONTWRITEBYTECODE=1``, so that no stale bytecode is run.  The
-default suite is the whole of pytest's collection without ``-x``.  A test is
-a mutant's killer when it passed unmutated and does not pass against the
-mutant: it fails, errors, or is not collected (a collection error, or a
-parametrize id built from a mutated constant).  With ``-x`` in the pytest
-arguments only the failures are recorded.  A run past ``TIMEOUT`` seconds
-has its process group killed and counts as a kill.  Each mutant's record is
-one JSON line appended to ``--out``; a rerun skips the records already there.
+``run`` copies CHECKOUT (without ``.git``) into ``JOBS`` work directories,
+runs the suite once unmutated, and then once per mutant, ``JOBS`` at a
+time, with ``PYTHONDONTWRITEBYTECODE=1``, so that no stale bytecode is
+run.  The default suite is the whole of pytest's collection without
+``-x``.  A test is a mutant's killer when it passed unmutated and does not
+pass against the mutant: it fails, errors, or is not collected (a
+collection error, or a parametrize id built from a mutated constant).
+With ``-x`` in the pytest arguments only the failures are recorded.  A run
+past ``TIMEOUT`` seconds has its process group killed and counts as a
+kill.  Each mutant's record is one JSON line appended to ``--out``; a rerun
+skips the records already there.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ _SYMBOLS = {
 }
 TESTS = ["-q", "--tb=no", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 TIMEOUT = 300.0
+JOBS = 2
 
 
 def _end(node):
@@ -211,7 +213,7 @@ def run(args):
     root = tempfile.mkdtemp(prefix="mutants-", dir=args.work)
     workers = queue.Queue()
     try:
-        for i in range(args.jobs):
+        for i in range(JOBS):
             dest = os.path.join(root, str(i))
             shutil.copytree(args.tree, dest, ignore=ignore)
             workers.put(dest)
@@ -242,7 +244,7 @@ def run(args):
             print(f"{key['module']}:{key['line']}:{key['col']} {key['from']} -> {key['to']}: "
                   f"{status} ({len(killers)}, {seconds:.1f} s)", file=sys.stderr)
 
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             list(pool.map(one, todo))
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -278,7 +280,6 @@ def main(argv=None):
     p.add_argument("modules", nargs="+", help="module paths in the tree, optionally MODULE:A-B")
     p.add_argument("--tree", required=True, help="checkout to copy and mutate")
     p.add_argument("--out", required=True, help="JSON-lines file of per-mutant records")
-    p.add_argument("--jobs", type=int, default=2)
     p.add_argument("--work", default=None, help="directory for the work copies")
     p.set_defaults(func=run)
     p = sub.add_parser("report", help="totals, survivors and each test's unique and total kills")
