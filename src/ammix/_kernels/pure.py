@@ -13,12 +13,12 @@ scalar body: ``arrays.lam_chain_array`` calls ``ray_log_ratio`` and
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
-(A0, A1), which ``value_xy`` blends; ``grad_xy`` gives the gradient, and
-``rate_xy``, the spot rate at a user's (x, y), is the ratio of its
-partials.  ``ammix.core`` wraps them for ``MarketState`` arguments.
-Reserves whose terms leave the float range (A1 underflowing to 0 under
-a negative power, say) raise InvalidParameterError, not a bare
-ArithmeticError.
+(A0, A1), which ``value_xy`` blends; ``grad_xy`` gives the gradient, with
+a schedule's (t, t') from ``_sched_clamped``, and ``rate_xy``, the spot
+rate at a user's (x, y), is the ratio of its partials.  ``ammix.core``
+wraps them for ``MarketState`` arguments.  Reserves whose terms leave the
+float range (A1 underflowing to 0 under a negative power, say) raise
+InvalidParameterError, not a bare ArithmeticError.
 
 Conventions:
 
@@ -85,10 +85,10 @@ def lam_arith(t, g, c):
 
 
 def sched_value(kind, q0, q1, q2, s, s0):
-    """Blend weight t(s); defined everywhere on (0, 1)."""
-    if kind == 0:
-        t = q0
-    elif kind == 1:
+    """Blend weight t(s) of a schedule, checked and clamped into [0, 1];
+    defined everywhere on (0, 1).  kind must be 1 (power law) or 2
+    (parabola): callers take a uniform weight (kind 0) as q0 itself."""
+    if kind == 1:
         t = (abs(s - s0) / q1) ** q0
     else:
         t = (q0 * s + q1) * s + q2
@@ -279,20 +279,18 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     gradient is taken on the reciprocal form; with that orientation every
     family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
     of the partials is the internal exchange rate for all of them.  A
-    schedule takes (t, t') from ``sched_first`` at s = a*x/(a*x + b*y),
-    which raises NonDifferentiablePointError where t' does not exist, and
-    from ``_sched_clamped`` where t is not inside (0, 1), so t is clamped
-    as ``lam_at`` clamps it.
-    A1 is ``components_xy``'s, operation for operation.
+    schedule takes (t, t') from ``_sched_clamped`` at s = a*x/(a*x + b*y),
+    as ``lam_prime_at`` and ``rate_s`` do, so t is checked and clamped as
+    ``lam_at`` checks and clamps it, ScheduleRangeError is raised where
+    ``lam_at`` raises it, and NonDifferentiablePointError where t' does
+    not exist.  A1 is ``components_xy``'s, operation for operation.
     """
     try:
         n = a * x + b * y
         if kind == 0:
             t, tp = q0, 0.0
         else:
-            t, tp = sched_first(kind, q0, q1, q2, a * x / n, s0)
-            if not 0.0 < t < 1.0:  # True for NaN; rare, so off the quotes' hot path
-                t, tp = _sched_clamped(kind, q0, q1, q2, a * x / n, s0)
+            t, tp = _sched_clamped(kind, q0, q1, q2, a * x / n, s0)
         a1 = (x / x0) ** alpha * (y / y0) ** beta
         if family == 0:
             return (

@@ -38,10 +38,6 @@ _MAX_RATE_EVALS = 100
 # evaluations a narrowing may spend beyond the halvings of a bisection
 _SPARE_EVALS = 20
 
-# a price within this relative distance of an end rate is solved by the
-# bisection itself; see _arbitrage_reserves
-_NEAR_END = 1e-10
-
 
 def _value_at(p1: float, p2: float, x: float, y: float) -> float:
     """P.X = p1*x + p2*y; InvalidParameterError when it overflows the float range."""
@@ -143,14 +139,15 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
       outside it takes the side it implies, and only one inside it is
       evaluated.
 
-    Where the computed rate is not monotone (at rounding level, next to a
-    root) the bracket can move the answer by a few final bisection
-    widths, 8.9e-16 each.  A price within a relative 1e-10
-    (``_NEAR_END``) of an end rate crosses where the rate has all but
-    stopped changing, such as on a curve whose rate is constant to a few
-    ULPs end to end; there the computed rate steps back and forth between
-    neighbouring floats over long stretches, so such a price is solved by
-    the bisection itself, which returns the same s in a batch and alone.
+    Every price strictly between the end rates takes these three steps.
+    Where the computed rate is monotone the replay returns bisection's own
+    s, whatever bracket the price was narrowed from, so a price gets the
+    same s in a batch and alone.  Where it is not (at rounding level next
+    to a root, or near an end rate of a curve whose rate is constant to a
+    few ULPs end to end, where it steps back and forth between
+    neighbouring floats over long stretches) a midpoint outside the
+    bracket takes the side the bracket implies, which can move the answer
+    by a few final bisection widths, 8.9e-16 each.
 
     Raises InvalidCurveError when a spot rate met on the way is not positive
     and finite, and ConvergenceError when a price's narrowing runs out of
@@ -195,10 +192,6 @@ def _arbitrage_reserves(params: CurveParams, mix: MixSpec,
             continue
         if r <= r_min:
             reserves.append(last)
-            continue
-        if r_max - r <= _NEAR_END * r_max or r - r_min <= _NEAR_END * r_min:
-            s = _bisect(lambda mid: rate(mid) > r, S_MIN, S_MAX, atol=_S_TOL)
-            reserves.append(_reserves_on(m, s))
             continue
         # the ends hold r_max > r > r_min, so 0 < i < len and, monotone
         # or not, the rate at known_s[i - 1] is > r and at known_s[i] <= r

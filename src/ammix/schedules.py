@@ -325,8 +325,8 @@ def stableswap_dynamic_y(amplification: float, scale: float, x: float) -> float:
     Raises InvalidParameterError when A, D, x or the bracket's top is not
     positive and finite, when the curve's y lies above the largest float,
     when the curve's terms leave the float range, and when the y found
-    leaves a residual above ON_CURVE_TOL*(16*A*x*y + D^2), as where the
-    curve's y lies below the bracket.
+    leaves a residual not below ON_CURVE_TOL*(16*A*x*y + D^2), as where the
+    curve's y lies below the bracket or every term underflows to 0.0.
     """
     StableswapDynamic(amplification, scale)  # checks A and D
 
@@ -351,7 +351,9 @@ def stableswap_dynamic_y(amplification: float, scale: float, x: float) -> float:
             f"the curve's terms leave the float range at x={x!r} ({type(exc).__name__})"
         ) from exc
     size = 16.0 * amplification * x * y + scale * scale
-    if not abs(residual) <= ON_CURVE_TOL * size:
+    # strict: a size of 0.0 means every term underflowed, and a residual
+    # of 0.0 then shows nothing
+    if not abs(residual) < ON_CURVE_TOL * size:
         raise InvalidParameterError(
             f"no y on the curve at x={x!r}: the solve ends at y={y!r} with residual "
             f"{residual!r} against terms of size {size!r}"

@@ -342,13 +342,15 @@ def test_arbitrage_states_on_a_grid_are_the_single_solves(mix, order):
 ])
 def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     """Rates within 1e-10 of an end rate, on curves flat end to end and
-    flat near one end only, so each of the two conditions is met alone.
+    flat near one end only, with the end rates themselves.
 
     The computed rate steps between neighbouring floats and back over
-    stretches of 1e-13 in s, so narrowing from different brackets used to
-    land on different crossings: the second row of each batch was 3.6e-14
-    and 3.6e-13 away from the same price solved alone.  Such prices are
-    solved by the bisection itself, in a batch and alone alike."""
+    stretches of 1e-13 in s, so narrowing from different brackets can
+    land on different crossings: before the replayed bisection, the
+    second row of each batch was 3.6e-14 and 3.6e-13 away from the same
+    price solved alone.  These prices take the same path as every other
+    one, warm start, narrowing and replay, and each state is the one
+    solved alone and the reference bisection's of [S_MIN, S_MAX]."""
     mix = MixSpec.homotopy(t)
     r_min, r_max = _end_rates(params, mix)
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)

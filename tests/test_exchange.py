@@ -229,6 +229,16 @@ def test_max_extractable_cpmm(unit_params, unit_state):
     assert bound.amount == 1.0
 
 
+def test_max_extractable_scheduled(unit_params, unit_state):
+    # a schedule's homotopy curve only approaches the axes: the whole
+    # reserve bounds the extraction, and no trade reaches it
+    mix = MixSpec.scheduled(PowerLaw(2.0))
+    for currency in Currency:
+        bound = max_extractable(unit_params, mix, unit_state, currency)
+        assert not bound.attainable
+        assert bound.amount == 1.0
+
+
 def test_max_extractable_arith_strictly_inside(unit_params, unit_state):
     bound = max_extractable(unit_params, MixSpec.arithmetic(0.5), unit_state, Currency.CUR2)
     assert bound.attainable

@@ -199,6 +199,7 @@ def test_s_formulas_have_one_body():
             ("lam_chain_array", "ray_log_ratio"), ("lam_chain_array", "sched_chain_array"),
             ("sched_chain_array", "sched_first"), ("lam_at", "lam_arith"),
             ("lam_prime_at", "lam_arith")} <= calls
+    assert ("grad_xy", "sched_first") not in calls
     assert ("lam_arith", "log") not in names
 
 

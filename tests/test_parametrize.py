@@ -235,11 +235,18 @@ def test_state_for_x_precision(pool_params):
             assert abs(eval_mixed(pool_params, mix, state) - 1.0) <= 1e-10
 
 
-def test_state_for_x_scheduled(pool_params):
-    mix = MixSpec.scheduled(PowerLaw(4.0))
-    state = state_for_x(pool_params, mix, 3060.0)
-    assert state.x == 3060.0
-    assert abs(eval_mixed(pool_params, mix, state) - 1.0) <= 1e-10
+@pytest.mark.parametrize("params, exponent, x", [
+    (CurveParams(1.0, 2.0, 3000.0, 1000.0), 4.0, 3060.0),
+    # the bisection ends exactly on s0 = 0.8064468156563596, where a power
+    # law of exponent below 1 has no t': lam_prime_at raises
+    # NonDifferentiablePointError, and the solve returns its s unpolished
+    (CurveParams(1.0416346525001732, 1.0, 2.0, 0.5), 0.9044831890178828, 2.0),
+], ids=["pool", "no-slope-at-s0"])
+def test_state_for_x_scheduled(params, exponent, x):
+    mix = MixSpec.scheduled(PowerLaw(exponent))
+    state = state_for_x(params, mix, x)
+    assert state.x == x
+    assert abs(eval_mixed(params, mix, state) - 1.0) <= 1e-10
 
 
 def test_state_for_y_matches_x_solve(unit_params):

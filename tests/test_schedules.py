@@ -385,8 +385,12 @@ def test_dynamic_y_solve_raises_its_bracket_past_the_first_top():
     ((1e300, 1.0, 1.25), "no y on the curve at x=1.25: the solve ends at y="),
     # residual -1.0e-10 against terms of size 16*A*x*y + D**2 = 1.16e-10
     ((1e-3, 1e-5, 1e8), "no y on the curve at x=100000000.0: the solve ends at y="),
+    # the curve's y, D**2/4x = 2.5e-401, lies below the float range; the
+    # residual and its size both underflow to 0.0 at the bracket's bottom
+    ((1e-200, 1e-200, 1.0), "no y on the curve at x=1.0: the solve ends at y=1.0000000000000003e-212"
+                            " with residual 0.0 against terms of size 0.0"),
 ], ids=["nan-amplification", "zero-scale", "zero-x", "infinite-x", "overflow", "off-curve",
-        "off-curve-small-d"])
+        "off-curve-small-d", "underflow"])
 def test_dynamic_y_solve_refusals(args, error):
     with pytest.raises(InvalidParameterError) as info:
         stableswap_dynamic_y(*args)

@@ -250,6 +250,11 @@ def test_batch_reuses_external_series():
         assert np.array_equal(trace.external_rate, base)
 
 
+def test_batch_summary_refuses_no_stabilities():
+    with pytest.raises(InvalidParameterError, match="^stabilities must be non-empty$"):
+        batch_summary(SimConfig(), [])
+
+
 def test_batch_single_run_equals_run_sim():
     cfg = SimConfig(seed=17, runs=1, steps=100, stability=0.4)
     summary = batch_summary(cfg, [0.4])[0]
