@@ -345,12 +345,10 @@ def test_arbitrage_states_near_an_end_rate_are_the_bisection(params, t, qs):
     flat near one end only, with the end rates themselves.
 
     The computed rate steps between neighbouring floats and back over
-    stretches of 1e-13 in s, so narrowing from different brackets can
-    land on different crossings: before the replayed bisection, the
-    second row of each batch was 3.6e-14 and 3.6e-13 away from the same
-    price solved alone.  These prices take the same path as every other
-    one, warm start, narrowing and replay, and each state is the one
-    solved alone and the reference bisection's of [S_MIN, S_MAX]."""
+    stretches of 1e-13 in s, so brackets narrowed from different starts
+    can hold different crossings.  These prices take the same path as
+    every other one, warm start, narrowing and replay, and each state is
+    the one solved alone and the reference bisection's of [S_MIN, S_MAX]."""
     mix = MixSpec.homotopy(t)
     r_min, r_max = _end_rates(params, mix)
     prices = [PriceVector(math.exp(math.log(r_min) + q * (math.log(r_max) - math.log(r_min))), 1.0)
