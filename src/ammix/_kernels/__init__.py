@@ -9,7 +9,6 @@ from ammix._kernels.pure import (
     grad_xy,
     lam_arith,
     lam_at,
-    lam_prime_at,
     rate_s,
     rate_xy,
     ray_log_ratio,

@@ -4,12 +4,12 @@
 weight and g(s) in one frame, repeating the float operations of
 ``sched_value`` and ``ray_log_ratio`` in their order, and the helpers stay
 as the reference it is tested against.  The other s-kernels call the
-helpers: ``lam_prime_at`` and ``rate_s`` take g from ``ray_log_ratio``
-and (t, t') from ``_sched_clamped``, and ``lam_arith`` takes g from its
-caller.  ``rate_s``, the spot rate at ray coordinate s, is the rate of
-every arbitrage solve.  The chain (lam, lam', lam'') and t'' have no
-scalar body: ``arrays.lam_chain_array`` calls ``ray_log_ratio`` and
-``sched_first`` on numpy arrays.
+helpers: ``rate_s`` takes g from ``ray_log_ratio`` and (t, t') from
+``_sched_clamped``, and ``lam_arith`` takes g from its caller.  ``rate_s``,
+the spot rate at ray coordinate s, is the one ray kernel of both solves:
+the arbitrage solve's rate, and the slope of the trade solve's polish.  The
+chain (lam, lam', lam'') and t'' have no scalar body: ``arrays.lam_chain_array``
+calls ``ray_log_ratio`` and ``sched_first`` on numpy arrays.
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
@@ -159,30 +159,6 @@ def _sched_clamped(kind, q0, q1, q2, s, s0):
     return t, tp
 
 
-def lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
-    """(lam, dlam/ds) for any (family, schedule) pair.
-
-    (g, g') come from ``ray_log_ratio``.  Uniform weights (kind 0) take
-    t = q0 and the family's closed form; a schedule takes (t, t') from
-    ``_sched_clamped``, which checks and clamps t as ``lam_at`` does, and
-    the homotopy formula.
-    """
-    g, gp = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)
-    p = c * exp(g)
-    if kind != 0:
-        t, tp = _sched_clamped(kind, q0, q1, q2, s, s0)
-        return c + c * expm1(g) * t, c * expm1(g) * tp + p * gp * t
-    t = q0
-    if family == 0:
-        lam = lam_arith(t, g, c)
-        rd = t * lam / p
-        return lam, rd * gp / ((1.0 - t) / c + rd / lam)
-    if family == 1:
-        lam = c * exp(g * t)
-        return lam, lam * t * gp
-    return c + c * expm1(g) * t, p * gp * t
-
-
 def rate_s(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     """(lam, rate) at ray coordinate s: ``lam_at``'s lam, and the spot rate
     ``rate_xy`` takes at the ray point lam*(s/a, (1-s)/b), in s alone.
@@ -280,7 +256,7 @@ def grad_xy(family, kind, q0, q1, q2, x, y, a, b, x0, y0, alpha, beta, c, s0):
     family reduces to grad A0 at t = 0 and grad A1 at t = 1, and the ratio
     of the partials is the internal exchange rate for all of them.  A
     schedule takes (t, t') from ``_sched_clamped`` at s = a*x/(a*x + b*y),
-    as ``lam_prime_at`` and ``rate_s`` do, so t is checked and clamped as
+    as ``rate_s`` does, so t is checked and clamped as
     ``lam_at`` checks and clamps it, ScheduleRangeError is raised where
     ``lam_at`` raises it, and NonDifferentiablePointError where t' does
     not exist.  A1 is ``components_xy``'s, operation for operation.
@@ -345,7 +321,10 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
 
     The bracket [s_lo, s_hi] must already contain the solution; x(s) is
     increasing on valid curves.  Raises ConvergenceError when ``_MAX_ITER``
-    halvings leave the bracket wider than 1e-14.
+    halvings leave the bracket wider than 1e-14.  The polish's slope is
+    x'(s) = lam/(a*(1-s) + b*r*s), the curve's dy/dx being -r, with (lam, r)
+    from one ``rate_s`` call: (C, a/b) at a power law's cusp.  It is skipped
+    unless x'(s) > 0, and a step out of [s_lo, s_hi] is not taken.
     """
     lo = s_lo
     hi = s_hi
@@ -364,11 +343,9 @@ def solve_s_for_x(family, kind, q0, q1, q2, x_target, a, b, x0, y0, alpha, beta,
             f"last bracket [{lo!r}, {hi!r}]"
         )
     s = 0.5 * (lo + hi)
-    try:
-        lam, lamp = lam_prime_at(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
-    except NonDifferentiablePointError:
-        return s
-    xp = (lam + s * lamp) / a
+    lam, r = rate_s(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0)
+    d = a * (1.0 - s) + b * r * s
+    xp = lam / d if d != 0.0 else 0.0
     if xp > 0.0:
         s_new = s - (s / a * lam - x_target) / xp
         if s_lo <= s_new <= s_hi:

@@ -79,10 +79,13 @@ class ILReport:
 
 
 def impermanent_loss(p_f: PriceVector, x_i: MarketState, x_f: MarketState) -> ILReport:
-    """IL = (P_f . X_f) / (P_f . X_i) - 1."""
+    """IL = (P_f . X_f) / (P_f . X_i) - 1, refused where it is not finite."""
     held = p_f.value_of(x_i)
     pool = p_f.value_of(x_f)
-    return ILReport(il=pool / held - 1.0, held_value=held, pool_value=pool)
+    il = pool / held - 1.0 if held else inf
+    if not isfinite(il):
+        raise InvalidParameterError(f"impermanent loss {il!r} is not finite: P.X_i = {held!r}")
+    return ILReport(il=il, held_value=held, pool_value=pool)
 
 
 def _logit(s: float) -> float:

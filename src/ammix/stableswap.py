@@ -77,11 +77,14 @@ def t_from_chi(chi: float, n: int) -> float:
 
 
 def chi_from_t(t: float, n: int) -> float:
-    """Inverse of t_from_chi: chi = n**-n * (1 - t) / t."""
+    """Inverse of t_from_chi: chi = n**-n * (1 - t) / t, refused where not finite."""
     if not (0.0 < t <= 1.0):
         raise InvalidParameterError(f"t must be in (0, 1], got {t!r}")
     _check_n(n)
-    return float(n) ** (-n) * (1.0 - t) / t
+    chi = float(n) ** (-n) * (1.0 - t) / t
+    if not isfinite(chi):
+        raise InvalidParameterError(f"chi = {chi!r} is not finite at t={t!r}")
+    return chi
 
 
 def dynamic_chi(amplification: float, scale: float, reserves: Sequence[float]) -> float:

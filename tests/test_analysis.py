@@ -513,6 +513,12 @@ def test_value_past_the_float_range_raises():
         portfolio_value(params, MixSpec.arithmetic(0.0), PriceVector(1e300, 1.0))
     with pytest.raises(InvalidParameterError):
         impermanent_loss(PriceVector(1e300, 1.0), params.initial_state, MarketState(1e296, 1e308))
+    # a subnormal held value overflows the ratio, and one that underflows to
+    # 0 leaves nothing to divide by: both are refused
+    with pytest.raises(InvalidParameterError, match=r"^impermanent loss inf is not finite"):
+        impermanent_loss(PriceVector(1, 1), MarketState(1e-322, 1e-322), MarketState(1, 1))
+    with pytest.raises(InvalidParameterError, match=r"^impermanent loss inf is not finite"):
+        impermanent_loss(PriceVector(1e-300, 1e-300), MarketState(1e-300, 1e-300), MarketState(1, 1))
 
 
 def test_reduced_value_examples(unit_params):

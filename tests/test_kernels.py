@@ -164,11 +164,12 @@ def test_s_formulas_have_one_body():
     ``ray_log_ratio``, a parabola's t only there, in ``sched_value`` and in
     ``sched_first``, the scalar schedule slopes only in ``sched_first``,
     P'' only in ``lam_chain_array`` and the arithmetic scaling only in
-    ``lam_arith``: ``lam_prime_at``, ``rate_s``, ``lam_chain_array``,
-    ``sched_chain_array`` and ``lam_at`` take them from there instead of
-    repeating them (``lam_prime_at``, ``rate_s`` and ``grad_xy`` take the
-    clamped (t, t') from ``_sched_clamped``, which checks and clamps t
-    through ``sched_value``), and ``lam_arith`` takes g from its caller."""
+    ``lam_arith``: ``rate_s``, ``lam_chain_array``, ``sched_chain_array``
+    and ``lam_at`` take them from there instead of repeating them
+    (``rate_s`` and ``grad_xy`` take the clamped (t, t') from
+    ``_sched_clamped``, which checks and clamps t through ``sched_value``),
+    ``lam_arith`` takes g from its caller, and ``solve_s_for_x`` takes its
+    polish's slope from ``rate_s``."""
     found, calls, names = [], set(), set()
     for path in (Path(pure.__file__), Path(arrays.__file__)):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -192,13 +193,12 @@ def test_s_formulas_have_one_body():
                              ("sched_first", "2.0 * q0 * s + q1"),
                              ("sched_first", "copysign(q0 / q1 * u ** (q0 - 1.0), d)"),
                              ("sched_value", "(q0 * s + q1) * s + q2")]
-    assert {("lam_prime_at", "ray_log_ratio"), ("lam_prime_at", "_sched_clamped"),
-            ("_sched_clamped", "sched_first"), ("_sched_clamped", "sched_value"),
+    assert {("_sched_clamped", "sched_first"), ("_sched_clamped", "sched_value"),
             ("rate_s", "ray_log_ratio"), ("rate_s", "_sched_clamped"), ("rate_s", "lam_arith"),
             ("grad_xy", "_sched_clamped"),
             ("lam_chain_array", "ray_log_ratio"), ("lam_chain_array", "sched_chain_array"),
             ("sched_chain_array", "sched_first"), ("lam_at", "lam_arith"),
-            ("lam_prime_at", "lam_arith")} <= calls
+            ("solve_s_for_x", "rate_s")} <= calls
     assert ("grad_xy", "sched_first") not in calls
     assert ("lam_arith", "log") not in names
 
@@ -345,79 +345,54 @@ def test_solve_s_for_x_raises_when_halvings_run_out(monkeypatch):
         pure.solve_s_for_x(2, 0, 0.6, 0.0, 0.0, 4000.0, *curve, S_MIN, S_MAX)
 
 
-def _central_difference_cases():
-    """(code, s, eight constants) on 20 random curves, then on the
-    ``_fusion_cases`` draws where lam_at has a slope to take: not where t(s)
-    leaves [0, 1] beyond rounding (lam_at raises ``ScheduleRangeError``
-    there; where it clamps t, lam_prime_at clamps it too) and not at s0
-    under a power law with exponent <= 1 (``NonDifferentiablePointError``,
-    pinned below)."""
-    rng = random.Random(909)
-    for curve in _random_curves(20, 9):
-        a, b, x0, y0, alpha, beta = curve
-        s0 = a * x0 / (a * x0 + b * y0)
-        for kind, q0, q1, q2 in ((0, rng.uniform(0.05, 0.95), 0.0, 0.0),
-                                 (1, rng.uniform(0.5, 4.0), _powerlaw_scale(s0), 0.0),
-                                 (2, 0.3, -0.2, 0.4)):
-            s = rng.choice([rng.uniform(0.05, 0.95), 0.5 * s0, 0.5 * (1.0 + s0)])
-            for family in (range(3) if kind == 0 else (2,)):  # schedules blend homotopically
-                yield (family, kind, q0, q1, q2), s, _constants(*curve)
-    for family, kind, q0, q1, q2, s, curve in _fusion_cases(40, 606):
-        eight = _constants(*curve)
-        if kind == 1 and s == eight[7] and q0 <= 1.0:
-            continue
-        try:
-            pure.lam_at(family, kind, q0, q1, q2, s, *eight)
-        except ScheduleRangeError:
-            continue
-        yield (family, kind, q0, q1, q2), s, eight
+@pytest.mark.parametrize("params", [(1.0, 1.0, 3.0, 1.0), (0.5, 2.0, 3000.0, 1000.0),
+                                    (1.3, 0.7, 0.2, 5.0)])
+def test_solve_s_for_x_polish_lands_on_a_linear_root(params):
+    """At t = 0 every family is constant sum: lam = C and r = a/b, so x(s) =
+    C*s/a is linear and the polish's one Newton step lands within 2 ULPs of
+    the root a*x/C, where the bisection alone leaves up to about 32."""
+    curve = CurveParams(*params)._curve
+    a, c = curve[0], curve[6]
+    rng = random.Random(38)
+    for family in range(3):
+        for _ in range(50):
+            x = rng.uniform(0.001, 0.999) * c / a
+            s = pure.solve_s_for_x(family, 0, 0.0, 0.0, 0.0, x, *curve, S_MIN, S_MAX)
+            assert abs(s - a * x / c) <= 2.0 * ulp(a * x / c), (family, x)
 
 
-def test_lam_prime_at_matches_central_difference_of_lam_at():
-    # the uniform closed forms and the scheduled homotopy form both give lam_at's slope
-    differenced = 0
-    for code, s, curve in _central_difference_cases():
-        lam, lamp = pure.lam_prime_at(*code, s, *curve)
-        assert lam == pure.lam_at(*code, s, *curve)
-        if code[1] == 1 and s == curve[7]:
-            # t and t' vanish at s0, and so does lam'; the difference quotient
-            # tends to 0 only as h**(k - 1) for exponents k in (1, 2)
-            assert lamp == 0.0, (code, s, curve)
-            continue
-        # at S_MAX, s -/+ h are the floats next to s; a power law's t bends
-        # within |s - s0| of s0, so the step stays well inside that
-        h = 1e-4 * min(s, 1.0 - s)
-        if code[1] == 1:
-            h = min(h, 1e-3 * abs(s - curve[7]))
-        h = max(h, ulp(s))
-        lo, hi = pure.lam_at(*code, s - h, *curve), pure.lam_at(*code, s + h, *curve)
-        if abs(hi - lo) <= 1e-12 * lam:
-            # flat to lam_at's resolution, as the arithmetic blend is near the
-            # curve's ends: lam' must not predict more change than that
-            assert abs(lamp) * 2.0 * h <= 1e-11 * lam, (code, s, curve)
-            continue
-        slope = (hi - lo) / ((s + h) - (s - h))
-        assert lamp == pytest.approx(slope, rel=1e-4, abs=1e-8 * lam), (code, s, curve)
-        differenced += 1
-    assert differenced > 1800
+def test_solve_s_for_x_skips_the_polish_where_its_slope_has_no_denominator():
+    # a CPMM with a = 5.9e-309 solved in [1 - 2**-50, 1]: within 3 ULPs of
+    # s = 1, a*(1-s) and b*r*s both underflow, so x'(s)'s denominator is 0.0
+    # and the bisection's s is returned, with no ZeroDivisionError
+    a, c = 5.9e-309, 1e-9
+    eight = (a, 1.0, 0.5 * c / a, 0.5 * c, 0.5, 0.5, c, 0.5)
+    s = 1.0 - 2.0**-52
+    lam, r = pure.rate_s(1, 0, 1.0, 0.0, 0.0, s, *eight)
+    assert a * (1.0 - s) + r * s == 0.0
+    x = s / a * pure.lam_at(1, 0, 1.0, 0.0, 0.0, s, *eight)
+    assert pure.solve_s_for_x(1, 0, 1.0, 0.0, 0.0, x, *eight, 1.0 - 2.0**-50, 1.0) == s
 
 
-def test_lam_prime_at_zeroes_t_prime_only_where_the_clamp_moved_t():
+def test_sched_clamped_zeroes_t_prime_only_where_the_clamp_moved_t():
     """A parabola with t' = 1 at s = 1/4 and t = 0 or 1 there exactly keeps
-    t'; one that puts t 5e-13 outside [0, 1] is clamped, and its lam' is
-    the uniform blend's at the clamped t, whose t' is 0."""
+    t'; one that puts t 5e-13 outside [0, 1] is clamped, and its t' is 0,
+    so ``rate_s`` gives the uniform blend's rate at the clamped t."""
     eight = CurveParams(1.3, 1.0, 0.7, 1.6)._curve
     # kind 2 with q = (0, 1, q2): t = 1/4 + q2 and t' = 1
     for q2, t, moved in [(-0.25, 0.0, False), (-0.25 - 5e-13, 0.0, True),
                          (0.75, 1.0, False), (0.75 + 5e-13, 1.0, True)]:
-        lam, lamp = pure.lam_prime_at(2, 2, 0.0, 1.0, q2, 0.25, *eight)
-        uniform = pure.lam_prime_at(2, 0, t, 0.0, 0.0, 0.25, *eight)
-        assert lam == uniform[0] and (lamp == uniform[1]) is moved, q2
+        assert pure._sched_clamped(2, 0.0, 1.0, q2, 0.25, eight[7]) == (t, 0.0 if moved else 1.0)
+        lam, rate = pure.rate_s(2, 2, 0.0, 1.0, q2, 0.25, *eight)
+        uniform = pure.rate_s(2, 0, t, 0.0, 0.0, 0.25, *eight)
+        assert lam == uniform[0] and (rate == uniform[1]) is moved, q2
 
 
-def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
-    # t = (|s - s0|/M)**k has a cusp at s0 for k < 1 and a corner for k = 1;
-    # the fusion draws at s0 that the central differences leave out, and more
+def test_sched_first_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
+    """t = (|s - s0|/M)**k has a cusp at s0 for k < 1 and a corner for
+    k = 1: ``sched_first`` raises there, as ``grad_mixed`` does to users,
+    and ``rate_s`` gives the cusp's (C, a/b), which the trade solve's
+    polish reads as the curve's tangent limit."""
     cases = [(family, k, (a, b, x0, y0, alpha, beta))
              for a, b, x0, y0, alpha, beta in _random_curves(5, 1010)
              for k in (0.25, 0.5, 1.0) for family in range(3)]
@@ -425,11 +400,12 @@ def test_lam_prime_at_has_no_slope_at_s0_under_a_power_law_up_to_exponent_1():
               if kind == 1 and q0 <= 1.0 and s == _constants(*curve)[7]]
     for family, k, curve in cases:
         eight = _constants(*curve)
-        s0 = eight[7]
+        a, b, c, s0 = eight[0], eight[1], eight[6], eight[7]
         with pytest.raises(NonDifferentiablePointError,
                            match=re.escape(f"power-law schedule with exponent {k!r} "
                                            "has no derivative at s0")):
-            pure.lam_prime_at(family, 1, k, _powerlaw_scale(s0), 0.0, s0, *eight)
+            pure.sched_first(1, k, _powerlaw_scale(s0), 0.0, s0, s0)
+        assert pure.rate_s(family, 1, k, _powerlaw_scale(s0), 0.0, s0, *eight) == (c, a / b)
     assert len(cases) > 45
 
 

@@ -24,3 +24,13 @@ def test_mutation_runner_records_the_killer_of_a_two_line_module(tmp_path):
     assert record["killers"] == ["test_mod::test_add"]
     assert (tree / "mod.py").read_text() == "def add(x, y):\n    return x + y\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["killers.jsonl", "tree"]
+
+
+def test_sites_on_a_line_range_are_the_whole_listing_on_those_lines():
+    # an expression across lines 2-4 and a compare on line 5: a range that
+    # cuts the expression keeps only its sites on the range's lines
+    source = "def f(x, y):\n    z = (x * 2.0\n         + y\n         - 1)\n    return z < 3\n"
+    whole = list(mutants.sites(source))
+    assert len(whole) == 7
+    for lo, hi in [(1, 5), (3, 3), (3, 5), (4, 4), (5, 5), (6, 9)]:
+        assert list(mutants.sites(source, lo, hi)) == [m for m in whole if lo <= m[0] <= hi]

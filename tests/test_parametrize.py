@@ -238,8 +238,8 @@ def test_state_for_x_precision(pool_params):
 @pytest.mark.parametrize("params, exponent, x", [
     (CurveParams(1.0, 2.0, 3000.0, 1000.0), 4.0, 3060.0),
     # the bisection ends exactly on s0 = 0.8064468156563596, where a power
-    # law of exponent below 1 has no t': lam_prime_at raises
-    # NonDifferentiablePointError, and the solve returns its s unpolished
+    # law of exponent below 1 has no t': rate_s's s0 branch gives the
+    # cusp's (C, a/b), from which the polish takes its slope
     (CurveParams(1.0416346525001732, 1.0, 2.0, 0.5), 0.9044831890178828, 2.0),
 ], ids=["pool", "no-slope-at-s0"])
 def test_state_for_x_scheduled(params, exponent, x):

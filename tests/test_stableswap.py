@@ -138,6 +138,9 @@ def test_chi_round_trip():
     for t in (0.0, 1.0000005):
         with pytest.raises(InvalidParameterError, match=re.escape(f"t must be in (0, 1], got {t}")):
             chi_from_t(t, 2)
+    # a t in (0, 1] whose chi passes the float range is refused too
+    with pytest.raises(InvalidParameterError, match=re.escape("chi = inf is not finite at t=5e-324")):
+        chi_from_t(5e-324, 2)
 
 
 def test_chi_rejects_negative():

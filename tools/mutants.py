@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import copy
 import json
 import os
 import queue
@@ -44,6 +43,7 @@ import time
 import xml.etree.ElementTree as ET
 from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from math import inf
 
 _SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -92,10 +92,23 @@ def _moved(value):
     return value + 1
 
 
-def sites(source: str):
+def _put(holder, key, value):
+    """Set holder[key] (a Compare's ops) or holder.key (a node) to value;
+    return what was there."""
+    if isinstance(holder, list):
+        old, holder[key] = holder[key], value
+        return old
+    old = getattr(holder, key)
+    setattr(holder, key, value)
+    return old
+
+
+def sites(source: str, lo: int = 1, hi: float = inf):
     """Yield (line, col, before, after, mutated source) for every site of
-    source; col is the operand's end before an operator, or a constant's
-    start (0-based)."""
+    source on lines lo to hi; col is the operand's end before an operator,
+    or a constant's start (0-based).  Nodes wholly outside the lines are
+    skipped, and each mutant's tree is the parsed tree, edited in place and
+    restored."""
     data = source.encode()
     starts = [0]
     for line in data.splitlines(keepends=True):
@@ -105,31 +118,31 @@ def sites(source: str):
         return starts[pos[0] - 1] + pos[1]
 
     tree = ast.parse(source)
-    for index, node in enumerate(ast.walk(tree)):
-        edits = []  # (line, col, before, after, [(start, end, replacement)], set on the copy)
+    for node in ast.walk(tree):
+        if not hasattr(node, "lineno") or node.end_lineno < lo or node.lineno > hi:
+            continue
+        edits = []  # (line, col, before, after, [(start, end, replacement)], holder, key, new)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             new = _moved(node.value)
             span = (offset(_start(node)), offset(_end(node)), repr(new).encode())
-            edits.append((*_start(node), repr(node.value), repr(new), [span],
-                          lambda twin, new=new: setattr(twin, "value", new)))
+            edits.append((*_start(node), repr(node.value), repr(new), [span], node, "value", new))
         for i, op, gaps in _gaps(node):
             swap = _SWAPS[type(op)]
             before, after = _SYMBOLS[type(op)], _SYMBOLS[swap]
             spans = []
-            for lo, hi, suffix in gaps:
-                at = data.find((before + suffix).encode(), offset(lo), offset(hi))
+            for left, right, suffix in gaps:
+                at = data.find((before + suffix).encode(), offset(left), offset(right))
                 spans.append((at, at + len(before), after.encode()))
-            if i is None:
-                set_op = lambda twin, swap=swap: setattr(twin, "op", swap())
-            else:
-                set_op = lambda twin, swap=swap, i=i: twin.ops.__setitem__(i, swap())
-            edits.append((*gaps[0][0], before, after, spans, set_op))
+            holder, key = (node, "op") if i is None else (node.ops, i)
+            edits.append((*gaps[0][0], before, after, spans, holder, key, swap()))
         wrap = [(offset(_start(node)), offset(_start(node)), b"("),
                 (offset(_end(node)), offset(_end(node)), b")")] if edits else []
-        for line, col, before, after, spans, mutate in edits:
-            mutated = copy.deepcopy(tree)
-            mutate(list(ast.walk(mutated))[index])
-            want = ast.dump(mutated)
+        for line, col, before, after, spans, holder, key, new in edits:
+            if not lo <= line <= hi:
+                continue
+            old = _put(holder, key, new)
+            want = ast.dump(tree)
+            _put(holder, key, old)
             for extra in ([], wrap):
                 text = data
                 for a, b, rep in sorted(spans + extra, key=lambda e: e[:2], reverse=True):
@@ -148,11 +161,11 @@ def _mutants(tree, specs):
     for spec in specs:
         module, _, lines = spec.partition(":")
         lo, _, hi = lines.partition("-")
+        bounds = (int(lo), int(hi or lo)) if lines else ()
         with open(os.path.join(tree, module), encoding="utf-8") as fh:
             source = fh.read()
-        for line, col, before, after, text in sorted(sites(source), key=lambda m: m[:2]):
-            if not lines or int(lo) <= line <= int(hi or lo):
-                yield {"module": module, "line": line, "col": col, "from": before, "to": after}, text
+        for line, col, before, after, text in sorted(sites(source, *bounds), key=lambda m: m[:2]):
+            yield {"module": module, "line": line, "col": col, "from": before, "to": after}, text
 
 
 def _outcomes(xml_path):
