@@ -6,10 +6,11 @@ weight and g(s) in one frame, repeating the float operations of
 as the reference it is tested against.  The other s-kernels call the
 helpers: ``rate_s`` takes g from ``ray_log_ratio`` and (t, t') from
 ``_sched_clamped``, and ``lam_arith`` takes g from its caller.  ``rate_s``,
-the spot rate at ray coordinate s, is the one ray kernel of both solves:
-the arbitrage solve's rate, and the slope of the trade solve's polish.  The
-chain (lam, lam', lam'') and t'' have no scalar body: ``arrays.lam_chain_array``
-calls ``ray_log_ratio`` and ``sched_first`` on numpy arrays.
+the spot rate at ray coordinate s in one formula for every family, is the
+one ray kernel of both solves: the arbitrage solve's rate, and the slope of
+the trade solve's polish.  The chain (lam, lam', lam'') and t'' have no
+scalar body: ``arrays.lam_chain_array`` calls ``ray_log_ratio`` and
+``sched_first`` on numpy arrays.
 
 The kernels at a state (x, y) hold the mixed invariant, its gradient and
 the spot rate, each formula in one body: ``components_xy`` gives
@@ -39,8 +40,7 @@ Conventions:
 
 from __future__ import annotations
 
-from math import copysign, exp, expm1, inf, log
-from sys import float_info
+from math import copysign, exp, expm1, log
 
 from ammix.errors import (
     ConvergenceError,
@@ -51,8 +51,6 @@ from ammix.errors import (
 )
 
 _MAX_ITER = 200
-# the least normal float, 2.2250738585072014e-308
-_MIN_NORMAL = float_info.min
 
 
 def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, log=log):
@@ -68,20 +66,16 @@ def ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0, log=log):
 def lam_arith(t, g, c):
     """Scaling putting the ray point on the arithmetic mix with weight t.
 
-    The root C*P/((1-t)*P + t*C) of lam*(1-t)/C + t*lam/P = 1, with
-    P = C*exp(g) and g = g(s) from ``ray_log_ratio`` taken by the caller.
-    Where C*P is not a normal float (it underflows, or passes 1.8e308) the
-    same form is taken as C/((1-t) + t*C/P), which keeps every digit there.
+    The root C/((1-t) + t*exp(-g)) of lam*(1-t)/C + t*lam/P = 1, with
+    P = C*exp(g), so C/P = exp(-g), and g = g(s) from ``ray_log_ratio``
+    taken by the caller.  No C*P or C/P is formed, so the root is exact
+    under power-of-two scaling of the anchor wherever it is a normal float.
     """
     if t <= 0.0:
         return c
-    p = c * exp(g)
     if t >= 1.0:
-        return p
-    cp = c * p
-    if _MIN_NORMAL <= cp < inf:
-        return cp / ((1.0 - t) * p + t * c)
-    return c / ((1.0 - t) + t * (c / p))
+        return c * exp(g)
+    return c / (1.0 - t + t * exp(-g))
 
 
 def sched_value(kind, q0, q1, q2, s, s0):
@@ -164,48 +158,42 @@ def rate_s(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta, c, s0):
     ``rate_xy`` takes at the ray point lam*(s/a, (1-s)/b), in s alone.
 
     There A0 = lam/C and A1 = lam/P, so lam cancels from the ratio of the
-    partials, and no reserve, product of reserves or power is formed:
+    partials, and no reserve, product of reserves or power is formed.  Every
+    family takes one formula,
 
-    - arithmetic: (a/b)*[(1-t)/C + t*alpha/(P*s)] / [(1-t)/C + t*beta/(P*(1-s))]
-    - geometric: (a/b)*[(1-t) + t*alpha/s] / [(1-t) + t*beta/(1-s)]
-    - homotopy: (a/b)*[(1-t)*C + t*P*alpha/s - t'*(1-s)*(P-C)]
-      / [(1-t)*C + t*P*beta/(1-s) + t'*s*(P-C)]
+        (a/b)*[(1-t)*K + w*alpha/s - t'*(1-s)*(P-C)]
+             / [(1-t)*K + w*beta/(1-s) + t'*s*(P-C)],
+
+    with (K, w) = (1, t*C/P) on the arithmetic mix, (1, t) on the geometric
+    and (C, t*P) on the homotopy, and t' = 0 but on a schedule.  C/P is
+    exp(-g): the arithmetic rate and lam form no C*P, C/P or 1/C.
 
     g comes from ``ray_log_ratio`` and a schedule's (t, t') from
     ``_sched_clamped``, so ScheduleRangeError is raised where ``lam_at``
-    raises it; where t' does not exist (a power law of exponent <= 1 at
-    s0) the rate is the anchor rate a/b, as in ``rate_xy``.  Raises
+    raises it; where t' does not exist (a power law of exponent <= 1 at s0)
+    the rate is the anchor rate a/b, as in ``rate_xy``.  Raises
     DegenerateGradientError where the denominator (the partial in y)
-    vanishes, and InvalidParameterError where a term leaves the float
-    range.
+    vanishes, and InvalidParameterError where a term leaves the float range.
     """
     try:
         g = ray_log_ratio(s, a, b, x0, y0, alpha, beta, c, s0)[0]
+        t, tp = q0, 0.0
+        if kind != 0:
+            try:
+                t, tp = _sched_clamped(kind, q0, q1, q2, s, s0)
+            except NonDifferentiablePointError:
+                return c, a / b  # s == s0, where t = 0 and g = 0
         if kind == 0 and family == 0:
-            t = q0
-            p = c * exp(g)
-            w = (1.0 - t) / c
-            num, den = w + t * alpha / (p * s), w + t * beta / (p * (1.0 - s))
-            lam = lam_arith(t, g, c)
+            k, w, lam = 1.0, t * exp(-g), lam_arith(t, g, c)
         elif kind == 0 and family == 1:
-            t = q0
-            num, den = 1.0 - t + t * alpha / s, 1.0 - t + t * beta / (1.0 - s)
-            lam = c * exp(g * t)
+            k, w, lam = 1.0, t, c * exp(g * t)
         else:
-            t, tp = q0, 0.0
-            if kind != 0:
-                try:
-                    t, tp = _sched_clamped(kind, q0, q1, q2, s, s0)
-                except NonDifferentiablePointError:
-                    return c, a / b  # s == s0, where t = 0 and g = 0
             pmc = c * expm1(g)
-            p = c * exp(g)
-            w = (1.0 - t) * c
-            num, den = w + t * p * alpha / s, w + t * p * beta / (1.0 - s)
-            if tp != 0.0:
-                num -= tp * (1.0 - s) * pmc
-                den += tp * s * pmc
-            lam = c + pmc * t
+            k, w, lam = c, t * (c * exp(g)), c + pmc * t
+        num, den = (1.0 - t) * k + w * alpha / s, (1.0 - t) * k + w * beta / (1.0 - s)
+        if tp != 0.0:
+            num -= tp * (1.0 - s) * pmc
+            den += tp * s * pmc
         if den != 0.0:
             return lam, a / b * (num / den)
     except ArithmeticError as exc:

@@ -224,14 +224,16 @@ def schedule_coeffs(schedule: TSchedule, s0: float) -> tuple[int, float, float, 
 
 
 def lambda_derivs(params: "CurveParams", schedule: TSchedule, s: float) -> tuple[float, float, float]:
-    """(lam, lam', lam'') of the scheduled homotopy scaling at s: the
-    certificate's array kernel at one point."""
+    """(lam, lam', lam'') of the scheduled homotopy scaling at s: the array
+    kernel of the certificate at one point; refused where one is not finite."""
     _check_s(s)
     kind, q0, q1, q2 = schedule_coeffs(schedule, params.s0)
     with np.errstate(all="ignore"):
         *chain, singular = k.lam_chain_array(kind, q0, q1, q2, np.float64(s), *params._curve)
     if singular:
         raise NonDifferentiablePointError(f"power-law schedule with exponent {q0!r} is singular at s0")
+    if not np.isfinite(chain).all():
+        raise InvalidParameterError(f"(lam, lam', lam'') at s={s!r} is not finite")
     return float(chain[0]), float(chain[1]), float(chain[2])
 
 

@@ -508,9 +508,10 @@ def test_curve_sample_rows_are_point_at_bit_for_bit(draws):
     ["curve-sample", "--mix", "arith", "--t", "0.5", "--x0", "1e-306", "--y0", "1e-306"],
 ], ids=["curve-sample", "il-table", "quote", "curve-sample-underflow"])
 def test_arithmetic_curve_past_c_times_p_range_exit_0(capsys, argv):
-    """C*P overflows on the first three curves and underflows to 0 on the
-    last; lam_arith used to run into NaN and exit 2 with "did not
-    converge", or raise ZeroDivisionError with a traceback."""
+    """C*P would overflow on the first three curves and underflow to 0 on
+    the last; lam_arith's form in C*P ran into NaN and exited 2 with "did
+    not converge", or raised ZeroDivisionError with a traceback.  Its one
+    form C/((1 - t) + t*exp(-g)) forms no C*P."""
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     values = [float(v) for line in out.strip().split("\n")[1:]
@@ -518,15 +519,21 @@ def test_arithmetic_curve_past_c_times_p_range_exit_0(capsys, argv):
     assert values and all(math.isfinite(v) for v in values)
 
 
-def test_homotopy_il_table_at_tiny_anchor_is_the_unit_table(capsys):
-    """The anchor (1e-300, 1e-300) is the unit anchor scaled, and an IL
-    table depends on the rate ratios alone: its stdout is the unit
-    command's, byte for byte.  It exited 2 with "the invariant is not
+@pytest.mark.parametrize("mix, anchor, out", [
+    ("hom", "1e-300", "ratio,il\n4,-0.309499704837\n"),
+    ("arith", "1e-306", "ratio,il\n4,-0.36\n"),
+], ids=["hom", "arith"])
+def test_il_table_at_tiny_anchor_is_the_unit_table(capsys, mix, anchor, out):
+    """The anchor (z, z) is the unit anchor scaled, and an IL table depends
+    on the rate ratios alone: its stdout is the unit command's, byte for
+    byte.  The homotopy row exited 2 with "the invariant is not
     representable ... ZeroDivisionError" while the arbitrage solve took its
-    rates at the reserves, whose squared a*x + b*y underflowed."""
-    argv = ["il-table", "--mix", "hom", "--t", "0.5", "--ratios", "4"]
-    tiny = run(capsys, *argv, "--x0", "1e-300", "--y0", "1e-300")
-    assert tiny == run(capsys, *argv) == (0, "ratio,il\n4,-0.309499704837\n", "")
+    rates at the reserves, whose squared a*x + b*y underflowed; the
+    arithmetic row exited 2 with "spot rate inf at s=1e-12" while rate_s
+    took the arithmetic rate in 1/C and 1/(P*s)."""
+    argv = ["il-table", "--mix", mix, "--t", "0.5", "--ratios", "4"]
+    tiny = run(capsys, *argv, "--x0", anchor, "--y0", anchor)
+    assert tiny == run(capsys, *argv) == (0, out, "")
 
 
 # --- refusals: the exit code and the one stderr line of each --------------------

@@ -10,7 +10,7 @@ import random
 import re
 import sys
 from decimal import Decimal, localcontext
-from math import exp, expm1, nextafter, ulp
+from math import exp, expm1, inf, nextafter, ulp
 from pathlib import Path
 
 import numpy as np
@@ -148,14 +148,14 @@ def test_xy_formulas_have_one_body():
 
 
 # g(s) (its scalar and array forms), g'(s)'s numerator, a parabola's t and
-# t', a power law's t', the numerator of P'' and the arithmetic scaling's
-# two forms
+# t', a power law's t', the numerator of P'', the arithmetic scaling and the
+# ray rate's numerator
 _S_TERMS = {"alpha * log(s0 / s)", "alpha * np.log(s0 / s)", "beta * s - alpha * (1.0 - s)",
             "(q0 * s + q1) * s + q2", "2.0 * q0 * s + q1",
             "copysign(q0 / q1 * u ** (q0 - 1.0), d)",
             "2.0 * alpha * alpha * u * u + alpha * beta * (1.0 - 2.0 * s) ** 2"
             " + 2.0 * beta * beta * s * s",
-            "cp / ((1.0 - t) * p + t * c)", "c / (1.0 - t + t * (c / p))"}
+            "c / (1.0 - t + t * exp(-g))", "(1.0 - t) * k + w * alpha / s"}
 
 
 def test_s_formulas_have_one_body():
@@ -163,8 +163,9 @@ def test_s_formulas_have_one_body():
     ``ray_log_ratio`` and in the fused ``lam_at``, g'(s) only in
     ``ray_log_ratio``, a parabola's t only there, in ``sched_value`` and in
     ``sched_first``, the scalar schedule slopes only in ``sched_first``,
-    P'' only in ``lam_chain_array`` and the arithmetic scaling only in
-    ``lam_arith``: ``rate_s``, ``lam_chain_array``, ``sched_chain_array``
+    P'' only in ``lam_chain_array``, the arithmetic scaling only in
+    ``lam_arith`` and the ray rate's numerator, one for every family, only
+    in ``rate_s``: ``rate_s``, ``lam_chain_array``, ``sched_chain_array``
     and ``lam_at`` take them from there instead of repeating them
     (``rate_s`` and ``grad_xy`` take the clamped (t, t') from
     ``_sched_clamped``, which checks and clamps t through ``sched_value``),
@@ -181,12 +182,12 @@ def test_s_formulas_have_one_body():
                     calls.add((where, node.func.id))
                 elif isinstance(node, ast.Name):
                     names.add((where, node.id))
-    assert sorted(found) == [("lam_arith", "c / (1.0 - t + t * (c / p))"),
-                             ("lam_arith", "cp / ((1.0 - t) * p + t * c)"),
+    assert sorted(found) == [("lam_arith", "c / (1.0 - t + t * exp(-g))"),
                              ("lam_at", "(q0 * s + q1) * s + q2"),
                              ("lam_at", "alpha * log(s0 / s)"),
                              ("lam_chain_array", "2.0 * alpha * alpha * u * u + alpha * beta"
                               " * (1.0 - 2.0 * s) ** 2 + 2.0 * beta * beta * s * s"),
+                             ("rate_s", "(1.0 - t) * k + w * alpha / s"),
                              ("ray_log_ratio", "alpha * log(s0 / s)"),
                              ("ray_log_ratio", "beta * s - alpha * (1.0 - s)"),
                              ("sched_first", "(q0 * s + q1) * s + q2"),
@@ -267,10 +268,10 @@ def test_lam_at_matches_helper_composition_bit_for_bit():
 
 @pytest.mark.parametrize("scale", [1e154, 1e200, 1e250, 1e300, 1e-170, 1e-250, 1e-300])
 def test_lam_arith_solves_where_c_times_p_leaves_the_float_range(scale):
-    """C*P passes 1.8e308 on curves this large, and underflows to 0 on
-    curves this small; the closed form is taken as C/((1 - t) + t*C/P)
-    there, and lands on the curve as on a unit curve, instead of running
-    into NaN (overflow) or ZeroDivisionError (underflow)."""
+    """C*P would pass 1.8e308 on curves this large, and underflow to 0 on
+    curves this small; the one closed form C/((1 - t) + t*exp(-g)) forms
+    no C*P, and lands on the curve as on a unit curve, where a form in C*P
+    ran into NaN (overflow) or ZeroDivisionError (underflow)."""
     rng = random.Random(1543)
     for _ in range(200):
         a, b = rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
@@ -292,8 +293,8 @@ _LAM_ARITH_ULPS = {"bulk": 3.0, "ends": 4.0}
 def _lam_arith_case(d):
     """(region, curve, s, t): s in [1e-6, 1 - 1e-6], or in [S_MIN, 1e-6] or
     its mirror, and t in [0, 1], both ends included.  Half the curves have
-    x0 and y0 scaled by 10**e, e in [-160, 153], so that C*P runs from
-    subnormal to past 1.8e308 and lam_arith takes both of its forms."""
+    x0 and y0 scaled by 10**e, e in [-160, 153], so that C*P would run from
+    subnormal to past 1.8e308: lam_arith's one form holds on both sides."""
     region = d.choice(("bulk", "low", "high"))
     if region == "bulk":
         s = d.floats(1e-6, 1.0 - 1e-6)
@@ -312,9 +313,9 @@ def test_lam_arith_within_ulp_budget_of_decimal_oracle(draws):
     g's rounding into |g| ULPs of P, and lam takes the share
     kappa = |g|*t*lam/P of that, up to 28 at the ends: the budget is a
     fixed number of ULPs per unit of (1 + kappa), by region.  At the ends
-    of t it is C and P = C*exp(g) themselves.  Between them both forms are
-    taken: C*P/((1-t)*P + t*C) where C*P is a normal float, and
-    C/((1-t) + t*C/P) where it is not."""
+    of t it is C and P = C*exp(g) themselves.  Between them it is
+    C/((1-t) + t*exp(-g)), and the draws have C*P both inside the normal
+    floats and outside them, where a form in C*P would fail."""
     worst, forms = {}, set()
     for region, p, s, t in draws(1000, _lam_arith_case):
         got = pure.lam_at(0, 0, t, 0.0, 0.0, s, *p._curve)
@@ -428,8 +429,9 @@ def _ray_args(family, kind, q0, q1, q2, s, a, b, x0, y0, alpha, beta):
 
 
 # (arguments at ray coordinate s, outcome through rate_s, which forms no
-# reserve product): the first three raise in lam_at, the reserve check or
-# rate_s's (1 - t)/C, and the fourth's partial in y underflows to 0
+# reserve product): the first raises in the schedule check, the next two in
+# the reserve check, the fourth's partial in y underflows to 0, and the last
+# raises in rate_s itself
 _RAY_RATE_EDGES = [(_ray_args(*args), want) for args, want in [
     # a parabola at t = 1.5
     ((2, 2, 0.0, 0.0, 1.5, 0.3, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5), ScheduleRangeError),
@@ -446,6 +448,9 @@ _RAY_RATE_EDGES = [(_ray_args(*args), want) for args, want in [
     ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
     ((2, 1, 1.0, 0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, 0.5, 0.5), 2.0),
     ((2, 1, 0.5, 0.0, 0.0, 0.5, 2.0, 4.0, 2.0, 1.0, 0.5, 0.5), 0.5),  # b != 1: a/b, not a*b
+    # weights far from calibrated, alpha = 0.99 at s0 = 5e-324, give g = -737
+    # at s = 0.99: the arithmetic weight t*exp(-g) overflows
+    ((0, 0, 0.5, 0.0, 0.0, 0.99, 1.0, 1.0, 5e-324, 1.0, 0.99, 0.01), InvalidParameterError),
 ]]
 
 
@@ -469,20 +474,24 @@ def test_ray_rate_edges_through_rate_s(args, want):
 RATE_BUDGET = 4.0
 
 
+def _ray_s(d):
+    """s in [1e-6, 1 - 1e-6], in [S_MIN, 1e-6] or its mirror."""
+    region = d.choice(("bulk", "low", "high"))
+    u = d.floats(S_MIN, 1e-6)
+    return d.floats(1e-6, 1.0 - 1e-6) if region == "bulk" else u if region == "low" else 1.0 - u
+
+
 def _rate_case(d):
     """(params, market, s): a and b in [1e-2, 1e2] and a skewed anchor, x0
-    and y0 in [1e-9, 1]; any mix; s in [1e-6, 1 - 1e-6], in [S_MIN, 1e-6]
-    or its mirror.  A parabola leaving [0, 1] is rejected."""
+    and y0 in [1e-9, 1]; any mix; s from ``_ray_s``.  A parabola leaving
+    [0, 1] is rejected."""
     params = CurveParams(d.floats(1e-2, 1e2), d.floats(1e-2, 1e2), d.floats(1e-9, 1.0),
                          d.floats(1e-9, 1.0))
     try:
         m = market(params, d.mix())
     except InvalidParameterError:
         raise Reject
-    region = d.choice(("bulk", "low", "high"))
-    u = d.floats(S_MIN, 1e-6)
-    s = d.floats(1e-6, 1.0 - 1e-6) if region == "bulk" else u if region == "low" else 1.0 - u
-    return params, m, s
+    return params, m, _ray_s(d)
 
 
 def test_spot_rates_within_budget_of_decimal_oracle(draws):
@@ -519,6 +528,34 @@ def test_spot_rates_within_budget_of_decimal_oracle(draws):
             worst[name, m.codes[:2]] = max(worst.get((name, m.codes[:2]), 0.0), err)
     print(f"worst errors in eps of the condition: {worst}; {sloped} slopes")
     assert len(worst) == 10 and sloped > 20
+
+
+def _scaled_arith_case(d):
+    """(curve, t, s, k): an arithmetic mix's curve, t in [0, 1], s from
+    ``_ray_s`` and a power of two 2**k, k in [-1000, 1000], to scale the
+    anchor by."""
+    s = _ray_s(d)
+    return d.curve()._curve, d.floats(0.0, 1.0), s, d.integers(-1000, 1000)
+
+
+def test_arithmetic_rate_s_is_exact_under_power_of_two_scaling(draws):
+    """Scaling the anchor (x0, y0, and so C) by 2**k scales the arithmetic
+    lam by exactly 2**k and leaves the rate as it is, compared with ==:
+    lam_arith and rate_s form no C*P, C/P or 1/C.  A draw is skipped where
+    C*2**k is not a normal float or lam*2**k passes the float range."""
+    taken = 0
+    for (a, b, x0, y0, alpha, beta, c, s0), t, s, k in draws(2000, _scaled_arith_case):
+        scale = 2.0**k
+        if not sys.float_info.min <= c * scale <= sys.float_info.max:
+            continue
+        lam, rate = pure.rate_s(0, 0, t, 0.0, 0.0, s, a, b, x0, y0, alpha, beta, c, s0)
+        if lam * scale == inf:
+            continue
+        scaled = pure.rate_s(0, 0, t, 0.0, 0.0, s, a, b, x0 * scale, y0 * scale, alpha, beta,
+                             c * scale, s0)
+        assert scaled == (lam * scale, rate), (a, b, x0, y0, t, s, k)
+        taken += 1
+    assert taken > 1000
 
 
 def test_rate_xy_takes_the_clamped_t():

@@ -169,6 +169,17 @@ def test_lambda_derivs_uniform_at_anchor(unit_params):
     assert [type(v) for v in derivs] == [float] * 3
 
 
+def test_lambda_derivs_refuses_a_chain_past_the_float_range():
+    """b at the largest float: the array chain's lam, lam' and lam'' are
+    all inf at this s, and lambda_derivs refuses them instead of returning
+    them; curve_derivatives takes the same refusal."""
+    params = CurveParams(0.8168183689615294, 1.7976931348623157e308, 1.0763405762506881,
+                         0.39325590547112765)
+    for f in (lambda_derivs, curve_derivatives):
+        with pytest.raises(InvalidParameterError, match="is not finite"):
+            f(params, PowerLaw(0.8949965135723088), 0.6842318223660072)
+
+
 # --- curve_derivatives ------------------------------------------------------
 
 def test_curve_slope_at_anchor(unit_params, pool_params):
